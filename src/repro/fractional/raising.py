@@ -93,7 +93,7 @@ def kmw06_initial_fds(
         provider_size = sum(values.values())
         ledger.charge("kmw06-lp", kmw06_lp_rounds(delta_tilde - 1, eps))
     elif provider == "distributed":
-        result = distributed_fractional_mds(graph, gamma=gamma if gamma else min(0.5, eps))
+        result = distributed_fractional_mds(graph, gamma=min(0.5, eps) if gamma is None else gamma)
         values = result.values
         provider_size = result.size
         ledger.simulate("water-filling-lp", result.rounds)

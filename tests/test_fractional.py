@@ -1,20 +1,127 @@
 """Part-I substrate: LP oracle, water-filling solver, Lemma 2.1 raising."""
 
+from typing import Dict
+
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.domsets.cfds import CFDS
 from repro.domsets.covering import CoveringInstance
 from repro.errors import GraphError
-from repro.fractional.distributed import distributed_fractional_mds
+from repro.fractional.distributed import DistributedLPResult, distributed_fractional_mds
 from repro.fractional.lp import lp_fractional_mds, solve_covering_lp
 from repro.fractional.raising import (
     kmw06_initial_fds,
     raise_fractionality,
     repair_feasibility,
 )
-from repro.graphs.generators import clique_graph, star_graph
-from repro.graphs.normalize import normalize_graph
+from repro.graphs.generators import clique_graph, gnp_graph, star_graph
+from repro.graphs.normalize import normalize_graph, require_normalized
+from repro.graphs.suite import suite_instance
+
+
+def reference_distributed_fractional_mds(
+    graph: nx.Graph, gamma: float = 0.25, max_iterations: int = 100_000
+) -> DistributedLPResult:
+    """The node-by-node dict/set water-filling loop, frozen as the parity
+    reference for the CSR kernel: same arithmetic, same order."""
+    require_normalized(graph)
+    if not 0.0 < gamma <= 1.0:
+        raise GraphError(f"gamma must be in (0, 1], got {gamma}")
+    nodes = sorted(graph.nodes())
+    if not nodes:
+        raise GraphError("empty graph")
+    neighborhoods = {
+        v: sorted(set(graph.neighbors(v)) | {v}) for v in nodes
+    }
+    delta_tilde = max(len(nb) for nb in neighborhoods.values())
+
+    x: Dict[int, float] = {v: 0.0 for v in nodes}
+    coverage: Dict[int, float] = {v: 0.0 for v in nodes}
+    theta = float(delta_tilde)
+    rounds = 0
+    iterations = 0
+    trace = [theta]
+
+    def uncovered(v: int) -> bool:
+        return coverage[v] < 1.0 - 1e-12
+
+    active = {v for v in nodes if uncovered(v)}
+    while active:
+        iterations += 1
+        if iterations > max_iterations:
+            raise GraphError(
+                f"water-filling failed to converge in {max_iterations} iterations"
+            )
+        # Dynamic degree: how many uncovered constraints each node touches.
+        dyn: Dict[int, int] = {v: 0 for v in nodes}
+        for v in active:
+            for u in neighborhoods[v]:
+                dyn[u] += 1
+        raisers = [u for u in nodes if dyn[u] >= theta and x[u] < 1.0]
+        rounds += 2  # value announcement + coverage announcement
+        if raisers:
+            increment = gamma / theta
+            for u in raisers:
+                new_value = min(1.0, x[u] + increment)
+                delta = new_value - x[u]
+                if delta <= 0.0:
+                    continue
+                x[u] = new_value
+                for v in graph.neighbors(u):
+                    coverage[v] += delta
+                coverage[u] += delta
+            active = {v for v in active if uncovered(v)}
+        else:
+            theta = max(1.0, theta / (1.0 + gamma))
+            trace.append(theta)
+            if theta == 1.0 and not raisers and active:
+                # At theta == 1 every node adjacent to an uncovered
+                # constraint qualifies; if none does but constraints remain
+                # uncovered, those constraints' own nodes must raise.
+                for v in sorted(active):
+                    x[v] = 1.0
+                    for u in graph.neighbors(v):
+                        coverage[u] += 1.0
+                    coverage[v] += 1.0
+                active = {v for v in active if uncovered(v)}
+
+    return DistributedLPResult(
+        values=dict(x),
+        size=sum(x.values()),
+        rounds=rounds,
+        iterations=iterations,
+        threshold_trace=trace,
+    )
+
+
+def _with_isolated(graph: nx.Graph, extra: int) -> nx.Graph:
+    return normalize_graph(nx.disjoint_union(graph, nx.empty_graph(extra)))
+
+
+# Normalized graphs of every shape the sweep treats differently: a single
+# node, no edges at all, isolated nodes beside edges, one hub, long thin
+# paths, full density and random sparse graphs.
+parity_graphs = st.one_of(
+    st.just(normalize_graph(nx.empty_graph(1))),
+    st.integers(2, 12).map(lambda n: normalize_graph(nx.empty_graph(n))),
+    st.integers(1, 20).map(star_graph),
+    st.integers(2, 30).map(lambda n: normalize_graph(nx.path_graph(n))),
+    st.integers(2, 12).map(clique_graph),
+    st.builds(
+        gnp_graph,
+        st.integers(2, 40),
+        st.floats(0.02, 0.5),
+        seed=st.integers(0, 10_000),
+        connected=st.booleans(),
+    ),
+    st.builds(
+        _with_isolated,
+        st.builds(gnp_graph, st.integers(2, 30), st.floats(0.05, 0.4), seed=st.integers(0, 100)),
+        st.integers(1, 5),
+    ),
+)
 
 
 class TestLP:
@@ -81,6 +188,45 @@ class TestWaterFilling:
         with pytest.raises(GraphError):
             distributed_fractional_mds(small_gnp, gamma=2.0)
 
+    def test_iteration_limit(self, small_gnp):
+        with pytest.raises(GraphError, match="failed to converge in 3 iterations"):
+            distributed_fractional_mds(small_gnp, max_iterations=3)
+
+    def test_empty_graph(self):
+        with pytest.raises(GraphError, match="empty graph"):
+            distributed_fractional_mds(nx.Graph())
+
+    def test_requires_normalized_labels(self):
+        with pytest.raises(GraphError, match="0..n-1"):
+            distributed_fractional_mds(nx.path_graph(["a", "b", "c"]))
+        with pytest.raises(GraphError, match="0..n-1"):
+            distributed_fractional_mds(nx.path_graph(range(1, 5)))
+
+
+class TestWaterFillingParity:
+    """The CSR kernel against the frozen dict loop, field for field."""
+
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(parity_graphs, st.sampled_from([1.0, 0.5, 0.25, 0.03125]))
+    def test_matches_reference(self, graph, gamma):
+        assert distributed_fractional_mds(graph, gamma=gamma) == (
+            reference_distributed_fractional_mds(graph, gamma=gamma)
+        )
+
+    def test_matches_reference_at_benchmark_shape(self):
+        # gnp-300 with maximum degree 13 at the Theorem 1.2 pipeline's
+        # gamma for eps = 0.5: the largest water-filling instance the
+        # repo benchmark solves.
+        graph = suite_instance("gnp", 300, seed=1).graph
+        assert max(d for _, d in graph.degree()) == 13
+        result = distributed_fractional_mds(graph, gamma=0.03125)
+        assert result == reference_distributed_fractional_mds(graph, gamma=0.03125)
+        assert all(type(x) is float for x in result.values.values())
+
 
 class TestRepairAndRaise:
     def test_repair_fixes_near_miss(self):
@@ -125,6 +271,11 @@ class TestLemma21Contract:
     def test_distributed_provider_simulates_rounds(self, small_gnp):
         initial = kmw06_initial_fds(small_gnp, eps=0.5, provider="distributed")
         assert initial.ledger.simulated_rounds > 0
+
+    def test_explicit_zero_gamma_rejected(self, small_gnp):
+        # gamma=0.0 is out of (0, 1], not a request for the default.
+        with pytest.raises(GraphError, match="gamma"):
+            kmw06_initial_fds(small_gnp, eps=0.5, provider="distributed", gamma=0.0)
 
     def test_unknown_provider(self, small_gnp):
         with pytest.raises(GraphError):

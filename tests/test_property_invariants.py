@@ -4,14 +4,17 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.bounds import theorem11_approximation_bound
 from repro.analysis.verify import is_dominating_set
 from repro.baselines.greedy import greedy_mds
 from repro.derand.conditional import ConditionalExpectationEngine
 from repro.domsets.cfds import CFDS, fractionality_of
 from repro.domsets.covering import CoveringInstance
+from repro.fractional.lp import lp_fractional_mds
 from repro.fractional.raising import raise_fractionality, repair_feasibility
 from repro.graphs.generators import gnp_graph
 from repro.mds.deterministic import approx_mds_coloring
+from repro.mds.pipeline import PipelineParams
 from repro.rounding.abstract import execute_rounding
 from repro.rounding.coins import independent_coins
 from repro.rounding.schemes import factor_two_scheme, one_shot_scheme
@@ -37,10 +40,16 @@ def test_greedy_always_dominates(graph):
 
 
 @slow
-@given(graphs, st.sampled_from([0.25, 0.5, 1.0]))
-def test_pipeline_output_always_dominates(graph, eps):
-    result = approx_mds_coloring(graph, eps=eps)
+@given(graphs, st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from(["lp", "distributed"]))
+def test_pipeline_output_always_dominates(graph, eps, provider):
+    """Theorem 1.2 with either Part-I provider: a dominating set within
+    ``(1+eps)(1+ln(Delta+1))`` of the LP optimum."""
+    params = PipelineParams(eps=eps, part1_provider=provider)
+    result = approx_mds_coloring(graph, eps=eps, params=params)
     assert is_dominating_set(graph, result.dominating_set)
+    max_degree = max((d for _, d in graph.degree()), default=0)
+    bound = theorem11_approximation_bound(eps, max_degree)
+    assert result.size <= bound * lp_fractional_mds(graph).optimum
 
 
 @slow
