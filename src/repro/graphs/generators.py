@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Iterator, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.normalize import normalize_graph
@@ -33,12 +35,68 @@ def _ensure_connected(graph: nx.Graph, rng: random.Random) -> nx.Graph:
     return graph
 
 
+#: Draws per chunk of the G(n, p) replay: 2**16 doubles, about 0.5 MB.
+_GNP_CHUNK = 1 << 16
+
+
+def _python_random_stream(seed: int) -> np.random.RandomState:
+    """A numpy generator whose ``random_sample`` replays
+    ``random.Random(seed).random()`` bit for bit.
+
+    CPython seeds its Mersenne Twister by ``init_by_array`` over the
+    little-endian 32-bit words of ``abs(seed)`` (``[0]`` for 0), and numpy's
+    legacy ``RandomState`` does the same for a sequence seed; both then build
+    each double from two 32-bit outputs the same way.  The words go in as a
+    list: a scalar (or one-element array) seed takes numpy's
+    ``init_genrand`` route, a different stream.
+    """
+    rest = abs(seed)
+    words = []
+    while True:
+        words.append(rest & 0xFFFFFFFF)
+        rest >>= 32
+        if not rest:
+            return np.random.RandomState(words)
+
+
+def _gnp_pairs(n: int, p: float, seed: int) -> Iterator[Tuple[int, int]]:
+    """The edges ``nx.gnp_random_graph(n, p, seed=seed)`` adds, in its order.
+
+    Pair ``k`` of ``itertools.combinations(range(n), 2)`` is kept when the
+    ``k``-th draw of ``random.Random(seed)`` is ``< p``; a kept flat index
+    maps back to ``(u, v)`` through the row offsets ``u * (2n - u - 1) / 2``
+    (the flat index of ``(u, u + 1)``).
+    """
+    total = n * (n - 1) // 2
+    stream = _python_random_stream(seed)
+    kept = [np.empty(0, dtype=np.int64)]
+    for start in range(0, total, _GNP_CHUNK):
+        draws = stream.random_sample(min(_GNP_CHUNK, total - start))
+        kept.append(np.flatnonzero(draws < p) + start)
+    flat = np.concatenate(kept)
+    rows = np.arange(n, dtype=np.int64)
+    offsets = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(offsets, flat, side="right") - 1
+    v = flat - offsets[u] + u + 1
+    return zip(u.tolist(), v.tolist())
+
+
 def gnp_graph(n: int, p: float, seed: int = 0, connected: bool = True) -> nx.Graph:
-    """Erdos-Renyi ``G(n, p)``; optionally patched to be connected."""
+    """Erdos-Renyi ``G(n, p)``; optionally patched to be connected.
+
+    Identical, down to node and adjacency order, to
+    ``nx.gnp_random_graph(n, p, seed=seed)`` (then patched and normalized),
+    whose ``n(n-1)/2`` Python ``random()`` calls are replayed in numpy.
+    """
     if n <= 0:
         raise GraphError("n must be positive")
     rng = random.Random(seed)
-    graph = nx.gnp_random_graph(n, p, seed=seed)
+    if p >= 1:
+        graph = nx.complete_graph(n)
+    else:
+        graph = nx.empty_graph(n)
+        if p > 0:
+            graph.add_edges_from(_gnp_pairs(n, p, seed))
     if connected:
         _ensure_connected(graph, rng)
     return normalize_graph(graph)
@@ -107,6 +165,8 @@ def caterpillar_graph(spine: int, legs_per_node: int = 2) -> nx.Graph:
 
 def regular_graph(n: int, d: int, seed: int = 0) -> nx.Graph:
     """Random ``d``-regular graph."""
+    if not 0 <= d < n:
+        raise GraphError("a d-regular graph needs 0 <= d < n")
     if (n * d) % 2 != 0:
         raise GraphError("n*d must be even for a d-regular graph")
     return normalize_graph(nx.random_regular_graph(d, n, seed=seed))

@@ -3,8 +3,18 @@
 Every algorithm in this library assumes simple undirected graphs with integer
 node labels ``0..n-1`` (node label == unique O(log n)-bit identifier, the
 standard CONGEST assumption).  :func:`normalize_graph` converts arbitrary
-``networkx`` graphs into that form deterministically (sorted original
-labels), so symmetry-breaking by ID is reproducible.
+``networkx`` graphs into that form deterministically, so symmetry-breaking
+by ID is reproducible.
+
+The new label is a node's rank by ``(type name, repr(label))``, not by the
+label itself: integer labels order as strings, so ``normalize_graph`` of
+``nx.path_graph(12)`` maps ``10 -> 2`` and ``2 -> 4``, and normalizing an
+already normalized graph with 11 or more nodes permutes it again (the
+function is not idempotent).  Every generator ends in this relabelling, so
+the ranking is part of every topology's identity: the topology cache key,
+the result and oracle caches and the committed benchmark artifacts all
+assume it.  Do not "fix" it to numeric order without versioning the
+topology cache key.
 """
 
 from __future__ import annotations
@@ -19,8 +29,9 @@ from repro.errors import GraphError
 def relabel_map(graph: nx.Graph) -> Dict[Hashable, int]:
     """Deterministic mapping original-label -> 0..n-1 (sorted by repr order).
 
-    Labels are sorted by ``(type name, label)`` so heterogeneous label types
-    (e.g. tuples from grid graphs) still order deterministically.
+    Labels are sorted by ``(type name, repr(label))`` so heterogeneous label
+    types (e.g. tuples from grid graphs) still order deterministically; the
+    integer label 10 therefore ranks before 2 (see the module docstring).
     """
     labels = sorted(graph.nodes(), key=lambda x: (type(x).__name__, repr(x)))
     return {label: i for i, label in enumerate(labels)}

@@ -1,11 +1,17 @@
 """Graph generators, normalization, powers and the benchmark suite."""
 
+import hashlib
+import json
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.graphs.generators import (
+    _ensure_connected,
+    _python_random_stream,
     caterpillar_graph,
     clique_graph,
     dumbbell_graph,
@@ -18,7 +24,12 @@ from repro.graphs.generators import (
     ring_graph,
     star_graph,
 )
-from repro.graphs.normalize import is_normalized, normalize_graph, require_normalized
+from repro.graphs.normalize import (
+    is_normalized,
+    normalize_graph,
+    relabel_map,
+    require_normalized,
+)
 from repro.graphs.powers import (
     ball,
     graph_power,
@@ -55,6 +66,15 @@ class TestNormalize:
         g.add_node(5)
         with pytest.raises(GraphError):
             require_normalized(g)
+
+    def test_labels_rank_by_repr(self):
+        """Integer labels rank as strings: part of every topology's identity."""
+        by_repr = [0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9]
+        assert relabel_map(nx.path_graph(12)) == {label: i for i, label in enumerate(by_repr)}
+        once = normalize_graph(nx.path_graph(12))
+        assert nx.utils.graphs_equal(once, nx.path_graph([0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 2, 3]))
+        # Not idempotent: a normalized graph with >= 11 nodes is permuted again.
+        assert sorted(normalize_graph(once).edges()) != sorted(once.edges())
 
 
 class TestGenerators:
@@ -104,6 +124,14 @@ class TestGenerators:
         assert all(d == 6 for _, d in g.degree())
         with pytest.raises(GraphError):
             regular_graph(7, 3)
+        for n, d in ((6, 6), (4, 8), (6, -2)):
+            with pytest.raises(GraphError):
+                regular_graph(n, d)
+        # The suite's regular family asks for d=6, impossible at n <= 6.
+        for n in (1, 5, 6):
+            with pytest.raises(GraphError):
+                suite_instance("regular", n)
+        assert regular_graph(8, 0).number_of_edges() == 0
 
     def test_star_and_clique(self):
         assert max(d for _, d in star_graph(5).degree()) == 5
@@ -191,3 +219,116 @@ def test_gnp_always_normalized_connected(n, seed):
     g = gnp_graph(n, 3.0 / n, seed=seed)
     assert is_normalized(g)
     assert nx.is_connected(g)
+
+
+def reference_gnp_graph(n, p, seed=0, connected=True):
+    """The frozen G(n, p) path: networkx's pair loop, patched and normalized."""
+    graph = nx.gnp_random_graph(n, p, seed=seed)
+    if connected:
+        _ensure_connected(graph, random.Random(seed))
+    return normalize_graph(graph)
+
+
+def adjacency(graph):
+    """Node order plus each node's adjacency order (``graphs_equal`` ignores
+    the latter, but edge iteration, and so every run, depends on it)."""
+    return list(graph), [list(graph.adj[v]) for v in graph]
+
+
+def kth_draw(seed, k):
+    """The ``k``-th ``random()`` of ``random.Random(seed)``."""
+    stream = random.Random(seed)
+    for _ in range(k):
+        stream.random()
+    return stream.random()
+
+
+SEEDS = st.one_of(
+    st.integers(-(2**40), 2**40),
+    st.integers(2**32, 2**80),
+    st.sampled_from([0, -5, 2**32, 2**70 + 3]),
+)
+
+
+@st.composite
+def gnp_params(draw):
+    n = draw(st.integers(1, 120))
+    seed = draw(SEEDS)
+    pairs = n * (n - 1) // 2
+    kind = draw(st.sampled_from(["fixed", "per-n", "float", "on-a-draw"]))
+    if kind == "fixed":
+        p = draw(st.sampled_from([0.0, -0.1, 1.0, 1.5]))
+    elif kind == "per-n":
+        p = draw(st.sampled_from([4.0, 12.0])) / n
+    elif kind == "on-a-draw" and pairs:
+        # p equal to the stream's own k-th draw: pair k sits on the threshold.
+        p = kth_draw(seed, draw(st.integers(0, pairs - 1)))
+    else:
+        p = draw(st.floats(0.0, 1.0))
+    return n, p, seed
+
+
+class TestGnpReplay:
+    """``gnp_graph`` replays networkx's G(n, p) stream in numpy: the graph
+    must equal the frozen networkx path down to adjacency order."""
+
+    @pytest.mark.parametrize("seed", [0, -5, 2**32, 2**70 + 3])
+    def test_stream_replays_python_random(self, seed):
+        python = random.Random(seed)
+        expected = [python.random() for _ in range(10**4)]
+        assert _python_random_stream(seed).random_sample(10**4).tolist() == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(gnp_params(), st.booleans())
+    def test_matches_networkx_reference(self, params, connected):
+        n, p, seed = params
+        assert adjacency(gnp_graph(n, p, seed=seed, connected=connected)) == adjacency(
+            reference_gnp_graph(n, p, seed=seed, connected=connected)
+        )
+
+    def test_draw_equal_to_p_is_not_kept(self):
+        n, seed = 30, 3
+        python = random.Random(seed)
+        draws = [python.random() for _ in range(n * (n - 1) // 2)]
+        p = draws[100]
+        g = gnp_graph(n, p, seed=seed, connected=False)
+        assert g.number_of_edges() == sum(d < p for d in draws)
+        assert adjacency(g) == adjacency(reference_gnp_graph(n, p, seed, False))
+
+    @pytest.mark.parametrize("n", [200, 250, 400, 500, 800, 1000])
+    def test_suite_instances_at_benchmark_sizes(self, n):
+        for seed in (0, 7):
+            g = suite_instance("gnp", n, seed=seed).graph
+            assert adjacency(g) == adjacency(
+                reference_gnp_graph(n, min(0.5, 4.0 / n), seed=seed)
+            )
+
+
+#: sha256 of the JSON of ``[list(G.adj[v]) for v in G]`` for one instance of
+#: every suite family, recorded while G(n, p) still ran on networkx's own
+#: generator.  Topology cache keys carry no generator version, so the result
+#: and oracle caches (and the oracle's persisted JSON) and the committed
+#: BENCH_*.json artifacts all assume these never change; a generator rewrite
+#: or a networkx upgrade that moves one must version the cache key instead.
+TOPOLOGY_FINGERPRINTS = {
+    ("ba", 200): "9c5bdc219484fb6d7e3df95fd7fafec4e27265aa7d4244d95c4c80b86c3fa204",
+    ("caterpillar", 200): "b57aad1c29ec4d2e9ab0cb618215e239239b760b4d8fc3a8a131a21807f83fca",
+    ("geometric", 200): "47607ab40c1eae888729ca7f7d3a9939ed9e3f0ba6e2b810eb1e6103c1cdfa7d",
+    ("gnp", 1000): "f6bf9f84b72d9925c7868d97bc45a17a91983190ccf0de7bfecd876b3ecf9f0c",
+    ("gnp-dense", 200): "dbb82f7ad25f23187d1ec44bad204c7a3dae2ab15d42a5e2db2c5e2ba0894c6c",
+    ("grid", 200): "b21541c64224efd4bd6848e116f39f6b3478b445a105941035d853da41db8cf6",
+    ("regular", 200): "8006fe525734a92a7ab6c1cc8a3224301c9058893ab69c90920eb4cefed4e5cd",
+    ("tree", 200): "d13e648cd99ab138e75a1f050bffd379f08908ab5e28a5cf1a578b0f51581c4d",
+}
+
+
+class TestTopologyIdentity:
+    def test_every_family_is_pinned(self):
+        assert sorted(family for family, _ in TOPOLOGY_FINGERPRINTS) == families()
+
+    @pytest.mark.parametrize("family, n", sorted(TOPOLOGY_FINGERPRINTS))
+    def test_fingerprint(self, family, n):
+        graph = suite_instance(family, n, seed=7).graph
+        adjacency_json = json.dumps([list(graph.adj[v]) for v in graph])
+        digest = hashlib.sha256(adjacency_json.encode()).hexdigest()
+        assert digest == TOPOLOGY_FINGERPRINTS[family, n]

@@ -58,6 +58,31 @@ def test_run_experiments_script_quick_bench(tmp_path, capsys):
     assert payload["meta"]["cells"] == len(payload["cells"])
 
 
+def test_check_artifact_drift(tmp_path, capsys):
+    """Timings and quality blocks may move; a changed metric fails the gate."""
+    import json
+
+    root = Path(__file__).resolve().parent.parent
+    drift_main = runpy.run_path(str(root / "scripts" / "check_artifact_drift.py"))["main"]
+
+    def write(directory, rounds, wall_s, cache_hit):
+        directory.mkdir()
+        cell = {
+            "key": "gnp-40/greedy/vector/s0", "ok": True, "wall_s": wall_s,
+            "metrics": {"rounds": rounds}, "quality": {"cache_hit": cache_hit},
+        }
+        (directory / "BENCH_x.json").write_text(json.dumps({"cells": [cell]}))
+
+    write(tmp_path / "committed", rounds=9, wall_s=0.5, cache_hit=False)
+    write(tmp_path / "same", rounds=9, wall_s=0.7, cache_hit=True)
+    write(tmp_path / "drifted", rounds=10, wall_s=0.5, cache_hit=False)
+    committed = str(tmp_path / "committed")
+    assert drift_main([committed, str(tmp_path / "same")]) == 0
+    assert drift_main([committed, str(tmp_path / "drifted")]) == 1
+    assert "gnp-40/greedy/vector/s0: metrics differ" in capsys.readouterr().out
+    assert drift_main([str(root), str(root)]) == 0  # the committed artifacts parse
+
+
 def test_bits_for_id():
     assert bits_for_id(2) == 1
     assert bits_for_id(1024) == 10
