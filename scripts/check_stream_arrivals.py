@@ -7,9 +7,8 @@ group and flushing one burst at unit end), and asserts that each
 multi-record dispatch group produced spread-out arrivals:
 
 * every line parses as one record, and the record set is complete;
-* for each group (the record's ``plan.unit`` when the adaptive scheduler
-  ran, else its (family, program, engine) batch group) with k >= 2
-  records, the arrival timestamps are (mostly) pairwise distinct at
+* for each (family, program, engine) batch group with k >= 2 records,
+  the arrival timestamps are (mostly) pairwise distinct at
   0.1 ms resolution — a group-at-a-time flush lands all k lines in the
   same read burst with near-identical timestamps and fails the gate.
 
@@ -100,15 +99,7 @@ def collect_arrivals(command: list) -> list:
 
 
 def group_key(record: dict) -> object:
-    """The streaming group a record belongs to.
-
-    The adaptive scheduler stamps its dispatch unit on every record;
-    fixed-planner records fall back to the batch group key (one stacked
-    plane per (family, program, engine) group).
-    """
-    plan = record.get("plan")
-    if plan is not None and "unit" in plan:
-        return ("unit", plan["unit"])
+    """The streaming group a record belongs to: its batch group key."""
     cell = record["cell"]
     return ("group", cell["family"], cell["program"], cell["engine"])
 

@@ -8,7 +8,7 @@ Usage:
     python scripts/run_experiments.py --batched [--bench-out BENCH_batched.json]
     python scripts/run_experiments.py --ragged [--sweep-sizes 20,40,60,100,150]
                                       [--bench-out BENCH_ragged.json]
-    python scripts/run_experiments.py --scheduler [--jobs 2]
+    python scripts/run_experiments.py --scheduler --batch-size K [--jobs 2]
                                       [--fixed-batch-sizes 0,13,25]
                                       [--bench-out BENCH_scheduler.json]
     python scripts/run_experiments.py --certify [--quality-sizes 24,40,60]
@@ -39,11 +39,11 @@ same for a *mixed-size* sweep (``--sweep-sizes``, seeds split evenly
 across sizes): the whole size-heterogeneous group stacks as one ragged
 plane, the batch run streams per-instance records (latency recorded in
 the meta), and the artifact is ``BENCH_ragged.json``.  ``--scheduler``
-runs the adaptive-scheduler shootout on the ragged sweep under pool
-workers: per-record stream latency vs the group-at-a-time delivery
-baseline, and adaptive-plan wall vs the best fixed ``batch_size``
-(``--fixed-batch-sizes``), emitting ``BENCH_scheduler.json`` with every
-scheduler decision recorded on the cells.  ``--certify`` runs the
+runs the pool-streaming shootout on the ragged sweep under pool workers:
+per-record stream latency at ``--batch-size`` vs the group-at-a-time
+delivery baseline, plus walls and record parity for every fixed
+``batch_size`` candidate (``--fixed-batch-sizes``), emitting
+``BENCH_scheduler.json``.  ``--certify`` runs the
 certified quality sweep: greedy MDS over every suite family, every
 record routed through the oracle's exact/ILP/LP bound ladder
 (:mod:`repro.oracle`), emitting ``BENCH_quality.json`` with the measured
@@ -275,33 +275,32 @@ def run_ragged_bench(args) -> int:
 
 
 def run_scheduler_bench(args) -> int:
-    """Adaptive-scheduler shootout under pool workers -> ``BENCH_scheduler.json``.
+    """Pool-streaming shootout under pool workers -> ``BENCH_scheduler.json``.
 
-    Two claims, both measured on the 50-instance ragged mixed-size sweep
-    (the workload the adaptive planner exists for) with ``jobs`` pool
-    workers:
+    Both claims are measured on the 50-instance ragged mixed-size sweep
+    with ``jobs`` pool workers and the batch planner's fixed-width units
+    (``repro.experiments.runner._batch_plan``):
 
     1. **Per-record pool streaming beats group-at-a-time delivery.**  The
-       adaptive run is consumed through the streaming path; each record's
-       arrival latency is compared against what unit-granularity delivery
-       would have given it — the arrival of the *last* record of its own
-       dispatch unit (every record of a unit crosses the boundary in one
-       burst at unit end under the old pool protocol).  The p50 streamed
-       latency must be strictly below the p50 of that baseline.
-    2. **The adaptive plan is competitive with the best fixed width.**
-       Best-of-3 adaptive wall (``target_cost="auto"``) must be within
-       10% of the best best-of-3 wall over the fixed ``batch_size``
-       candidates (``--fixed-batch-sizes``).
-
-    The artifact additionally certifies record parity with the fixed run
-    and that every cell carries the scheduler's ``plan`` decision block.
+       run at ``--batch-size`` — which must cut the sweep into at least two
+       dispatch units, so the pool engages — is consumed through the
+       streaming path (best of 3 by wall).  Each record's arrival latency
+       is compared against what unit-granularity delivery would have
+       given it: the arrival of the *last* record of its own dispatch
+       unit (every record of a unit crossed the boundary in one burst at
+       unit end under the old pool protocol).  The p50 streamed latency
+       must be strictly below the p50 of that baseline.
+    2. **Records do not depend on the width.**  Every fixed
+       ``batch_size`` candidate (``--fixed-batch-sizes``) is timed best of
+       3 through the same streaming path, and its records must equal the
+       streamed run's on (key, ok, metrics, error).
     """
     import json
     import statistics
 
     from repro.api import Experiment
     from repro.experiments.harness import comparable_records
-    from repro.experiments.runner import results_payload
+    from repro.experiments.runner import _batch_plan, results_payload
 
     sizes = [int(s) for s in args.sweep_sizes.split(",") if s]
     if not sizes:
@@ -311,7 +310,7 @@ def run_scheduler_bench(args) -> int:
     jobs = max(2, args.jobs)
     fixed_sizes = [int(s) for s in args.fixed_batch_sizes.split(",") if s.strip()]
 
-    def build(target_cost, batch_size=0):
+    def build(batch_size):
         return (
             Experiment("greedy")
             .on(args.sweep_family)
@@ -320,62 +319,57 @@ def run_scheduler_bench(args) -> int:
             .seeds(seeds_per_size)
             .strategy("batch")
             .batch_size(batch_size)
-            .target_cost(target_cost)
             .jobs(jobs)
         )
 
-    # Adaptive plan, streamed through the pool (best of 3 by wall).
-    adaptive_wall = float("inf")
-    best_records = best_stream = None
-    for _ in range(3):
-        experiment = build("auto")
+    cells = build(args.batch_size).cells()
+    plan = _batch_plan(cells, args.batch_size)
+    if len(plan) < 2:
+        print(
+            f"error: --batch-size {args.batch_size} gives {len(plan)} dispatch "
+            "unit(s); the pool-streaming claim needs at least 2",
+            file=sys.stderr,
+        )
+        return 2
+    unit_of = {
+        cells[i].key: unit for unit, (_kind, indices) in enumerate(plan) for i in indices
+    }
+
+    def timed_stream(batch_size):
+        experiment = build(batch_size)
         start = time.perf_counter()
-        stream = []
-        for record in experiment.stream():
-            stream.append((record, time.perf_counter() - start))
-        elapsed = time.perf_counter() - start
-        if elapsed < adaptive_wall:
-            adaptive_wall = elapsed
-            best_stream = stream
-            best_records = experiment.collect(
-                [rec for rec, _t in stream]
-            ).to_dicts()
+        stream = [(rec, time.perf_counter() - start) for rec in experiment.stream()]
+        wall = time.perf_counter() - start
+        return wall, stream, experiment.collect([rec for rec, _t in stream]).to_dicts()
+
+    stream_wall, best_stream, best_records = min(
+        (timed_stream(args.batch_size) for _ in range(3)), key=lambda run: run[0]
+    )
 
     # Per-record latency vs the group-at-a-time baseline: a unit's last
     # arrival is when *all* of its records would have surfaced under
     # unit-granularity delivery.
     unit_last: dict = {}
     for rec, t in best_stream:
-        unit = rec.plan["unit"] if rec.plan else None
+        unit = unit_of[rec.key]
         unit_last[unit] = max(unit_last.get(unit, 0.0), t)
     streamed_lat = [t for _rec, t in best_stream]
-    baseline_lat = [
-        unit_last[rec.plan["unit"] if rec.plan else None] for rec, _t in best_stream
-    ]
+    baseline_lat = [unit_last[unit_of[rec.key]] for rec, _t in best_stream]
     p50_stream = statistics.median(streamed_lat)
     p50_unit = statistics.median(baseline_lat)
 
-    # Fixed-width shootout at the same job count (best of 3 each),
-    # consumed through the same streaming path as the adaptive run so the
-    # walls compare plan against plan, not delivery machinery.
     fixed_walls = {}
-    fixed_records = None
+    parity = True
+    expected = comparable_records(best_records)
     for batch_size in fixed_sizes:
-        wall = float("inf")
-        for _ in range(3):
-            experiment = build(0, batch_size=batch_size)
-            start = time.perf_counter()
-            records = list(experiment.stream())
-            wall = min(wall, time.perf_counter() - start)
+        wall, _stream, records = min(
+            (timed_stream(batch_size) for _ in range(3)), key=lambda run: run[0]
+        )
         fixed_walls[str(batch_size)] = round(wall, 4)
-        if fixed_records is None:
-            fixed_records = experiment.collect(records).to_dicts()
-    best_fixed = min(fixed_walls.values())
+        parity = parity and comparable_records(records) == expected
+    best_fixed = min(fixed_walls.values()) if fixed_walls else None
 
-    parity = comparable_records(best_records) == comparable_records(fixed_records)
-    meta_on_all = all("plan" in rec for rec in best_records)
     stream_wins = p50_stream < p50_unit
-    competitive = adaptive_wall <= 1.10 * best_fixed
     meta = {
         "workload": f"{seeds_per_size * len(sizes)}-instance mixed-size "
         f"{args.sweep_family} greedy sweep (ragged), sizes {sizes}, "
@@ -384,16 +378,14 @@ def run_scheduler_bench(args) -> int:
         "sizes": sizes,
         "seeds_per_size": seeds_per_size,
         "scheduler": {
-            "target_cost_mode": "auto",
-            "plan_units": len(unit_last),
+            "batch_size": args.batch_size,
+            "plan_units": len(plan),
             "p50_stream_latency_s": round(p50_stream, 4),
             "p50_unit_delivery_latency_s": round(p50_unit, 4),
             "stream_beats_unit_delivery": stream_wins,
-            "adaptive_wall_s": round(adaptive_wall, 4),
+            "stream_wall_s": round(stream_wall, 4),
             "fixed_walls_s": fixed_walls,
             "best_fixed_wall_s": best_fixed,
-            "adaptive_within_10pct_of_best_fixed": competitive,
-            "plan_meta_on_every_record": meta_on_all,
             "records_identical_to_fixed": parity,
         },
         "stream_latency": stream_latency_meta(streamed_lat),
@@ -402,17 +394,14 @@ def run_scheduler_bench(args) -> int:
     out.write_text(
         json.dumps(results_payload(best_records, meta=meta), indent=2) + "\n"
     )
-    ok = stream_wins and competitive and meta_on_all and parity
     print(
-        f"wrote {out}: p50 stream latency {p50_stream:.3f}s vs "
+        f"wrote {out}: {len(plan)} dispatch units at batch_size "
+        f"{args.batch_size}, p50 stream latency {p50_stream:.3f}s vs "
         f"{p50_unit:.3f}s unit-delivery baseline "
-        f"({'WIN' if stream_wins else 'LOSS'}), adaptive wall "
-        f"{adaptive_wall:.3f}s vs best fixed {best_fixed:.3f}s "
-        f"({'within' if competitive else 'OUTSIDE'} 10%), plan meta "
-        f"{'on every record' if meta_on_all else 'MISSING'}, records "
-        f"{'identical' if parity else 'DIVERGED'}"
+        f"({'WIN' if stream_wins else 'LOSS'}), fixed walls {fixed_walls}, "
+        f"records {'identical' if parity else 'DIVERGED'} across widths"
     )
-    return 0 if ok else 1
+    return 0 if stream_wins and parity else 1
 
 
 def run_quick_bench(args) -> int:
@@ -803,15 +792,16 @@ def main() -> int:
     parser.add_argument(
         "--scheduler",
         action="store_true",
-        help="run only the adaptive-scheduler shootout (per-record pool "
-        "streaming vs group-at-a-time delivery; adaptive plan vs fixed "
-        "batch sizes) and emit BENCH_scheduler.json",
+        help="run only the pool-streaming shootout (per-record pool "
+        "streaming at --batch-size vs group-at-a-time delivery; walls and "
+        "record parity across fixed batch sizes) and emit "
+        "BENCH_scheduler.json",
     )
     parser.add_argument(
         "--fixed-batch-sizes",
         default="0,13,25",
         help="comma list of fixed batch_size candidates the --scheduler "
-        "shootout compares the adaptive plan against",
+        "shootout times and checks for record parity",
     )
     parser.add_argument(
         "--certify",

@@ -43,10 +43,10 @@ from repro.analysis import (
 )
 from repro.domsets import CFDS, CoveringInstance
 
-#: 1.1.0: unified experiment API (``repro.api``) — ProgramSpec registry,
-#: Experiment builder, streaming grid results; legacy dict-record functions
-#: (``expand_grid``, ``run_cell``) are deprecation shims until 2.0.
-__version__ = "1.1.0"
+#: 2.0.0: one batch planner (fixed ``batch_size`` chunking) and no
+#: deprecation shims; grids are built with ``repro.api`` (see the
+#: deprecation policy in docs/api.md).
+__version__ = "2.0.0"
 
 __all__ = [
     "MDSResult",

@@ -18,9 +18,7 @@ sweeps (``--seeds 0..9`` expands the inclusive range, ``--seeds 0,1,2``
 the explicit list), ``--strategy batch`` to execute sweeps as stacked
 multi-instance message planes — mixed ``--sizes`` stack too, as one
 *ragged* plane (``--batch-size`` caps the stack width, ``auto``
-negotiates per program; ``--target-cost N|auto`` switches to the
-adaptive cost-model scheduler, splitting groups at a per-plane cost
-target instead of a fixed width) — and ``--stream`` to print each record
+negotiates per program) — and ``--stream`` to print each record
 as a JSON line the moment it finishes: inside a stacked group, each
 record surfaces at its instance's termination — also across ``--jobs``
 workers, where records cross the pool boundary one at a time — so early
@@ -197,19 +195,54 @@ def cmd_bench(args) -> int:
     return 0 if report.all_checks_pass else 1
 
 
-def _parse_seeds(spec: str) -> list:
-    """Parse the ``--seeds`` axis: ``0,1,2`` list or ``0..9`` inclusive range."""
+def _int_axis(flag: str, spec: str, allow_range: bool = False) -> list:
+    """Parse an integer axis: a comma list (``0,1,2``; empty entries are
+    skipped) or, with ``allow_range``, an inclusive range (``0..9``).
+
+    An unparsable or empty axis raises ``ValueError`` naming ``flag``.
+    """
     spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",") if s]
+    try:
+        if allow_range and ".." in spec:
+            lo, hi = spec.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(s) for s in spec.split(",") if s.strip()]
+    except ValueError:
+        form = "a comma list or an a..b range" if allow_range else "a comma list"
+        raise ValueError(f"{flag} {spec!r}: expected {form} of integers") from None
+    if not values:
+        raise ValueError(f"{flag} {spec!r} selects nothing")
+    return values
+
+
+def _grid_axes(args) -> tuple:
+    """``(families, sizes, programs, engines, seeds)`` of ``grid``/``submit``.
+
+    Raises ``ValueError`` on an unparsable or empty ``--sizes``/``--seeds``.
+    """
+    from repro.api import available_programs
+
+    families_list = [f for f in args.families.split(",") if f]
+    sizes = _int_axis("--sizes", args.sizes)
+    programs = (
+        [p for p in args.programs.split(",") if p]
+        if args.programs
+        else available_programs()
+    )
+    engines = [e for e in args.engines.split(",") if e]
+    seeds = (
+        _int_axis("--seeds", args.seeds, allow_range=True)
+        if args.seeds
+        else [args.seed]
+    )
+    return families_list, sizes, programs, engines, seeds
 
 
 def cmd_grid(args) -> int:
     import json as _json
 
-    from repro.api import Experiment, available_programs, batchable_programs
+    from repro.api import Experiment, batchable_programs
     from repro.errors import ReproError
     from repro.experiments.harness import engine_grid_report
 
@@ -226,18 +259,11 @@ def cmd_grid(args) -> int:
         engines = ["vector"]
         seeds = list(range(5))
     else:
-        families_list = [f for f in args.families.split(",") if f]
-        sizes = [int(s) for s in args.sizes.split(",")]
-        programs = (
-            [p for p in args.programs.split(",") if p]
-            if args.programs
-            else available_programs()
-        )
-        engines = [e for e in args.engines.split(",") if e]
-        seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
-    target_cost = (
-        args.target_cost if args.target_cost == "auto" else int(args.target_cost)
-    )
+        try:
+            families_list, sizes, programs, engines, seeds = _grid_axes(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     experiment = (
         Experiment(*programs)
         .on(*families_list)
@@ -246,7 +272,6 @@ def cmd_grid(args) -> int:
         .seeds(seeds)
         .strategy(args.strategy)
         .batch_size(args.batch_size)
-        .target_cost(target_cost)
         .jobs(args.jobs)
     )
     if args.certify is not None:
@@ -286,7 +311,6 @@ def cmd_serve(args) -> int:
 
     config = ServiceConfig(
         window_s=args.window,
-        max_window_cost=args.max_window_cost,
         max_window_width=args.max_window_width,
         batch_size=args.batch_size,
         max_pending_per_client=args.max_pending,
@@ -303,20 +327,15 @@ def cmd_serve(args) -> int:
 def cmd_submit(args) -> int:
     import json as _json
 
-    from repro.api import available_programs
     from repro.errors import ReproError
     from repro.experiments.runner import GridCell
     from repro.service.client import ServiceClient
 
-    families_list = [f for f in args.families.split(",") if f]
-    sizes = [int(s) for s in args.sizes.split(",")]
-    programs = (
-        [p for p in args.programs.split(",") if p]
-        if args.programs
-        else available_programs()
-    )
-    engines = [e for e in args.engines.split(",") if e]
-    seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
+    try:
+        families_list, sizes, programs, engines, seeds = _grid_axes(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     cells = [
         GridCell(family=f, n=n, program=p, engine=e, seed=s)
         for f in families_list
@@ -410,12 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max instances per stacked run (0 = one stack per group)",
     )
     p_grid.add_argument(
-        "--target-cost", default="0",
-        help="adaptive scheduler: per-plane cost target (integer), 'auto' "
-        "to negotiate from the grid and --jobs, or 0 (default) to keep "
-        "fixed --batch-size chunking; decisions land on records as 'plan'",
-    )
-    p_grid.add_argument(
         "--stream", action="store_true",
         help="print each record as a JSON line the moment it finishes "
         "(completion order; per instance inside stacked batch groups), "
@@ -456,11 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--window", type=float, default=0.05,
         help="batch-window deadline in seconds: how long a lone request "
         "waits for concurrent tenants to coalesce",
-    )
-    p_serve.add_argument(
-        "--max-window-cost", type=int, default=0,
-        help="close a window once its accumulated cost-model estimate "
-        "reaches this (0 = unbounded)",
     )
     p_serve.add_argument(
         "--max-window-width", type=int, default=64,

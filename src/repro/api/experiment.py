@@ -1,7 +1,6 @@
 """The :class:`Experiment` builder: declarative grid runs with streaming.
 
-One fluent object replaces the old stitch-work of ``expand_grid`` +
-``run_grid`` + hand-rolled dict handling::
+One fluent object describes a grid run and executes it::
 
     from repro.api import Experiment
 
@@ -67,7 +66,6 @@ class Experiment:
         self._seeds: List[int] = [7]
         self._strategy: str = "auto"
         self._batch_size: int = 0
-        self._target_cost: int | str = 0
         self._jobs: int = 1
         self._certify: Optional[str] = None
 
@@ -124,26 +122,6 @@ class Experiment:
         self._batch_size = int(size)
         return self
 
-    def target_cost(self, cost: int | str) -> "Experiment":
-        """Per-plane cost target for the adaptive batch scheduler.
-
-        ``0`` (the default) keeps the fixed ``batch_size`` chunking — one
-        plane per group, no ``plan`` block on records.  A positive integer
-        splits batch groups at that estimated cost (plane width × round
-        limit × message bits, see :mod:`repro.experiments.scheduler`);
-        ``"auto"`` negotiates the target from the grid's total stackable
-        cost and :meth:`jobs`.  ``batch_size`` stays honored as a hard
-        width cap either way.
-        """
-        if cost == "auto":
-            self._target_cost = "auto"
-            return self
-        value = int(cost)
-        if value < 0:
-            raise ValueError("target_cost must be >= 0 or 'auto'")
-        self._target_cost = value
-        return self
-
     def jobs(self, jobs: int) -> "Experiment":
         """Worker processes (topologies travel via shared memory)."""
         self._jobs = int(jobs)
@@ -160,14 +138,9 @@ class Experiment:
         specs declaring a ``quality_metric`` are certified.  Without this
         call, records are byte-identical to uncertified runs.
         """
-        from repro.oracle import ORACLE_MODES
+        from repro.oracle import check_oracle_mode
 
-        if oracle not in ORACLE_MODES:
-            raise ValueError(
-                f"unknown oracle mode {oracle!r}; choose from "
-                f"{', '.join(ORACLE_MODES)}"
-            )
-        self._certify = oracle
+        self._certify = check_oracle_mode(oracle)
         return self
 
     # -- resolution -----------------------------------------------------------
@@ -216,16 +189,17 @@ class Experiment:
         restricted spec never breaks all-programs comparison grids.
         """
         from repro.congest.engine import available_engines
-        from repro.experiments.runner import _expand_cells
+        from repro.experiments.runner import GridCell
 
         engines = self._selected_engines()
         registered = set(available_engines())
         for engine in engines:
             if engine not in registered:
                 raise UnknownEngineError(engine, sorted(registered))
+        programs = self._selected_programs()
         explicit = self._programs is not None
         dropped = set()
-        for name in self._selected_programs():
+        for name in programs:
             spec = program_spec(name)
             for engine in engines:
                 if spec.supports_engine(engine):
@@ -235,20 +209,15 @@ class Experiment:
                         name, engine, list(spec.engines or ())
                     )
                 dropped.add((name, engine))
-        cells = _expand_cells(
-            families=self._families,
-            sizes=self._sizes,
-            programs=self._selected_programs(),
-            engines=engines,
-            seeds=self._seeds,
-        )
-        if dropped:
-            cells = [
-                cell
-                for cell in cells
-                if (cell.program, cell.engine) not in dropped
-            ]
-        return cells
+        return [
+            GridCell(family=f, n=n, program=p, engine=e, seed=s)
+            for f in self._families
+            for n in self._sizes
+            for p in programs
+            for e in engines
+            for s in self._seeds
+            if (p, e) not in dropped
+        ]
 
     def _meta(self) -> Dict[str, object]:
         meta: Dict[str, object] = {
@@ -259,7 +228,6 @@ class Experiment:
             "seeds": len(self._seeds),
             "strategy": self.resolved_strategy(),
             "batch_size": self._batch_size,
-            "target_cost": self._target_cost,
             "jobs": self._jobs,
         }
         if self._certify is not None:
@@ -277,7 +245,6 @@ class Experiment:
             jobs=self._jobs,
             strategy=self.resolved_strategy(),
             batch_size=self._batch_size,
-            target_cost=self._target_cost,
             certify=self._certify,
         )
         return SweepResult(records=records, meta=self._meta())
@@ -302,7 +269,6 @@ class Experiment:
             jobs=self._jobs,
             strategy=self.resolved_strategy(),
             batch_size=self._batch_size,
-            target_cost=self._target_cost,
             certify=self._certify,
         )
 

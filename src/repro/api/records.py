@@ -21,15 +21,15 @@ class RunRecord:
     ``metrics`` is the per-program block (shared simulation totals plus the
     spec's summary values); ``batch`` annotates records produced by a
     stacked multi-instance run with the stack width and group wall-clock;
-    ``plan`` carries the adaptive scheduler's decision meta
-    (``scheduler/target_cost/est_cost/splits/unit/actual_wall_s``, plus a
-    ``fallback`` block when the record was re-dispatched after a lost
-    worker) and is ``None`` whenever the fixed planner ran — legacy
-    records and artifacts are unchanged.  ``quality`` is the certification
-    oracle's verdict (``oracle/method/status/opt/lp_bound/ratio_vs_opt/
-    ratio_vs_lp/...``), attached only when a grid runs with ``certify``
-    set — records from uncertified runs are byte-identical to before the
-    oracle existed.
+    ``plan`` is the lost-worker annotation ``{fallback, actual_wall_s}``,
+    set only on a record re-dispatched after its pool worker died
+    (``fallback`` describes the :class:`~repro.errors.WorkerLostError`)
+    and ``None`` otherwise — before 2.0 it also carried the adaptive
+    scheduler's decision meta, and such artifacts still parse.
+    ``quality`` is the certification oracle's verdict (``oracle/method/
+    status/opt/lp_bound/ratio_vs_opt/ratio_vs_lp/...``), attached only
+    when a grid runs with ``certify`` set — records from uncertified runs
+    are byte-identical to before the oracle existed.
     """
 
     cell: object  # a runner.GridCell (kept loose to avoid an import cycle)

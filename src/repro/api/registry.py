@@ -67,13 +67,6 @@ class ProgramSpec:
         :func:`~repro.congest.engine.batched.run_stacked`, its round limit,
         and (optionally) per-instance input construction.  ``batch_factory``
         is ``None`` for programs the ``batch`` strategy cannot stack.
-    batch_prologue_rounds:
-        Optional ``network -> int`` estimating how many scalar *prologue*
-        rounds each instance runs before its kernel takeover absorbs it
-        into the stacked plane (kernels with ``takeover_round > 1``).
-        The scheduler's cost model charges these per-instance scalar
-        rounds on top of the plane cost; ``None`` means the kernel takes
-        over at round 1 and the plane cost alone is accurate.
     engines:
         Engine names the spec is eligible for (``None`` = every registered
         engine).  Enforced by the :class:`~repro.api.experiment.Experiment`
@@ -110,7 +103,6 @@ class ProgramSpec:
     batch_factory: Optional[type] = None
     batch_max_rounds: Optional[Callable[["Network"], int]] = None
     batch_inputs: Optional[Callable[["Network"], Mapping[int, object]]] = None
-    batch_prologue_rounds: Optional[Callable[["Network"], int]] = None
     engines: Optional[Tuple[str, ...]] = None
     default_params: Mapping[str, object] = field(default_factory=dict)
     composite: bool = False

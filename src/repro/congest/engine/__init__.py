@@ -41,7 +41,6 @@ from repro.congest.engine.base import (
 from repro.congest.engine.batched import (
     StackedPlane,
     iter_stacked,
-    plane_cost,
     run_stacked,
     stack_ineligibility,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "set_plane_namespace",
     "use_plane_namespace",
     "iter_stacked",
-    "plane_cost",
     "run_stacked",
     "stack_ineligibility",
 ]

@@ -121,7 +121,6 @@ from repro.errors import (
 __all__ = [
     "StackedPlane",
     "iter_stacked",
-    "plane_cost",
     "run_stacked",
     "stack_ineligibility",
 ]
@@ -205,29 +204,6 @@ class StackedPlane(CsrPlane):
         return np.add.reduceat(
             live.astype(np.int64), self.node_offsets[:-1]
         )
-
-
-def plane_cost(
-    local_ns: Sequence[int],
-    round_limits: Sequence[int],
-    message_bits: Sequence[int],
-) -> int:
-    """Estimated bit-volume of driving one stacked plane to completion.
-
-    The model is the plane's worst-case broadcast traffic: instance ``k``
-    contributes ``local_ns[k] * round_limits[k] * message_bits[k]`` — its
-    plane width times its round limit times its widest per-message wire
-    size.  The absolute number is an upper bound, not a prediction; what
-    matters to the adaptive batch scheduler
-    (:mod:`repro.experiments.scheduler`) is that the quantity is exact
-    arithmetic (deterministic plans), additive across instances (group
-    cost = sum of cell costs, so splits conserve cost), and strictly
-    monotone in each of width, rounds and bits.
-    """
-    total = 0
-    for n, rounds, bits in zip(local_ns, round_limits, message_bits):
-        total += int(n) * int(rounds) * int(bits)
-    return total
 
 
 def stack_ineligibility(program_cls: type) -> Optional[str]:

@@ -989,36 +989,9 @@ def _batch_inputs(network: Network) -> Dict[int, Dict[str, object]]:
     }
 
 
-def _batch_max_rounds(network) -> int:
-    """:func:`run_lemma310_on_graph`'s ``3 * num_colors + 12`` limit.
-
-    Cost-model proxies (:class:`repro.experiments.scheduler._SizeProxy`)
-    carry only ``n``; for those the trivial n-coloring bounds the color
-    count, keeping plan estimates finite without building a graph.
-    """
-    if not hasattr(network, "graph"):
-        return 3 * int(network.n) + 12
+def _batch_max_rounds(network: Network) -> int:
+    """:func:`run_lemma310_on_graph`'s ``3 * num_colors + 12`` limit."""
     return 3 * _batch_num_colors(network) + 12
-
-
-def _batch_prologue_rounds(network) -> int:
-    """Scalar prologue rounds of the canonical batch workload: usually 0.
-
-    The canonical uniform inputs (:func:`_batch_inputs`) clear the
-    kernel's round-1 gate on any ordinary topology, so a stacked instance
-    runs *no* scalar prologue — the whole color-class protocol executes
-    in-plane.  Only degenerate instances whose max degree reaches the
-    estimator's refresh threshold fall back to the late takeover at
-    ``2 + 3 * num_colors``; the adaptive scheduler charges those prologue
-    rounds on top of the plane cost.  Cost-model size proxies
-    (:class:`repro.experiments.scheduler._SizeProxy`) carry only ``n``
-    and assume the common gate-passing case.
-    """
-    if not hasattr(network, "graph"):
-        return 0
-    if getattr(network, "max_degree", 0) + 1 < 512:
-        return 0
-    return 3 * _batch_num_colors(network) + 1
 
 
 register_program(
@@ -1034,6 +1007,5 @@ register_program(
         batch_factory=Lemma310Program,
         batch_inputs=_batch_inputs,
         batch_max_rounds=_batch_max_rounds,
-        batch_prologue_rounds=_batch_prologue_rounds,
     )
 )

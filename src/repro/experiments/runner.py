@@ -57,14 +57,6 @@ Design points:
   a stall timeout) and its not-yet-yielded cells are transparently
   re-dispatched per cell in-process, annotated with the structured
   :class:`~repro.errors.WorkerLostError` description.
-* **Adaptive batch scheduling.** With a ``target_cost`` (an integer, or
-  ``"auto"`` to negotiate from the grid and ``jobs``), the fixed
-  ``batch_size`` chunking of ``strategy="batch"`` is replaced by the
-  cost-model planner (:mod:`repro.experiments.scheduler`): groups split
-  at a per-plane cost target derived from plane width, round limits and
-  ``MessageSpec`` bit volume, with a tail-steal pass for idle workers;
-  ``batch_size`` stays honored as a hard width cap.  Every scheduler
-  decision is recorded on the produced records (``plan`` block).
 * **Parent-side certification.** With ``certify`` set (an oracle mode,
   see :mod:`repro.oracle`), every success record of a spec that declares
   a ``quality_metric`` gains a ``quality`` block: the certification
@@ -75,10 +67,9 @@ Design points:
   (repeat topologies certify for free) and records re-dispatched after a
   lost worker are certified exactly like first-try records.
 
-The typed record objects live in :mod:`repro.api.records`; the functions
-here keep returning the legacy dict shape for compatibility (it is also
-the JSON artifact format).  :func:`expand_grid` and :func:`run_cell` are
-deprecation shims for the :class:`repro.api.Experiment` builder surface.
+The typed record objects live in :mod:`repro.api.records`; :func:`run_grid`
+returns their dict shape, which is also the JSON artifact format.  Grids
+are built with :class:`repro.api.Experiment`.
 """
 
 from __future__ import annotations
@@ -86,7 +77,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -106,18 +96,8 @@ from repro.api.registry import (
     batchable_programs,
     program_spec,
 )
-from repro.congest.engine import available_engines
 from repro.congest.network import Network
-from repro.errors import (
-    UnknownEngineError,
-    UnknownStrategyError,
-    WorkerLostError,
-)
-from repro.experiments.scheduler import (
-    PlanUnit,
-    adaptive_plan,
-    resolve_target_cost,
-)
+from repro.errors import UnknownStrategyError, WorkerLostError
 from repro.graphs.suite import suite_instance
 
 __all__ = [
@@ -125,10 +105,7 @@ __all__ = [
     "available_programs",
     "available_strategies",
     "batchable_programs",
-    "expand_grid",
     "iter_grid_records",
-    "run_cell",
-    "run_batched_group",
     "run_grid",
     "run_grid_records",
     "summarize_results",
@@ -176,65 +153,6 @@ def available_strategies() -> List[str]:
     return list(STRATEGIES)
 
 
-def _expand_cells(
-    families: Sequence[str],
-    sizes: Sequence[int],
-    programs: Sequence[str] | None = None,
-    engines: Sequence[str] | None = None,
-    seed: int = 7,
-    seeds: Sequence[int] | None = None,
-) -> List[GridCell]:
-    """Cartesian expansion of the grid axes into concrete cells.
-
-    ``seeds`` sweeps multiple topologies per (family, size) — the axis the
-    ``batch`` strategy stacks; it defaults to the single ``seed``.  The
-    ``programs`` axis defaults to every registered simulation program
-    (composites such as ``cds`` must be requested by name).  Unknown
-    program or engine names fail fast with a structured error — one bad
-    axis value would otherwise poison every cell it touches.
-    """
-    programs = list(programs) if programs is not None else available_programs()
-    engines = list(engines) if engines is not None else available_engines()
-    seed_list = list(seeds) if seeds is not None else [seed]
-    for program in programs:
-        program_spec(program)  # raises UnknownProgramError on a bad name
-    registered = set(available_engines())
-    for engine in engines:
-        if engine not in registered:
-            raise UnknownEngineError(engine, available_engines())
-    return [
-        GridCell(family=f, n=n, program=p, engine=e, seed=s)
-        for f in families
-        for n in sizes
-        for p in programs
-        for e in engines
-        for s in seed_list
-    ]
-
-
-def expand_grid(
-    families: Sequence[str],
-    sizes: Sequence[int],
-    programs: Sequence[str] | None = None,
-    engines: Sequence[str] | None = None,
-    seed: int = 7,
-    seeds: Sequence[int] | None = None,
-) -> List[GridCell]:
-    """Deprecated: build grids with :class:`repro.api.Experiment` instead.
-
-    Identical behaviour to the builder's ``.cells()`` — kept as a shim so
-    existing callers and artifacts stay valid (removal planned for 2.0).
-    """
-    warnings.warn(
-        "expand_grid() is deprecated; use repro.api.Experiment(...).cells()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _expand_cells(
-        families, sizes, programs=programs, engines=engines, seed=seed, seeds=seeds
-    )
-
-
 def build_network(cell: GridCell) -> Network:
     """Generate the cell's graph and compile it into a CONGEST network."""
     inst = suite_instance(cell.family, cell.n, seed=cell.seed)
@@ -271,42 +189,9 @@ def _run_cell_record(
     )
 
 
-def run_cell(
-    cell: GridCell, network: Optional[Network] = None
-) -> Dict[str, object]:
-    """Deprecated: run cells through :class:`repro.api.Experiment`.
-
-    Kept as a shim returning the legacy dict record (removal planned for
-    2.0); the typed equivalent is a :class:`~repro.api.records.RunRecord`.
-    """
-    warnings.warn(
-        "run_cell() is deprecated; use repro.api.Experiment "
-        "(records expose .to_dict() for the legacy shape)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_cell_record(cell, network=network).to_dict()
-
-
-def _attach_plan(
-    record: RunRecord,
-    meta: Optional[Dict[str, object]],
-    wall_s: float,
-) -> RunRecord:
-    """Stamp a scheduler decision (plus measured wall) onto one record.
-
-    No-op when the fixed planner produced the unit (``meta is None``) —
-    legacy records keep their exact shape.
-    """
-    if meta is not None:
-        record.plan = dict(meta, actual_wall_s=round(wall_s, 6))
-    return record
-
-
 def _iter_batched_group_records(
     cells: Sequence[GridCell],
     networks: Optional[Sequence[Optional[Network]]] = None,
-    plan_meta: Optional[Dict[str, object]] = None,
 ) -> Iterator[Tuple[int, RunRecord]]:
     """Execute one batch group (same family/program/engine; any mix of
     sizes and seeds) as a single ragged stacked run, yielding
@@ -364,7 +249,6 @@ def _iter_batched_group_records(
                 batch={"k": len(cells), "stream_latency_s": now - start},
                 metrics=spec.cell_metrics(nets[k], sim),
             )
-            _attach_plan(record, plan_meta, now - start)
             done.add(k)
             yield k, record
             # Restart the marginal-wall clock only after the consumer hands
@@ -374,97 +258,47 @@ def _iter_batched_group_records(
     except Exception:  # noqa: BLE001 - stacking is an optimization only
         for i, (cell, net) in enumerate(zip(cells, nets)):
             if i not in done:
-                start = time.perf_counter()
-                record = _run_cell_record(cell, network=net)
-                yield i, _attach_plan(
-                    record, plan_meta, time.perf_counter() - start
-                )
+                yield i, _run_cell_record(cell, network=net)
 
 
-def _run_batched_group_records(
-    cells: Sequence[GridCell],
-    networks: Optional[Sequence[Optional[Network]]] = None,
-) -> List[RunRecord]:
-    """Collected (cell-order) form of :func:`_iter_batched_group_records`."""
-    records: List[Optional[RunRecord]] = [None] * len(cells)
-    for i, record in _iter_batched_group_records(cells, networks=networks):
-        records[i] = record
-    return records  # type: ignore[return-value]
-
-
-def run_batched_group(
-    cells: Sequence[GridCell],
-    networks: Optional[Sequence[Optional[Network]]] = None,
-) -> List[Dict[str, object]]:
-    """Legacy dict-record wrapper around the stacked group executor."""
-    return [
-        rec.to_dict() for rec in _run_batched_group_records(cells, networks=networks)
-    ]
+#: A dispatch unit: ``("cell", [index])`` or ``("batch", indices)``.
+PlanUnit = Tuple[str, List[int]]
 
 
 def _batch_plan(cells: Sequence[GridCell], batch_size: int) -> List[PlanUnit]:
     """Fixed-chunking dispatch plan for ``strategy="batch"``.
 
-    Returns ``("batch", indices, None)`` units for stackable groups —
-    vector engine, registry-batchable program, ≥ 2 cells sharing a
+    Returns ``("batch", indices)`` units for stackable groups — vector
+    engine, registry-batchable program, ≥ 2 cells sharing a
     :attr:`GridCell.group_key` (which spans sizes *and* seeds: mixed-size
     groups stack as one ragged plane), chunked to ``batch_size`` (0 =
-    unlimited) — and ``("cell", [index], None)`` units for everything
-    else.  Units are emitted in first-occurrence order; record order is
-    restored by index afterwards, so the strategy cannot reorder results.
-    The ``None`` meta marks the fixed planner: no ``plan`` block is
-    attached to the records, keeping the legacy record shape.
+    unlimited) — and ``("cell", [index])`` units for everything else,
+    width-1 leftovers included.  Units are emitted in first-occurrence
+    order; record order is restored by index afterwards, so the strategy
+    cannot reorder results.
     """
     stackable = set(batchable_programs())
     groups: Dict[tuple, List[int]] = {}
-    order: List[tuple] = []
     for i, cell in enumerate(cells):
         batchable = cell.engine == "vector" and cell.program in stackable
         key = ("group",) + cell.group_key if batchable else ("solo", i)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(i)
+        groups.setdefault(key, []).append(i)
     plan: List[PlanUnit] = []
-    for key in order:
-        indices = groups[key]
-        if key[0] == "solo" or len(indices) < 2:
-            plan.extend(("cell", [i], None) for i in indices)
-            continue
+    for indices in groups.values():
         step = batch_size if batch_size > 0 else len(indices)
         for lo in range(0, len(indices), step):
             chunk = indices[lo : lo + step]
-            if len(chunk) < 2:
-                plan.append(("cell", chunk, None))
-            else:
-                plan.append(("batch", chunk, None))
+            plan.append(("batch" if len(chunk) >= 2 else "cell", chunk))
     return plan
 
 
 def _plan_units(
-    cells: Sequence[GridCell],
-    strategy: str,
-    batch_size: int,
-    target_cost: int | str = 0,
-    jobs: int = 1,
+    cells: Sequence[GridCell], strategy: str, batch_size: int
 ) -> List[PlanUnit]:
-    """The dispatch units of one grid run under ``strategy``.
-
-    ``target_cost`` selects the planner for ``strategy="batch"``: ``0``
-    keeps the fixed ``batch_size`` chunking (the default — records carry
-    no ``plan`` block), a positive integer runs the adaptive cost-model
-    planner at that per-plane target, and ``"auto"`` negotiates the
-    target from the grid's total stackable cost and ``jobs`` (resolving
-    to the fixed planner when there is nothing to parallelize).
-    """
+    """The dispatch units of one grid run under ``strategy``."""
     if strategy != "batch":
-        return [("cell", [i], None) for i in range(len(cells))]
-    resolved = (
-        resolve_target_cost(cells, jobs) if target_cost == "auto" else int(target_cost)
-    )
-    if resolved <= 0:
-        return _batch_plan(cells, batch_size)
-    return adaptive_plan(cells, resolved, batch_size=batch_size, jobs=jobs)
+        return [("cell", [i]) for i in range(len(cells))]
+    return _batch_plan(cells, batch_size)
 
 
 # -- dispatch-unit execution ---------------------------------------------------
@@ -494,10 +328,7 @@ def _test_crash_hook(unit: int, sent: int) -> None:
 
 
 def _run_unit_streaming(
-    kind: str,
-    payload,
-    handle,
-    meta: Optional[Dict[str, object]],
+    kind: str, payload, handle
 ) -> Iterator[Tuple[int, RunRecord]]:
     """Execute one dispatch unit, yielding ``(local_index, record)``.
 
@@ -515,9 +346,7 @@ def _run_unit_streaming(
                 network = attach_network(handle)
             except Exception:  # pragma: no cover - attach races are host-specific
                 network = None  # fall back to regenerating in the worker
-        start = time.perf_counter()
-        record = _run_cell_record(payload, network=network)
-        yield 0, _attach_plan(record, meta, time.perf_counter() - start)
+        yield 0, _run_cell_record(payload, network=network)
         return
     networks: Optional[List[Optional[Network]]] = None
     if handle is not None:
@@ -527,9 +356,7 @@ def _run_unit_streaming(
             networks = list(attach_stacked(handle))
         except Exception:  # pragma: no cover - attach races are host-specific
             networks = None
-    yield from _iter_batched_group_records(
-        payload, networks=networks, plan_meta=meta
-    )
+    yield from _iter_batched_group_records(payload, networks=networks)
 
 
 def _pool_stream_worker(task_queue, conn) -> None:
@@ -556,10 +383,10 @@ def _pool_stream_worker(task_queue, conn) -> None:
             task = task_queue.get()
             if task is None:
                 break
-            unit, kind, payload, handle, meta = task
+            unit, kind, payload, handle = task
             conn.send(("unit_start", unit, None))
             sent = 0
-            for local, record in _run_unit_streaming(kind, payload, handle, meta):
+            for local, record in _run_unit_streaming(kind, payload, handle):
                 conn.send(("record", unit, (local, record)))
                 sent += 1
                 _test_crash_hook(unit, sent)
@@ -589,18 +416,14 @@ def _iter_units_sequential(
                 networks[key] = None
         return networks[key]
 
-    for kind, indices, meta in plan:
+    for kind, indices in plan:
         if kind == "cell":
             cell = cells[indices[0]]
-            start = time.perf_counter()
-            record = _run_cell_record(cell, network=net_for(cell))
-            yield indices[0], _attach_plan(
-                record, meta, time.perf_counter() - start
-            )
+            yield indices[0], _run_cell_record(cell, network=net_for(cell))
         else:
             group = [cells[i] for i in indices]
             for local, record in _iter_batched_group_records(
-                group, networks=[net_for(c) for c in group], plan_meta=meta
+                group, networks=[net_for(c) for c in group]
             ):
                 yield indices[local], record
 
@@ -626,7 +449,8 @@ def _iter_units_pool(
     died mid-unit.  The parent re-dispatches exactly the cells of that
     unit that have not been yielded yet — per cell, in-process — so the
     record set survives any crash (at-least-once delivery with parent-side
-    dedupe); the replacement records carry a ``plan.fallback`` block
+    dedupe); the replacement records carry a ``plan`` block — the
+    lost-worker annotation ``{fallback, actual_wall_s}``, ``fallback``
     describing the :class:`~repro.errors.WorkerLostError`.  Units the dead
     worker never claimed are still in the queue and migrate to surviving
     workers; if every worker dies, the parent finishes the grid itself.
@@ -644,7 +468,7 @@ def _iter_units_pool(
     task_queue = None
     try:
         tasks = []
-        for unit, (kind, indices, meta) in enumerate(plan):
+        for unit, (kind, indices) in enumerate(plan):
             if kind == "cell":
                 cell = cells[indices[0]]
                 key = cell.topology_key
@@ -655,7 +479,7 @@ def _iter_units_pool(
                         published[key] = None
                 topology = published[key]
                 tasks.append(
-                    (unit, "cell", cell, topology.handle if topology else None, meta)
+                    (unit, "cell", cell, topology.handle if topology else None)
                 )
             else:
                 group = [cells[i] for i in indices]
@@ -668,7 +492,7 @@ def _iter_units_pool(
                     handle = stack.handle
                 except Exception:  # noqa: BLE001 - workers regenerate
                     handle = None
-                tasks.append((unit, "batch", group, handle, meta))
+                tasks.append((unit, "batch", group, handle))
 
         workers = min(jobs, len(tasks))
         task_queue = ctx.Queue()
@@ -702,7 +526,7 @@ def _iter_units_pool(
             unit: int, pid: Optional[int], exitcode: Optional[int]
         ) -> Iterator[Tuple[int, RunRecord]]:
             """Finish a lost unit's unfinished cells in-process, per cell."""
-            kind, indices, meta = plan[unit]
+            indices = plan[unit][1]
             fallback = {
                 "type": WorkerLostError.__name__,
                 "message": str(WorkerLostError(unit, pid, exitcode)),
@@ -710,11 +534,10 @@ def _iter_units_pool(
             for local in sorted(pending[unit]):
                 start = time.perf_counter()
                 record = _run_cell_record(cells[indices[local]])
-                record.plan = dict(
-                    meta or {},
-                    fallback=dict(fallback),
-                    actual_wall_s=round(time.perf_counter() - start, 6),
-                )
+                record.plan = {
+                    "fallback": dict(fallback),
+                    "actual_wall_s": round(time.perf_counter() - start, 6),
+                }
                 yield indices[local], record
             pending[unit].clear()
 
@@ -789,18 +612,10 @@ def _iter_units_pool(
 
 
 def _iter_units(
-    cells: List[GridCell],
-    jobs: int,
-    strategy: str,
-    batch_size: int,
-    target_cost: int | str = 0,
+    cells: List[GridCell], jobs: int, strategy: str, batch_size: int
 ) -> Iterator[Tuple[int, RunRecord]]:
     """Yield ``(cell_index, record)`` per record, in completion order."""
-    if strategy not in STRATEGIES:
-        raise UnknownStrategyError(strategy, available_strategies())
-    plan = _plan_units(
-        cells, strategy, batch_size, target_cost=target_cost, jobs=jobs
-    )
+    plan = _plan_units(cells, strategy, batch_size)
     if jobs <= 1 or len(plan) <= 1:
         yield from _iter_units_sequential(cells, plan)
     else:
@@ -887,22 +702,28 @@ def _certify_record(record: RunRecord, oracle: str) -> RunRecord:
     return record
 
 
-def _iter_certified(
-    pairs: Iterator[Tuple[int, RunRecord]], certify: Optional[str]
+def _iter_records(
+    cells: List[GridCell],
+    jobs: int,
+    strategy: str,
+    batch_size: int,
+    certify: Optional[str],
 ) -> Iterator[Tuple[int, RunRecord]]:
-    """Certify records as they stream by (no-op without an oracle mode)."""
-    if certify is None:
-        yield from pairs
-        return
-    from repro.oracle import ORACLE_MODES
+    """``(cell_index, record)`` in completion order, certified when asked.
 
-    if certify not in ORACLE_MODES:
-        raise ValueError(
-            f"unknown certify mode {certify!r}; choose from "
-            f"{', '.join(ORACLE_MODES)}"
-        )
-    for index, record in pairs:
-        yield index, _certify_record(record, certify)
+    Bad axis values (strategy, oracle mode) raise here, at the call — not
+    on first iteration — so the error surfaces at the faulty call site
+    even if the iterator is handed off or never consumed.
+    """
+    if strategy not in STRATEGIES:
+        raise UnknownStrategyError(strategy, available_strategies())
+    pairs = _iter_units(cells, jobs, strategy, batch_size)
+    if certify is None:
+        return pairs
+    from repro.oracle import check_oracle_mode
+
+    check_oracle_mode(certify)
+    return ((index, _certify_record(record, certify)) for index, record in pairs)
 
 
 def iter_grid_records(
@@ -910,7 +731,6 @@ def iter_grid_records(
     jobs: int = 1,
     strategy: str = "cell",
     batch_size: int = 0,
-    target_cost: int | str = 0,
     certify: Optional[str] = None,
 ) -> Iterator[RunRecord]:
     """Stream typed records in *completion* order, record by record.
@@ -928,30 +748,10 @@ def iter_grid_records(
     completion order.  The record set is identical to
     :func:`run_grid_records`'s — only the order differs (and only under
     worker parallelism or batching); sort by cell position to restore the
-    deterministic order.  Bad axis values raise eagerly, at the call —
-    not on first iteration — so the error surfaces at the faulty call
-    site even if the iterator is handed off or never consumed.
+    deterministic order.  Bad axis values raise eagerly, at the call.
     """
-    cells = list(cells)
-    if strategy not in STRATEGIES:
-        raise UnknownStrategyError(strategy, available_strategies())
-    if certify is not None:
-        from repro.oracle import ORACLE_MODES
-
-        if certify not in ORACLE_MODES:
-            raise ValueError(
-                f"unknown certify mode {certify!r}; choose from "
-                f"{', '.join(ORACLE_MODES)}"
-            )
-
-    def generate() -> Iterator[RunRecord]:
-        pairs = _iter_units(
-            cells, jobs, strategy, batch_size, target_cost=target_cost
-        )
-        for _index, record in _iter_certified(pairs, certify):
-            yield record
-
-    return generate()
+    pairs = _iter_records(list(cells), jobs, strategy, batch_size, certify)
+    return (record for _index, record in pairs)
 
 
 def run_grid_records(
@@ -959,7 +759,6 @@ def run_grid_records(
     jobs: int = 1,
     strategy: str = "cell",
     batch_size: int = 0,
-    target_cost: int | str = 0,
     certify: Optional[str] = None,
 ) -> List[RunRecord]:
     """Run every cell; typed records in deterministic cell order.
@@ -967,19 +766,14 @@ def run_grid_records(
     ``strategy="cell"`` executes one simulation per cell;
     ``strategy="batch"`` stacks each group of vector-engine sweep cells —
     seeds and sizes alike, as one ragged multi-instance plane —
-    (``batch_size`` caps the stack width; 0 means one stack per group;
-    ``target_cost`` switches to the adaptive cost-model planner, see
-    :func:`_plan_units`).  Results come back in cell order under every
-    combination, and each unique (family, n, seed) topology is generated
-    exactly once — reused in-process sequentially, published through
-    shared memory to workers.
+    (``batch_size`` caps the stack width; 0 means one stack per group).
+    Results come back in cell order under every combination, and each
+    unique (family, n, seed) topology is generated exactly once — reused
+    in-process sequentially, published through shared memory to workers.
     """
     cells = list(cells)
     results: List[Optional[RunRecord]] = [None] * len(cells)
-    pairs = _iter_units(
-        cells, jobs, strategy, batch_size, target_cost=target_cost
-    )
-    for index, record in _iter_certified(pairs, certify):
+    for index, record in _iter_records(cells, jobs, strategy, batch_size, certify):
         results[index] = record
     return results  # type: ignore[return-value]
 
@@ -989,7 +783,6 @@ def run_grid(
     jobs: int = 1,
     strategy: str = "cell",
     batch_size: int = 0,
-    target_cost: int | str = 0,
     certify: Optional[str] = None,
     stream: bool = False,
 ):
@@ -1004,26 +797,14 @@ def run_grid(
     :func:`run_grid_records` / :func:`iter_grid_records`.
     """
     if stream:
-        return (
-            rec.to_dict()
-            for rec in iter_grid_records(
-                cells,
-                jobs=jobs,
-                strategy=strategy,
-                batch_size=batch_size,
-                target_cost=target_cost,
-                certify=certify,
-            )
+        records = iter_grid_records(
+            cells, jobs=jobs, strategy=strategy, batch_size=batch_size, certify=certify
         )
+        return (rec.to_dict() for rec in records)
     return [
         rec.to_dict()
         for rec in run_grid_records(
-            cells,
-            jobs=jobs,
-            strategy=strategy,
-            batch_size=batch_size,
-            target_cost=target_cost,
-            certify=certify,
+            cells, jobs=jobs, strategy=strategy, batch_size=batch_size, certify=certify
         )
     ]
 

@@ -17,6 +17,7 @@ from repro.oracle.certificate import (
     Certificate,
     ORACLE_MODES,
     certify,
+    check_oracle_mode,
     lp_lower_bound,
 )
 from repro.oracle.ilp import ILPSolution, solve_mds_ilp
@@ -27,6 +28,7 @@ __all__ = [
     "ORACLE_MODES",
     "OracleCache",
     "certify",
+    "check_oracle_mode",
     "clear_oracle_cache",
     "lp_lower_bound",
     "oracle_cache",

@@ -60,6 +60,15 @@ EXACT_SEARCH_BUDGET = 100_000
 ILP_TIME_LIMIT_S = 10.0
 
 
+def check_oracle_mode(mode: str) -> str:
+    """``mode`` if it is an oracle mode, else a ``ValueError`` naming them."""
+    if mode not in ORACLE_MODES:
+        raise ValueError(
+            f"unknown oracle mode {mode!r}; choose from {', '.join(ORACLE_MODES)}"
+        )
+    return mode
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A certified quality statement about one dominating set.
@@ -124,10 +133,7 @@ def certify(
     is memoized on (key, size, oracle knobs): deterministic repeat cells
     return the identical object without re-solving.
     """
-    if oracle not in ORACLE_MODES:
-        raise ValueError(
-            f"unknown oracle mode {oracle!r}; choose from {', '.join(ORACLE_MODES)}"
-        )
+    check_oracle_mode(oracle)
     if isinstance(ds, int):
         size = ds
     else:

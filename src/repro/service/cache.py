@@ -49,8 +49,8 @@ def normalized_record(record: RunRecord) -> RunRecord:
     """Strip a record to the solo-run shape (drop execution annotations).
 
     ``batch``, ``plan`` and ``quality`` blocks describe *how* one
-    particular dispatch produced the record (stack width, scheduler
-    decision, caller's oracle mode) — not properties of the cell — so the
+    particular dispatch produced the record (stack width, lost-worker
+    fallback, caller's oracle mode) — not properties of the cell — so the
     cacheable identity-determined payload is cell/ok/wall_s/metrics/error
     only.  The copy shares nothing mutable with its source.
     """

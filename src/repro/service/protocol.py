@@ -39,8 +39,9 @@ client-chosen correlation key.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import asdict
-from typing import Dict, Mapping, Union
+from typing import Dict, Union
 
 from repro.errors import ServiceError
 from repro.experiments.runner import GridCell
@@ -84,6 +85,8 @@ def cell_to_wire(cell: GridCell) -> Dict[str, object]:
 
 def cell_from_wire(data: Mapping[str, object]) -> GridCell:
     """Parse one wire cell; missing/garbled fields raise a structured error."""
+    if not isinstance(data, Mapping):
+        raise MalformedFrameError(f"bad cell {data!r}: a cell must be an object")
     try:
         return GridCell(
             family=str(data["family"]),
@@ -93,7 +96,7 @@ def cell_from_wire(data: Mapping[str, object]) -> GridCell:
             seed=int(data.get("seed", 7)),  # type: ignore[arg-type]
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFrameError(f"bad cell {dict(data)!r}: {exc}") from None
+        raise MalformedFrameError(f"bad cell {data!r}: {exc}") from None
 
 
 def error_payload(exc: BaseException) -> Dict[str, str]:

@@ -25,6 +25,7 @@ from typing import Optional
 
 from repro.errors import ReproError, ServiceError
 from repro.service.protocol import (
+    MalformedFrameError,
     cell_from_wire,
     decode_frame,
     encode_frame,
@@ -89,7 +90,17 @@ class ServiceServer:
 
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the frame limit: readline has dropped the line
+                    # (or, with its newline not yet buffered, the buffered
+                    # part of it); the connection stays usable.
+                    error = MalformedFrameError(
+                        f"frame exceeds {_MAX_FRAME_BYTES} bytes"
+                    )
+                    await send({"type": "error", "error": error_payload(error)})
+                    continue
                 if not line:
                     break  # tenant disconnected
                 if not line.strip():

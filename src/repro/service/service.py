@@ -22,9 +22,7 @@ over — once to coalesce, once to cache (:mod:`repro.service.cache`).
 Window policy
 -------------
 A window opens when the first cell becomes pending and closes on the
-first of: **deadline** (``window_s`` after opening), accumulated
-**cost** (sum of :func:`repro.experiments.scheduler.estimate_cell_cost`
-over admitted cells reaching ``max_window_cost``), **width**
+first of: **deadline** (``window_s`` after opening), **width**
 (``max_window_width`` admitted cells), an explicit :meth:`~
 SimulationService.flush`, or service **drain** at :meth:`~
 SimulationService.stop`.  While open, newly-arriving cells are admitted
@@ -37,9 +35,9 @@ is rejected whole with :class:`~repro.errors.ClientQueueFullError`.
 Execution of a window: entries are deduped by cell identity (two tenants
 asking for the same cell simulate it once), the result cache serves what
 it can (per-ticket opt-out respected), and the residue runs through the
-runner's own batch planner — stackable cells as ragged planes with
-topologies attached from the shared-memory topology cache, the rest per
-cell.  Records are delivered per ticket as they stream; success records
+runner's batch planner (fixed ``batch_size`` chunking) — stackable cells
+as ragged planes with topologies attached from the shared-memory
+topology cache, the rest per cell.  Records are delivered per ticket as they stream; success records
 enter the result cache normalized to the solo shape.
 
 Certification (``certify=`` on :meth:`~SimulationService.submit`) runs
@@ -76,7 +74,6 @@ from repro.experiments.runner import (
     _iter_batched_group_records,
     _run_cell_record,
 )
-from repro.experiments.scheduler import estimate_cell_cost
 from repro.service.cache import ResultCache, TopologyCache, normalized_record
 
 __all__ = ["ServedRecord", "ServiceConfig", "SimulationService", "Ticket"]
@@ -91,7 +88,7 @@ class ServiceConfig:
 
     ``window_s`` is the admission deadline — the latency a lone request
     pays to give concurrent tenants a chance to coalesce.  ``0`` for the
-    cost/width caps means unbounded (deadline/flush close the window).
+    width cap means unbounded (deadline/flush close the window).
     ``batch_size`` passes through to the runner's planner as the stack
     width cap inside one dispatch.  ``oracle_cache_path`` persists the
     certification memo across service lifetimes (loaded on start, dumped
@@ -99,7 +96,6 @@ class ServiceConfig:
     """
 
     window_s: float = 0.05
-    max_window_cost: int = 0
     max_window_width: int = 64
     batch_size: int = 0
     max_pending_per_client: int = 256
@@ -224,15 +220,14 @@ class Ticket:
 
 
 class _Entry:
-    """One pending cell: its ticket, submission index, and priced cost."""
+    """One pending cell: its ticket and submission index."""
 
-    __slots__ = ("ticket", "index", "cell", "cost")
+    __slots__ = ("ticket", "index", "cell")
 
-    def __init__(self, ticket: Ticket, index: int, cell: GridCell, cost: int):
+    def __init__(self, ticket: Ticket, index: int, cell: GridCell):
         self.ticket = ticket
         self.index = index
         self.cell = cell
-        self.cost = cost
 
 
 class SimulationService:
@@ -349,18 +344,11 @@ class SimulationService:
             if cell.engine not in registered:
                 raise UnknownEngineError(cell.engine, available_engines())
         if certify is not None:
-            from repro.oracle import ORACLE_MODES
+            from repro.oracle import check_oracle_mode
 
-            if certify not in ORACLE_MODES:
-                raise ValueError(
-                    f"unknown certify mode {certify!r}; choose from "
-                    f"{', '.join(ORACLE_MODES)}"
-                )
+            check_oracle_mode(certify)
         ticket = Ticket(client, resolved, use_cache=use_cache, certify=certify)
-        entries = [
-            _Entry(ticket, i, cell, self._safe_cost(cell))
-            for i, cell in enumerate(resolved)
-        ]
+        entries = [_Entry(ticket, i, cell) for i, cell in enumerate(resolved)]
         with self._cond:
             if not self._running or self._stopping:
                 raise ServiceClosedError()
@@ -401,18 +389,11 @@ class SimulationService:
 
     # -- dispatcher ------------------------------------------------------------
 
-    @staticmethod
-    def _safe_cost(cell: GridCell) -> int:
-        try:
-            return estimate_cell_cost(cell)
-        except Exception:  # noqa: BLE001 - pricing must never block admission
-            return 1
-
-    def _admit(self, window: List[_Entry], taken: Dict[str, int], cost: int) -> int:
+    def _admit(self, window: List[_Entry], taken: Dict[str, int]) -> None:
         """Move pending entries into the window, round-robin across tenants.
 
         Caller holds ``self._cond``.  Respects the per-tenant in-flight
-        cap and the window width/cost caps; cancelled entries are
+        cap and the window width cap; cancelled entries are
         accounted and dropped here (the disconnect path for cells whose
         window had not opened yet).
         """
@@ -426,9 +407,7 @@ class SimulationService:
                 if taken.get(client, 0) >= cfg.max_inflight_per_client:
                     continue
                 if cfg.max_window_width and len(window) >= cfg.max_window_width:
-                    return cost
-                if cfg.max_window_cost and window and cost >= cfg.max_window_cost:
-                    return cost
+                    return
                 entry = queue.popleft()
                 self._pending -= 1
                 progress = True
@@ -437,8 +416,6 @@ class SimulationService:
                     continue
                 window.append(entry)
                 taken[client] = taken.get(client, 0) + 1
-                cost += entry.cost
-        return cost
 
     def _dispatch_loop(self) -> None:
         cfg = self.config
@@ -452,9 +429,8 @@ class SimulationService:
                 deadline = time.monotonic() + cfg.window_s
                 window: List[_Entry] = []
                 taken: Dict[str, int] = {}
-                cost = 0
                 while True:
-                    cost = self._admit(window, taken, cost)
+                    self._admit(window, taken)
                     if self._stopping:
                         reason = "drain"
                         break
@@ -463,9 +439,6 @@ class SimulationService:
                         break
                     if cfg.max_window_width and len(window) >= cfg.max_window_width:
                         reason = "width"
-                        break
-                    if cfg.max_window_cost and cost >= cfg.max_window_cost:
-                        reason = "cost"
                         break
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -517,7 +490,7 @@ class SimulationService:
         # stackable cells as ragged planes, the rest per cell — identical
         # machinery, records stream out at instance termination.
         coalesced = False
-        for kind, indices, _meta in _batch_plan(to_run, cfg.batch_size):
+        for kind, indices in _batch_plan(to_run, cfg.batch_size):
             if kind == "cell":
                 cell = to_run[indices[0]]
                 record = _run_cell_record(

@@ -1,4 +1,4 @@
-"""The unified experiment API: registry, builder, records, streaming, shims."""
+"""The unified experiment API: registry, builder, records, streaming."""
 
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from repro.errors import (
 )
 from repro.experiments.runner import (
     GridCell,
+    _run_cell_record,
     iter_grid_records,
     run_grid,
     run_grid_records,
@@ -270,6 +271,13 @@ class TestBuilder:
         cells = Experiment("bfs").engine("fast").seeds(3).cells()
         assert [c.seed for c in cells] == [0, 1, 2]
 
+    def test_builder_surface_does_not_warn(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            Experiment("bfs").on("tree").sizes(12).engine("fast").run()
+
     def test_sweep_result_surface(self, tmp_path):
         sweep = Experiment("bfs").on("tree").sizes(12).engine("fast").run()
         assert len(sweep) == 1 and sweep.ok and not sweep.failures()
@@ -421,10 +429,7 @@ class TestRecords:
     def test_to_dict_matches_legacy_shape(self):
         cell = GridCell(family="tree", n=12, program="bfs", engine="fast")
         [typed] = run_grid_records([cell])
-        with pytest.warns(DeprecationWarning):
-            from repro.experiments.runner import run_cell
-
-            legacy = run_cell(cell)
+        legacy = _run_cell_record(cell).to_dict()
         assert _strip([typed.to_dict()]) == _strip([legacy])
 
     def test_sweep_result_iterates_in_cell_order(self):
@@ -451,6 +456,36 @@ class TestRecords:
         assert clone == rec and clone.quality == rec.quality
         assert sweep.meta["certify"] == "lp"
 
+    def test_plan_round_trips_through_run_record(self):
+        """``plan`` is the lost-worker annotation: a fallback-only block."""
+        cell = GridCell("gnp", 20, "greedy", "vector", seed=0)
+        plan = {
+            "fallback": {"type": "WorkerLostError", "message": "dispatch unit 1"},
+            "actual_wall_s": 0.25,
+        }
+        record = RunRecord(cell=cell, ok=True, wall_s=0.25, metrics={"rounds": 3}, plan=plan)
+        parsed = RunRecord.from_dict(record.to_dict())
+        assert parsed.plan == plan
+        assert parsed.metrics == record.metrics
+
+    def test_failure_records_keep_plan(self):
+        cell = GridCell("gnp", 20, "greedy", "vector", seed=0)
+        record = RunRecord(
+            cell=cell,
+            ok=False,
+            error={"type": "X", "message": "boom"},
+            plan={"fallback": {"type": "WorkerLostError", "message": ""}},
+        )
+        as_dict = record.to_dict()
+        assert as_dict["plan"]["fallback"]["type"] == "WorkerLostError"
+        assert RunRecord.from_dict(as_dict).plan == record.plan
+
+    def test_absent_plan_stays_absent(self):
+        cell = GridCell("gnp", 20, "greedy", "vector", seed=0)
+        record = RunRecord(cell=cell, ok=True, wall_s=0.1, metrics={})
+        assert "plan" not in record.to_dict()
+        assert RunRecord.from_dict(record.to_dict()).plan is None
+
     def test_uncertified_records_keep_legacy_shape(self):
         """Without ``certify`` nothing about a record or the sweep meta may
         change — the quality block is strictly opt-in."""
@@ -464,26 +499,3 @@ class TestRecords:
             experiment.certify("lp").run().records[0].to_dict(), sort_keys=True
         )
         assert json.dumps(rec.to_dict(), sort_keys=True) != certified
-
-
-class TestDeprecationShims:
-    def test_expand_grid_warns_but_works(self):
-        from repro.experiments.runner import expand_grid
-
-        with pytest.warns(DeprecationWarning, match="Experiment"):
-            cells = expand_grid(("tree",), (12,), programs=("bfs",), engines=("fast",))
-        assert cells == Experiment("bfs").on("tree").sizes(12).engine("fast").cells()
-
-    def test_run_cell_warns_but_works(self):
-        from repro.experiments.runner import run_cell
-
-        with pytest.warns(DeprecationWarning, match="Experiment"):
-            rec = run_cell(GridCell(family="tree", n=12, program="bfs", engine="fast"))
-        assert rec["ok"] is True and rec["metrics"]["reached"] == 12
-
-    def test_builder_surface_does_not_warn(self, recwarn):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            Experiment("bfs").on("tree").sizes(12).engine("fast").run()

@@ -1,4 +1,5 @@
-"""Batch runner: grid expansion, determinism, structured failures, JSON."""
+"""Batch runner: grid expansion, batch planning, determinism, structured
+failures, JSON."""
 
 from __future__ import annotations
 
@@ -8,13 +9,15 @@ import json
 import pytest
 
 
+from repro.api import Experiment
+from repro.congest.engine import default_engine_name
 from repro.experiments.harness import engine_grid_cells, engine_grid_report
 from repro.experiments.runner import (
     GridCell,
+    _batch_plan,
+    _run_cell_record,
     available_programs,
-    expand_grid,
     results_payload,
-    run_cell,
     run_grid,
     summarize_results,
     write_results,
@@ -28,33 +31,37 @@ def _strip_walls(results):
     return stripped
 
 
-SMALL_GRID = expand_grid(
-    families=("tree", "gnp"),
-    sizes=(16,),
-    programs=("bfs",),
-    engines=("reference", "fast"),
-    seed=3,
+def cell_record(cell):
+    """One cell's record, in the dict shape."""
+    return _run_cell_record(cell).to_dict()
+
+
+SMALL_GRID = (
+    Experiment("bfs").on("tree", "gnp").sizes(16).engines("reference", "fast").seed(3).cells()
 )
 
 
 class TestExpandGrid:
     def test_cartesian_product(self):
-        cells = expand_grid(
-            families=("gnp", "tree"),
-            sizes=(20, 40),
-            programs=("bfs", "greedy"),
-            engines=("reference", "fast"),
+        cells = (
+            Experiment("bfs", "greedy")
+            .on("gnp", "tree")
+            .sizes(20, 40)
+            .engines("reference", "fast")
+            .cells()
         )
         assert len(cells) == 2 * 2 * 2 * 2
         assert len(set(cells)) == len(cells)
         assert all(isinstance(c, GridCell) for c in cells)
 
     def test_defaults_cover_all_programs_and_engines(self):
-        cells = expand_grid(families=("tree",), sizes=(12,))
+        """The default axes: every registered simulation program, on the
+        process default engine."""
+        cells = Experiment().on("tree").sizes(12).cells()
         programs = {c.program for c in cells}
         engines = {c.engine for c in cells}
         assert programs == set(available_programs())
-        assert {"reference", "fast"} <= engines
+        assert engines == {default_engine_name()}
 
     def test_key_is_reproducible(self):
         cell = GridCell(family="gnp", n=40, program="bfs", engine="fast", seed=9)
@@ -64,7 +71,7 @@ class TestExpandGrid:
 class TestRunCell:
     def test_success_record(self):
         cell = GridCell(family="tree", n=16, program="bfs", engine="fast", seed=3)
-        rec = run_cell(cell)
+        rec = cell_record(cell)
         assert rec["ok"] is True
         assert rec["metrics"]["rounds"] >= 1
         assert rec["metrics"]["all_halted"] is True
@@ -75,19 +82,19 @@ class TestRunCell:
         }
 
     def test_unknown_family_is_structured_error(self):
-        rec = run_cell(GridCell(family="nope", n=16, program="bfs", engine="fast"))
+        rec = cell_record(GridCell(family="nope", n=16, program="bfs", engine="fast"))
         assert rec["ok"] is False
         assert rec["error"]["type"] == "GraphError"
         assert "nope" in rec["error"]["message"]
 
     def test_unknown_program_is_structured_error(self):
-        rec = run_cell(GridCell(family="tree", n=16, program="boom", engine="fast"))
+        rec = cell_record(GridCell(family="tree", n=16, program="boom", engine="fast"))
         assert rec["ok"] is False
         assert rec["error"]["type"] == "UnknownProgramError"
         assert "boom" in rec["error"]["message"]
 
     def test_unknown_engine_is_structured_error(self):
-        rec = run_cell(GridCell(family="tree", n=16, program="bfs", engine="warp"))
+        rec = cell_record(GridCell(family="tree", n=16, program="bfs", engine="warp"))
         assert rec["ok"] is False
         assert rec["error"]["type"] == "UnknownEngineError"
         assert "warp" in rec["error"]["message"]
@@ -183,12 +190,13 @@ class TestEngineGridReport:
 class TestBatchStrategy:
     """strategy="batch" is an execution detail: records never change."""
 
-    SWEEP = expand_grid(
-        families=("gnp", "tree"),
-        sizes=(24,),
-        programs=("greedy", "color-reduction", "bfs"),
-        engines=("vector", "fast"),
-        seeds=(0, 1, 2, 3),
+    SWEEP = (
+        Experiment("greedy", "color-reduction", "bfs")
+        .on("gnp", "tree")
+        .sizes(24)
+        .engines("vector", "fast")
+        .seeds(4)
+        .cells()
     )
 
     @staticmethod
@@ -200,9 +208,8 @@ class TestBatchStrategy:
         return stripped
 
     def test_seeds_axis_expansion(self):
-        cells = expand_grid(
-            families=("gnp",), sizes=(16,), programs=("bfs",),
-            engines=("fast",), seeds=(1, 2, 3),
+        cells = (
+            Experiment("bfs").on("gnp").sizes(16).engine("fast").seeds([1, 2, 3]).cells()
         )
         assert [c.seed for c in cells] == [1, 2, 3]
         assert len({c.topology_key for c in cells}) == 3
@@ -249,8 +256,6 @@ class TestBatchStrategy:
         """Since the ragged layout, one (family, program, engine) group
         spans sizes: a mixed-size sweep stacks whole instead of falling
         back per cell, with records identical to per-cell execution."""
-        from repro.api import Experiment
-
         cells = (
             Experiment("greedy", "color-reduction")
             .on("gnp")
@@ -295,6 +300,52 @@ class TestBatchStrategy:
         out = capsys.readouterr().out
         assert "engine_parity=PASS" in out
         assert "no_failures=PASS" in out
+
+
+class TestBatchPlan:
+    """``_batch_plan``: fixed ``batch_size`` chunking, the one planner behind
+    ``strategy="batch"`` and the service's windows."""
+
+    @staticmethod
+    def _cells(sizes=(20,), seeds=range(4), program="greedy", engine="vector", family="gnp"):
+        return [GridCell(family, n, program, engine, seed=s) for n in sizes for s in seeds]
+
+    def test_batch_size_caps_the_width(self):
+        plan = _batch_plan(self._cells(seeds=range(12)), 3)
+        assert [(kind, len(indices)) for kind, indices in plan] == [("batch", 3)] * 4
+
+    def test_width_one_leftovers_become_cell_units(self):
+        assert _batch_plan(self._cells(seeds=range(4)), 3) == [
+            ("batch", [0, 1, 2]),
+            ("cell", [3]),
+        ]
+
+    def test_non_vector_cells_stay_cell_units(self):
+        """Other engines and non-stackable programs never stack."""
+        cells = self._cells(seeds=range(2), engine="fast") + self._cells(
+            seeds=range(2), program="bfs"
+        )
+        assert _batch_plan(cells, 0) == [("cell", [i]) for i in range(4)]
+
+    def test_units_follow_first_occurrence_order(self):
+        """Groups appear in the order of their first cell; each unit keeps
+        its group's cells in cell order."""
+        gnp = self._cells(seeds=range(2))
+        tree = self._cells(seeds=range(2), family="tree")
+        cells = [tree[0], gnp[0], GridCell("gnp", 20, "bfs", "vector"), tree[1], gnp[1]]
+        assert _batch_plan(cells, 0) == [
+            ("batch", [0, 3]),
+            ("batch", [1, 4]),
+            ("cell", [2]),
+        ]
+
+    def test_plan_covers_every_cell_exactly_once(self):
+        cells = self._cells(sizes=(20, 30, 40), seeds=range(3)) + self._cells(engine="fast")
+        for batch_size in (0, 1, 2, 4):
+            plan = _batch_plan(cells, batch_size)
+            assert sorted(i for _kind, indices in plan for i in indices) == list(
+                range(len(cells))
+            )
 
 
 class TestSharedStackedTopology:

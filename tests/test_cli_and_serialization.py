@@ -93,6 +93,59 @@ class TestCLI:
         assert rc == 1
         assert "no_failures=FAIL" in capsys.readouterr().out
 
+    def test_grid_sizes_skip_empty_entries(self, tmp_path):
+        out = tmp_path / "grid.json"
+        rc = main(
+            ["grid", "--families", "tree", "--sizes", "16,", "--programs",
+             "bfs", "--engines", "fast", "--json-out", str(out)]
+        )
+        assert rc == 0
+        cells = json.loads(out.read_text())["cells"]
+        assert [rec["cell"]["n"] for rec in cells] == [16]
+
+    def test_submit_sizes_skip_empty_entries(self, monkeypatch, capsys):
+        import repro.service.client as client_module
+
+        sent = []
+
+        class FakeClient:
+            def __init__(self, **_kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *_exc):
+                return False
+
+            def stream(self, cells, **_kwargs):
+                sent.extend(cells)
+                for index, cell in enumerate(cells):
+                    yield index, {"key": cell.key, "ok": True}, {}
+
+        monkeypatch.setattr(client_module, "ServiceClient", FakeClient)
+        assert main(["submit", "--sizes", "60,", "--seeds", "0..1"]) == 0
+        assert [(cell.n, cell.seed) for cell in sent] == [(60, 0), (60, 1)]
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+    @pytest.mark.parametrize("command", ["grid", "submit"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--sizes", ","), ("--sizes", "60,x"), ("--seeds", "5..2"),
+         ("--seeds", "0..x"), ("--seeds", ",")],
+    )
+    def test_malformed_axes_are_usage_errors(self, capsys, command, flag, value):
+        """An unparsable or empty --sizes/--seeds exits 2 with an error
+        line, before anything runs or connects (exit 1 means a record
+        failed)."""
+        argv = [command, flag, value, "--programs", "greedy", "--engines", "vector"]
+        if command == "grid":
+            argv += ["--stream", "--no-report"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} ")
+        assert captured.out == ""
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Experiment
 from repro.congest.engine import (
     available_engines,
     resolve_engine,
@@ -20,7 +21,7 @@ from repro.errors import (
     UnknownEngineError,
     UnknownProgramError,
 )
-from repro.experiments.runner import GridCell, expand_grid, run_cell
+from repro.experiments.runner import GridCell, _run_cell_record
 
 
 class TestResolutionErrors:
@@ -52,16 +53,17 @@ class TestResolutionErrors:
 class TestGridSelectionErrors:
     def test_expand_grid_rejects_unknown_engine(self):
         with pytest.raises(UnknownEngineError) as exc:
-            expand_grid(("tree",), (16,), engines=("fast", "warp"))
+            Experiment("bfs").on("tree").sizes(16).engines("fast", "warp").cells()
         assert exc.value.name == "warp"
 
     def test_expand_grid_rejects_unknown_program(self):
         with pytest.raises(UnknownProgramError) as exc:
-            expand_grid(("tree",), (16,), programs=("bfs", "dijkstra"))
+            Experiment("bfs", "dijkstra").on("tree").sizes(16).cells()
         assert exc.value.name == "dijkstra"
 
     def test_run_cell_records_structured_engine_error(self):
-        rec = run_cell(GridCell(family="tree", n=12, program="bfs", engine="warp"))
+        cell = GridCell(family="tree", n=12, program="bfs", engine="warp")
+        rec = _run_cell_record(cell).to_dict()
         assert rec["ok"] is False
         assert rec["error"]["type"] == "UnknownEngineError"
         assert "warp" in rec["error"]["message"]

@@ -23,6 +23,7 @@ import pytest
 
 from repro.experiments.runner import (
     GridCell,
+    _batch_plan,
     _plan_units,
     iter_grid_records,
     run_grid_records,
@@ -51,17 +52,9 @@ class TestPoolParity:
         )
         assert pool == seq
 
-    def test_pool_adaptive_matches_sequential(self):
-        cells = _sweep_cells(sizes=(20, 30, 40))
-        seq = _metrics_by_key(run_grid_records(cells, jobs=1, strategy="batch"))
-        pool = _metrics_by_key(
-            run_grid_records(cells, jobs=2, strategy="batch", target_cost="auto")
-        )
-        assert pool == seq
-
     def test_default_records_carry_no_plan_block(self):
-        # target_cost=0 (the default) must keep the legacy record shape:
-        # jobs/strategy parity comparisons rely on it.
+        # Only a lost worker's re-dispatched records carry a ``plan`` block:
+        # jobs/strategy parity comparisons rely on the plain shape.
         cells = _sweep_cells()
         for rec in run_grid_records(cells, jobs=2, strategy="batch", batch_size=3):
             assert rec.plan is None
@@ -98,28 +91,26 @@ class TestPoolInGroupStreaming:
         # ... and only the remaining three were re-dispatched.
         assert len(fallbacks) == 3
         for rec in fallbacks:
+            assert set(rec.plan) == {"fallback", "actual_wall_s"}
             assert rec.plan["fallback"]["type"] == "WorkerLostError"
             assert "dispatch unit 0" in rec.plan["fallback"]["message"]
+            assert rec.plan["actual_wall_s"] >= 0
 
     def test_stream_latency_monotone_within_unit(self):
         """Records of one stacked unit carry non-decreasing stream
         latencies in arrival order — each was stamped at its own
         termination flip, not at group teardown."""
         cells = _sweep_cells(sizes=(20, 30, 40), seeds=(0, 1))
-        arrivals = []
-        for rec in iter_grid_records(
-            cells, jobs=2, strategy="batch", target_cost="auto"
-        ):
-            assert rec.ok
-            arrivals.append(rec)
+        plan = _batch_plan(cells, 3)
+        assert [kind for kind, _indices in plan] == ["batch", "batch"]
+        unit_of = {
+            cells[i].key: unit for unit, (_kind, indices) in enumerate(plan) for i in indices
+        }
         by_unit = {}
-        for rec in arrivals:
-            if rec.batch is not None:
-                assert rec.plan is not None
-                by_unit.setdefault(rec.plan["unit"], []).append(
-                    rec.batch["stream_latency_s"]
-                )
-        assert by_unit, "expected at least one stacked unit"
+        for rec in iter_grid_records(cells, jobs=2, strategy="batch", batch_size=3):
+            assert rec.ok and rec.batch is not None
+            by_unit.setdefault(unit_of[rec.key], []).append(rec.batch["stream_latency_s"])
+        assert sorted(by_unit) == [0, 1]
         for latencies in by_unit.values():
             assert latencies == sorted(latencies)
 
@@ -131,22 +122,6 @@ class TestWorkerLoss:
         monkeypatch.setenv("REPRO_POOLSTREAM_KILL", "0:1")
         pool = run_grid_records(cells, jobs=2, strategy="batch", batch_size=3)
         assert _metrics_by_key(pool) == seq
-
-    def test_kill_on_adaptive_plan_keeps_scheduler_meta(self, monkeypatch):
-        # Enough seeds that the calibrated cost model still packs several
-        # cells per plane at the auto target — the kill must land on a
-        # batch unit with records left to re-dispatch.
-        cells = _sweep_cells(sizes=(20, 30), seeds=(0, 1, 2, 3, 4, 5))
-        monkeypatch.setenv("REPRO_POOLSTREAM_KILL", "0:1")
-        pool = run_grid_records(
-            cells, jobs=2, strategy="batch", target_cost="auto"
-        )
-        assert all(rec.ok for rec in pool)
-        fallbacks = [rec for rec in pool if rec.plan and "fallback" in rec.plan]
-        assert fallbacks
-        for rec in fallbacks:
-            assert rec.plan["scheduler"] == "adaptive"
-            assert rec.plan["actual_wall_s"] >= 0
 
     def test_worker_kill_with_certify_keeps_quality_blocks(self, monkeypatch):
         """Certification happens in the parent as records stream by, so a
@@ -222,19 +197,18 @@ class TestConsumerIndependence:
         it.close()  # must not hang or leak
 
 
-@pytest.mark.parametrize("target_cost", [0, "auto"])
-def test_stream_and_run_record_sets_match(target_cost):
-    cells = _sweep_cells(sizes=(20, 30), seeds=(0, 1))
+@pytest.mark.parametrize("batch_size", [2, 3])
+def test_stream_and_run_record_sets_match(batch_size):
+    """Both consumers see the same records with stacked units crossing the
+    pool: at these widths the plan has several batch units, so the pool
+    path (not the one-unit sequential shortcut) runs."""
+    cells = _sweep_cells(sizes=(20, 30, 40), seeds=(0, 1))
+    plan = _plan_units(cells, "batch", batch_size)
+    assert sum(1 for kind, _indices in plan if kind == "batch") >= 2
     ran = _metrics_by_key(
-        run_grid_records(
-            cells, jobs=2, strategy="batch", target_cost=target_cost
-        )
+        run_grid_records(cells, jobs=2, strategy="batch", batch_size=batch_size)
     )
     streamed = _metrics_by_key(
-        list(
-            iter_grid_records(
-                cells, jobs=2, strategy="batch", target_cost=target_cost
-            )
-        )
+        list(iter_grid_records(cells, jobs=2, strategy="batch", batch_size=batch_size))
     )
     assert streamed == ran

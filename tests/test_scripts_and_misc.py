@@ -131,6 +131,6 @@ def test_errors_hierarchy():
 def test_package_version_and_api():
     import repro
 
-    assert repro.__version__ == "1.1.0"
+    assert repro.__version__ == "2.0.0"
     for name in repro.__all__:
         assert hasattr(repro, name), f"__all__ exports missing {name}"

@@ -13,8 +13,11 @@ nature; everything else must not.
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -34,6 +37,7 @@ from repro.service import (
     ServiceServer,
     SimulationService,
 )
+from repro.service.protocol import cell_to_wire, encode_frame
 
 #: A generous window: tests close windows explicitly with flush() so
 #: nothing races the deadline, and a stuck test fails fast via timeouts.
@@ -71,6 +75,50 @@ def service():
     svc = SimulationService(SLOW_WINDOW).start()
     yield svc
     svc.stop(drain=False)
+
+
+@contextmanager
+def _running_server(config):
+    """A :class:`ServiceServer` on its own event-loop thread, stopped on exit."""
+    loop = asyncio.new_event_loop()
+    srv = ServiceServer(SimulationService(config))
+    started = threading.Event()
+
+    def run():
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(srv.start())
+        started.set()
+        loop.run_forever()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert started.wait(timeout=30)
+    try:
+        yield srv
+    finally:
+        asyncio.run_coroutine_threadsafe(srv.stop(), loop).result(timeout=30)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        loop.close()
+
+
+def _is_stats(frame):
+    return frame.get("type") == "stats"
+
+
+def _raw_exchange(port, payload: bytes, until=_is_stats):
+    """Send raw wire bytes on a fresh connection; return the frames received
+    up to and including the first one ``until`` accepts."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as raw:
+        raw.sendall(payload)
+        with raw.makefile("rb") as reader:
+            received = []
+            while not received or not until(received[-1]):
+                line = reader.readline()
+                assert line, f"connection closed after {received}"
+                received.append(json.loads(line))
+    return received
 
 
 class TestServiceBasics:
@@ -353,18 +401,6 @@ class TestFairnessAndBackpressure:
         finally:
             svc.stop(drain=False)
 
-    def test_window_cost_cap_closes_the_window(self):
-        svc = SimulationService(
-            ServiceConfig(window_s=30.0, max_window_cost=1)
-        ).start()
-        try:
-            ticket = svc.submit("t", _cells((20,), (0, 1)))
-            records = ticket.collect(timeout=COLLECT_TIMEOUT)
-            assert len(records) == 2
-            assert svc.stats()["window_close_reasons"].get("cost", 0) >= 1
-        finally:
-            svc.stop(drain=False)
-
 
 class TestDisconnect:
     def test_mid_window_cancel_skips_delivery_but_serves_siblings(self, service):
@@ -398,23 +434,8 @@ class TestServerProtocol:
 
     @pytest.fixture()
     def server(self):
-        loop = asyncio.new_event_loop()
-        srv = ServiceServer(SimulationService(ServiceConfig(window_s=0.25)))
-        started = threading.Event()
-
-        def run():
-            asyncio.set_event_loop(loop)
-            loop.run_until_complete(srv.start())
-            started.set()
-            loop.run_forever()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        assert started.wait(timeout=30)
-        yield srv
-        asyncio.run_coroutine_threadsafe(srv.stop(), loop).result(timeout=30)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=30)
+        with _running_server(ServiceConfig(window_s=0.25)) as srv:
+            yield srv
 
     def test_two_concurrent_tenants_coalesce_with_solo_parity(self, server):
         cells_a = _cells((20, 30), (0, 1))
@@ -462,43 +483,44 @@ class TestServerProtocol:
         assert excinfo.value.code == "UnknownProgramError"
 
     def test_backpressure_surfaces_as_error_frame(self):
-        loop = asyncio.new_event_loop()
-        srv = ServiceServer(
-            SimulationService(
-                ServiceConfig(window_s=30.0, max_pending_per_client=1)
-            )
-        )
-        started = threading.Event()
-
-        def run():
-            asyncio.set_event_loop(loop)
-            loop.run_until_complete(srv.start())
-            started.set()
-            loop.run_forever()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        assert started.wait(timeout=30)
-        try:
+        config = ServiceConfig(window_s=30.0, max_pending_per_client=1)
+        with _running_server(config) as srv:
             with ServiceClient(port=srv.port, client="t") as client:
                 client.submit(_cells((20,), (0,)))
                 with pytest.raises(RemoteServiceError) as excinfo:
                     client.submit(_cells((20,), (1, 2)))
-            assert excinfo.value.code == "ClientQueueFullError"
-        finally:
-            asyncio.run_coroutine_threadsafe(srv.stop(), loop).result(timeout=30)
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=30)
+        assert excinfo.value.code == "ClientQueueFullError"
+
+    @pytest.mark.parametrize("cells", [[1], [None], ["abc"]])
+    def test_non_object_cell_gets_malformed_frame_error(self, server, cells):
+        submit = encode_frame({"type": "submit", "id": "bad", "cells": cells})
+        probe = encode_frame({"type": "stats", "id": "probe"})
+        error, stats = _raw_exchange(server.port, submit + probe)
+        assert error["type"] == "error" and error["id"] == "bad"
+        assert error["error"]["type"] == "MalformedFrameError"
+        assert stats["id"] == "probe"
+        assert _raw_exchange(server.port, probe)[0]["type"] == "stats"
+
+    def test_overlong_frame_gets_malformed_frame_error(self, monkeypatch):
+        """A line over the frame limit is answered with an error frame; the
+        connection, and the server, keep serving."""
+        import repro.service.server as server_module
+
+        monkeypatch.setattr(server_module, "_MAX_FRAME_BYTES", 1024)
+        overlong = encode_frame({"type": "stats", "id": "big", "pad": "x" * 4096})
+        probe = encode_frame({"type": "stats", "id": "probe"})
+        with _running_server(ServiceConfig(window_s=0.25)) as srv:
+            *errors, stats = _raw_exchange(srv.port, overlong + probe)
+            assert stats["id"] == "probe"
+            assert errors
+            assert all(f["error"]["type"] == "MalformedFrameError" for f in errors)
+            assert _raw_exchange(srv.port, probe)[0]["type"] == "stats"
 
     def test_client_disconnect_mid_window_leaves_siblings_served(self, server):
         """A tenant dropping its socket after submitting must not disturb
         the window its cells were admitted to."""
-        import socket as socket_module
-
-        from repro.service.protocol import cell_to_wire, encode_frame
-
         cells = _cells((20, 30), (0,))
-        raw = socket_module.create_connection(("127.0.0.1", server.port))
+        raw = socket.create_connection(("127.0.0.1", server.port))
         raw.sendall(
             encode_frame(
                 {
@@ -518,20 +540,7 @@ class TestServerProtocol:
         )
 
     def test_flush_frame_closes_the_window(self):
-        loop = asyncio.new_event_loop()
-        srv = ServiceServer(SimulationService(SLOW_WINDOW))
-        started = threading.Event()
-
-        def run():
-            asyncio.set_event_loop(loop)
-            loop.run_until_complete(srv.start())
-            started.set()
-            loop.run_forever()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        assert started.wait(timeout=30)
-        try:
+        with _running_server(SLOW_WINDOW) as srv:
             # Window deadline is 30 s: without the flush frame this would
             # time out, so completing quickly proves flush worked.
             with ServiceClient(port=srv.port, client="t") as client:
@@ -543,10 +552,6 @@ class TestServerProtocol:
                         seen_done = True
                         break
                 assert seen_done
-        finally:
-            asyncio.run_coroutine_threadsafe(srv.stop(), loop).result(timeout=30)
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=30)
 
 
 class TestLemma310Coalescing:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.api import Experiment
 from repro.congest.network import Network
 from repro.errors import GraphError, UnknownEngineError, UnknownProgramError
-from repro.experiments.runner import GridCell, expand_grid, run_grid
+from repro.experiments.runner import GridCell, run_grid
 from repro.experiments.sharedmem import SharedTopology, attach_network
 from repro.graphs.generators import gnp_graph, star_graph
 
@@ -79,13 +80,13 @@ class TestSharedTopology:
 class TestGridExpansionValidation:
     def test_unknown_engine_raises_structured(self):
         with pytest.raises(UnknownEngineError) as exc:
-            expand_grid(("tree",), (16,), engines=("warp-drive",))
+            Experiment().on("tree").sizes(16).engine("warp-drive").cells()
         assert "warp-drive" in str(exc.value)
         assert "fast" in str(exc.value)
 
     def test_unknown_program_raises_structured(self):
         with pytest.raises(UnknownProgramError) as exc:
-            expand_grid(("tree",), (16,), programs=("quicksort",))
+            Experiment("quicksort").on("tree").sizes(16).cells()
         assert "quicksort" in str(exc.value)
 
 
