@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from typing import Dict, Set
 
 import networkx as nx
+import numpy as np
+from scipy import sparse
 
 from repro.congest.cost import bek15_coloring_rounds
+from repro.congest.network import Network
 from repro.coloring.greedy import greedy_coloring, validate_coloring
 from repro.domsets.covering import CoveringInstance
 from repro.errors import ColoringError
@@ -48,28 +51,67 @@ class Distance2Coloring:
         return max(1, self.delta_l * self.delta_r + log_star(max(2, n)))
 
 
-def distance2_coloring(graph: nx.Graph, subset: Set[int] | None = None) -> Distance2Coloring:
+def distance2_coloring(
+    graph: nx.Graph | Network, subset: Set[int] | None = None
+) -> Distance2Coloring:
     """Distance-2 coloring of ``subset`` (default: all nodes) of ``graph``.
 
-    Built by properly coloring the square graph restricted to the subset.
+    ``graph`` is an ``nx.Graph`` labelled ``0..n-1`` or a
+    :class:`~repro.congest.network.Network`, whose CSR arrays are used as
+    they are (a :meth:`~repro.congest.network.Network.from_csr` network
+    never builds its ``networkx`` view here).  The closed-neighbourhood
+    matrix ``A + I`` is squared with one sparse product: entry ``(u, v)``
+    counts the common closed neighbours, so it is nonzero iff
+    ``d(u, v) <= 2``.  Restricted to ``subset``, its off-diagonal entries
+    are the conflict graph, which is colored first-fit in ascending id
+    (the :func:`~repro.coloring.greedy.greedy_coloring` order) and checked
+    for properness.
     """
-    sq = square_graph(graph)
+    network = graph if isinstance(graph, Network) else Network(graph)
+    n = network.n
+    nodes = np.arange(n)
     if subset is not None:
-        sq = sq.subgraph(sorted(subset)).copy()
-        missing = set(subset) - set(graph.nodes())
+        missing = set(subset).difference(range(n))
         if missing:
             raise ColoringError(f"subset nodes {sorted(missing)[:5]} not in graph")
-        sq.add_nodes_from(sorted(subset))
-    colors = greedy_coloring(sq)
-    num = validate_coloring(sq, colors)
-    max_deg = max((d for _, d in sq.degree()), default=0)
-    charged = bek15_coloring_rounds(max_deg + 1, graph.number_of_nodes(),
-                                    graph.number_of_nodes())
+        nodes = np.array(sorted(subset), dtype=np.int64)
+    indptr, indices = network.csr()
+    adjacency = sparse.csr_matrix(
+        (np.ones(len(indices), dtype=np.int64),
+         np.asarray(indices, dtype=np.int64),
+         np.asarray(indptr, dtype=np.int64)),
+        shape=(n, n),
+    )
+    closed = adjacency + sparse.identity(n, dtype=np.int64, format="csr")
+    # A count is at most n, so int64 cannot wrap.  A narrow dtype can wrap
+    # to 0, and the product drops zero entries: a conflict would vanish.
+    square = (closed @ closed)[nodes][:, nodes]
+    # Row v of the strictly lower triangle: v's conflicts among the lower
+    # ids, which first-fit has colored before v.
+    lower = sparse.tril(square, k=-1, format="csr")
+    ptr, idx = lower.indptr.tolist(), lower.indices.tolist()
+    first_fit = []
+    for v in range(len(nodes)):
+        taken = {first_fit[u] for u in idx[ptr[v]:ptr[v + 1]]}
+        color = 0
+        while color in taken:
+            color += 1
+        first_fit.append(color)
+    colors = np.array(first_fit, dtype=np.int64)
+    later = np.repeat(np.arange(len(nodes)), np.diff(lower.indptr))
+    clash = np.flatnonzero(colors[later] == colors[lower.indices])
+    if clash.size:
+        u, v = lower.indices[clash[0]], later[clash[0]]
+        raise ColoringError(
+            f"edge ({nodes[u]}, {nodes[v]}) is monochromatic with color {colors[v]}"
+        )
+    # Every row of the square holds its diagonal entry.
+    max_deg = int(np.diff(square.indptr).max()) - 1 if len(nodes) else 0
     return Distance2Coloring(
-        colors=colors,
-        num_colors=num,
-        charged_rounds=charged,
-        conflict_edges=sq.number_of_edges(),
+        colors=dict(zip(nodes.tolist(), first_fit)),
+        num_colors=len(np.unique(colors)),
+        charged_rounds=bek15_coloring_rounds(max_deg + 1, n, n),
+        conflict_edges=lower.nnz,
     )
 
 
@@ -86,6 +128,12 @@ def bipartite_distance2_coloring(
     lemma; rounds are charged as
     ``O(Delta_L Delta_R + Delta_L log* n)`` per the lemma statement.
     """
+    if restrict is not None:
+        unknown = set(restrict).difference(instance.value_vars)
+        if unknown:
+            raise ColoringError(
+                f"restrict ids {sorted(unknown)[:5]} are not value variables"
+            )
     conflict = instance.value_conflict_graph(restrict)
     colors = greedy_coloring(conflict)
     num = validate_coloring(conflict, colors)

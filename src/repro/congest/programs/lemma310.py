@@ -909,14 +909,14 @@ def _drive(network: Network, engine: str) -> SimulationResult:
     """Canonical Lemma 3.10 workload: every node a fair coin, ``c = 1``.
 
     ``x(v) = p(v) = 1/2`` makes every node a participating variable, and a
-    distance-2 coloring is derived from the topology itself (via the lazy
-    ``network.graph``), so the whole derandomization loop — exchange,
+    distance-2 coloring is derived from the topology itself (straight from
+    the network's CSR arrays), so the whole derandomization loop — exchange,
     per-color conditional-expectation rounds, execution phases — runs with
     inputs fully determined by the cell.
     """
     from repro.coloring.distance2 import distance2_coloring
 
-    coloring = distance2_coloring(network.graph)
+    coloring = distance2_coloring(network)
     n = network.n
     values = {v: 0.5 for v in range(n)}
     p = {v: 0.5 for v in range(n)}
@@ -938,9 +938,9 @@ def _summary(sim: SimulationResult) -> Dict[str, object]:
 #: Canonical-workload colorings, memoized per live network.  The batch
 #: hooks (`_batch_inputs`, `_batch_num_colors` via `_batch_max_rounds`)
 #: all need the same distance-2 coloring of the same topology, and the
-#: runner calls them back to back while holding the network — without the
-#: memo a stacked group squares its dominant setup cost by coloring every
-#: instance twice.  Weak keys keep retired networks collectable.
+#: runner calls them back to back while holding the network — the memo
+#: colors each instance once instead of twice.  Weak keys keep retired
+#: networks collectable.
 _COLORING_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -951,7 +951,7 @@ def _canonical_coloring(network: Network):
         pass
     from repro.coloring.distance2 import distance2_coloring
 
-    coloring = distance2_coloring(network.graph)
+    coloring = distance2_coloring(network)
     try:
         _COLORING_MEMO[network] = coloring
     except TypeError:

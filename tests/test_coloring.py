@@ -1,9 +1,14 @@
 """Colorings: greedy, distance-2, bipartite (Lemma 3.12), reduction, Linial."""
 
+import hashlib
+import json
+
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.coloring.distance2 import (
+    Distance2Coloring,
     bipartite_distance2_coloring,
     distance2_coloring,
     validate_distance2,
@@ -16,10 +21,83 @@ from repro.coloring.greedy import (
 )
 from repro.coloring.linial import linial_coloring, linial_one_round
 from repro.coloring.reduction import reduce_coloring
+from repro.congest.cost import bek15_coloring_rounds
+from repro.congest.network import Network
+from repro.congest.programs import lemma310
 from repro.domsets.covering import CoveringInstance
 from repro.errors import ColoringError
-from repro.graphs.generators import regular_graph
+from repro.graphs.generators import clique_graph, gnp_graph, regular_graph, star_graph
 from repro.graphs.normalize import normalize_graph
+from repro.graphs.powers import square_graph
+from repro.graphs.suite import families, suite_instance
+
+
+def reference_distance2_coloring(
+    graph: nx.Graph, subset: set | None = None
+) -> Distance2Coloring:
+    """The networkx square-graph path, frozen as the parity reference for
+    the CSR coloring: build G^2, restrict it to the subset, color it
+    first-fit in ascending id and validate it."""
+    sq = square_graph(graph)
+    if subset is not None:
+        sq = sq.subgraph(sorted(subset)).copy()
+        missing = set(subset) - set(graph.nodes())
+        if missing:
+            raise ColoringError(f"subset nodes {sorted(missing)[:5]} not in graph")
+        sq.add_nodes_from(sorted(subset))
+    colors = greedy_coloring(sq)
+    num = validate_coloring(sq, colors)
+    max_deg = max((d for _, d in sq.degree()), default=0)
+    charged = bek15_coloring_rounds(max_deg + 1, graph.number_of_nodes(),
+                                    graph.number_of_nodes())
+    return Distance2Coloring(
+        colors=colors,
+        num_colors=num,
+        charged_rounds=charged,
+        conflict_edges=sq.number_of_edges(),
+    )
+
+
+def network_forms(graph: nx.Graph) -> list:
+    """``graph`` the three ways callers pass it: as the ``nx.Graph``, as a
+    compiled network, and as the CSR twin a shared-memory worker rebuilds."""
+    network = Network.congest(graph)
+    twin = Network.from_csr(*network.csr(), bit_budget=network.bit_budget)
+    return [graph, network, twin]
+
+
+# Normalized graphs of every shape the coloring treats differently: a single
+# node, no edges at all, one hub, long thin paths, random graphs up to n=60
+# and one instance of every suite family.
+distance2_graphs = st.one_of(
+    st.just(normalize_graph(nx.empty_graph(1))),
+    st.integers(2, 12).map(lambda n: normalize_graph(nx.empty_graph(n))),
+    st.integers(1, 20).map(star_graph),
+    st.integers(2, 30).map(lambda n: normalize_graph(nx.path_graph(n))),
+    st.builds(
+        gnp_graph,
+        st.integers(1, 60),
+        st.floats(0.0, 0.5),
+        seed=st.integers(0, 10_000),
+        connected=st.booleans(),
+    ),
+    st.sampled_from([suite_instance(family, 40, seed=5).graph for family in families()]),
+)
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    graph = draw(distance2_graphs)
+    n = graph.number_of_nodes()
+    subset = draw(
+        st.one_of(
+            st.none(),
+            st.just(set()),
+            st.sets(st.integers(0, n - 1), max_size=n),
+            st.just(set(range(n))),
+        )
+    )
+    return graph, subset
 
 
 class TestGreedy:
@@ -69,6 +147,73 @@ class TestDistance2:
             validate_distance2(path5, {0: 0, 2: 0})
 
 
+#: sha256 of lemma310's canonical coloring of ``suite_instance("gnp", n,
+#: seed=3)`` (JSON list of the colors in node order), recorded with the
+#: networkx square-graph path that :func:`reference_distance2_coloring`
+#: freezes.
+CANONICAL_COLORING_SHA256 = {
+    250: "44926a9893c81f0ae0531452bb4912eed5b1e07533b57fd1a82f431c153b2a78",
+    500: "29de40c24633a082a6cd18a9d6d1e5ad2addeb33178d57e29d13ca92841b868f",
+    1000: "6d1cc459de33e683ef7389e7bb5ed60d8616c531f5fd30fb0dd40aa8e3bce478",
+}
+
+
+class TestDistance2Parity:
+    """The CSR coloring against the frozen networkx path, field for field."""
+
+    @staticmethod
+    def assert_matches(graph, subset):
+        expected = reference_distance2_coloring(graph, subset)
+        for form in network_forms(graph):
+            result = distance2_coloring(form, subset)
+            assert result == expected
+            assert list(result.colors) == list(expected.colors)
+            assert all(
+                type(v) is int and type(c) is int for v, c in result.colors.items()
+            )
+            assert type(result.num_colors) is int
+            assert type(result.charged_rounds) is int
+            assert type(result.conflict_edges) is int
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(graphs_with_subsets())
+    def test_matches_reference(self, case):
+        self.assert_matches(*case)
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_clique_counts_do_not_wrap(self, n):
+        # Every pair of K_n shares all n closed neighbours.  An 8-bit count
+        # wraps to exactly 0 at n=256 and the sparse product drops every
+        # conflict; n=300 keeps counts above 255.  The reference would square
+        # K_n by BFS for seconds; the answer is known: n colors, all pairs.
+        expected = Distance2Coloring(
+            colors={v: v for v in range(n)},
+            num_colors=n,
+            charged_rounds=bek15_coloring_rounds(n, n, n),
+            conflict_edges=n * (n - 1) // 2,
+        )
+        for form in network_forms(clique_graph(n)):
+            assert distance2_coloring(form) == expected
+
+    @pytest.mark.parametrize("form", [0, 1, 2], ids=["graph", "network", "twin"])
+    def test_unknown_subset_node_raises(self, form):
+        graph = normalize_graph(nx.path_graph(5))
+        with pytest.raises(ColoringError, match=r"subset nodes \[5, 99\] not in graph"):
+            distance2_coloring(network_forms(graph)[form], subset={0, 5, 99})
+
+    @pytest.mark.parametrize("n", sorted(CANONICAL_COLORING_SHA256))
+    def test_lemma310_canonical_coloring_pinned(self, n):
+        network = Network.congest(suite_instance("gnp", n, seed=3).graph)
+        colors = lemma310._canonical_coloring(network).colors
+        assert list(colors) == list(range(n))
+        blob = json.dumps([colors[v] for v in range(n)]).encode()
+        assert hashlib.sha256(blob).hexdigest() == CANONICAL_COLORING_SHA256[n]
+
+
 class TestBipartiteLemma312:
     def test_colors_within_deltaL_deltaR(self, medium_gnp):
         inst = CoveringInstance.from_graph(
@@ -93,6 +238,12 @@ class TestBipartiteLemma312:
         keep = set(list(inst.value_vars)[:8])
         result = bipartite_distance2_coloring(inst, restrict=keep)
         assert set(result.colors) == keep
+
+    def test_restrict_rejects_unknown_ids(self):
+        path4 = normalize_graph(nx.path_graph(4))
+        inst = CoveringInstance.from_graph(path4, {v: 0.5 for v in path4.nodes()})
+        with pytest.raises(ColoringError, match=r"restrict ids \[99\]"):
+            bipartite_distance2_coloring(inst, restrict={0, 99})
 
 
 class TestReduction:

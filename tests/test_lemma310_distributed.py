@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.verify import is_dominating_set
 from repro.coloring.distance2 import distance2_coloring
 from repro.congest.network import Network
+from repro.congest.programs import lemma310
 from repro.congest.programs.lemma310 import run_lemma310_on_graph
 from repro.derand.coloring_based import schedule_from_colors
 from repro.derand.conditional import ConditionalExpectationEngine
@@ -107,3 +108,15 @@ def test_uniform_regular_instance_matches():
     assert coins == {u: int(b) for u, b in central.decisions.items()}
     ds = {v for v, x in final.items() if x >= 1 - 1e-9}
     assert is_dominating_set(graph, ds)
+
+
+def test_csr_twin_inputs_never_build_the_graph():
+    # A shared-memory worker holds a Network.from_csr twin; the canonical
+    # workload must color it from the CSR arrays, not from a rebuilt
+    # networkx view.
+    network = Network.congest(gnp_graph(80, 0.08, seed=4))
+    twin = Network.from_csr(*network.csr(), bit_budget=network.bit_budget)
+    assert lemma310._batch_inputs(twin) == lemma310._batch_inputs(network)
+    run = lemma310._drive(twin, "vector")
+    assert run.output_map("value") == lemma310._drive(network, "vector").output_map("value")
+    assert twin._graph is None

@@ -107,11 +107,14 @@ def _is_stats(frame):
     return frame.get("type") == "stats"
 
 
-def _raw_exchange(port, payload: bytes, until=_is_stats):
-    """Send raw wire bytes on a fresh connection; return the frames received
-    up to and including the first one ``until`` accepts."""
+def _raw_exchange(port, payload: bytes, until=_is_stats, eof=False):
+    """Send raw wire bytes on a fresh connection (then half-close it if
+    ``eof``); return the frames received up to and including the first one
+    ``until`` accepts."""
     with socket.create_connection(("127.0.0.1", port), timeout=30) as raw:
         raw.sendall(payload)
+        if eof:
+            raw.shutdown(socket.SHUT_WR)
         with raw.makefile("rb") as reader:
             received = []
             while not received or not until(received[-1]):
@@ -515,6 +518,28 @@ class TestServerProtocol:
             assert errors
             assert all(f["error"]["type"] == "MalformedFrameError" for f in errors)
             assert _raw_exchange(srv.port, probe)[0]["type"] == "stats"
+
+    def test_truncated_frame_gets_malformed_frame_error(self, server):
+        """A line cut mid-JSON is answered with an error frame, and the same
+        connection keeps serving."""
+        probe = encode_frame({"type": "stats", "id": "probe"})
+        error, stats = _raw_exchange(server.port, b'{"type": "sub\n' + probe)
+        assert error["type"] == "error"
+        assert error["error"]["type"] == "MalformedFrameError"
+        assert stats["id"] == "probe"
+
+    def test_partial_line_then_eof_gets_malformed_frame_error(self, server):
+        """A partial line ended by EOF is still decoded and answered; the
+        server keeps serving fresh connections."""
+        (error,) = _raw_exchange(
+            server.port,
+            b'{"type": "stats", "id": "cut',
+            until=lambda frame: frame.get("type") == "error",
+            eof=True,
+        )
+        assert error["error"]["type"] == "MalformedFrameError"
+        probe = encode_frame({"type": "stats", "id": "probe"})
+        assert _raw_exchange(server.port, probe)[0]["type"] == "stats"
 
     def test_client_disconnect_mid_window_leaves_siblings_served(self, server):
         """A tenant dropping its socket after submitting must not disturb
