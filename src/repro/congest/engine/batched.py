@@ -146,8 +146,6 @@ class StackedPlane(CsrPlane):
 
     __slots__ = (
         "instances",
-        "local_ns",
-        "node_offsets",
         "slot_offsets",
         "instance_of",
         "slot_instance",
@@ -275,13 +273,18 @@ def _accumulate_broadcast(
     bits_total: np.ndarray,
     wire_max: np.ndarray,
 ) -> None:
-    on_wire = pending.mask & (plane.degrees > 0) & active_nodes
+    senders = pending.sender_ids()
+    degrees = plane.degrees[senders]
+    on_wire = (degrees > 0) & active_nodes[senders]
     if not on_wire.any():
         return
+    senders = senders[on_wire]
+    degrees = degrees[on_wire]
+    bits = pending.bits[senders]
     if node_budget is not None:
-        over = on_wire & (pending.bits > node_budget)
+        over = bits > node_budget[senders]
         if over.any():
-            sender = int(np.flatnonzero(over)[0])
+            sender = int(senders[np.argmax(over)])
             receiver = int(plane.indices[plane.indptr[sender]])
             raise MessageTooLargeError(
                 int(plane.local_ids[sender]),
@@ -290,9 +293,7 @@ def _accumulate_broadcast(
                 int(node_budget[sender]),
             )
     k_count = plane.instances
-    inst = plane.instance_of[on_wire]
-    degrees = plane.degrees[on_wire]
-    bits = pending.bits[on_wire]
+    inst = plane.instance_of[senders]
     # float64 bincount weights are exact here: per-round per-instance wire
     # totals are far below 2**53 for any CONGEST-budgeted workload.
     messages += np.bincount(inst, weights=degrees, minlength=k_count).astype(
@@ -547,6 +548,7 @@ def _merge_joiners(
             # The kernel's own masks never cover a just-joining instance,
             # so slice assignment cannot clobber absorbed traffic.
             target.mask[lo:hi] = joiner.mask
+            target.senders = None  # stale once the mask changed
             target.bits[lo:hi] = joiner.bits
             if joiner.spec.arity == target.spec.arity:
                 for i in range(target.spec.arity):
@@ -787,12 +789,12 @@ def _iter_stacked(
         for k, inst in prologue.items():
             if finished[k]:
                 continue
-            touched, sizes = FastEngine._collect_traffic(
+            touched, sizes, senders = FastEngine._collect_traffic(
                 inst.drain, inst.inboxes
             )
             inst.touched = touched
             round_bits, new_max = FastEngine._charge(
-                sizes, inst.inboxes, touched, inst.budget, int(wire_max[k])
+                sizes, senders, inst.budget, int(wire_max[k])
             )
             msgs_k[k] += len(sizes)
             bits_k[k] += round_bits

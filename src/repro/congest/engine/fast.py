@@ -81,23 +81,26 @@ class FastEngine(Engine):
     @staticmethod
     def _collect_traffic(
         drain: Sequence[tuple], inboxes: Inboxes
-    ) -> Tuple[List[int], List[int]]:
-        """Drain the outboxes of ``drain`` (records whose first two slots are
-        ``(node id, context)``) into the inbox planes.
+    ) -> Tuple[List[int], List[int], List[tuple]]:
+        """Deliver the outboxes of ``drain`` (records whose first two slots
+        are ``(node id, context)``) into the inbox planes.
 
         Iterating ``drain`` in ascending id order keeps inbox insertion
         order — and hence dict iteration order inside programs — identical
         to the reference engine's full scan.  Returns the recipients that
-        got traffic and the flat list of message sizes for :meth:`_charge`.
+        got traffic, the flat list of message sizes and the sending
+        records.  The outboxes stay in place until :meth:`_charge` has
+        checked them, so an oversized message is named in the reference's
+        scan order.
         """
         touched: List[int] = []
         sizes: List[int] = []
+        senders: List[tuple] = []
         for rec in drain:
-            ctx = rec[1]
-            out = ctx._outbox
+            out = rec[1]._outbox
             if not out:
                 continue
-            ctx._outbox = {}
+            senders.append(rec)
             v = rec[0]
             for to, msg in out.items():
                 box = inboxes[to]
@@ -107,23 +110,22 @@ class FastEngine(Engine):
                 else:
                     box[v] = msg
                 sizes.append(msg.bits)
-        return touched, sizes
+        return touched, sizes, senders
 
     @classmethod
     def _charge(
         cls,
         sizes: List[int],
-        inboxes: Inboxes,
-        touched: List[int],
+        senders: List[tuple],
         budget: Optional[int],
         max_bits: int,
     ) -> Tuple[int, int]:
         """Batched wire accounting for one round's traffic.
 
-        Returns ``(round_bits, max_bits)``; raises
-        :class:`MessageTooLargeError` after charging, matching the
-        reference engine's "validated and charged even if the round is
-        later dropped" ordering.
+        Returns ``(round_bits, max_bits)`` and empties the senders'
+        outboxes; raises :class:`MessageTooLargeError` after charging,
+        matching the reference engine's "validated and charged even if the
+        round is later dropped" ordering.
         """
         if not sizes:
             return 0, max_bits
@@ -132,21 +134,23 @@ class FastEngine(Engine):
         if round_max > max_bits:
             max_bits = round_max
         if budget is not None and round_max > budget:
-            cls._raise_oversized(inboxes, touched, budget)
+            cls._raise_oversized(senders, budget)
+        for rec in senders:
+            rec[1]._outbox = {}
         return round_bits, max_bits
 
     @staticmethod
-    def _raise_oversized(
-        inboxes: Inboxes, touched: List[int], budget: int
-    ) -> None:
-        """Slow path: locate an over-budget message and raise for it."""
-        for to in touched:
-            box = inboxes[to]
-            if box is None:  # pragma: no cover - defensive
-                continue
-            for sender, msg in box.items():
+    def _raise_oversized(senders: List[tuple], budget: int) -> None:
+        """Slow path: raise for the reference engine's offender.
+
+        The reference scans senders in ascending id order and each
+        sender's outbox in send order, raising on the first oversized
+        message; ``senders`` are in that order, outboxes still full.
+        """
+        for rec in senders:
+            for to, msg in rec[1]._outbox.items():
                 if msg.bits > budget:
-                    raise MessageTooLargeError(sender, to, msg.bits, budget)
+                    raise MessageTooLargeError(rec[0], to, msg.bits, budget)
         raise AssertionError("oversized message vanished")  # pragma: no cover
 
     # -- scheduling modes ---------------------------------------------------
@@ -185,11 +189,9 @@ class FastEngine(Engine):
 
         rounds = 0
         while rounds < max_rounds:
-            touched, sizes = self._collect_traffic(drain, inboxes)
+            touched, sizes, senders = self._collect_traffic(drain, inboxes)
             round_messages = len(sizes)
-            round_bits, max_bits = self._charge(
-                sizes, inboxes, touched, budget, max_bits
-            )
+            round_bits, max_bits = self._charge(sizes, senders, budget, max_bits)
             total_bits += round_bits
 
             if not active:
@@ -282,11 +284,9 @@ class FastEngine(Engine):
 
         rounds = 0
         while rounds < max_rounds:
-            touched, sizes = self._collect_traffic(drain, inboxes)
+            touched, sizes, senders = self._collect_traffic(drain, inboxes)
             round_messages = len(sizes)
-            round_bits, max_bits = self._charge(
-                sizes, inboxes, touched, budget, max_bits
-            )
+            round_bits, max_bits = self._charge(sizes, senders, budget, max_bits)
             total_bits += round_bits
 
             if not live:

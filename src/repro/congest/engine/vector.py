@@ -7,7 +7,9 @@ the round loop does not need per-message ``dict`` work at all: a round is
 fully described by a **sender mask** plus one numpy column per declared
 field, and both delivery (gather through the CSR topology) and wire
 accounting (bit lengths, per-round totals, the CONGEST budget check) become
-O(1) array operations over the edge slots.
+O(1) array operations over the edge slots.  A broadcast may also list its
+senders (:attr:`PendingBroadcast.senders`), so that a round in which few
+nodes act costs O(sum of their degrees) instead of O(n + nnz).
 
 Three pieces cooperate:
 
@@ -84,6 +86,7 @@ from repro.congest.node import Context, NodeProgram
 from repro.errors import (
     BatchEligibilityError,
     CongestError,
+    GraphError,
     MessageTooLargeError,
     SimulationLimitError,
 )
@@ -142,8 +145,9 @@ def use_plane_namespace(xp):
         set_plane_namespace(previous)
 
 #: Largest field value whose bit length the float64 ``frexp`` trick recovers
-#: exactly.  CONGEST fields are O(log n)-bit by design, so this is purely a
-#: guard against kernel bugs.
+#: exactly.  CONGEST fields are O(log n)-bit by design, so this guards
+#: against kernel bugs; a kernel whose inputs travel on the wire as given
+#: (color reduction's initial colors) declines values outside it.
 _MAX_EXACT_FIELD = 1 << 53
 
 
@@ -209,13 +213,19 @@ class PendingBroadcast:
     """One round's in-flight broadcast traffic, in columnar form.
 
     ``mask[v]`` says whether node ``v`` broadcast this round; ``columns``
-    holds one full-length int64 array per spec field (entries of
-    non-senders are ignored); ``bits`` is the exact per-sender message
-    size.  Messages physically exist only on the wires of senders with at
-    least one neighbor — accounting and delivery both respect that.
+    holds one full-length int64 array per spec field and ``bits`` the
+    exact per-sender message size (entries of non-senders are ignored in
+    both).  Messages physically exist only on the wires of senders with
+    at least one neighbor — accounting and delivery both respect that.
+
+    ``senders`` optionally lists the ascending ids of the set ``mask``
+    entries, so a sparse round is accounted and delivered in O(sum of
+    sender degrees) rather than O(plane).  It must match ``mask``: code
+    that edits ``mask`` in place must clear it (``None`` means "derive
+    from the mask").
     """
 
-    __slots__ = ("spec", "mask", "columns", "bits")
+    __slots__ = ("spec", "mask", "columns", "bits", "senders")
 
     def __init__(
         self,
@@ -223,11 +233,19 @@ class PendingBroadcast:
         mask: np.ndarray,
         columns: Tuple[np.ndarray, ...],
         bits: np.ndarray,
+        senders: Optional[np.ndarray] = None,
     ):
         self.spec = spec
         self.mask = mask
         self.columns = columns
         self.bits = bits
+        self.senders = senders
+
+    def sender_ids(self) -> np.ndarray:
+        """Ascending ids of this round's senders."""
+        if self.senders is None:
+            return np.flatnonzero(self.mask)
+        return self.senders
 
 
 class PendingTargeted:
@@ -300,10 +318,13 @@ class CsrPlane:
         "local_n",
         "local_ids",
         "local_n_of",
+        "local_ns",
+        "node_offsets",
         "_nonempty",
         "_starts",
         "_slot_row_end",
         "_max_degree",
+        "_reverse",
     )
 
     def __init__(self, network: Network):
@@ -318,10 +339,14 @@ class CsrPlane:
         # it runs on" — the quantity stackable kernels must base packed keys
         # and round schedules on, because a *ragged* stacked plane holds
         # instances of different sizes (``local_n`` is then ``None``).
+        # ``local_ns`` / ``node_offsets`` are the one-instance versions of
+        # the stacked plane's offset tables.
         xp = self.xp
         self.local_n = self.n
         self.local_ids = xp.arange(self.n, dtype=xp.int64)
         self.local_n_of = xp.full(self.n, self.n, dtype=xp.int64)
+        self.local_ns = np.array([self.n], dtype=np.int64)
+        self.node_offsets = np.array([0, self.n], dtype=np.int64)
 
     def _init_arrays(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         xp = plane_namespace()
@@ -334,6 +359,7 @@ class CsrPlane:
         self.n = int(indptr.shape[0]) - 1
         self.nnz = int(indices.shape[0])
         self.degrees = self.indptr[1:] - self.indptr[:-1]
+        self._reverse = None
         if xp is np:
             self._nonempty = self.degrees > 0
             self._starts = self.indptr[:-1][self._nonempty]
@@ -429,6 +455,38 @@ class CsrPlane:
         if self.xp is np:
             return per_node[self.indices]
         return self.xp.take(self.xp.asarray(per_node), self.indices)
+
+    def out_slots(self, senders: np.ndarray) -> np.ndarray:
+        """Receiving slots of the broadcasts of ``senders``, sender-major.
+
+        The slots ``s`` with ``indices[s]`` in ``senders`` — the set
+        :meth:`sent_slots` flags — found in O(sum of sender degrees)
+        through the reverse-slot map.  Numpy planes only.
+        """
+        if self._reverse is None:
+            self._reverse = self._reverse_slots()
+        degrees = self.degrees[senders]
+        # Concatenate the senders' own slot ranges [indptr[u], indptr[u+1]).
+        shift = self.indptr[senders] - (np.cumsum(degrees) - degrees)
+        slots = np.arange(int(degrees.sum())) + np.repeat(shift, degrees)
+        return self._reverse[slots]
+
+    def _reverse_slots(self) -> np.ndarray:
+        """Map the slot of ``v`` in row ``u`` to the slot of ``u`` in row ``v``.
+
+        With sorted rows, the slots naming ``v`` in ascending slot order
+        are ``v``'s own row in order, so a stable sort by neighbor id lays
+        them out exactly at ``indptr[v] .. indptr[v+1]``.
+        """
+        reverse = np.empty(self.nnz, dtype=np.int64)
+        reverse[np.argsort(self.indices, kind="stable")] = np.arange(self.nnz)
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        if not (
+            np.array_equal(self.indices[reverse], rows)
+            and np.array_equal(rows[reverse], self.indices)
+        ):
+            raise GraphError("CSR topology is not symmetric with sorted rows")
+        return reverse
 
 
 def _as_int64(values) -> np.ndarray:
@@ -717,10 +775,12 @@ class VectorEngine(Engine):
                     handover = True
                     break
 
-            touched, sizes = FastEngine._collect_traffic(drain, inboxes)
+            touched, sizes, senders = FastEngine._collect_traffic(
+                drain, inboxes
+            )
             round_messages = len(sizes)
             round_bits, max_bits = FastEngine._charge(
-                sizes, inboxes, touched, budget, max_bits
+                sizes, senders, budget, max_bits
             )
             total_bits += round_bits
 
@@ -771,7 +831,7 @@ class VectorEngine(Engine):
                 if wire_max > max_bits:
                     max_bits = wire_max
 
-                if kernel.live_count == 0:
+                if not kernel.live.any():
                     break  # in-flight traffic charged, round not executed
 
                 rounds += 1
@@ -780,7 +840,7 @@ class VectorEngine(Engine):
                 bits_per_round.append(round_bits)
 
                 pending = kernel.step(rounds, pending)
-                if kernel.live_count == 0:
+                if not kernel.live.any():
                     # Mirrors the scalar engines' bottom-of-loop break: when
                     # a round ends with every node halted, traffic queued
                     # during that round is discarded *uncharged* (the scalar
@@ -897,14 +957,17 @@ class VectorEngine(Engine):
         pending: PendingBroadcast,
         budget: Optional[int],
     ) -> Tuple[int, int, int]:
-        on_wire = pending.mask & (plane.degrees > 0)
+        senders = pending.sender_ids()
+        degrees = plane.degrees[senders]
+        on_wire = degrees > 0
         if not on_wire.any():
             return 0, 0, 0
-        degrees = plane.degrees[on_wire]
-        bits = pending.bits[on_wire]
+        senders = senders[on_wire]
+        degrees = degrees[on_wire]
+        bits = pending.bits[senders]
         wire_max = int(bits.max())
         if budget is not None and wire_max > budget:
-            sender = int(np.flatnonzero(on_wire & (pending.bits > budget))[0])
+            sender = int(senders[np.argmax(bits > budget)])
             receiver = int(plane.indices[plane.indptr[sender]])
             raise MessageTooLargeError(
                 sender, receiver, int(pending.bits[sender]), budget

@@ -12,7 +12,7 @@ Every message is a single color value (``O(log n)`` bits).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -24,7 +24,8 @@ from repro.congest.engine import (
     VectorKernel,
     register_kernel,
 )
-from repro.congest.message import Message
+from repro.congest.engine.vector import _MAX_EXACT_FIELD
+from repro.congest.message import Message, message_bits
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
 from repro.congest.simulator import SimulationResult, Simulator
@@ -80,18 +81,24 @@ class ColorReductionProgram(NodeProgram):
 class ColorReductionKernel(VectorKernel):
     """Vector transcription of the top-down class-elimination rounds.
 
-    The message plane (delivery, accounting) is fully vectorized; the mex
-    computation runs as a small scalar loop over that round's acting class
-    only — total scalar work across the run is O(sum of acting degrees),
-    not O(n) per round like the scalar engines pay.
+    Only the acting class does work, so a round costs O(sum of acting
+    degrees), not O(n + nnz): boot buckets every node by the round its
+    color acts in (``n_k - color``), and a recolored node is re-queued
+    when its new class comes up later.  Delivery reads the senders'
+    slots through :meth:`CsrPlane.out_slots`, accounting reads the
+    broadcast's ``senders`` list, bit lengths are computed for senders
+    only, and the mex is a short Python loop over each acting row.  An
+    instance finishes once, at round ``n_k``, in O(n_k).  Boot is
+    O(n + nnz), as is the first delivery (every node announces its
+    color) and building the plane's reverse-slot map.
 
-    The acting class is computed from ``plane.local_n_of`` (the per-node
-    view of the ``n`` each node program believes it runs on), so the
-    kernel is *stackable on ragged planes*: in global round ``r`` a node
-    of an ``n_k``-node instance acts iff its color is ``n_k - r`` and the
-    whole instance halts at round ``n_k`` — smaller instances eliminate
-    lower classes and terminate earlier while their larger siblings run
-    on, exactly as each solo run schedules itself.
+    The schedule comes from ``plane.local_n_of`` (the per-node view of
+    the ``n`` each node program believes it runs on), so the kernel is
+    *stackable on ragged planes*: in global round ``r`` a node of an
+    ``n_k``-node instance acts iff its color is ``n_k - r`` and the whole
+    instance halts at round ``n_k`` — smaller instances eliminate lower
+    classes and terminate earlier while their larger siblings run on,
+    exactly as each solo run schedules itself.
     """
 
     _SPEC = ColorReductionProgram.message_specs[0]
@@ -99,12 +106,19 @@ class ColorReductionKernel(VectorKernel):
     def __init__(self, plane, network, programs, contexts):
         super().__init__(plane, network, programs, contexts)
         n = plane.n
-        self.color = np.fromiter(
-            (programs[v].color for v in range(n)), dtype=np.int64, count=n
+        self._boot(
+            np.fromiter(
+                (programs[v].color for v in range(n)), dtype=np.int64, count=n
+            )
         )
-        #: Last-heard color per edge slot; -1 = never heard (the missing
-        #: ``neighbor_colors`` entry, which the mex must ignore).
-        self.ncolor = np.full(plane.nnz, -1, dtype=np.int64)
+
+    @classmethod
+    def eligible(cls, network, programs) -> bool:
+        """Initial colors must lie in the plane's exact range [0, 2**53)."""
+        return all(
+            p.color is None or 0 <= p.color < _MAX_EXACT_FIELD
+            for p in programs.values()
+        )
 
     @classmethod
     def stacked_setup(cls, plane, inputs):
@@ -112,9 +126,10 @@ class ColorReductionKernel(VectorKernel):
 
         Colors default to the node's *local* id (a proper n-coloring per
         instance, exactly what the scalar ``setup`` picks); explicit
-        initial colors from ``inputs`` overwrite their entries.
+        initial colors from ``inputs`` overwrite their entries.  Declines
+        (``None``) a group with a color outside :meth:`eligible`'s range,
+        so the object boot raises or declines exactly as ``setup`` would.
         """
-        kernel = cls._blank(plane)
         color = plane.local_ids.copy()
         for k, mapping in enumerate(inputs):
             if not mapping:
@@ -122,51 +137,80 @@ class ColorReductionKernel(VectorKernel):
             base = int(plane.node_offsets[k])
             for v, c in mapping.items():
                 if c is not None:
+                    if not 0 <= int(c) < _MAX_EXACT_FIELD:
+                        return None
                     color[base + int(v)] = int(c)
-        kernel.color = color
-        kernel.ncolor = np.full(plane.nnz, -1, dtype=np.int64)
+        kernel = cls._blank(plane)
+        kernel._boot(color)
         pending = PendingBroadcast(
             cls._SPEC,
             plane.degrees > 0,
-            (color.copy(),),
+            (color,),
             cls._SPEC.bits_array((color,)),
         )
         return kernel, pending
+
+    def _boot(self, color: np.ndarray) -> None:
+        """Bucket nodes by acting round; schedule every instance's finish."""
+        plane = self.plane
+        self.color = color
+        #: Last-heard color per edge slot; -1 = never heard (the missing
+        #: ``neighbor_colors`` entry, which the mex must ignore).
+        self.ncolor = np.full(plane.nnz, -1, dtype=np.int64)
+        self._bits = np.zeros(plane.n, dtype=np.int64)
+        # Round r recolors class n_k - r, so classes 1 .. n_k - 1 act.
+        act = plane.local_n_of - color
+        nodes = np.flatnonzero((color > 0) & (act > 0))
+        self._queue: Dict[int, List[int]] = {}
+        for v, r in zip(nodes.tolist(), act[nodes].tolist()):
+            self._queue.setdefault(r, []).append(v)
+        self._finish: Dict[int, List[int]] = {}
+        for k, n_k in enumerate(plane.local_ns.tolist()):
+            self._finish.setdefault(n_k, []).append(k)
 
     def step(
         self, round_no: int, inbound: Optional[PendingBroadcast]
     ) -> Optional[PendingBroadcast]:
         plane = self.plane
         if inbound is not None:
-            sent = plane.sent_slots(inbound)
-            self.ncolor[sent] = inbound.columns[0][plane.indices[sent]]
+            slots = plane.out_slots(inbound.sender_ids())
+            self.ncolor[slots] = inbound.columns[0][plane.indices[slots]]
 
-        # Per-node acting class: round r eliminates class n_k - r in each
-        # node's own instance; an instance is done once its class hits 0
-        # (round n_k), independently of any larger siblings on the plane.
-        acting_color = plane.local_n_of - round_no
-        finishing = self.live & (acting_color <= 0)
-        if finishing.any():
-            for v in np.flatnonzero(finishing):
-                self.output(int(v), "color", int(self.color[v]))
-            self.live &= ~finishing
+        # Instance k is done once its acting class hits 0 (round n_k),
+        # independently of any larger siblings on the plane.
+        offsets = plane.node_offsets
+        for k in self._finish.pop(round_no, ()):
+            lo, hi = int(offsets[k]), int(offsets[k + 1])
+            for v, c in enumerate(self.color[lo:hi].tolist(), lo):
+                self.output(v, "color", c)
+            self.live[lo:hi] = False
 
-        acting = self.live & (self.color == acting_color)
-        if not acting.any():
+        actors = self._queue.pop(round_no, None)
+        if actors is None:
             return None
-        indptr = plane.indptr
-        for v in np.flatnonzero(acting):
-            row = self.ncolor[indptr[v] : indptr[v + 1]]
-            taken = {int(c) for c in row if c >= 0}
-            new_color = 0
-            while new_color in taken:
-                new_color += 1
-            self.color[v] = new_color
+        actors.sort()  # re-queued nodes join their bucket out of order
+        senders = np.array(actors, dtype=np.int64)
+        starts = plane.indptr[senders].tolist()
+        ends = plane.indptr[senders + 1].tolist()
+        ncolor = self.ncolor
+        new_colors = []
+        for v, c, a, b in zip(actors, self.color[senders].tolist(), starts, ends):
+            taken = set(ncolor[a:b].tolist())
+            new = 0
+            while new in taken:
+                new += 1
+            new_colors.append(new)
+            if 0 < new < c:  # class n_k - new acts in a later round
+                self._queue.setdefault(round_no + c - new, []).append(v)
+        self.color[senders] = new_colors
+        self._bits[senders] = [message_bits((c,)) for c in new_colors]
+        mask = np.zeros(plane.n, dtype=bool)
+        mask[senders] = True
+        # The column aliases ``color`` and ``bits`` is reused: non-sender
+        # entries are never read, and a sender's entries stay put until it
+        # acts again, after this broadcast has been charged and delivered.
         return PendingBroadcast(
-            self._SPEC,
-            acting,
-            (self.color.copy(),),
-            self._SPEC.bits_array((self.color,)),
+            self._SPEC, mask, (self.color,), self._bits, senders
         )
 
 

@@ -1,14 +1,20 @@
 """Distributed greedy MDS, distributed color reduction, and the LOCAL-model
 pipeline (Corollary 1.3)."""
 
+import networkx as nx
 import pytest
 
 from repro.analysis.verify import is_dominating_set
 from repro.baselines.greedy import greedy_mds
 from repro.coloring.greedy import validate_coloring
+from repro.congest.engine import run_stacked
 from repro.congest.network import Network
-from repro.congest.programs.color_reduction import run_color_reduction
+from repro.congest.programs.color_reduction import (
+    ColorReductionProgram,
+    run_color_reduction,
+)
 from repro.congest.programs.greedy_mds import run_distributed_greedy
+from repro.errors import BatchEligibilityError
 from repro.graphs.generators import regular_graph, star_graph
 from repro.mds.local_model import approx_mds_local, corollary13_round_formula
 from repro.mds.deterministic import approx_mds_coloring
@@ -63,6 +69,44 @@ class TestDistributedColorReduction:
         colors, _ = run_color_reduction(path5, initial=initial)
         used = validate_coloring(path5, colors)
         assert used <= 3
+
+    @staticmethod
+    def _routes(net, initial):
+        """Each route's result, or the type and text of what it raised."""
+        outcomes = {}
+        for route in ("reference", "fast", "vector", "stacked"):
+            try:
+                if route == "stacked":
+                    result = run_stacked(
+                        [net], ColorReductionProgram, [initial], net.n + 4
+                    )[0]
+                else:
+                    result = run_color_reduction(
+                        None, initial=initial, network=net, engine=route
+                    )[1]
+                outcomes[route] = result
+            except (ValueError, BatchEligibilityError) as exc:
+                outcomes[route] = (type(exc), str(exc))
+        return outcomes
+
+    def test_colors_beyond_exact_plane_range_fall_back(self):
+        """2**60 is a legal color (77-bit messages, inside the budget): the
+        vector kernel declines it, solo vector runs FastEngine semantics and
+        the stacked boot declines the group, so the batch runner falls back
+        per cell."""
+        net = Network.congest(nx.path_graph(4))
+        outcomes = self._routes(net, {0: 2**60, 1: 3, 2: 1, 3: 0})
+        reference = outcomes["reference"]
+        assert reference.max_message_bits == 77
+        assert outcomes["fast"] == reference
+        assert outcomes["vector"] == reference
+        assert outcomes["stacked"][0] is BatchEligibilityError
+
+    def test_negative_color_raises_what_setup_raises(self):
+        net = Network.congest(nx.path_graph(4))
+        outcomes = self._routes(net, {0: -1})
+        expected = (ValueError, "message fields must be non-negative, got -1")
+        assert outcomes == dict.fromkeys(outcomes, expected)
 
     def test_matches_centralized_palette_size(self, small_regular):
         from repro.coloring.reduction import reduce_coloring

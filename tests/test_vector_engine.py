@@ -9,6 +9,7 @@ classes, non-conforming traffic at handover).
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -17,11 +18,13 @@ from repro.congest.engine import (
     VectorEngine,
     VectorKernel,
     register_kernel,
+    run_stacked,
 )
 from repro.congest.engine.vector import CsrPlane, bit_length_array
 from repro.congest.message import Message, bits_of_int, message_bits
 from repro.congest.network import Network
 from repro.congest.node import NodeProgram
+from repro.congest.programs.color_reduction import ColorReductionProgram
 from repro.congest.programs.greedy_mds import DistributedGreedyProgram
 from repro.congest.simulator import Simulator
 from repro.errors import CongestError, MessageTooLargeError
@@ -168,13 +171,36 @@ class TestBudgetEnforcement:
             with pytest.raises(MessageTooLargeError):
                 sim.run(max_rounds=50)
 
+    @staticmethod
+    def _offenders(net, program, inputs=None):
+        """``(sender, receiver, bits, budget)`` raised on each of the four routes."""
+        errors = {}
+        for engine in ("reference", "fast", "vector", "stacked"):
+            with pytest.raises(MessageTooLargeError) as exc:
+                if engine == "stacked":
+                    run_stacked([net], program, inputs=[inputs], max_rounds=50)
+                else:
+                    Simulator(net, program, inputs=inputs, engine=engine).run(
+                        max_rounds=50
+                    )
+            e = exc.value
+            errors[engine] = (e.sender, e.receiver, e.bits, e.budget)
+        return errors
+
     def test_vector_offender_matches_reference(self):
+        """Every route names the reference's offender: the first oversized
+        message by ascending sender, then by that sender's send order."""
         g = gnp_graph(12, 0.4, seed=3)
         net = Network(g, bit_budget=17)  # admits "cov"/"join", rejects "span"
-        errors = {}
-        for engine in ("reference", "vector"):
-            sim = Simulator(net, DistributedGreedyProgram, engine=engine)
-            with pytest.raises(MessageTooLargeError) as exc:
-                sim.run(max_rounds=50)
-            errors[engine] = (exc.value.sender, exc.value.bits, exc.value.budget)
-        assert errors["reference"] == errors["vector"]
+        errors = self._offenders(net, DistributedGreedyProgram)
+        assert len(set(errors.values())) == 1, errors
+        # Sender 3's first message goes to 4, but sender 0 touches node 5
+        # first, so a first-touch scan of the recipients would name 5.
+        g = nx.Graph()
+        g.add_nodes_from(range(6))
+        g.add_edges_from([(0, 5), (3, 4), (3, 5), (1, 2)])
+        initial = {0: 1, 1: 2, 2: 0, 3: 1024, 4: 3, 5: 4}
+        errors = self._offenders(
+            Network(g, bit_budget=20), ColorReductionProgram, initial
+        )
+        assert set(errors.values()) == {(3, 4, 27, 20)}, errors
