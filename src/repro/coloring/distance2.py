@@ -10,7 +10,7 @@ colors in ``O(Delta_L Delta_R + Delta_L log* n)`` rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set
+from typing import Dict, List, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -18,7 +18,6 @@ from scipy import sparse
 
 from repro.congest.cost import bek15_coloring_rounds
 from repro.congest.network import Network
-from repro.coloring.greedy import greedy_coloring, validate_coloring
 from repro.domsets.covering import CoveringInstance
 from repro.errors import ColoringError
 from repro.graphs.powers import square_graph
@@ -75,44 +74,50 @@ def distance2_coloring(
         if missing:
             raise ColoringError(f"subset nodes {sorted(missing)[:5]} not in graph")
         nodes = np.array(sorted(subset), dtype=np.int64)
-    indptr, indices = network.csr()
-    adjacency = sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.int64),
-         np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(n, n),
+    indptr, indices = network.closed_csr()
+    closed = sparse.csr_matrix(
+        (np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(n, n)
     )
-    closed = adjacency + sparse.identity(n, dtype=np.int64, format="csr")
     # A count is at most n, so int64 cannot wrap.  A narrow dtype can wrap
     # to 0, and the product drops zero entries: a conflict would vanish.
     square = (closed @ closed)[nodes][:, nodes]
-    # Row v of the strictly lower triangle: v's conflicts among the lower
-    # ids, which first-fit has colored before v.
-    lower = sparse.tril(square, k=-1, format="csr")
+    first_fit, conflict_edges = _first_fit(square, nodes)
+    # Every row of the square holds its diagonal entry.
+    max_deg = int(np.diff(square.indptr).max()) - 1 if len(nodes) else 0
+    return Distance2Coloring(
+        colors=dict(zip(nodes.tolist(), first_fit)),
+        num_colors=len(set(first_fit)),
+        charged_rounds=bek15_coloring_rounds(max_deg + 1, n, n),
+        conflict_edges=conflict_edges,
+    )
+
+
+def _first_fit(conflicts: sparse.csr_matrix, nodes: np.ndarray) -> Tuple[List[int], int]:
+    """First-fit coloring in row order of the symmetric matrix whose
+    off-diagonal nonzeros are the conflicts (the
+    :func:`~repro.coloring.greedy.greedy_coloring` order when rows ascend by
+    id), checked for properness; returns the colors and the conflict count.
+    ``nodes`` names the rows in the error message."""
+    # Row v of the strictly lower triangle: v's conflicts among the earlier
+    # rows, which first-fit has colored before v.
+    lower = sparse.tril(conflicts, k=-1, format="csr")
     ptr, idx = lower.indptr.tolist(), lower.indices.tolist()
-    first_fit = []
-    for v in range(len(nodes)):
+    first_fit: List[int] = []
+    for v in range(conflicts.shape[0]):
         taken = {first_fit[u] for u in idx[ptr[v]:ptr[v + 1]]}
         color = 0
         while color in taken:
             color += 1
         first_fit.append(color)
     colors = np.array(first_fit, dtype=np.int64)
-    later = np.repeat(np.arange(len(nodes)), np.diff(lower.indptr))
+    later = np.repeat(np.arange(len(first_fit)), np.diff(lower.indptr))
     clash = np.flatnonzero(colors[later] == colors[lower.indices])
     if clash.size:
         u, v = lower.indices[clash[0]], later[clash[0]]
         raise ColoringError(
             f"edge ({nodes[u]}, {nodes[v]}) is monochromatic with color {colors[v]}"
         )
-    # Every row of the square holds its diagonal entry.
-    max_deg = int(np.diff(square.indptr).max()) - 1 if len(nodes) else 0
-    return Distance2Coloring(
-        colors=dict(zip(nodes.tolist(), first_fit)),
-        num_colors=len(np.unique(colors)),
-        charged_rounds=bek15_coloring_rounds(max_deg + 1, n, n),
-        conflict_edges=lower.nnz,
-    )
+    return first_fit, lower.nnz
 
 
 def bipartite_distance2_coloring(
@@ -123,20 +128,27 @@ def bipartite_distance2_coloring(
     """Lemma 3.12: distance-2 coloring of the value side of ``B``.
 
     Two value variables conflict iff they share a constraint (equivalently,
-    they are at distance 2 in the bipartite graph).  Greedy coloring of the
-    conflict graph uses at most ``Delta_L * Delta_R`` colors, matching the
-    lemma; rounds are charged as
+    they are at distance 2 in the bipartite graph): the off-diagonal
+    nonzeros of ``M^T M`` for the incidence columns ``M`` of the ``restrict``
+    ids (default: every variable).  First-fit in ascending id, as
+    :func:`distance2_coloring` colors, uses at most ``Delta_L * Delta_R``
+    colors, matching the lemma; rounds are charged as
     ``O(Delta_L Delta_R + Delta_L log* n)`` per the lemma statement.
     """
-    if restrict is not None:
-        unknown = set(restrict).difference(instance.value_vars)
-        if unknown:
+    if restrict is None:
+        ids = np.sort(instance.ids)
+    else:
+        ids = np.array(sorted(restrict), dtype=np.int64)
+        unknown = ids[instance.rows_of(ids.tolist()) < 0]
+        if unknown.size:
             raise ColoringError(
-                f"restrict ids {sorted(unknown)[:5]} are not value variables"
+                f"restrict ids {unknown[:5].tolist()} are not value variables"
             )
-    conflict = instance.value_conflict_graph(restrict)
-    colors = greedy_coloring(conflict)
-    num = validate_coloring(conflict, colors)
+    # Columns of the participating variables in ascending id; M^T M counts
+    # the constraints two of them share.
+    incidence = instance.incidence().tocsc()[:, instance.rows_of(ids.tolist())]
+    first_fit, conflict_edges = _first_fit((incidence.T @ incidence).tocsr(), ids)
+    num = len(set(first_fit))
     delta_l = instance.max_constraint_degree
     delta_r = instance.max_var_degree
     bound = delta_l * delta_r
@@ -150,10 +162,10 @@ def bipartite_distance2_coloring(
     # one round of the conflict-graph coloring costs O(Delta_L) rounds in B.
     charged = max(1, bound + max(1, delta_l) * log_star(max(2, n)))
     return Distance2Coloring(
-        colors=colors,
+        colors=dict(zip(ids.tolist(), first_fit)),
         num_colors=num,
         charged_rounds=charged,
-        conflict_edges=conflict.number_of_edges(),
+        conflict_edges=conflict_edges,
         delta_l=delta_l,
         delta_r=delta_r,
     )

@@ -14,8 +14,10 @@ from array import array
 from typing import Dict, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import GraphError
+from repro.graphs.normalize import require_normalized
 from repro.util.mathx import ceil_log2
 
 
@@ -31,8 +33,6 @@ def _as_long_array(values) -> array:
         out = array("l")
         out.frombytes(values.tobytes())
         return out
-    import numpy as np
-
     contiguous = np.ascontiguousarray(values, dtype=np.dtype("l"))
     out = array("l")
     out.frombytes(contiguous.tobytes())
@@ -84,6 +84,7 @@ class Network:
         self._indptr = indptr
         self._indices = indices
         self._neighbors: Dict[int, Tuple[int, ...]] = {}
+        self._closed: Tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def congest(cls, graph: nx.Graph, factor: int = 16, base: int = 96) -> "Network":
@@ -125,6 +126,7 @@ class Network:
         net._indptr = _as_long_array(indptr)
         net._indices = _as_long_array(indices)
         net._neighbors = {}
+        net._closed = None
         if net._indptr[0] != 0 or net._indptr[-1] != len(net._indices):
             raise GraphError("malformed CSR adjacency: bad indptr bounds")
         return net
@@ -163,16 +165,46 @@ class Network:
         """
         return self._indptr, self._indices
 
+    def closed_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the closed neighbourhoods ``N[v]`` as
+        int64 arrays (built once): row ``v`` is ``v`` and its neighbours in
+        ascending order, ``v`` once even if it has a self-loop."""
+        if self._closed is None:
+            indices = np.asarray(self._indices, dtype=np.int64)
+            n = self.n
+            rows = np.repeat(np.arange(n), np.diff(np.asarray(self._indptr)))
+            keep = indices != rows
+            rows, indices = rows[keep], indices[keep]
+            indptr = np.searchsorted(rows, np.arange(n + 1))
+            below = np.bincount(rows[indices < rows], minlength=n)
+            closed = np.insert(indices, indptr[:-1] + below, np.arange(n))
+            self._closed = (indptr + np.arange(n + 1), closed)
+        return self._closed
+
     def degree(self, v: int) -> int:
         return self._indptr[v + 1] - self._indptr[v]
 
     @property
     def max_degree(self) -> int:
-        indptr = self._indptr
-        return max(
-            (indptr[v + 1] - indptr[v] for v in range(self.n)), default=0
-        )
+        return int(np.diff(np.asarray(self._indptr)).max())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "LOCAL" if self.bit_budget is None else f"CONGEST({self.bit_budget}b)"
         return f"Network(n={self.n}, {mode})"
+
+
+def as_network(graph: nx.Graph | Network) -> Network:
+    """``graph`` itself if it is a :class:`Network`, else one compiled from
+    it (a graph not labelled ``0..n-1`` raises :class:`GraphError`)."""
+    if isinstance(graph, Network):
+        return graph
+    require_normalized(graph)
+    return Network(graph)
+
+
+def closed_neighborhoods(graph: nx.Graph | Network) -> Tuple[np.ndarray, np.ndarray]:
+    """:meth:`Network.closed_csr` of ``graph``; an empty ``nx.Graph`` gives
+    empty arrays.  Every covering matrix of a graph is built from this."""
+    if not isinstance(graph, Network) and graph.number_of_nodes() == 0:
+        return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return as_network(graph).closed_csr()

@@ -25,13 +25,14 @@ from typing import Dict, Mapping
 import networkx as nx
 
 from repro.congest.cost import CostLedger
+from repro.congest.network import Network
 from repro.coloring.distance2 import bipartite_distance2_coloring
 from repro.derand.conditional import ConditionalExpectationEngine, DerandResult
 from repro.derand.estimators import EstimatorConfig
 from repro.domsets.covering import CoveringInstance
 from repro.errors import InfeasibleSolutionError
 from repro.rounding.abstract import RoundingScheme
-from repro.rounding.schemes import one_shot_scheme
+from repro.rounding.schemes import halving_probabilities, one_shot_scheme
 from repro.util.mathx import ceil_log2
 from repro.util.transmittable import TransmittableGrid
 
@@ -77,7 +78,7 @@ def derandomized_rounding_with_coloring(
 
 
 def one_shot_via_coloring(
-    graph: nx.Graph,
+    graph: nx.Graph | Network,
     values: Mapping[int, float],
     config: EstimatorConfig | None = None,
     grid: TransmittableGrid | None = None,
@@ -90,16 +91,18 @@ def one_shot_via_coloring(
     and the output is an integral dominating set of size at most
     ``ln(Delta~) A + n / Delta~`` plus quantization slack.  ``model``
     selects the charge rate of the coloring subroutine (``"congest"`` per
-    Lemma 3.12, ``"local"`` per Corollary 1.3).
+    Lemma 3.12, ``"local"`` per Corollary 1.3).  ``graph`` is an
+    ``nx.Graph`` labelled ``0..n-1`` or its compiled
+    :class:`~repro.congest.network.Network`.
     """
-    n = graph.number_of_nodes()
+    base = CoveringInstance.from_graph(graph, values)
+    n = base.num_vars
     grid = grid or TransmittableGrid.for_n(n)
-    delta_tilde = max((d for _, d in graph.degree()), default=0) + 1
+    delta_tilde = max(1, base.max_constraint_degree)
     ledger = CostLedger()
 
-    base = CoveringInstance.from_graph(graph, values)
-    nonzero = [v for v in base.values().values() if v > 0]
-    f_cap = int(math.ceil(1.0 / min(nonzero))) if nonzero else 1
+    nonzero = base.x[base.x > 0]
+    f_cap = int(math.ceil(1.0 / nonzero.min())) if nonzero.size else 1
     pruned = base.prune_to_cover(max_members=f_cap)
     scheme = one_shot_scheme(pruned, delta_tilde, quantize=grid.up)
 
@@ -130,7 +133,7 @@ def default_split_width(eps: float, delta_tilde: int, scale: float = 1.0) -> int
 
 
 def factor_two_via_coloring(
-    graph: nx.Graph,
+    graph: nx.Graph | Network,
     values: Mapping[int, float],
     eps: float,
     r: float,
@@ -145,29 +148,27 @@ def factor_two_via_coloring(
     ``r`` is the inverse fractionality of ``values``; participating
     variables (boosted value below ``2/r``) double or vanish.  Constraints
     are split so every copy sees at most ``2s`` participating members.
+    ``graph`` is an ``nx.Graph`` labelled ``0..n-1`` or its compiled
+    :class:`~repro.congest.network.Network`.
     """
-    n = graph.number_of_nodes()
+    base = CoveringInstance.from_graph(graph, values)
+    n = base.num_vars
     grid = grid or TransmittableGrid.for_n(n)
-    delta_tilde = max((d for _, d in graph.degree()), default=0) + 1
+    delta_tilde = max(1, base.max_constraint_degree)
     if s is None:
         s = default_split_width(eps, delta_tilde, scale=constants_scale)
     ledger = CostLedger()
 
-    base = CoveringInstance.from_graph(graph, values)
     boosted = base.boost_values(1.0 + eps, quantize=grid.up)
     threshold = 2.0 / r
     split = boosted.split_constraints(
-        original_values=dict(values),
+        original_values=values,
         participation_threshold=threshold,
         s=s,
     )
-    p = {
-        u: (0.5 if 0.0 < var.x < threshold else 1.0)
-        for u, var in split.value_vars.items()
-    }
     scheme = RoundingScheme(
         instance=split,
-        p=p,
+        p=halving_probabilities(split, threshold),
         name="factor-two/split",
         params={"eps": eps, "r": float(r), "s": float(s)},
     )

@@ -24,6 +24,7 @@ from typing import Dict, List, Mapping
 import networkx as nx
 
 from repro.congest.cost import CostLedger, gk18_decomposition_rounds
+from repro.congest.network import Network
 from repro.decomposition.ball_carving import carve_decomposition
 from repro.decomposition.cluster_graph import NetworkDecomposition
 from repro.derand.conditional import ConditionalExpectationEngine, DerandResult
@@ -109,8 +110,10 @@ def derandomized_rounding_with_decomposition(
     return engine.run(schedule_from_decomposition(scheme, decomposition))
 
 
-def _prepare(graph: nx.Graph, decomposition: NetworkDecomposition | None,
+def _prepare(graph: nx.Graph | Network, decomposition: NetworkDecomposition | None,
              ledger: CostLedger) -> NetworkDecomposition:
+    if isinstance(graph, Network):
+        graph = graph.graph
     if decomposition is None:
         decomposition = carve_decomposition(graph, separation_k=2)
     ledger.charge(
@@ -121,7 +124,7 @@ def _prepare(graph: nx.Graph, decomposition: NetworkDecomposition | None,
 
 
 def one_shot_via_decomposition(
-    graph: nx.Graph,
+    graph: nx.Graph | Network,
     values: Mapping[int, float],
     decomposition: NetworkDecomposition | None = None,
     config: EstimatorConfig | None = None,
@@ -130,15 +133,17 @@ def one_shot_via_decomposition(
     """Lemma 3.8: deterministic one-shot rounding, decomposition route.
 
     Output: an integral dominating set of size at most
-    ``ln(Delta~) A + n/Delta~`` plus quantization slack.
+    ``ln(Delta~) A + n/Delta~`` plus quantization slack.  ``graph`` is an
+    ``nx.Graph`` labelled ``0..n-1`` or its compiled
+    :class:`~repro.congest.network.Network`.
     """
-    n = graph.number_of_nodes()
+    base = CoveringInstance.from_graph(graph, values)
+    n = base.num_vars
     grid = grid or TransmittableGrid.for_n(n)
-    delta_tilde = max((d for _, d in graph.degree()), default=0) + 1
+    delta_tilde = max(1, base.max_constraint_degree)
     ledger = CostLedger()
     decomposition = _prepare(graph, decomposition, ledger)
 
-    base = CoveringInstance.from_graph(graph, values)
     scheme = one_shot_scheme(base, delta_tilde, quantize=grid.up)
 
     cfg = config or EstimatorConfig(mode="exact-product")
@@ -156,7 +161,7 @@ def one_shot_via_decomposition(
 
 
 def factor_two_via_decomposition(
-    graph: nx.Graph,
+    graph: nx.Graph | Network,
     values: Mapping[int, float],
     eps: float,
     r: float,
@@ -169,14 +174,14 @@ def factor_two_via_decomposition(
     Doubles the fractionality ``1/r -> 2/r`` at a ``(1+eps)`` size factor
     plus the uncovered-probability penalty (``n/Delta~^4`` when ``r >= 256
     eps^-3 ln Delta~``; the Chernoff estimator realizes whatever the actual
-    instance admits).
+    instance admits).  ``graph`` is an ``nx.Graph`` labelled ``0..n-1`` or
+    its compiled :class:`~repro.congest.network.Network`.
     """
-    n = graph.number_of_nodes()
-    grid = grid or TransmittableGrid.for_n(n)
+    base = CoveringInstance.from_graph(graph, values)
+    grid = grid or TransmittableGrid.for_n(base.num_vars)
     ledger = CostLedger()
     decomposition = _prepare(graph, decomposition, ledger)
 
-    base = CoveringInstance.from_graph(graph, values)
     scheme = factor_two_scheme(base, eps, r, quantize=grid.up)
 
     cfg = config or EstimatorConfig(mode="chernoff")

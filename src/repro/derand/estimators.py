@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import DerandomizationError
+from repro.rounding.abstract import uncovered_probability
 
 #: Refresh the running log-product from scratch after this many incremental
 #: updates to keep float drift below the guarantee-checking tolerance.
-_REFRESH_EVERY = 512
+REFRESH_EVERY = 512
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,30 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("auto", "exact-product", "chernoff", "exact-enum"):
             raise DerandomizationError(f"unknown estimator mode {self.mode!r}")
+
+
+def chernoff_t(gap: float, coins: List[Tuple[float, float]], hi: float) -> float:
+    """Ternary-search the convex exponent
+    ``g(t) = t * gap + sum log E[exp(-t X_u)]`` over ``[0, hi]`` for free
+    coins ``(w, p)``; 0 when the gap is closed or no coin is free."""
+    if gap <= 1e-12 or not coins:
+        return 0.0
+
+    def g(t: float) -> float:
+        total = t * gap
+        for w, p in coins:
+            total += math.log(p * math.exp(-t * w) + (1.0 - p))
+        return total
+
+    lo_t, hi_t = 0.0, hi
+    for _ in range(80):
+        m1 = lo_t + (hi_t - lo_t) / 3.0
+        m2 = hi_t - (hi_t - lo_t) / 3.0
+        if g(m1) <= g(m2):
+            hi_t = m2
+        else:
+            lo_t = m1
+    return 0.5 * (lo_t + hi_t)
 
 
 class ConstraintEstimator:
@@ -123,7 +148,9 @@ class ConstraintEstimator:
 
         self.t = 0.0
         if mode == "chernoff":
-            self.t = self._choose_t(config.t_search_hi)
+            self.t = chernoff_t(
+                self.c - self.fixed_sum, list(self.free.values()), config.t_search_hi
+            )
         self._log_prod = self._full_log_prod()
         self._updates = 0
 
@@ -141,28 +168,6 @@ class ConstraintEstimator:
             return 0.0
         return sum(self._coin_log_factor(w, p) for (w, p) in self.free.values())
 
-    def _choose_t(self, hi: float) -> float:
-        """Ternary-search the convex exponent ``g(t)`` for the initial state."""
-        gap = self.c - self.fixed_sum
-        if gap <= 1e-12 or not self.free:
-            return 0.0
-
-        def g(t: float) -> float:
-            total = t * gap
-            for w, p in self.free.values():
-                total += math.log(p * math.exp(-t * w) + (1.0 - p))
-            return total
-
-        lo_t, hi_t = 0.0, hi
-        for _ in range(80):
-            m1 = lo_t + (hi_t - lo_t) / 3.0
-            m2 = hi_t - (hi_t - lo_t) / 3.0
-            if g(m1) <= g(m2):
-                hi_t = m2
-            else:
-                lo_t = m1
-        return 0.5 * (lo_t + hi_t)
-
     # -- queries -------------------------------------------------------------
 
     def satisfied(self) -> bool:
@@ -174,7 +179,7 @@ class ConstraintEstimator:
         if self.satisfied():
             return 0.0
         if self.mode == "exact-enum":
-            return self._enumerate(self.fixed_sum, dict(self.free))
+            return uncovered_probability(self.c, self.fixed_sum, list(self.free.values()))
         if self.mode == "exact-product":
             return math.exp(self._log_prod)
         exponent = self.t * (self.c - self.fixed_sum) + self._log_prod
@@ -191,8 +196,8 @@ class ConstraintEstimator:
         if new_fixed >= self.c - 1e-12:
             return 0.0
         if self.mode == "exact-enum":
-            rest = {k: v for k, v in self.free.items() if k != u}
-            return self._enumerate(new_fixed, rest)
+            rest = [coin for k, coin in self.free.items() if k != u]
+            return uncovered_probability(self.c, new_fixed, rest)
         log_rest = self._log_prod - self._coin_log_factor(w, p)
         if self.mode == "exact-product":
             # success with w < c impossible here (mode guarantees w >= c, so
@@ -224,29 +229,13 @@ class ConstraintEstimator:
         if new_fixed >= self.c - 1e-12:
             return 0.0
         if self.mode == "exact-enum":
-            rest = {k: v for k, v in self.free.items() if k not in assignments}
-            return self._enumerate(new_fixed, rest)
+            rest = [coin for k, coin in self.free.items() if k not in assignments]
+            return uncovered_probability(self.c, new_fixed, rest)
         log_rest = self._log_prod - removed_log
         if self.mode == "exact-product":
             return math.exp(min(0.0, log_rest))
         exponent = self.t * (self.c - new_fixed) + log_rest
         return min(1.0, math.exp(min(exponent, 50.0)))
-
-    def _enumerate(self, fixed: float, coins: Dict[int, Tuple[float, float]]) -> float:
-        items = list(coins.values())
-        total = 0.0
-        for mask in range(1 << len(items)):
-            prob = 1.0
-            sum_x = fixed
-            for i, (w, p) in enumerate(items):
-                if mask >> i & 1:
-                    prob *= p
-                    sum_x += w
-                else:
-                    prob *= 1.0 - p
-            if sum_x < self.c - 1e-12:
-                total += prob
-        return total
 
     # -- commits -------------------------------------------------------------
 
@@ -262,7 +251,7 @@ class ConstraintEstimator:
         if self.mode != "exact-enum":
             self._log_prod -= self._coin_log_factor(w, p)
             self._updates += 1
-            if self._updates >= _REFRESH_EVERY:
+            if self._updates >= REFRESH_EVERY:
                 self._log_prod = self._full_log_prod()
                 self._updates = 0
 

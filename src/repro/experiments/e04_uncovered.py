@@ -45,7 +45,7 @@ def _mc_uncovered(scheme, coin_factory, trials: int) -> float:
 
 def _estimator_mass(scheme, mode: str) -> float:
     engine = ConditionalExpectationEngine(scheme, EstimatorConfig(mode=mode))
-    return sum(est.phi() for est in engine.estimators.values()) / max(
+    return sum(engine.phi().tolist()) / max(
         1, scheme.instance.num_constraints
     )
 

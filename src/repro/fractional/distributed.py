@@ -6,10 +6,11 @@ LP algorithm: a global degree threshold ``theta`` sweeps down from
 ``theta`` uncovered constraints it raises its value by ``gamma / theta``
 (covering at least ``theta`` constraints per ``gamma/theta`` units of cost —
 the dual-fitting argument that keeps the solution within ``O((1+gamma)
-ln Delta~)`` of the LP optimum, and empirically within a few percent; E3
-measures the ratio).  Every iteration costs two CONGEST rounds: one to
-announce values (so constraints learn their coverage) and one to announce
-coverage (so nodes learn their dynamic degree).
+ln Delta~)`` of the LP optimum; it is no close LP proxy: on 12 of 16 suite
+instances it lands at 1.12 to 1.58 times the LP optimum, and E3 measures
+the ratio).  Every iteration costs two CONGEST rounds: one to announce
+values (so constraints learn their coverage) and one to announce coverage
+(so nodes learn their dynamic degree).
 
 The sweep is deterministic, so it doubles as a Part-I provider whose round
 count is *measured* rather than charged — with one caveat.  Raising is
@@ -20,23 +21,24 @@ iteration to learn its outcome.  ``rounds`` charges two rounds per
 iteration and nothing for that test, so it counts the value and coverage
 exchanges only.
 
-The sweep runs on closed-neighbourhood CSR arrays compiled once by
-:class:`repro.congest.network.Network`.  The dynamic degree is kept
-incrementally (rows of newly covered constraints are decremented), and each
-iteration scatters the raisers' increments into the coverage vector with
-one ``np.add.at`` in ascending raiser order — the order a node-by-node loop
-adds them in, so every floating-point sum is bit-for-bit the loop's.
+The sweep runs on the closed-neighbourhood CSR arrays of
+:func:`repro.congest.network.closed_neighborhoods`.  The dynamic degree is
+kept incrementally (rows of newly covered constraints are decremented), and
+each iteration scatters the raisers' increments into the coverage vector
+with one ``np.add.at`` in ascending raiser order — the order a node-by-node
+loop adds them in, whatever the order inside a row, so every floating-point
+sum is bit-for-bit the loop's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import networkx as nx
 import numpy as np
 
-from repro.congest.network import Network
+from repro.congest.network import Network, closed_neighborhoods
 from repro.errors import GraphError
 from repro.graphs.normalize import require_normalized
 
@@ -52,16 +54,6 @@ class DistributedLPResult:
     threshold_trace: List[float]
 
 
-def _closed_csr(graph: nx.Graph) -> Tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)`` of the closed neighbourhoods ``N[v]``, row by
-    row in ascending node order; each row is ``v``'s neighbours then ``v``."""
-    indptr, indices = Network(graph).csr()
-    indptr = np.asarray(indptr, dtype=np.int64)
-    n = len(indptr) - 1
-    closed = np.insert(np.asarray(indices, dtype=np.int64), indptr[1:], np.arange(n))
-    return indptr + np.arange(n + 1), closed
-
-
 def _rows(indptr: np.ndarray, sizes: np.ndarray, indices: np.ndarray, rows: np.ndarray):
     """The CSR entries of ``rows`` (at least one row), concatenated in
     ``rows`` order, and each row's length; ``sizes`` holds every row's."""
@@ -72,16 +64,21 @@ def _rows(indptr: np.ndarray, sizes: np.ndarray, indices: np.ndarray, rows: np.n
 
 
 def distributed_fractional_mds(
-    graph: nx.Graph, gamma: float = 0.25, max_iterations: int = 100_000
+    graph: nx.Graph | Network, gamma: float = 0.25, max_iterations: int = 100_000
 ) -> DistributedLPResult:
-    """Run the water-filling sweep until every constraint is covered."""
-    require_normalized(graph)
+    """Run the water-filling sweep until every constraint is covered.
+
+    ``graph`` is an ``nx.Graph`` labelled ``0..n-1`` or its compiled
+    :class:`~repro.congest.network.Network`.
+    """
+    if not isinstance(graph, Network):
+        require_normalized(graph)
     if not 0.0 < gamma <= 1.0:
         raise GraphError(f"gamma must be in (0, 1], got {gamma}")
-    n = graph.number_of_nodes()
+    indptr, indices = closed_neighborhoods(graph)
+    n = len(indptr) - 1
     if n == 0:
         raise GraphError("empty graph")
-    indptr, indices = _closed_csr(graph)
 
     sizes = np.diff(indptr)
     # Dynamic degree: how many uncovered constraints each node touches.

@@ -5,6 +5,7 @@
 sparse constraint matrix.  The LP optimum lower-bounds the integral optimum,
 so every experiment reports approximation ratios against it (exact OPT is
 also available for small instances via :mod:`repro.baselines.exact`).
+``scipy.optimize`` is imported on the first solve, not with this module.
 """
 
 from __future__ import annotations
@@ -15,10 +16,21 @@ from typing import Dict
 import networkx as nx
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
+from repro.congest.network import Network
 from repro.domsets.covering import CoveringInstance
 from repro.errors import LPError, LPInfeasibleError
+
+#: HiGHS status codes as ``linprog`` and ``milp`` report them.  Infeasibility
+#: is a fact about the instance and gets its own error type; everything else
+#: is a solver failure the certification oracle may fall back from.
+HIGHS_STATUS = {
+    0: "optimal",
+    1: "iteration_limit",
+    2: "infeasible",
+    3: "unbounded",
+    4: "numerical",
+}
 
 
 @dataclass(frozen=True)
@@ -34,66 +46,65 @@ class LPSolution:
 
 
 def solve_covering_lp(instance: CoveringInstance) -> LPSolution:
-    """Solve the covering LP of a :class:`CoveringInstance` exactly."""
-    var_ids = sorted(instance.value_vars)
-    index = {u: i for i, u in enumerate(var_ids)}
-    num_vars = len(var_ids)
-    cons = sorted(instance.constraints)
-    rows, cols, data = [], [], []
-    b = []
-    for row, cid in enumerate(cons):
-        cn = instance.constraints[cid]
-        for u in cn.members:
-            rows.append(row)
-            cols.append(index[u])
-            data.append(-1.0)
-        b.append(-cn.c)
+    """Solve the covering LP of a :class:`CoveringInstance` exactly.
+
+    Rows are the constraints and columns the variables, each in ascending
+    id.  An instance without variables is solved here: optimum 0 unless a
+    demand is positive, which makes it infeasible.
+    """
+    from scipy.optimize import linprog
+
+    if instance.num_vars == 0:
+        if (instance.c > 0.0).any():
+            raise LPInfeasibleError(
+                "covering LP is infeasible: a positive demand has no variables",
+                status=2,
+            )
+        return LPSolution(values={}, optimum=0.0)
+    columns = np.argsort(instance.ids, kind="stable")
+    rows = np.argsort(instance.cids, kind="stable")
+    column_of = np.empty_like(columns)
+    column_of[columns] = np.arange(len(columns))
+    row_of = np.empty_like(rows)
+    row_of[rows] = np.arange(len(rows))
     a_ub = sparse.csr_matrix(
-        (data, (rows, cols)), shape=(len(cons), num_vars)
-    )
-    cost = np.array(
-        [instance.value_vars[u].weight for u in var_ids], dtype=float
+        (np.full(len(instance.members), -1.0),
+         (row_of[instance.entry_rows], column_of[instance.members])),
+        shape=(len(rows), len(columns)),
     )
     result = linprog(
-        c=cost,
+        c=instance.weight[columns],
         A_ub=a_ub,
-        b_ub=np.array(b, dtype=float),
-        bounds=[(0.0, 1.0)] * num_vars,
+        b_ub=-instance.c[rows],
+        bounds=[(0.0, 1.0)] * len(columns),
         method="highs",
     )
     if not result.success:
-        # linprog/HiGHS status codes: 1 iteration limit, 2 infeasible,
-        # 3 unbounded, 4 numerical difficulties.  Infeasibility is a fact
-        # about the instance and gets its own type; everything else is a
-        # solver failure the certification oracle may fall back from.
-        if result.status == 2:
-            raise LPInfeasibleError(
-                f"covering LP is infeasible (HiGHS status {result.status}): "
-                f"{result.message}",
-                status=result.status,
-            )
-        raise LPError(
-            f"LP solver failed (HiGHS status {result.status}): "
-            f"{result.message}",
+        status = HIGHS_STATUS.get(result.status, f"status_{result.status}")
+        error = LPInfeasibleError if result.status == 2 else LPError
+        raise error(
+            f"covering LP {status} (HiGHS status {result.status}): {result.message}",
             status=result.status,
         )
-    values = {u: float(max(0.0, result.x[index[u]])) for u in var_ids}
-    return LPSolution(values=values, optimum=float(result.fun))
+    x = result.x
+    values = np.where(x > 0.0, x, 0.0)
+    return LPSolution(
+        values=dict(zip(instance.ids[columns].tolist(), values.tolist())),
+        optimum=float(result.fun),
+    )
 
 
-def lp_fractional_mds(graph: nx.Graph) -> LPSolution:
-    """LP-optimal fractional dominating set of a graph.
+def lp_fractional_mds(graph: nx.Graph | Network) -> LPSolution:
+    """LP-optimal fractional dominating set of a graph (or its compiled
+    :class:`~repro.congest.network.Network`).
 
     The returned values are nudged up slightly and clipped so the covering
     constraints hold with a strict margin despite solver tolerance (the
     downstream pruning step of Lemma 3.13 requires honest feasibility).
     """
-    instance = CoveringInstance.from_graph(
-        graph, {v: 0.0 for v in graph.nodes()}
-    )
-    solution = solve_covering_lp(instance)
-    safe = {
-        u: min(1.0, x * (1.0 + 1e-7) + (1e-12 if x > 0 else 0.0))
-        for u, x in solution.values.items()
-    }
-    return LPSolution(values=safe, optimum=solution.optimum)
+    solution = solve_covering_lp(CoveringInstance.from_graph(graph, {}))
+    ids = list(solution.values)
+    x = np.array(list(solution.values.values()))
+    safe = x * (1.0 + 1e-7) + np.where(x > 0, 1e-12, 0.0)
+    safe = np.where(safe < 1.0, safe, 1.0)
+    return LPSolution(values=dict(zip(ids, safe.tolist())), optimum=solution.optimum)

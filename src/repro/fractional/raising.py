@@ -14,30 +14,47 @@ from dataclasses import dataclass
 from typing import Dict, Mapping
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.cost import CostLedger, kmw06_lp_rounds
+from repro.congest.network import Network, as_network, closed_neighborhoods
 from repro.domsets.cfds import CFDS
+from repro.domsets.covering import ltr_sum, row_sums
 from repro.errors import GraphError, InfeasibleSolutionError
 from repro.fractional.distributed import distributed_fractional_mds
 from repro.fractional.lp import lp_fractional_mds
 
 
-def repair_feasibility(graph: nx.Graph, values: Mapping[int, float]) -> Dict[int, float]:
+def repair_feasibility(
+    graph: nx.Graph | Network, values: Mapping[int, float]
+) -> Dict[int, float]:
     """Nudge a nearly-feasible FDS to strict feasibility.
 
-    For every node whose inclusive-neighborhood sum falls short of 1, the
-    largest-valued neighbor is raised just enough (plus a hair of margin).
-    Used to absorb LP-solver tolerance; a clean input passes through
-    untouched.
+    Node by node in ascending order, wherever the inclusive-neighborhood sum
+    falls short of 1, the largest-valued neighbor (lowest id on ties) is
+    raised just enough (plus a hair of margin).  Used to absorb LP-solver
+    tolerance; a clean input passes through untouched.  Returns the values
+    of every node, in ascending order.
     """
-    x = {v: float(values.get(v, 0.0)) for v in graph.nodes()}
-    for v in sorted(graph.nodes()):
-        members = sorted(set(graph.neighbors(v)) | {v})
-        total = sum(x[u] for u in members)
+    indptr, members = closed_neighborhoods(graph)
+    n = len(indptr) - 1
+    x = np.fromiter((values.get(v, 0.0) for v in range(n)), float, n)
+    # Raising a value only raises the sums of the later rows, so only rows
+    # short now can be short when their turn comes.  A value above 1 is
+    # lowered, though, and then the later rows are checked again.
+    pending = np.flatnonzero(row_sums(indptr, x[members]) < 1.0).tolist()
+    while pending:
+        v = pending.pop(0)
+        row = members[indptr[v]:indptr[v + 1]]
+        total = ltr_sum(x[row])
         if total < 1.0:
-            best = max(members, key=lambda u: (x[u], -u))
-            x[best] = min(1.0, x[best] + (1.0 - total) + 1e-12)
-    return x
+            best = row[np.argmax(x[row])]
+            before = float(x[best])
+            x[best] = min(1.0, before + (1.0 - total) + 1e-12)
+            if x[best] < before:
+                rest = row_sums(indptr[v + 1:] - indptr[v + 1], x[members[indptr[v + 1]:]])
+                pending = (v + 1 + np.flatnonzero(rest < 1.0)).tolist()
+    return dict(enumerate(x.tolist()))
 
 
 def raise_fractionality(
@@ -68,42 +85,47 @@ class InitialFDS:
 
 
 def kmw06_initial_fds(
-    graph: nx.Graph,
+    graph: nx.Graph | Network,
     eps: float,
     provider: str = "lp",
     gamma: float | None = None,
 ) -> InitialFDS:
-    """Lemma 2.1: a ``(1+eps)``-approximate, ``eps/(2 Delta~)``-fractional FDS.
+    """Lemma 2.1: an ``eps/(2 Delta~)``-fractional FDS.
 
     ``provider`` selects the underlying solver: ``"lp"`` (exact oracle,
-    rounds charged per [KMW06]) or ``"distributed"`` (water-filling, rounds
-    measured).
+    rounds charged per [KMW06]) gives the lemma's ``(1+eps)``-approximate
+    FDS; ``"distributed"`` (water-filling, rounds measured) only an
+    ``O((1+gamma) ln Delta~)``-approximate one.  ``graph`` is an
+    ``nx.Graph`` labelled ``0..n-1`` or its compiled
+    :class:`~repro.congest.network.Network`.
     """
     if eps <= 0 or eps > 1:
         raise GraphError(f"eps must be in (0, 1], got {eps}")
-    n = graph.number_of_nodes()
-    if n == 0:
+    if not isinstance(graph, Network) and graph.number_of_nodes() == 0:
         raise GraphError("empty graph")
-    delta_tilde = max((d for _, d in graph.degree()), default=0) + 1
+    network = as_network(graph)
+    delta_tilde = int(np.diff(network.closed_csr()[0]).max())
     ledger = CostLedger()
 
     if provider == "lp":
-        solution = lp_fractional_mds(graph)
+        solution = lp_fractional_mds(network)
         values = solution.values
         provider_size = sum(values.values())
         ledger.charge("kmw06-lp", kmw06_lp_rounds(delta_tilde - 1, eps))
     elif provider == "distributed":
-        result = distributed_fractional_mds(graph, gamma=min(0.5, eps) if gamma is None else gamma)
+        result = distributed_fractional_mds(
+            network, gamma=min(0.5, eps) if gamma is None else gamma
+        )
         values = result.values
         provider_size = result.size
         ledger.simulate("water-filling-lp", result.rounds)
     else:
         raise GraphError(f"unknown Part-I provider {provider!r}")
 
-    values = repair_feasibility(graph, values)
+    values = repair_feasibility(network, values)
     lam = eps / (2.0 * delta_tilde)
     raised = raise_fractionality(values, lam)
-    fds = CFDS.fds(graph, raised)
+    fds = CFDS.fds(network.graph, raised)
     fds.require_feasible("Part-I fractional dominating set")
     return InitialFDS(
         fds=fds,

@@ -19,6 +19,7 @@ from typing import Dict
 
 import networkx as nx
 
+from repro.congest.network import Network
 from repro.decomposition.ball_carving import carve_decomposition
 from repro.decomposition.cluster_graph import NetworkDecomposition
 from repro.derand.coloring_based import (
@@ -43,9 +44,9 @@ def approx_mds_coloring(
     in ``O(Delta polylog Delta + polylog Delta log* n)`` CONGEST rounds."""
     params = params or PipelineParams(eps=eps)
 
-    def factor_two_step(values: Dict[int, float], eps2: float, r: float):
+    def factor_two_step(network: Network, values: Dict[int, float], eps2: float, r: float):
         out = factor_two_via_coloring(
-            graph,
+            network,
             values,
             eps=eps2,
             r=r,
@@ -54,8 +55,8 @@ def approx_mds_coloring(
         )
         return out.values, out.ledger
 
-    def one_shot_step(values: Dict[int, float]):
-        out = one_shot_via_coloring(graph, values, config=estimator)
+    def one_shot_step(network: Network, values: Dict[int, float]):
+        out = one_shot_via_coloring(network, values, config=estimator)
         return out.values, out.ledger
 
     return run_pipeline(
@@ -79,15 +80,15 @@ def approx_mds_decomposition(
     params = params or PipelineParams(eps=eps)
     shared = decomposition or carve_decomposition(graph, separation_k=2)
 
-    def factor_two_step(values: Dict[int, float], eps2: float, r: float):
+    def factor_two_step(network: Network, values: Dict[int, float], eps2: float, r: float):
         out = factor_two_via_decomposition(
-            graph, values, eps=eps2, r=r, decomposition=shared, config=estimator
+            network, values, eps=eps2, r=r, decomposition=shared, config=estimator
         )
         return out.values, out.ledger
 
-    def one_shot_step(values: Dict[int, float]):
+    def one_shot_step(network: Network, values: Dict[int, float]):
         out = one_shot_via_decomposition(
-            graph, values, decomposition=shared, config=estimator
+            network, values, decomposition=shared, config=estimator
         )
         return out.values, out.ledger
 

@@ -21,6 +21,7 @@ from typing import Dict
 
 import networkx as nx
 
+from repro.congest.network import Network
 from repro.derand.coloring_based import (
     factor_two_via_coloring,
     one_shot_via_coloring,
@@ -40,9 +41,9 @@ def approx_mds_local(
     model in ``O(Delta polylog Delta + log* n)`` rounds."""
     params = params or PipelineParams(eps=eps)
 
-    def factor_two_step(values: Dict[int, float], eps2: float, r: float):
+    def factor_two_step(network: Network, values: Dict[int, float], eps2: float, r: float):
         out = factor_two_via_coloring(
-            graph,
+            network,
             values,
             eps=eps2,
             r=r,
@@ -52,9 +53,9 @@ def approx_mds_local(
         )
         return out.values, out.ledger
 
-    def one_shot_step(values: Dict[int, float]):
+    def one_shot_step(network: Network, values: Dict[int, float]):
         out = one_shot_via_coloring(
-            graph, values, config=estimator, model="local"
+            network, values, config=estimator, model="local"
         )
         return out.values, out.ledger
 

@@ -23,10 +23,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Set
 
 import networkx as nx
+import numpy as np
 
 from repro.analysis.bounds import theorem11_approximation_bound
 from repro.analysis.verify import require_dominating_set
 from repro.congest.cost import CostLedger
+from repro.congest.network import Network, as_network
 from repro.domsets.cfds import CFDS, fractionality_of
 from repro.errors import GraphError
 from repro.fractional.raising import kmw06_initial_fds
@@ -157,27 +159,30 @@ class MDSResult:
 def run_pipeline(
     graph: nx.Graph,
     params: PipelineParams,
-    factor_two_step: Callable[[Dict[int, float], float, float], tuple],
-    one_shot_step: Callable[[Dict[int, float]], tuple],
+    factor_two_step: Callable[[Network, Dict[int, float], float, float], tuple],
+    one_shot_step: Callable[[Network, Dict[int, float]], tuple],
     route: str,
 ) -> MDSResult:
     """Execute Parts I-III with the supplied rounding steps.
 
-    ``factor_two_step(values, eps2, r) -> (new_values, ledger)`` and
-    ``one_shot_step(values) -> (final_values, ledger)`` are the route
-    specific Lemmas (3.9/3.14 and 3.8/3.13 respectively).
+    ``factor_two_step(network, values, eps2, r) -> (new_values, ledger)``
+    and ``one_shot_step(network, values) -> (final_values, ledger)`` are the
+    route specific Lemmas (3.9/3.14 and 3.8/3.13 respectively).  The graph
+    is compiled into one :class:`~repro.congest.network.Network` that every
+    part builds its covering instances from.
     """
     n = graph.number_of_nodes()
     if n == 0:
         raise GraphError("empty graph")
-    max_degree = max((d for _, d in graph.degree()), default=0)
-    consts = params.derived(max_degree)
+    network = as_network(graph)
+    # Delta is max |N[v]| - 1, so a self-loop does not count.
+    consts = params.derived(int(np.diff(network.closed_csr()[0]).max()) - 1)
     ledger = CostLedger()
     trace: List[StageTrace] = []
 
     # -- Part I ----------------------------------------------------------
     initial = kmw06_initial_fds(
-        graph, eps=consts.eps1, provider=params.part1_provider
+        network, eps=consts.eps1, provider=params.part1_provider
     )
     ledger.merge(initial.ledger, prefix="part1/")
     values = dict(initial.fds.values)
@@ -194,7 +199,7 @@ def run_pipeline(
     r = 1.0 / fractionality_of(values)
     iterations = 0
     while r > consts.f_target and iterations < params.max_factor_two_iterations:
-        new_values, step_ledger = factor_two_step(values, consts.eps2, r)
+        new_values, step_ledger = factor_two_step(network, values, consts.eps2, r)
         ledger.merge(step_ledger, prefix=f"part2/iter{iterations}/")
         cfds = CFDS.fds(graph, new_values)
         cfds.require_feasible(f"Part II iteration {iterations}")
@@ -217,7 +222,7 @@ def run_pipeline(
         iterations += 1
 
     # -- Part III ---------------------------------------------------------
-    final_values, final_ledger = one_shot_step(values)
+    final_values, final_ledger = one_shot_step(network, values)
     ledger.merge(final_ledger, prefix="part3/")
     ds = {v for v, x in final_values.items() if x >= 1.0 - 1e-9}
     require_dominating_set(graph, ds, f"{route} output")

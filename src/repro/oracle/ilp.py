@@ -24,20 +24,12 @@ from typing import FrozenSet, Optional
 import networkx as nx
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.analysis.verify import require_dominating_set
+from repro.congest.network import closed_neighborhoods
 from repro.errors import LPError
+from repro.fractional.lp import HIGHS_STATUS
 from repro.graphs.normalize import require_normalized
-
-#: ``milp`` status codes -> human-readable status strings.
-_MILP_STATUS = {
-    0: "optimal",
-    1: "iteration_limit",
-    2: "infeasible",
-    3: "unbounded",
-    4: "numerical",
-}
 
 
 @dataclass(frozen=True)
@@ -78,13 +70,13 @@ def solve_mds_ilp(graph: nx.Graph, time_limit_s: float = 10.0) -> ILPSolution:
             mip_gap=0.0,
             solve_wall_s=0.0,
         )
-    rows, cols = [], []
-    for v in graph.nodes():
-        for u in set(graph.neighbors(v)) | {v}:
-            rows.append(v)
-            cols.append(u)
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    # Closed neighbourhoods are symmetric, so their CSR rows are the CSC
+    # columns of the coverage matrix.
+    indptr, indices = closed_neighborhoods(graph)
     coverage = sparse.csc_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, n)
+        (np.ones(len(indices)), indices, indptr), shape=(n, n)
     )
     start = perf_counter()
     result = milp(
@@ -95,7 +87,7 @@ def solve_mds_ilp(graph: nx.Graph, time_limit_s: float = 10.0) -> ILPSolution:
         options={"time_limit": float(time_limit_s)},
     )
     wall = perf_counter() - start
-    status = _MILP_STATUS.get(result.status, f"status_{result.status}")
+    status = HIGHS_STATUS.get(result.status, f"status_{result.status}")
     if result.status in (2, 3, 4):
         raise LPError(
             f"MDS ILP solve failed ({status}, HiGHS status {result.status}): "

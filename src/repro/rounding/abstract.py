@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Set, Tuple
 
-from repro.domsets.covering import CoveringInstance
+import numpy as np
+
+from repro.domsets.covering import CoveringInstance, ltr_sum
 from repro.errors import InfeasibleSolutionError
 
 
@@ -30,7 +32,8 @@ class RoundingScheme:
 
     ``instance`` already carries the boosted values (``min(1, ln(D~) x')``
     for one-shot, ``min(1, (1+eps) x')`` for factor-two); ``p`` maps every
-    variable id to its rounding probability.
+    variable id to its rounding probability (missing ids round with 1).
+    ``probabilities`` holds the same over the instance's variable rows.
     """
 
     instance: CoveringInstance
@@ -40,40 +43,42 @@ class RoundingScheme:
     params: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for u, var in self.instance.value_vars.items():
-            pu = self.p.get(u, 1.0)
-            if not 0.0 < pu <= 1.0:
-                raise InfeasibleSolutionError(
-                    f"probability p({u}) = {pu} outside (0, 1]"
-                )
-            if pu + 1e-12 < var.x:
-                raise InfeasibleSolutionError(
-                    f"scheme requires p(u) >= x(u); var {u} has p {pu} < x {var.x}"
-                )
+        inst = self.instance
+        p = inst.gather(self.p, 1.0)
+        p.flags.writeable = False
+        object.__setattr__(self, "probabilities", p)
+        bad_p = ~((0.0 < p) & (p <= 1.0))
+        bad = np.flatnonzero(bad_p | (p + 1e-12 < inst.x))
+        if bad.size:
+            row = int(bad[0])
+            u, pu, x = int(inst.ids[row]), float(p[row]), float(inst.x[row])
+            if bad_p[row]:
+                raise InfeasibleSolutionError(f"probability p({u}) = {pu} outside (0, 1]")
+            raise InfeasibleSolutionError(
+                f"scheme requires p(u) >= x(u); var {u} has p {pu} < x {x}"
+            )
 
     def success_value(self, u: int) -> float:
         """``x(u)/p(u)``: the variable's value if its coin succeeds."""
-        var = self.instance.value_vars[u]
-        pu = self.p.get(u, 1.0)
-        return var.x / pu if pu > 0 else 0.0
+        row = int(self.instance.rows_of([u])[0])
+        if row < 0:
+            raise KeyError(u)
+        return float(self.instance.x[row] / self.probabilities[row])
 
     def participating(self) -> List[int]:
         """Variables that flip a real coin (``p not in {0, 1}`` and x > 0)."""
-        return sorted(
-            u
-            for u, var in self.instance.value_vars.items()
-            if 0.0 < self.p.get(u, 1.0) < 1.0 and var.x > 0.0
-        )
+        p = self.probabilities
+        flips = (0.0 < p) & (p < 1.0) & (self.instance.x > 0.0)
+        return sorted(self.instance.ids[flips].tolist())
 
     @property
     def fractionality_after(self) -> float:
         """``min_u x(u)/p(u)`` over non-zero variables (Lemma 3.1 part 1)."""
-        vals = [
-            self.success_value(u)
-            for u, var in self.instance.value_vars.items()
-            if var.x > 0
-        ]
-        return min(vals) if vals else float("inf")
+        x = self.instance.x
+        nonzero = x > 0
+        if not nonzero.any():
+            return float("inf")
+        return float((x[nonzero] / self.probabilities[nonzero]).min())
 
 
 @dataclass
@@ -98,30 +103,27 @@ def execute_rounding(
 ) -> RoundingOutcome:
     """Run phase one with the supplied coins and phase two deterministically.
 
-    ``coin(u)`` is consulted only for participating variables; it may be a
-    true RNG, a k-wise independent generator, or the deterministic decisions
-    produced by the conditional-expectation engine.
+    ``coin(u)`` is consulted only for participating variables, in instance
+    order; it may be a true RNG, a k-wise independent generator, or the
+    deterministic decisions produced by the conditional-expectation engine.
     """
     inst = scheme.instance
-    phase_one: Dict[int, float] = {}
-    for u, var in inst.value_vars.items():
-        pu = scheme.p.get(u, 1.0)
-        if var.x <= 0.0:
-            phase_one[u] = 0.0
-        elif pu >= 1.0:
-            phase_one[u] = var.x
-        else:
-            phase_one[u] = scheme.success_value(u) if coin(u) else 0.0
+    x, p = inst.x, scheme.probabilities
+    flips = (x > 0.0) & (p < 1.0)
+    heads = np.array([coin(u) for u in inst.ids[flips].tolist()], dtype=bool)
+    phase_one = np.where(x > 0.0, x, 0.0)
+    phase_one[flips] = np.where(heads, x[flips] / p[flips], 0.0)
 
-    violated = inst.violations(phase_one)
-    joined = {inst.constraints[cid].origin for cid in violated}
+    violated_rows = np.flatnonzero(inst.member_sums(phase_one) < inst.c - 1e-9)
+    violated = inst.cids[violated_rows].tolist()
+    joined = {origin for origin in inst.corigin[violated_rows].tolist()}
     projected = inst.project(phase_one, joined)
 
-    accounted = sum(
-        inst.value_vars[u].weight * x for u, x in phase_one.items()
-    ) + sum(inst.constraints[cid].join_weight for cid in violated)
+    accounted = ltr_sum(inst.weight * phase_one) + ltr_sum(
+        inst.join_weight[violated_rows]
+    )
     return RoundingOutcome(
-        phase_one=phase_one,
+        phase_one=inst.by_id(phase_one),
         violated_constraints=sorted(violated),
         joined_origins=joined,
         projected=projected,
@@ -172,16 +174,22 @@ def exact_uncovered_probability(
         raise InfeasibleSolutionError(
             f"constraint {cid} has {len(coins)} coins, enumeration limit {enum_limit}"
         )
+    return uncovered_probability(cn.c, deterministic, coins)
+
+
+def uncovered_probability(c: float, fixed: float, coins: List[Tuple[float, float]]) -> float:
+    """Exact ``Pr(fixed + sum of successful coins < c)`` over independent
+    coins ``(success value, probability)``, by enumerating their outcomes."""
     total = 0.0
     for mask in range(1 << len(coins)):
         prob = 1.0
-        sum_x = deterministic
+        sum_x = fixed
         for i, (w, p) in enumerate(coins):
             if mask >> i & 1:
                 prob *= p
                 sum_x += w
             else:
                 prob *= 1.0 - p
-        if sum_x < cn.c - 1e-12:
+        if sum_x < c - 1e-12:
             total += prob
     return total

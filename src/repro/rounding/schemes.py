@@ -12,7 +12,9 @@ fractionality ``1/r -> 2/r`` while inflating the size by roughly ``(1+eps)``.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Dict
+
+import numpy as np
 
 from repro.domsets.covering import CoveringInstance
 from repro.errors import InfeasibleSolutionError
@@ -33,15 +35,19 @@ def one_shot_scheme(
         raise InfeasibleSolutionError(f"delta_tilde must be >= 1, got {delta_tilde}")
     boost = max(1.0, math.log(delta_tilde))
     boosted = instance.boost_values(boost, quantize=quantize)
-    p = {}
-    for u, var in boosted.value_vars.items():
-        p[u] = var.x if var.x > 0.0 else 1.0
+    x = boosted.x
     return RoundingScheme(
         instance=boosted,
-        p=p,
+        p=boosted.by_id(np.where(x > 0.0, x, 1.0)),
         name="one-shot",
         params={"delta_tilde": float(delta_tilde), "boost": boost},
     )
+
+
+def halving_probabilities(instance: CoveringInstance, threshold: float) -> Dict[int, float]:
+    """Factor-two coins: ``p = 1/2`` for values in ``(0, threshold)``, else 1."""
+    x = instance.x
+    return instance.by_id(np.where((x > 0.0) & (x < threshold), 0.5, 1.0))
 
 
 def factor_two_scheme(
@@ -64,17 +70,9 @@ def factor_two_scheme(
         )
     boosted = instance.boost_values(1.0 + eps, quantize=quantize)
     threshold = 2.0 / r
-    p = {}
-    for u, var in boosted.value_vars.items():
-        if var.x <= 0.0:
-            p[u] = 1.0
-        elif var.x < threshold:
-            p[u] = 0.5
-        else:
-            p[u] = 1.0
     return RoundingScheme(
         instance=boosted,
-        p=p,
+        p=halving_probabilities(boosted, threshold),
         name="factor-two",
         params={"eps": eps, "r": float(r), "threshold": threshold},
     )

@@ -15,7 +15,8 @@ from repro.derand.coloring_based import (
 from repro.derand.estimators import EstimatorConfig
 from repro.errors import InfeasibleSolutionError
 from repro.fractional.lp import solve_covering_lp
-from repro.rounding.schemes import one_shot_scheme
+from repro.rounding.abstract import RoundingScheme
+from repro.rounding.schemes import halving_probabilities, one_shot_scheme
 from repro.setcover.instance import SetCoverInstance
 from repro.util.transmittable import TransmittableGrid
 
@@ -71,21 +72,17 @@ def _factor_two_covering_step(
     split = boosted.split_constraints(
         original_values=values, participation_threshold=threshold, s=s
     )
-    from repro.rounding.abstract import RoundingScheme
-
-    p = {
-        u: (0.5 if 0.0 < var.x < threshold else 1.0)
-        for u, var in split.value_vars.items()
-    }
-    scheme = RoundingScheme(split, p, "factor-two/setcover",
+    scheme = RoundingScheme(split, halving_probabilities(split, threshold),
+                            "factor-two/setcover",
                             params={"eps": eps, "r": float(r), "s": float(s)})
     participating = set(scheme.participating())
     coloring = bipartite_distance2_coloring(split, restrict=participating)
     cfg = config or EstimatorConfig(mode="chernoff")
     result = derandomized_rounding_with_coloring(scheme, coloring.colors, cfg)
+    projected = result.outcome.projected
     new_values = {
-        u: result.outcome.projected.get(covering.value_vars[u].origin, 0.0)
-        for u in covering.value_vars
+        u: projected.get(origin, 0.0)
+        for u, origin in zip(covering.ids.tolist(), covering.origin.tolist())
     }
     return new_values, coloring.num_colors
 

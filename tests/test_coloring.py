@@ -30,6 +30,7 @@ from repro.graphs.generators import clique_graph, gnp_graph, regular_graph, star
 from repro.graphs.normalize import normalize_graph
 from repro.graphs.powers import square_graph
 from repro.graphs.suite import families, suite_instance
+from tests.covering_reference import value_conflict_graph
 
 
 def reference_distance2_coloring(
@@ -228,7 +229,7 @@ class TestBipartiteLemma312:
             small_gnp, {v: 0.5 for v in small_gnp.nodes()}
         )
         result = bipartite_distance2_coloring(inst)
-        conflict = inst.value_conflict_graph()
+        conflict = value_conflict_graph(inst)
         validate_coloring(conflict, result.colors)
 
     def test_restricted_coloring(self, small_gnp):

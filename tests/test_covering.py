@@ -5,8 +5,16 @@ import pytest
 
 from repro.domsets.covering import Constraint, CoveringInstance, ValueVar
 from repro.errors import InfeasibleSolutionError
+from repro.fractional.distributed import distributed_fractional_mds
+from repro.fractional.lp import solve_covering_lp
+from repro.fractional.raising import repair_feasibility
 from repro.graphs.generators import gnp_graph
 from repro.graphs.normalize import normalize_graph
+from repro.mds.deterministic import approx_mds_coloring, approx_mds_decomposition
+from repro.mds.pipeline import PipelineParams
+from repro.oracle.certificate import lp_lower_bound
+from repro.oracle.ilp import solve_mds_ilp
+from tests.covering_reference import value_conflict_graph
 
 
 @pytest.fixture
@@ -151,13 +159,13 @@ class TestSplit:
 
 class TestConflictAndProjection:
     def test_value_conflict_graph(self, path4_instance):
-        conflict = path4_instance.value_conflict_graph()
+        conflict = value_conflict_graph(path4_instance)
         # Vars 0 and 2 share constraint 1 -> conflict edge.
         assert conflict.has_edge(0, 2)
         assert not conflict.has_edge(0, 3)
 
     def test_conflict_restriction(self, path4_instance):
-        conflict = path4_instance.value_conflict_graph(restrict={0, 3})
+        conflict = value_conflict_graph(path4_instance, restrict={0, 3})
         assert set(conflict.nodes()) == {0, 3}
         assert conflict.number_of_edges() == 0
 
@@ -178,3 +186,32 @@ def test_round_trip_on_random_graph():
     new = inst.with_values({v: 0.4 for v in g.nodes()})
     assert new.size() == pytest.approx(0.4 * 25)
     assert inst.size() == pytest.approx(0.3 * 25)
+
+
+def test_self_loops_leave_every_route_unchanged():
+    """A self-loop leaves ``N[v]`` as it is: the covering arrays, the LP,
+    the ILP, the LP bound, water-filling, repair, Theorem 1.2 with either
+    Part I and the decomposition route give what they give on the loop-free
+    graph."""
+    plain = gnp_graph(40, 0.15, seed=3)
+    looped = plain.copy()
+    looped.add_edges_from((v, v) for v in range(40))
+
+    def outputs(graph):
+        inst = CoveringInstance.from_graph(graph, {v: 0.0 for v in graph})
+        lp = solve_covering_lp(inst)
+        out = [
+            inst.indptr.tolist(), inst.members.tolist(), lp.optimum,
+            list(lp.values.items()), sorted(solve_mds_ilp(graph).nodes),
+            lp_lower_bound(graph), list(distributed_fractional_mds(graph).values.items()),
+            list(repair_feasibility(graph, {v: 0.1 for v in graph}).items()),
+        ]
+        for provider in ("lp", "distributed"):
+            result = approx_mds_coloring(
+                graph, params=PipelineParams(eps=0.5, part1_provider=provider)
+            )
+            out += [sorted(result.dominating_set), result.ledger.entries, result.params]
+        result = approx_mds_decomposition(graph, eps=0.5)
+        return out + [sorted(result.dominating_set), result.ledger.entries, result.params]
+
+    assert outputs(looped) == outputs(plain)

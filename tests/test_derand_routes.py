@@ -2,7 +2,9 @@
 Lemmas 3.8/3.9 (decomposition)."""
 
 import math
+import re
 
+import networkx as nx
 import pytest
 
 from repro.analysis.verify import is_dominating_set
@@ -19,9 +21,10 @@ from repro.derand.decomposition_based import (
 )
 from repro.domsets.cfds import CFDS, fractionality_of
 from repro.domsets.covering import CoveringInstance
-from repro.errors import DerandomizationError
+from repro.errors import DerandomizationError, InfeasibleSolutionError
 from repro.fractional.raising import kmw06_initial_fds
 from repro.graphs.generators import gnp_graph
+from repro.graphs.normalize import normalize_graph
 from repro.rounding.schemes import factor_two_scheme
 
 
@@ -203,3 +206,25 @@ class TestRouteAgreementShape:
         size_a = sum(1 for x in a.values.values() if x >= 1 - 1e-9)
         size_b = sum(1 for x in b.values.values() if x >= 1 - 1e-9)
         assert abs(size_a - size_b) <= max(3, 0.5 * max(size_a, size_b))
+
+
+class TestValueRange:
+    """Every route builds its covering model from the graph, and the build
+    rejects values outside [0, 1] as CFDS does."""
+
+    ROUTES = {
+        "one-shot/coloring": lambda g, x: one_shot_via_coloring(g, x),
+        "factor-two/coloring": lambda g, x: factor_two_via_coloring(g, x, eps=0.5, r=8.0),
+        "one-shot/decomposition": lambda g, x: one_shot_via_decomposition(g, x),
+    }
+
+    @pytest.mark.parametrize("bad", [3.0, -0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_value_outside_unit_interval_rejected(self, route, bad):
+        graph = normalize_graph(nx.path_graph(5))
+        values = {v: 0.5 for v in graph.nodes()}
+        values[0] = bad
+        with pytest.raises(
+            InfeasibleSolutionError, match=re.escape(f"value x(0) = {bad} outside [0, 1]")
+        ):
+            self.ROUTES[route](graph, values)

@@ -24,7 +24,7 @@ from repro.errors import (
     ReproError,
     SearchBudgetExceededError,
 )
-from repro.fractional.lp import solve_covering_lp
+from repro.fractional.lp import LPSolution, solve_covering_lp
 from repro.oracle import (
     Certificate,
     certify,
@@ -172,6 +172,17 @@ class TestSolverFailures:
         # Infeasibility is an LPError too, so existing handlers still catch
         # it — but the subtype lets the oracle refuse to fall back.
         assert isinstance(excinfo.value, LPError)
+
+    def test_lp_without_variables_is_solved_not_passed_to_scipy(self):
+        assert solve_covering_lp(CoveringInstance([], [])) == LPSolution({}, 0.0)
+        zero = CoveringInstance([], [Constraint(0, c=0.0, members=(), origin=0)])
+        assert solve_covering_lp(zero) == LPSolution({}, 0.0)
+        # A positive demand nobody can meet: what HiGHS reports when the
+        # instance has other variables.
+        short = CoveringInstance([], [Constraint(0, c=1.0, members=(), origin=0)])
+        with pytest.raises(LPInfeasibleError, match="infeasible") as excinfo:
+            solve_covering_lp(short)
+        assert excinfo.value.status == 2
 
     def test_search_budget_is_enforced(self):
         graph = graph_zoo()[7][1]

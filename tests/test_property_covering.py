@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.domsets.covering import CoveringInstance
 from repro.fractional.raising import repair_feasibility
 from repro.graphs.generators import gnp_graph
+from tests.covering_reference import value_conflict_graph
 
 slow = settings(
     max_examples=25,
@@ -91,7 +92,7 @@ def test_boost_monotone_and_capped(n, seed, factor):
 @given(st.integers(4, 20), st.integers(0, 20))
 def test_conflict_graph_matches_shared_constraints(n, seed):
     graph, inst, _ = feasible_instance(n, 0.3, seed, level=0.2)
-    conflict = inst.value_conflict_graph()
+    conflict = value_conflict_graph(inst)
     for u in inst.value_vars:
         for w in inst.value_vars:
             if u >= w:

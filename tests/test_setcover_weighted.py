@@ -99,6 +99,12 @@ class TestDerandomizedSetCover:
         b = approx_min_set_cover(inst)
         assert a.chosen == b.chosen
 
+    def test_empty_instance_gives_empty_cover(self):
+        for sets in ({}, {0: []}):
+            result = approx_min_set_cover(SetCoverInstance.from_iterables(sets, []))
+            assert result.chosen == set()
+            assert result.lp_optimum == 0.0
+
     def test_vs_brute_force_small(self):
         inst = random_setcover_instance(14, 7, 5, seed=6)
         result = approx_min_set_cover(inst)
