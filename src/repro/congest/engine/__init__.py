@@ -13,7 +13,8 @@ Importing this package registers the bundled engines:
     Numpy message-plane loop for fixed-shape broadcast rounds — programs
     declare :class:`MessageSpec` shapes and register a
     :class:`VectorKernel`; everything else falls back to ``fast``
-    semantics (:class:`~repro.congest.engine.vector.VectorEngine`).
+    semantics (:class:`~repro.congest.engine.vector.VectorEngine`).  A
+    solo run is a one-instance group of the stacked round loop below.
 
 Select an engine per run (``Simulator(..., engine="reference")``), process
 wide (:func:`set_default_engine`, the ``--engine`` CLI flags), or via the
@@ -21,11 +22,11 @@ wide (:func:`set_default_engine`, the ``--engine`` CLI flags), or via the
 
 On top of the per-run engines, :func:`run_stacked` /
 :func:`iter_stacked` (:mod:`repro.congest.engine.batched`) execute K
-independent instances of one *stackable* program family as a single
-stacked message plane — ragged (mixed instance sizes) or uniform — the
-batched multi-instance mode behind the experiment runner's ``batch``
-strategy; the ``iter`` variant streams each instance's result the moment
-its termination mask flips.
+independent instances of one program family with a vector kernel as a
+single stacked message plane — ragged (mixed instance sizes) or uniform
+— the batched multi-instance mode behind the experiment runner's
+``batch`` strategy; the ``iter`` variant streams each instance's result
+the moment its termination mask flips.
 """
 
 from repro.congest.engine.base import (
@@ -55,10 +56,7 @@ from repro.congest.engine.vector import (
     VectorKernel,
     kernel_for,
     pending_parts,
-    plane_namespace,
     register_kernel,
-    set_plane_namespace,
-    use_plane_namespace,
 )
 
 __all__ = [
@@ -81,10 +79,7 @@ __all__ = [
     "VectorKernel",
     "kernel_for",
     "pending_parts",
-    "plane_namespace",
     "register_kernel",
-    "set_plane_namespace",
-    "use_plane_namespace",
     "iter_stacked",
     "run_stacked",
     "stack_ineligibility",

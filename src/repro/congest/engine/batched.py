@@ -1,12 +1,14 @@
-"""Batched multi-instance execution: K instances as one stacked message plane.
+"""The message-plane round loop: K instances as one stacked plane.
 
 Statistical sweeps — the Theorem 1.1/1.2 style experiments — are many
 independent runs of the *same* program family over different seeded
-topologies.  Solo, each run pays the vector engine's per-round fixed cost
-(a few dozen numpy dispatches) on arrays that are tiny for suite-sized
-graphs, so a 50-seed sweep pays that overhead 50 times over.  This module
-stacks the K instances into **one** columnar message plane so each numpy
-kernel invocation advances every instance at once:
+topologies.  Run one at a time, each pays the plane's per-round fixed
+cost (a few dozen numpy dispatches) on arrays that are tiny for
+suite-sized graphs, so a 50-seed sweep pays that overhead 50 times over.
+This module stacks the K instances into **one** columnar message plane so
+each numpy kernel invocation advances every instance at once.  Its round
+loop is the only one on the message plane: a solo ``vector``-engine run
+(:func:`run_instance`) is the case K = 1.
 
 * :class:`StackedPlane` — K per-instance CSR topologies concatenated
   block-diagonally in instance-major order.  The layout is **ragged**:
@@ -18,72 +20,80 @@ kernel invocation advances every instance at once:
   (``np.add.reduceat`` over the non-empty rows) are exactly the
   per-instance reductions, computed in one call; per-instance aggregates
   reduce the same way over the ``node_offsets`` segment boundaries.
-* :func:`iter_stacked` / :func:`run_stacked` — the batched run loop.  It
-  instantiates programs and contexts *per instance with local ids* (so
-  every message field, bit length and packed comparison key is identical
-  to a solo run), performs the scalar ``setup`` + handover per instance,
-  then drives the registered
+* :func:`iter_stacked` / :func:`run_stacked` — the batched entry points.
+  They instantiate programs and contexts *per instance with local ids*
+  (so every message field, bit length and packed comparison key is
+  identical to a solo run), perform the scalar ``setup`` + handover per
+  instance, then drive the registered
   :class:`~repro.congest.engine.vector.VectorKernel` over the union plane
   with **per-instance accounting**: each instance has its own round
   counter, per-round series, wire totals, bit budget, round limit and
   termination mask.  The moment an instance's termination mask flips,
   :func:`iter_stacked` yields its finished :class:`SimulationResult` —
   in-group per-record streaming — and the result is bit-for-bit what the
-  instance's solo ``vector``-engine run would have produced (the parity
-  suite in ``tests/test_batched_engine.py`` enforces this across the
-  graph zoo, for uniform and mixed-size groups alike).
+  instance's solo run on any engine produces (``tests/test_batched_engine.py``
+  and ``tests/test_stacked_fuzz.py`` compare against ``fast``, which
+  ``tests/test_engine_parity.py`` pins to ``reference``).
 
-Instances need not enter the plane in lockstep.  When the kernel's
-``takeover_round`` exceeds 1 for any instance, each instance runs its own
-**scalar prologue** — exact ``FastEngine`` collect/charge/receive
-mechanics, driven by the shared global round clock — and joins the plane
-at its *own* takeover round: the runner collects the instance's handover
-broadcast, scatters it into the plane's pending traffic, and asks the
-kernel to :meth:`~repro.congest.engine.vector.VectorKernel.absorb_instance`
-the scalar state into its slice of the plane (the kernel boots from
-:meth:`~repro.congest.engine.vector.VectorKernel.stacked_blank`, all nodes
-dead, and lights slices up as instances arrive).  Because every instance
-executes round ``r`` at global tick ``r``, no round skew exists and every
-ledger entry matches the solo run.  Kernels may additionally publish a
+The handover follows one set of rules for every width.  Each instance runs
+its own **scalar prologue** — exact ``FastEngine`` collect/charge/receive
+mechanics, driven by the shared global round clock — until its kernel
+``takeover_round``; at that round the loop collects the broadcast the
+instance queued and the instance joins the plane:
+
+* when every instance takes over at round 1 with a conforming broadcast,
+  the kernel is constructed from the union state (the **lockstep boot**),
+  unless the kernel's ``stacked_setup`` already built it straight from the
+  inputs (batched entry points only);
+* otherwise the kernel boots from
+  :meth:`~repro.congest.engine.vector.VectorKernel.stacked_blank`, all
+  nodes dead, and lights each instance's slice up through
+  :meth:`~repro.congest.engine.vector.VectorKernel.absorb_instance` as it
+  joins;
+* an instance whose traffic at its takeover round is not one full
+  broadcast with a declared tag never joins: it finishes on FastEngine
+  mechanics, a scalar prologue that never ends.
+
+Because every instance executes round ``r`` at global tick ``r``, no round
+skew exists and every ledger entry matches the solo run.  Kernels may
+additionally publish a
 :attr:`~repro.congest.engine.vector.VectorKernel.prologue_oracle` that
 names the nodes whose ``receive`` can act in a given prologue round, so
 the scalar prologue costs O(actors) instead of O(n) per round — this is
-how the Lemma 3.10 program stacks heterogeneous inputs: its takeover
-round is ``2 + 3 * num_colors``, a per-instance quantity, its
-color-class rounds run as sparse scalar prologues, and its execution
-phase runs vectorized on the shared plane.  Canonical uniform Lemma 3.10
-instances instead take over at round 1 and run the color-class rounds
-*in-plane* (targeted alpha traffic and all), so an all-canonical group is
-a pure lockstep run with no scalar prologue; a mixed group carries
-in-plane and prologue instances side by side, and one plane round may
-then hold several differently-tagged pending parts.
+how the Lemma 3.10 program runs heterogeneous inputs: its takeover round
+is ``2 + 3 * num_colors``, a per-instance quantity, its color-class rounds
+run as sparse scalar prologues, and its execution phase runs vectorized
+on the plane.  Canonical uniform Lemma 3.10 instances instead take over
+at round 1 and run the color-class rounds *in-plane* (targeted alpha
+traffic and all), so an all-canonical group is a pure lockstep run with
+no scalar prologue; a mixed group carries in-plane and prologue instances
+side by side, and one plane round may then hold several
+differently-tagged pending parts.
 
 Eligibility is deliberately narrow and fails loudly
 (:class:`~repro.errors.BatchEligibilityError`) so callers can fall back to
 per-cell execution:
 
 * the program class declares :attr:`NodeProgram.message_specs` and has a
-  registered kernel whose :attr:`VectorKernel.stackable` flag is set —
-  the kernel promises to use ``plane.local_n_of`` / ``plane.local_ids``
-  and to never consult ``self.network``;
-* a kernel whose ``takeover_round`` exceeds 1 for some instance must
-  implement ``absorb_instance`` (late joins are refused otherwise);
-* the traffic queued at every handover point — ``setup`` for round-1
-  takeovers, the last prologue round otherwise — is a conforming
-  single-tag broadcast per instance; lockstep (round-1) groups must share
-  one tag, while late joiners merge into the plane round's matching-tag
-  part or ride along as an extra part (a silent instance joins any tag).
+  registered kernel;
+* a group whose instances join the plane one by one (a takeover round
+  above 1, or a sibling that stays scalar) needs a kernel that implements
+  ``absorb_instance``;
+* lockstep groups must hand over one tag, while late joiners merge into
+  the plane round's matching-tag part or ride along as an extra part (a
+  silent instance joins any tag).
 
 Node counts, bit budgets and round limits are all per-instance — mixed
 sizes (and hence the size-derived CONGEST budgets) stack fine.  Instances
 terminate independently: a finished instance's nodes leave the kernel's
-live mask, so its portion of every later broadcast mask is empty — zero
-messages, zero bits, no leakage into the siblings' accounting — and its
-per-round series simply stops growing while the others run on.
+live mask and its slice leaves the accounting, so its traffic never leaks
+into the siblings' ledgers, and its per-round series simply stops growing
+while the others run on.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import (
     Dict,
     Iterator,
@@ -100,11 +110,10 @@ import numpy as np
 from repro.congest.engine.base import SimulationResult
 from repro.congest.engine.fast import _EMPTY_INBOX, FastEngine, Inboxes
 from repro.congest.engine.vector import (
-    _NONCONFORMING,
     CsrPlane,
+    MessageSpec,
     PendingBroadcast,
     PendingTargeted,
-    VectorEngine,
     VectorKernel,
     _as_int64,
     kernel_for,
@@ -121,13 +130,18 @@ from repro.errors import (
 __all__ = [
     "StackedPlane",
     "iter_stacked",
+    "run_instance",
     "run_stacked",
     "stack_ineligibility",
 ]
 
-#: Per-node budget stand-in for LOCAL-model instances (unbounded messages);
-#: far above any bit length :func:`bit_length_array` accepts.
+#: Per-instance budget stand-in for LOCAL-model instances (unbounded
+#: messages); far above any bit length :func:`bit_length_array` accepts.
 _NO_BUDGET = np.iinfo(np.int64).max
+
+#: Sentinel: the queued traffic at an instance's takeover round is not a
+#: conforming single-tag full broadcast, so the instance stays scalar.
+_NONCONFORMING = object()
 
 
 class StackedPlane(CsrPlane):
@@ -139,253 +153,273 @@ class StackedPlane(CsrPlane):
     ``slot_offsets[k] .. slot_offsets[k+1]``.  ``local_ids`` maps every
     global node back to its per-instance id, ``instance_of`` to its
     instance index, and ``local_n_of`` to its instance's node count — the
-    ``n`` that node's program believes it is running on.  ``local_n`` is
+    ``n`` that node's program believes it is running on: kernels base
+    packed keys and round schedules on it, so they keep per-instance
+    semantics however many instances share the arrays.  ``local_n`` is
     the shared size when the stack is uniform and ``None`` when it is
     ragged (kernels must use the per-node ``local_n_of`` either way).
     """
 
     __slots__ = (
         "instances",
+        "local_n",
+        "local_ns",
+        "node_offsets",
         "slot_offsets",
         "instance_of",
-        "slot_instance",
+        "local_ids",
+        "local_n_of",
     )
 
     def __init__(self, networks: Sequence[Network]):
         if not networks:
             raise BatchEligibilityError("cannot stack zero instances")
-        k_count = len(networks)
-        local_ns = np.fromiter(
-            (net.n for net in networks), dtype=np.int64, count=k_count
-        )
-        node_offsets = np.zeros(k_count + 1, dtype=np.int64)
-        np.cumsum(local_ns, out=node_offsets[1:])
+        sizes = [net.n for net in networks]
+        k_count = len(sizes)
         indptr_parts: List[np.ndarray] = []
         indices_parts: List[np.ndarray] = []
-        slot_offsets = np.zeros(k_count + 1, dtype=np.int64)
+        base = slots = 0
         for k, net in enumerate(networks):
             indptr, indices = net.csr()
             indptr = _as_int64(indptr)
             indices = _as_int64(indices)
             # Globalize: shift row starts by the slots already emitted and
             # neighbor ids into instance k's node range.
-            start = indptr[1:] if k else indptr
-            indptr_parts.append(start + slot_offsets[k])
-            indices_parts.append(indices + node_offsets[k])
-            slot_offsets[k + 1] = slot_offsets[k] + indices.shape[0]
+            indptr_parts.append((indptr[1:] if k else indptr) + slots)
+            indices_parts.append(indices + base)
+            base += net.n
+            slots += indices.shape[0]
         self._init_arrays(
             np.concatenate(indptr_parts), np.concatenate(indices_parts)
         )
         self.instances = k_count
-        self.local_ns = local_ns
-        self.node_offsets = node_offsets
-        self.slot_offsets = slot_offsets
-        uniform = bool((local_ns == local_ns[0]).all())
-        self.local_n = int(local_ns[0]) if uniform else None
-        self.local_ids = np.arange(self.n, dtype=np.int64) - np.repeat(
-            node_offsets[:-1], local_ns
-        )
-        self.local_n_of = np.repeat(local_ns, local_ns)
-        self.instance_of = np.repeat(
-            np.arange(k_count, dtype=np.int64), local_ns
-        )
-        self.slot_instance = np.repeat(
-            np.arange(k_count, dtype=np.int64), np.diff(slot_offsets)
-        )
+        self.local_ns = np.array(sizes, dtype=np.int64)
+        self.node_offsets = np.array([0, *accumulate(sizes)], dtype=np.int64)
+        self.slot_offsets = self.indptr[self.node_offsets]
+        self.local_n = sizes[0] if sizes.count(sizes[0]) == k_count else None
+        self.instance_of = np.repeat(np.arange(k_count), self.local_ns)
+        self.local_ids = np.arange(self.n) - self.node_offsets[self.instance_of]
+        self.local_n_of = self.local_ns[self.instance_of]
 
     def live_per_instance(self, live: np.ndarray) -> np.ndarray:
         """Per-instance count of set flags in a global node mask.
 
         ``reduceat`` over the ragged ``node_offsets`` segment boundaries —
-        exact per-instance sums regardless of instance sizes.
+        exact per-instance sums regardless of instance sizes (every
+        network has at least one node, so no segment is empty).
         """
-        return np.add.reduceat(
-            live.astype(np.int64), self.node_offsets[:-1]
-        )
+        return np.add.reduceat(live, self.node_offsets[:-1], dtype=np.int64)
 
 
 def stack_ineligibility(program_cls: type) -> Optional[str]:
     """Why ``program_cls`` cannot run stacked, or ``None`` if it can.
 
     This is the *static* half of eligibility (specs declared, kernel
-    registered and stackable); :func:`iter_stacked` additionally verifies
-    the per-instance conditions (conforming handovers, and
-    ``absorb_instance`` support when a takeover round exceeds 1) at run
+    registered); :func:`iter_stacked` additionally verifies the
+    per-instance conditions (the kernel's ``eligible`` gate, and
+    ``absorb_instance`` support when instances join one by one) at run
     time.
     """
     if not getattr(program_cls, "message_specs", ()):
         return f"{program_cls.__name__} declares no message_specs"
-    kernel_cls = kernel_for(program_cls)
-    if kernel_cls is None:
+    if kernel_for(program_cls) is None:
         return f"{program_cls.__name__} has no registered vector kernel"
-    if not kernel_cls.stackable:
-        return f"{kernel_cls.__name__} is not stackable"
     return None
+
+
+def _collect_handover(
+    drain: Sequence[tuple],
+    specs: Sequence[MessageSpec],
+    n: int,
+):
+    """Drain one instance's queued outboxes into a :class:`PendingBroadcast`.
+
+    Returns the pending traffic (possibly with an all-false mask), or
+    :data:`_NONCONFORMING` when any queued outbox is not a full
+    single-message broadcast with a declared tag — partial sends,
+    per-neighbor messages and unknown tags all disqualify the round, in
+    which case no outbox is touched and scalar execution continues.
+    """
+    spec_by_tag = {spec.tag: spec for spec in specs}
+    senders: List[tuple] = []
+    spec: Optional[MessageSpec] = None
+    for rec in drain:
+        ctx = rec[1]
+        out = ctx._outbox
+        if not out:
+            continue
+        if len(out) != ctx.degree:
+            return _NONCONFORMING
+        messages = iter(out.values())
+        first = next(messages)
+        for msg in messages:
+            if msg is not first and msg != first:
+                return _NONCONFORMING
+        if spec is None:
+            spec = spec_by_tag.get(first.tag)
+            if spec is None or len(first.fields) != spec.arity:
+                return _NONCONFORMING
+        elif first.tag != spec.tag or len(first.fields) != spec.arity:
+            return _NONCONFORMING
+        senders.append((rec[0], ctx, first))
+
+    mask = np.zeros(n, dtype=bool)
+    if spec is None:
+        spec = specs[0]  # silent handover round: any spec will do
+    columns = tuple(np.zeros(n, dtype=np.int64) for _ in range(spec.arity))
+    bits = np.zeros(n, dtype=np.int64)
+    for v, ctx, msg in senders:
+        ctx._outbox = {}
+        mask[v] = True
+        for i, field in enumerate(msg.fields):
+            columns[i][v] = field
+        bits[v] = msg.bits
+    return PendingBroadcast(spec, mask, columns, bits)
 
 
 def _accumulate_round(
     plane: StackedPlane,
     pending,
-    node_budget: Optional[np.ndarray],
-    active_nodes: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    charged: np.ndarray,
+    budgets: np.ndarray,
+):
     """Per-instance exact wire totals ``(messages, bits, max_bits)``.
 
-    The instance-wise analogue of ``VectorEngine._account``, summed over
-    every part of the round (a ragged plane can carry differently-tagged
-    broadcast *and* targeted traffic side by side): a broadcast puts
-    ``degree`` copies of the sender's message on the wire, so its
-    per-instance counts are degree-weighted sums over that instance's
-    senders; a targeted part puts exactly one message per masked slot on
-    the wire, bucketed by ``slot_instance``.  ``active_nodes`` masks out
-    finished instances — their bottom-of-loop queued traffic is discarded
-    uncharged and unchecked, exactly as the solo loop never reaches
-    another accounting pass.  ``node_budget`` holds every sender's own
-    instance's bit budget (budgets are per-instance on a ragged plane);
-    raises :class:`MessageTooLargeError` for the lowest-global-id
-    over-budget sender (reported with its *local* ids, matching what the
-    corresponding solo run would raise).
+    Summed over every part of the round (a ragged plane can carry
+    differently-tagged broadcast *and* targeted traffic side by side): a
+    broadcast puts ``degree`` copies of the sender's message on the wire,
+    so its per-instance counts are degree-weighted sums over that
+    instance's senders; a targeted part puts exactly one message per
+    masked slot on the wire, bucketed by its sender's instance.  ``charged``
+    masks the nodes whose sends reach a wire: nodes with a neighbor, in
+    instances that have not finished (a finished instance's
+    bottom-of-loop queued traffic is discarded uncharged and unchecked,
+    exactly as a solo loop never reaches another accounting pass).
+    ``budgets`` holds each instance's bit budget (:data:`_NO_BUDGET` for
+    a LOCAL-model instance); raises :class:`MessageTooLargeError` for the
+    lowest-global-id over-budget sender, reported with its *local* ids —
+    what the corresponding solo run raises.
+
+    Rows may be float64 (``bincount`` weights); every entry is an exact
+    integer, since per-round wire totals are far below 2**53.
     """
-    k_count = plane.instances
-    messages = np.zeros(k_count, dtype=np.int64)
-    bits_total = np.zeros(k_count, dtype=np.int64)
-    wire_max = np.zeros(k_count, dtype=np.int64)
+    rows = None
     for part in pending_parts(pending):
         if isinstance(part, PendingTargeted):
-            _accumulate_targeted(
-                plane, part, node_budget, active_nodes,
-                messages, bits_total, wire_max,
-            )
+            ledger = _targeted_ledger(plane, part, charged, budgets)
+        elif part.senders is None:
+            ledger = _dense_ledger(plane, part, charged, budgets)
         else:
-            _accumulate_broadcast(
-                plane, part, node_budget, active_nodes,
-                messages, bits_total, wire_max,
+            ledger = _sparse_ledger(plane, part, charged, budgets)
+        if rows is None:
+            rows = ledger
+        else:
+            rows = (
+                rows[0] + ledger[0],
+                rows[1] + ledger[1],
+                np.maximum(rows[2], ledger[2]),
             )
-    return messages, bits_total, wire_max
+    if rows is None:
+        return np.zeros((3, plane.instances), dtype=np.int64)
+    return rows
 
 
-def _accumulate_broadcast(
-    plane: StackedPlane,
-    pending: PendingBroadcast,
-    node_budget: Optional[np.ndarray],
-    active_nodes: np.ndarray,
-    messages: np.ndarray,
-    bits_total: np.ndarray,
-    wire_max: np.ndarray,
-) -> None:
-    senders = pending.sender_ids()
+def _dense_ledger(plane, part, charged, budgets):
+    """A broadcast given by its mask: segment sums over every node."""
+    sending = part.mask & charged
+    degrees = plane.degrees * sending
+    bits = part.bits * sending
+    starts = plane.node_offsets[:-1]
+    wire_max = np.maximum.reduceat(bits, starts)
+    if (wire_max > budgets).any():
+        _reject_broadcast(plane, np.flatnonzero(sending), part.bits, budgets)
+    return (
+        np.add.reduceat(degrees, starts),
+        np.add.reduceat(degrees * bits, starts),
+        wire_max,
+    )
+
+
+def _sparse_ledger(plane, part, charged, budgets):
+    """A broadcast that lists its senders: O(sum of sender degrees)."""
+    senders = part.senders
+    senders = senders[charged[senders]]
     degrees = plane.degrees[senders]
-    on_wire = (degrees > 0) & active_nodes[senders]
-    if not on_wire.any():
-        return
-    senders = senders[on_wire]
-    degrees = degrees[on_wire]
-    bits = pending.bits[senders]
-    if node_budget is not None:
-        over = bits > node_budget[senders]
-        if over.any():
-            sender = int(senders[np.argmax(over)])
-            receiver = int(plane.indices[plane.indptr[sender]])
-            raise MessageTooLargeError(
-                int(plane.local_ids[sender]),
-                int(plane.local_ids[receiver]),
-                int(pending.bits[sender]),
-                int(node_budget[sender]),
-            )
-    k_count = plane.instances
+    bits = part.bits[senders]
     inst = plane.instance_of[senders]
-    # float64 bincount weights are exact here: per-round per-instance wire
-    # totals are far below 2**53 for any CONGEST-budgeted workload.
-    messages += np.bincount(inst, weights=degrees, minlength=k_count).astype(
-        np.int64
-    )
-    bits_total += np.bincount(
-        inst, weights=degrees * bits, minlength=k_count
-    ).astype(np.int64)
-    np.maximum.at(wire_max, inst, bits)
-
-
-def _accumulate_targeted(
-    plane: StackedPlane,
-    pending: PendingTargeted,
-    node_budget: Optional[np.ndarray],
-    active_nodes: np.ndarray,
-    messages: np.ndarray,
-    bits_total: np.ndarray,
-    wire_max: np.ndarray,
-) -> None:
-    senders = plane.indices
-    on_wire = pending.slot_mask & active_nodes[senders]
-    if not on_wire.any():
-        return
-    if node_budget is not None:
-        over = on_wire & (pending.bits > node_budget[senders])
-        if over.any():
-            slots = np.flatnonzero(over)
-            slot = int(slots[np.lexsort((slots, senders[slots]))[0]])
-            sender = int(senders[slot])
-            receiver = (
-                int(np.searchsorted(plane.indptr, slot, "right")) - 1
-            )
-            raise MessageTooLargeError(
-                int(plane.local_ids[sender]),
-                int(plane.local_ids[receiver]),
-                int(pending.bits[slot]),
-                int(node_budget[sender]),
-            )
     k_count = plane.instances
-    inst = plane.slot_instance[on_wire]
-    bits = pending.bits[on_wire]
-    messages += np.bincount(inst, minlength=k_count).astype(np.int64)
-    bits_total += np.bincount(
-        inst, weights=bits.astype(np.float64), minlength=k_count
-    ).astype(np.int64)
+    wire_max = np.zeros(k_count, dtype=np.int64)
     np.maximum.at(wire_max, inst, bits)
-
-
-def _stitch_handover(
-    plane: StackedPlane,
-    collected: Sequence[PendingBroadcast],
-) -> Optional[PendingBroadcast]:
-    """Combine per-instance handover traffic into one stacked broadcast."""
-    specs = {p.spec.tag: p.spec for p in collected if p.mask.any()}
-    if len(specs) > 1:
-        raise BatchEligibilityError(
-            f"instances handed over mixed tags: {sorted(specs)}"
-        )
-    spec = next(iter(specs.values())) if specs else collected[0].spec
-    mask = np.concatenate([p.mask for p in collected])
-    # A silent instance may have defaulted to a different spec; its column
-    # values are never read (empty mask), only their shape must line up.
-    per_instance_columns = [
-        p.columns
-        if p.spec.arity == spec.arity
-        else tuple(np.zeros_like(p.bits) for _ in range(spec.arity))
-        for p in collected
-    ]
-    columns = tuple(
-        np.concatenate([cols[i] for cols in per_instance_columns])
-        for i in range(spec.arity)
+    if (wire_max > budgets).any():
+        _reject_broadcast(plane, senders, part.bits, budgets)
+    return (
+        np.bincount(inst, weights=degrees, minlength=k_count),
+        np.bincount(inst, weights=degrees * bits, minlength=k_count),
+        wire_max,
     )
-    bits = np.concatenate([p.bits for p in collected])
-    return PendingBroadcast(spec, mask, columns, bits)
+
+
+def _reject_broadcast(plane, senders, bits, budgets) -> None:
+    """Raise for the lowest of ``senders`` (ascending) over its budget."""
+    over = bits[senders] > budgets[plane.instance_of[senders]]
+    sender = int(senders[np.argmax(over)])
+    receiver = int(plane.indices[plane.indptr[sender]])
+    raise MessageTooLargeError(
+        int(plane.local_ids[sender]),
+        int(plane.local_ids[receiver]),
+        int(bits[sender]),
+        int(budgets[plane.instance_of[sender]]),
+    )
+
+
+def _targeted_ledger(plane, part, charged, budgets):
+    """Slot-addressed traffic: one message per masked slot."""
+    slots = np.flatnonzero(part.slot_mask)
+    senders = plane.indices[slots]
+    on_wire = charged[senders]
+    slots, senders = slots[on_wire], senders[on_wire]
+    inst = plane.instance_of[senders]
+    bits = part.bits[slots]
+    k_count = plane.instances
+    wire_max = np.zeros(k_count, dtype=np.int64)
+    np.maximum.at(wire_max, inst, bits)
+    if (wire_max > budgets).any():
+        over = bits > budgets[inst]
+        # Slot order is receiver order; the scalar engines scan ascending
+        # *senders*, so pick the lowest sender, then receiver.
+        first = np.lexsort((slots[over], senders[over]))[0]
+        slot = int(slots[over][first])
+        sender = int(senders[over][first])
+        receiver = int(np.searchsorted(plane.indptr, slot, "right")) - 1
+        raise MessageTooLargeError(
+            int(plane.local_ids[sender]),
+            int(plane.local_ids[receiver]),
+            int(part.bits[slot]),
+            int(budgets[plane.instance_of[sender]]),
+        )
+    return (
+        np.bincount(inst, minlength=k_count),
+        np.bincount(inst, weights=bits, minlength=k_count),
+        wire_max,
+    )
 
 
 class _PrologueInstance:
-    """One instance still executing its scalar prologue inside a stacked run.
+    """One instance executing scalar rounds inside the round loop.
 
     Holds the exact solo-scalar machinery — per-node records, the active
     map, inbox planes, the drain set and the instance's own bit budget —
-    so every prologue round runs :class:`FastEngine`'s collect/charge/
+    so every scalar round runs :class:`FastEngine`'s collect/charge/
     receive mechanics bit for bit, just driven by the shared global clock.
-    ``oracle`` (from :attr:`VectorKernel.prologue_oracle`) optionally
-    names the nodes whose ``receive`` can act in a given round; skipped
-    nodes are provably no-ops, so sparse prologues charge and deliver
-    identically to the solo full scan.
+    ``takeover`` is the round the instance joins the plane at, or
+    ``None`` once its handover was non-conforming: it then runs scalar to
+    the end.  ``oracle`` (from :attr:`VectorKernel.prologue_oracle`)
+    optionally names the nodes whose ``receive`` can act in a given
+    round; skipped nodes are provably no-ops, so sparse prologues charge
+    and deliver identically to the solo full scan.
     """
 
     __slots__ = (
-        "index",
         "net",
         "n",
         "takeover",
@@ -401,16 +435,15 @@ class _PrologueInstance:
 
     def __init__(
         self,
-        index: int,
         net: Network,
-        programs: Dict[int, NodeProgram],
-        contexts: Dict[int, Context],
+        programs: Mapping[int, NodeProgram],
+        contexts: Mapping[int, Context],
         records: List[tuple],
+        takeover: Optional[int],
     ):
-        self.index = index
         self.net = net
         self.n = net.n
-        self.takeover = 1
+        self.takeover = takeover
         self.programs = programs
         self.contexts = contexts
         #: id -> record, insertion-ordered ascending (the solo active list).
@@ -458,48 +491,108 @@ class _PrologueInstance:
         self.drain = executed
 
 
-def _boot_instances(
-    plane: StackedPlane,
-    networks: Sequence[Network],
+def _setup(
+    net: Network,
+    programs: Mapping[int, NodeProgram],
+    contexts: Mapping[int, Context],
+) -> List[tuple]:
+    """Scalar round 0: every node's ``setup``; returns the node records."""
+    records = [(v, contexts[v], programs[v].receive) for v in range(net.n)]
+    for v, ctx, _ in records:
+        ctx.round_number = 0
+        programs[v].setup(ctx)
+    return records
+
+
+def _instantiate(
+    net: Network,
     program_factory: type,
-    inputs: Optional[Sequence[Optional[Mapping[int, object]]]],
+    node_inputs: Optional[Mapping[int, object]],
     kernel_cls: type,
 ):
-    """Object-level boot for kernels without a vectorized ``stacked_setup``.
+    """One instance's programs and contexts (*local* ids), set up."""
+    node_inputs = node_inputs or {}
+    programs = {v: program_factory(node_inputs.get(v)) for v in range(net.n)}
+    contexts = {v: Context(v, net.neighbors(v), net.n) for v in range(net.n)}
+    records = _setup(net, programs, contexts)
+    if not kernel_cls.eligible(net, programs):
+        raise BatchEligibilityError(
+            f"{kernel_cls.__name__} declined an instance of the group"
+        )
+    return programs, contexts, records
 
-    Instantiates programs and contexts per instance with *local* ids (so
-    every message field and bit length matches the solo run), runs the
-    scalar round 0 (``setup``) and computes each instance's takeover
-    round.  Returns the per-instance prologue state plus the union
-    program/context maps (global ids) the kernel and the finishers read.
+
+def _object_boot(
+    plane: StackedPlane,
+    networks: Sequence[Network],
+    built: Sequence[tuple],
+    kernel_cls: type,
+):
+    """The boot handover of instances whose ``setup`` has run.
+
+    ``built`` holds each instance's programs, contexts (local ids) and
+    node records.  Instances that take over at round 1 with a conforming
+    broadcast join the plane at boot; the rest become
+    :class:`_PrologueInstance` entries.  Returns ``(kernel, pending,
+    prologue, in_plane)``, ``in_plane`` flagging the instances that
+    joined.
     """
-    booted: List[_PrologueInstance] = []
-    union_programs: Dict[int, NodeProgram] = {}
-    union_contexts: Dict[int, Context] = {}
-    for k, net in enumerate(networks):
-        node_inputs = inputs[k] if inputs and inputs[k] else {}
-        base = int(plane.node_offsets[k])
-        contexts: Dict[int, Context] = {}
-        programs: Dict[int, NodeProgram] = {}
-        records: List[tuple] = []
-        for v in range(net.n):
-            ctx = Context(v, net.neighbors(v), net.n)
-            prog = program_factory(node_inputs.get(v))
-            contexts[v] = ctx
-            programs[v] = prog
-            ctx.round_number = 0
-            prog.setup(ctx)
-            records.append((v, ctx, prog.receive))
-            union_programs[base + v] = prog
-            union_contexts[base + v] = ctx
-        if not kernel_cls.eligible(net, programs):
+    specs = kernel_cls.program_class.message_specs
+    joiners: List[Tuple[int, PendingBroadcast]] = []
+    prologue: Dict[int, _PrologueInstance] = {}
+    for k, (net, (programs, contexts, records)) in enumerate(
+        zip(networks, built)
+    ):
+        takeover: Optional[int] = int(kernel_cls.takeover_round(net, programs))
+        if takeover <= 1:
+            handover = _collect_handover(records, specs, net.n)
+            if handover is not _NONCONFORMING:
+                joiners.append((k, handover))
+                continue
+            takeover = None
+        prologue[k] = _PrologueInstance(net, programs, contexts, records, takeover)
+
+    in_plane = np.zeros(len(networks), dtype=bool)
+    in_plane[[k for k, _ in joiners]] = True
+    if not prologue:
+        # Lockstep boot: the kernel reads every instance's state at once,
+        # indexed by global id.
+        kernel = kernel_cls(
+            plane,
+            [box[v] for (box, _, _), net in zip(built, networks)
+             for v in range(net.n)],
+            [box[v] for (_, box, _), net in zip(built, networks)
+             for v in range(net.n)],
+        )
+        pending = _merge_joiners(plane, None, joiners)
+        if isinstance(pending, tuple):
             raise BatchEligibilityError(
-                f"{kernel_cls.__name__} declined an instance of the group"
+                "instances handed over mixed tags: "
+                f"{sorted(part.spec.tag for part in pending)}"
             )
-        inst = _PrologueInstance(k, net, programs, contexts, records)
-        inst.takeover = int(kernel_cls.takeover_round(net, programs))
-        booted.append(inst)
-    return booted, union_programs, union_contexts
+        return kernel, pending, prologue, in_plane
+
+    # Instances join one by one: boot the kernel dead and absorb each
+    # instance's state at its own takeover round.
+    late = any(inst.takeover is not None for inst in prologue.values())
+    if (joiners or late) and (
+        kernel_cls.absorb_instance is VectorKernel.absorb_instance
+    ):
+        raise BatchEligibilityError(
+            f"{kernel_cls.__name__} does not implement absorb_instance; "
+            "instances cannot join the plane one by one"
+        )
+    kernel = kernel_cls.stacked_blank(plane)
+    for k, _ in joiners:
+        lo = int(plane.node_offsets[k])
+        programs, contexts, _ = built[k]
+        kernel.absorb_instance(lo, lo + networks[k].n, programs, contexts)
+    oracle_factory = kernel_cls.prologue_oracle
+    if oracle_factory is not None:
+        for inst in prologue.values():
+            if inst.takeover is not None:
+                inst.oracle = oracle_factory(inst.net, inst.programs)
+    return kernel, _merge_joiners(plane, None, joiners), prologue, in_plane
 
 
 def _merge_joiners(
@@ -560,16 +653,215 @@ def _merge_joiners(
 
 def _round_limits(
     max_rounds: Union[int, Sequence[int]], k_count: int
-) -> np.ndarray:
+) -> List[int]:
     """Per-instance round limits from an int or a per-instance sequence."""
     if isinstance(max_rounds, (int, np.integer)):
-        return np.full(k_count, int(max_rounds), dtype=np.int64)
-    limits = np.asarray([int(r) for r in max_rounds], dtype=np.int64)
-    if limits.shape[0] != k_count:
+        return [int(max_rounds)] * k_count
+    limits = [int(r) for r in max_rounds]
+    if len(limits) != k_count:
         raise BatchEligibilityError(
-            f"got {limits.shape[0]} round limits for {k_count} instances"
+            f"got {len(limits)} round limits for {k_count} instances"
         )
     return limits
+
+
+def _rounds(
+    plane: StackedPlane,
+    networks: Sequence[Network],
+    limits: Sequence[int],
+    contexts: Optional[Sequence[Mapping[int, Context]]],
+    kernel: VectorKernel,
+    pending,
+    prologue: Dict[int, _PrologueInstance],
+    in_plane: np.ndarray,
+) -> Iterator[Tuple[int, SimulationResult]]:
+    """The round loop: yields ``(k, result)`` as each instance finishes.
+
+    Every tick follows the solo loops' order.  An instance over its round
+    limit raises before the tick's traffic is charged.  The traffic is
+    charged against each instance's budget; an instance with no live
+    node then finishes without executing the round (checked at boot and
+    after a join, the only ticks where it can happen).  Otherwise the
+    round executes, and an instance whose nodes all halted in it
+    finishes, its queued traffic discarded uncharged.
+
+    The ledger is per-instance: one history row per executed round for
+    messages, bits and the largest message.  Instances finish in monotone
+    order, so each unfinished instance has executed every round so far:
+    the history *is* its per-round series.  ``contexts`` holds each
+    instance's contexts (local ids), ``None`` after a vectorized boot.
+    """
+    budgets = np.array(
+        [_NO_BUDGET if net.bit_budget is None else net.bit_budget
+         for net in networks],
+        dtype=np.int64,
+    )
+    offsets = plane.node_offsets.tolist()
+    specs = kernel.program_class.message_specs
+    #: Nodes whose sends reach a wire (see ``_accumulate_round``).
+    charged = plane.degrees > 0
+    open_limits = dict(enumerate(limits))
+    next_limit = min(limits)
+    hist_msgs: List[np.ndarray] = []
+    hist_bits: List[np.ndarray] = []
+    hist_max: List[np.ndarray] = []
+    stepping = bool(in_plane.any())
+    #: Kernel nodes halt only in ``step`` and revive only by joining, so
+    #: an instance's finish shows as a change of the plane's live count
+    #: (a join resets it to force a look); the per-instance reduction
+    #: waits for one.  At boot a fully live plane has no empty instance.
+    live_count = plane.n
+    rounds = 0
+
+    def finished(count: int) -> List[int]:
+        """Instances with no live node left, ascending."""
+        nonlocal live_count
+        done = [k for k, inst in prologue.items() if not inst.active]
+        if count != live_count:
+            live_count = count
+            alive = plane.live_per_instance(kernel.live)
+            done += np.flatnonzero(in_plane & (alive == 0)).tolist()
+            done.sort()
+        return done
+
+    def finish(k: int, dropped_bits, dropped_max) -> Tuple[int, SimulationResult]:
+        """Snapshot instance ``k``'s solo-equivalent result.
+
+        ``dropped_*`` charge the traffic of a tick the instance did not
+        execute (it had no live node at that tick's start).
+        """
+        nonlocal next_limit
+        lo, hi = offsets[k], offsets[k + 1]
+        charged[lo:hi] = False
+        in_plane[k] = False
+        prologue.pop(k, None)
+        del open_limits[k]
+        next_limit = min(open_limits.values(), default=0)
+        if contexts:
+            outputs = {v: dict(c._outputs) for v, c in contexts[k].items()}
+        else:
+            outputs = {v: {} for v in range(hi - lo)}
+        kernel_output = kernel._outputs.get
+        for v, values in outputs.items():
+            extra = kernel_output(lo + v)
+            if extra:
+                values.update(extra)
+        messages = [int(row[k]) for row in hist_msgs]
+        bits = [int(row[k]) for row in hist_bits]
+        largest = max((int(row[k]) for row in hist_max), default=0)
+        return k, SimulationResult(
+            rounds=rounds,
+            total_messages=sum(messages),
+            total_bits=sum(bits) + int(dropped_bits),
+            max_message_bits=max(largest, int(dropped_max)),
+            outputs=outputs,
+            all_halted=True,
+            messages_per_round=messages,
+            bits_per_round=bits,
+        )
+
+    check_top = True
+    while True:
+        if rounds >= next_limit:
+            raise SimulationLimitError(
+                f"simulation did not terminate within {next_limit} rounds"
+            )
+        # Instances whose next round is their takeover round hand their
+        # queued broadcast over and join the plane, so the handover
+        # traffic is charged this tick.
+        joiners: List[Tuple[int, PendingBroadcast]] = []
+        for k, inst in prologue.items():
+            if inst.takeover is None or rounds + 1 < inst.takeover:
+                continue
+            handover = _collect_handover(inst.drain, specs, inst.n)
+            if handover is _NONCONFORMING:
+                inst.takeover = None
+                continue
+            lo = offsets[k]
+            kernel.absorb_instance(lo, lo + inst.n, inst.programs, inst.contexts)
+            joiners.append((k, handover))
+        if joiners:
+            for k, _ in joiners:
+                del prologue[k]
+                in_plane[k] = True
+            pending = _merge_joiners(plane, pending, joiners)
+            stepping = check_top = True
+            live_count = -1
+
+        msgs_k, bits_k, max_k = _accumulate_round(
+            plane, pending, charged, budgets
+        )
+        # Scalar instances: exact FastEngine collection and charging
+        # against the instance's own budget.
+        for k, inst in prologue.items():
+            touched, sizes, senders = FastEngine._collect_traffic(
+                inst.drain, inst.inboxes
+            )
+            inst.touched = touched
+            round_bits, max_k[k] = FastEngine._charge(
+                sizes, senders, inst.budget, 0
+            )
+            msgs_k[k] += len(sizes)
+            bits_k[k] += round_bits
+        if check_top:
+            check_top = False
+            for k in finished(np.count_nonzero(kernel.live)):
+                yield finish(k, bits_k[k], max_k[k])
+            if not open_limits:
+                return
+
+        hist_msgs.append(msgs_k)
+        hist_bits.append(bits_k)
+        hist_max.append(max_k)
+        rounds += 1
+        pending = kernel.step(rounds, pending) if stepping else None
+        for inst in prologue.values():
+            inst.execute_round(rounds)
+        count = np.count_nonzero(kernel.live)
+        if prologue or count != live_count:
+            for k in finished(count):
+                yield finish(k, 0, 0)
+            if not open_limits:
+                return
+
+
+def _iter_stacked(
+    networks: Sequence[Network],
+    program_factory: type,
+    inputs: Sequence[Optional[Mapping[int, object]]],
+    limits: Sequence[int],
+) -> Iterator[Tuple[int, SimulationResult]]:
+    """Generator body of :func:`iter_stacked` (arguments pre-validated)."""
+    kernel_cls = kernel_for(program_factory)
+    plane = StackedPlane(networks)
+    # Vectorized boot: no per-node program or context objects at all —
+    # the kernel initializes its planes and the round-1 broadcast directly
+    # from the instance inputs.  This is where batched sweeps stop paying
+    # O(total nodes) Python object construction.  ``stacked_setup``
+    # implies a round-1 takeover for every instance; a kernel with
+    # *conditional* round-1 takeover (lemma310's canonical gate) returns
+    # ``None`` to decline the group, sending it through the object boot.
+    boot = None
+    if kernel_cls.stacked_setup is not None:
+        boot = kernel_cls.stacked_setup(plane, list(inputs))
+    if boot is not None:
+        kernel, pending = boot
+        in_plane = np.ones(len(networks), dtype=bool)
+        yield from _rounds(
+            plane, networks, limits, None, kernel, pending, {}, in_plane
+        )
+        return
+    built = [
+        _instantiate(net, program_factory, node_inputs, kernel_cls)
+        for net, node_inputs in zip(networks, inputs)
+    ]
+    yield from _rounds(
+        plane,
+        networks,
+        limits,
+        [contexts for _, contexts, _ in built],
+        *_object_boot(plane, networks, built, kernel_cls),
+    )
 
 
 def iter_stacked(
@@ -584,24 +876,25 @@ def iter_stacked(
     termination mask flips** — a small instance that halts early surfaces
     long before its larger siblings finish — in completion order (ties
     broken by instance index).  Each yielded result is bit-for-bit equal
-    to the instance's solo ``vector``-engine run of the same
-    (network, inputs) pair; collect them all and you have exactly
-    :func:`run_stacked`'s output.
+    to the instance's solo run of the same (network, inputs) pair on any
+    engine; collect them all and you have exactly :func:`run_stacked`'s
+    output.
 
+    ``inputs`` is one optional ``{node: input}`` mapping per instance.
     ``max_rounds`` may be an int (shared limit) or one limit per instance
     (a ragged group's natural shape, e.g. size-derived limits).  An
     unfinished instance hitting its own limit aborts the whole group with
-    :class:`~repro.errors.SimulationLimitError`; callers such as the batch
-    runner fall back to per-cell execution for the instances not yet
-    yielded, which reproduces each solo outcome (including the solo
-    error) exactly.
+    the solo :class:`~repro.errors.SimulationLimitError`; callers such as
+    the batch runner fall back to per-cell execution for the instances
+    not yet yielded, which reproduces each solo outcome (including the
+    solo error) exactly.
 
     Raises :class:`~repro.errors.BatchEligibilityError` when the
     instances cannot be stacked (see the module docstring for the rules).
     Static eligibility and argument shapes are validated eagerly — at the
     call, not on first iteration — so the error surfaces at the faulty
     call site even if the iterator is handed off or never consumed
-    (run-time conditions such as a non-conforming handover still raise
+    (run-time conditions such as a declining kernel gate still raise
     from the iterator).
     """
     k_count = len(networks)
@@ -611,243 +904,13 @@ def iter_stacked(
     if reason is not None:
         raise BatchEligibilityError(reason)
     limits = _round_limits(max_rounds, k_count)
+    if inputs is None:
+        inputs = [None] * k_count
+    elif len(inputs) != k_count:
+        raise BatchEligibilityError(
+            f"got {len(inputs)} input mappings for {k_count} instances"
+        )
     return _iter_stacked(list(networks), program_factory, inputs, limits)
-
-
-def _iter_stacked(
-    networks: Sequence[Network],
-    program_factory: type,
-    inputs: Optional[Sequence[Optional[Mapping[int, object]]]],
-    limits: np.ndarray,
-) -> Iterator[Tuple[int, SimulationResult]]:
-    """Generator body of :func:`iter_stacked` (arguments pre-validated)."""
-    k_count = len(networks)
-    kernel_cls = kernel_for(program_factory)
-
-    plane = StackedPlane(networks)
-    budgets = [net.bit_budget for net in networks]
-    if all(b is None for b in budgets):
-        node_budget = None
-    else:
-        node_budget = np.repeat(
-            np.asarray(
-                [_NO_BUDGET if b is None else int(b) for b in budgets],
-                dtype=np.int64,
-            ),
-            plane.local_ns,
-        )
-    union_contexts: Optional[Dict[int, Context]] = None
-    #: Instances still in their scalar prologue, keyed by instance index.
-    prologue: Dict[int, _PrologueInstance] = {}
-    absorbed = np.ones(k_count, dtype=bool)
-    boot = None
-    if kernel_cls.stacked_setup is not None:
-        # Vectorized boot: no per-node program or context objects at all —
-        # the kernel initializes its planes and the round-1 broadcast
-        # directly from the instance inputs.  This is where batched sweeps
-        # stop paying O(total nodes) Python object construction.
-        # ``stacked_setup`` implies a round-1 takeover for every instance;
-        # a kernel with *conditional* round-1 takeover (lemma310's
-        # canonical gate) returns ``None`` to decline the group, sending
-        # it through the object-level boot and its per-instance takeover
-        # machinery below.
-        boot = kernel_cls.stacked_setup(
-            plane, list(inputs) if inputs else [None] * k_count
-        )
-    if boot is not None:
-        kernel, pending = boot
-    else:
-        booted, union_programs, union_contexts = _boot_instances(
-            plane, networks, program_factory, inputs, kernel_cls
-        )
-        specs = program_factory.message_specs
-        if all(inst.takeover <= 1 for inst in booted):
-            # Lockstep boot: every instance hands over at round 1, so the
-            # kernel is constructed from the union state and the setup
-            # traffic is stitched into one plane-wide broadcast.
-            collected: List[PendingBroadcast] = []
-            for inst in booted:
-                handover = VectorEngine._collect_handover(
-                    inst.drain, specs, inst.n
-                )
-                if handover is _NONCONFORMING:
-                    raise BatchEligibilityError(
-                        "an instance queued non-conforming traffic "
-                        "during setup"
-                    )
-                collected.append(handover)
-            # Stackable kernels never consult the network argument (there
-            # is no single network to hand them) — part of the `stackable`
-            # contract.
-            kernel = kernel_cls(plane, None, union_programs, union_contexts)
-            pending = _stitch_handover(plane, collected)
-        else:
-            # Per-instance takeover: boot the kernel dead and let each
-            # instance join the plane at its own takeover round, running
-            # exact scalar-prologue rounds until then.
-            if kernel_cls.absorb_instance is VectorKernel.absorb_instance:
-                raise BatchEligibilityError(
-                    f"{kernel_cls.__name__} takes over after round 1 but "
-                    "does not implement absorb_instance; instances cannot "
-                    "join the plane late"
-                )
-            kernel = kernel_cls.stacked_blank(plane)
-            pending = None
-            absorbed = np.zeros(k_count, dtype=bool)
-            oracle_factory = kernel_cls.prologue_oracle
-            for inst in booted:
-                if inst.takeover > 1 and oracle_factory is not None:
-                    inst.oracle = oracle_factory(inst.net, inst.programs)
-                prologue[inst.index] = inst
-
-    # -- the stacked loop: VectorEngine._run_hybrid with K ledgers ----------
-    #
-    # Accounting is fully incremental so an instance's result can be built
-    # the instant it finishes: running per-instance totals plus per-round
-    # history rows (one int64 vector of length K per executed round).
-    # ``finished`` is monotone, so each unfinished instance has executed
-    # every round so far — its counted rounds form a prefix of the history,
-    # exactly its solo per-round series.
-    hist_msgs: List[np.ndarray] = []
-    hist_bits: List[np.ndarray] = []
-    total_messages = np.zeros(k_count, dtype=np.int64)
-    total_bits = np.zeros(k_count, dtype=np.int64)
-    wire_max = np.zeros(k_count, dtype=np.int64)
-    inst_rounds = np.zeros(k_count, dtype=np.int64)
-    finished = np.zeros(k_count, dtype=bool)
-    #: Node-level expansion of ``~finished`` (masks discarded traffic).
-    active_nodes = np.ones(plane.n, dtype=bool)
-
-    def _finish(k: int) -> Tuple[int, SimulationResult]:
-        """Snapshot instance ``k``'s solo-equivalent result at flip time."""
-        base = int(plane.node_offsets[k])
-        local_n = int(plane.local_ns[k])
-        lo, hi = base, base + local_n
-        active_nodes[lo:hi] = False
-        outputs: Dict[int, Dict[str, object]] = {}
-        for v in range(local_n):
-            g = base + v
-            values = (
-                dict(union_contexts[g]._outputs)
-                if union_contexts is not None
-                else {}
-            )
-            values.update(kernel._outputs.get(g, {}))
-            outputs[v] = values
-        executed = int(inst_rounds[k])
-        return k, SimulationResult(
-            rounds=executed,
-            total_messages=int(total_messages[k]),
-            total_bits=int(total_bits[k]),
-            max_message_bits=int(wire_max[k]),
-            outputs=outputs,
-            all_halted=True,
-            messages_per_round=[int(row[k]) for row in hist_msgs[:executed]],
-            bits_per_round=[int(row[k]) for row in hist_bits[:executed]],
-        )
-
-    specs = program_factory.message_specs
-    rounds = 0
-    live_k = plane.live_per_instance(kernel.live)
-    while True:
-        # Per-instance takeover: instances whose next round is their
-        # takeover round hand their queued broadcast over and join the
-        # plane — the stacked analogue of the solo loop's top-of-loop
-        # takeover check, so handover traffic is charged *this* tick.
-        if prologue:
-            joiners: List[Tuple[int, PendingBroadcast]] = []
-            for k in sorted(prologue):
-                inst = prologue[k]
-                if finished[k] or inst_rounds[k] + 1 < inst.takeover:
-                    continue
-                handover = VectorEngine._collect_handover(
-                    inst.drain, specs, inst.n
-                )
-                if handover is _NONCONFORMING:
-                    raise BatchEligibilityError(
-                        "an instance queued non-conforming traffic at its "
-                        "takeover round"
-                    )
-                lo = int(plane.node_offsets[k])
-                kernel.absorb_instance(
-                    lo, lo + inst.n, inst.programs, inst.contexts
-                )
-                absorbed[k] = True
-                joiners.append((k, handover))
-            if joiners:
-                for k, _ in joiners:
-                    del prologue[k]
-                pending = _merge_joiners(plane, pending, joiners)
-                live_k = plane.live_per_instance(kernel.live)
-
-        msgs_k, bits_k, wmax_k = _accumulate_round(
-            plane, pending, node_budget, active_nodes
-        )
-        # Scalar prologue instances: exact FastEngine collection and
-        # charging against the instance's own budget and running maximum,
-        # folded into this tick's per-instance ledger row.
-        for k, inst in prologue.items():
-            if finished[k]:
-                continue
-            touched, sizes, senders = FastEngine._collect_traffic(
-                inst.drain, inst.inboxes
-            )
-            inst.touched = touched
-            round_bits, new_max = FastEngine._charge(
-                sizes, senders, inst.budget, int(wire_max[k])
-            )
-            msgs_k[k] += len(sizes)
-            bits_k[k] += round_bits
-            wire_max[k] = new_max
-        total_bits += bits_k
-        np.maximum(wire_max, wmax_k, out=wire_max)
-        # Solo top-of-loop break: an instance with no live nodes has its
-        # in-flight traffic charged but does not execute the round.  A
-        # prologue instance's "no live nodes" is an empty active map.
-        newly = ~finished & absorbed & (live_k == 0)
-        for k, inst in prologue.items():
-            if not finished[k] and not inst.active:
-                newly[k] = True
-        if newly.any():
-            finished |= newly
-            for k in np.flatnonzero(newly):
-                prologue.pop(int(k), None)
-                yield _finish(int(k))
-        if finished.all():
-            return
-        exhausted = ~finished & (inst_rounds >= limits)
-        if exhausted.any():
-            raise SimulationLimitError(
-                "stacked simulation did not terminate within "
-                f"{int(limits[exhausted].min())} rounds"
-            )
-
-        counted = ~finished
-        total_messages += np.where(counted, msgs_k, 0)
-        inst_rounds += counted
-        hist_msgs.append(msgs_k)
-        hist_bits.append(bits_k)
-        rounds += 1
-        pending = kernel.step(rounds, pending) if absorbed.any() else None
-        for k, inst in prologue.items():
-            if not finished[k]:
-                inst.execute_round(rounds)
-        live_k = plane.live_per_instance(kernel.live)
-        # Solo bottom-of-loop break: traffic an instance queued during its
-        # final round is discarded *uncharged* (``active_nodes`` masks it
-        # out of the next accumulation; a finished prologue instance is
-        # simply never drained again).
-        newly = ~finished & absorbed & (live_k == 0)
-        for k, inst in prologue.items():
-            if not finished[k] and not inst.active:
-                newly[k] = True
-        if newly.any():
-            finished |= newly
-            for k in np.flatnonzero(newly):
-                prologue.pop(int(k), None)
-                yield _finish(int(k))
-        if finished.all():
-            return
 
 
 def run_stacked(
@@ -859,9 +922,8 @@ def run_stacked(
     """Run one program family on K instance networks as one stacked plane.
 
     Returns one :class:`SimulationResult` per instance (in instance
-    order), bit-for-bit equal to K solo ``vector``-engine runs of the same
-    (network, inputs) pairs; the streaming variant is
-    :func:`iter_stacked`.  Raises
+    order), bit-for-bit equal to K solo runs of the same (network, inputs)
+    pairs; the streaming variant is :func:`iter_stacked`.  Raises
     :class:`~repro.errors.BatchEligibilityError` when the instances cannot
     be stacked (see the module docstring for the rules) — callers such as
     the batch runner fall back to per-cell execution.
@@ -872,3 +934,23 @@ def run_stacked(
     ):
         results[k] = result
     return results  # type: ignore[return-value]
+
+
+def run_instance(
+    network: Network,
+    kernel_cls: type,
+    programs: Mapping[int, NodeProgram],
+    contexts: Mapping[int, Context],
+    max_rounds: int,
+) -> SimulationResult:
+    """One solo ``vector`` run: the round loop on a one-instance plane.
+
+    Boots from the caller's programs and contexts (the Simulator's, not
+    yet set up) exactly as :func:`iter_stacked` boots each instance of a
+    group without a vectorized ``stacked_setup``.
+    """
+    plane = StackedPlane([network])
+    built = [(programs, contexts, _setup(network, programs, contexts))]
+    boot = _object_boot(plane, [network], built, kernel_cls)
+    rounds = _rounds(plane, [network], [max_rounds], [contexts], *boot)
+    return next(rounds)[1]

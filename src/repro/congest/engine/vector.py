@@ -24,72 +24,52 @@ Three pieces cooperate:
   arrays.  A kernel re-expresses the program's ``receive`` transition as
   scatter/gather over the :class:`CsrPlane`; program modules register their
   kernel with :func:`register_kernel`.
-* :class:`VectorEngine` — the engine.  It runs ``setup`` and any
-  non-conforming prefix of rounds through the exact
-  :class:`~repro.congest.engine.fast.FastEngine` scalar mechanics, then
-  hands the live state to the kernel at its declared ``takeover_round`` and
-  finishes the run with vectorized rounds.  Runs whose programs declare no
-  :attr:`~repro.congest.node.NodeProgram.message_specs`, have no registered
-  kernel, or queue non-broadcast traffic at the handover point fall back to
-  ``FastEngine`` semantics — the parity suite
-  (``tests/test_engine_parity.py``) proves all three engines
-  observationally identical either way.
+* :class:`VectorEngine` — the engine.  A run whose programs declare no
+  :attr:`~repro.congest.node.NodeProgram.message_specs`, have no
+  registered kernel, mix program classes or fail the kernel's
+  :meth:`VectorKernel.eligible` gate runs on
+  :class:`~repro.congest.engine.fast.FastEngine`.  Every other run is the
+  one-instance case of the round loop in
+  :mod:`repro.congest.engine.batched`: the loop runs ``setup`` and any
+  scalar prefix of rounds through FastEngine mechanics, hands the live
+  state to the kernel at its declared ``takeover_round`` and finishes the
+  run with vectorized rounds.  The parity suite
+  (``tests/test_engine_parity.py``) proves all engines observationally
+  identical either way.
 
-In a *solo* run the handover is one-directional (scalar → vector) and
-happens at most once: fully-broadcast programs (greedy MDS, rounding
-execution, color reduction) take over at round 1, and so does the
-Lemma 3.10 loop on its canonical uniform inputs — its color-class rounds
-run *in-plane*, with the targeted ``alpha`` sends expressed as
-:class:`PendingTargeted` slot traffic and a round optionally carrying
-several differently-tagged parts at once.  On heterogeneous inputs the
-loop instead runs those rounds under scalar semantics and vectorizes the
-final execution-phase broadcasts (takeover at ``2 + 3*num_colors``; the
-takeover round is per-instance, input-dependent state).  In a *stacked* run
-(:mod:`repro.congest.engine.batched`) the boundary is crossed **per
-instance**: instances whose takeover round has not arrived keep executing
-scalar rounds against the shared global clock while already-absorbed
-instances run on the plane, and each scalar instance's traffic is folded
-into the vectorized ledger every round — the handover machinery is
-two-directional for the duration of the run.  See
-:meth:`VectorKernel.stacked_blank` / :meth:`VectorKernel.absorb_instance`.
-
-The plane itself is backend-agnostic: every :class:`CsrPlane` hot-path
-operation routes through :func:`plane_namespace`, an array-namespace seam
-defaulting to numpy.  Under numpy the exact ``reduceat`` fast paths run
-unchanged; under any other array-API namespace (``array-api-strict`` for
-conformance testing, CuPy for GPUs) the same reductions run through
-portable segment kernels — cumulative-sum differences for segment sums,
-log-doubling sweeps for segment maxima — so switching backends is a
-:func:`use_plane_namespace` call rather than a rewrite.  The seam covers
-the plane (topology arrays plus row reductions, gathers and sender-slot
-expansion); the engine loops and kernels above it still assume
-numpy-compatible semantics.
+Fully-broadcast programs (greedy MDS, rounding execution, color reduction)
+take over at round 1, and so does the Lemma 3.10 loop on its canonical
+uniform inputs — its color-class rounds run *in-plane*, with the targeted
+``alpha`` sends expressed as :class:`PendingTargeted` slot traffic and a
+round optionally carrying several differently-tagged parts at once.  On
+heterogeneous inputs the loop instead runs those rounds under scalar
+semantics and vectorizes the final execution-phase broadcasts (takeover
+at ``2 + 3*num_colors``; the takeover round is per-instance,
+input-dependent state).  The handover follows one set of rules whether
+the plane holds one instance or K (see
+:mod:`repro.congest.engine.batched`): an instance joins the plane at its
+own takeover round, through :meth:`VectorKernel.absorb_instance` when that
+round is late, and an instance whose traffic at that round is not one
+conforming broadcast finishes on FastEngine mechanics.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from array import array
-from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
 from repro.congest.engine.base import Engine, SimulationResult, register_engine
-from repro.congest.engine.fast import _EMPTY_INBOX, FastEngine, Inboxes
+from repro.congest.engine.fast import FastEngine
 from repro.congest.message import (
     FIELD_FRAMING_BITS,
     MESSAGE_HEADER_BITS,
 )
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
-from repro.errors import (
-    BatchEligibilityError,
-    CongestError,
-    GraphError,
-    MessageTooLargeError,
-    SimulationLimitError,
-)
+from repro.errors import BatchEligibilityError, CongestError, GraphError
 
 __all__ = [
     "CsrPlane",
@@ -98,51 +78,8 @@ __all__ = [
     "VectorEngine",
     "VectorKernel",
     "kernel_for",
-    "plane_namespace",
     "register_kernel",
-    "set_plane_namespace",
-    "use_plane_namespace",
 ]
-
-#: The configured array namespace for plane arrays; ``None`` means numpy.
-_PLANE_NAMESPACE = None
-
-
-def plane_namespace():
-    """The active array namespace for message-plane arrays.
-
-    This is the backend seam: :class:`CsrPlane` (and the stacked plane
-    built on it) capture the namespace returned here at construction and
-    route every hot-path operation through it.  Defaults to numpy;
-    configure another array-API namespace (``array_api_strict``, CuPy)
-    with :func:`set_plane_namespace` or :func:`use_plane_namespace`.
-    """
-    return np if _PLANE_NAMESPACE is None else _PLANE_NAMESPACE
-
-
-def set_plane_namespace(xp):
-    """Install ``xp`` as the plane's array namespace; returns the previous.
-
-    ``None`` restores the numpy default.  The namespace must implement the
-    array API standard operations the plane uses (``asarray``, ``astype``,
-    ``take``, ``where``, ``maximum``, ``cumulative_sum``, ``searchsorted``
-    and the basic constructors); numpy itself always qualifies and keeps
-    its exact ``reduceat`` fast paths.
-    """
-    global _PLANE_NAMESPACE
-    previous = _PLANE_NAMESPACE
-    _PLANE_NAMESPACE = xp
-    return previous
-
-
-@contextmanager
-def use_plane_namespace(xp):
-    """Context manager: run a block with ``xp`` as the plane namespace."""
-    previous = set_plane_namespace(xp)
-    try:
-        yield xp
-    finally:
-        set_plane_namespace(previous)
 
 #: Largest field value whose bit length the float64 ``frexp`` trick recovers
 #: exactly.  CONGEST fields are O(log n)-bit by design, so this guards
@@ -299,139 +236,54 @@ class CsrPlane:
     """Array view of a network's CSR topology plus exact row reductions.
 
     ``indices[indptr[v]:indptr[v+1]]`` are the neighbors of ``v`` (the
-    *slots* of row ``v``).  The plane captures :func:`plane_namespace` at
-    construction.  Under numpy, row reductions use ``ufunc.reduceat`` over
-    the non-empty rows only; under any other array-API namespace the same
-    reductions run through portable segment kernels (cumulative-sum
-    differences, log-doubling maxima).  Either way isolated nodes are
-    handled without branching and all arithmetic stays in int64
-    (bit-exact, unlike float matvecs).
+    *slots* of row ``v``).  Row reductions use ``ufunc.reduceat`` over the
+    non-empty rows only, so isolated nodes are handled without branching
+    and all arithmetic stays in int64 (bit-exact, unlike float matvecs).
+    Kernels run on its subclass
+    :class:`~repro.congest.engine.batched.StackedPlane`, which adds the
+    per-instance tables.
     """
 
     __slots__ = (
         "n",
         "nnz",
-        "xp",
         "indptr",
         "indices",
         "degrees",
-        "local_n",
-        "local_ids",
-        "local_n_of",
-        "local_ns",
-        "node_offsets",
         "_nonempty",
         "_starts",
-        "_slot_row_end",
-        "_max_degree",
         "_reverse",
     )
 
     def __init__(self, network: Network):
         indptr, indices = network.csr()
         self._init_arrays(_as_int64(indptr), _as_int64(indices))
-        # A solo plane is its own single instance: local identifiers and the
-        # locally-known network size coincide with the global ones.  The
-        # stacked plane (engine/batched.py) overrides both so kernels keep
-        # computing with per-instance semantics (packed-key bases, id fields
-        # on the wire) no matter how many instances share the arrays.
-        # ``local_n_of`` is the per-node view of "the n my instance believes
-        # it runs on" — the quantity stackable kernels must base packed keys
-        # and round schedules on, because a *ragged* stacked plane holds
-        # instances of different sizes (``local_n`` is then ``None``).
-        # ``local_ns`` / ``node_offsets`` are the one-instance versions of
-        # the stacked plane's offset tables.
-        xp = self.xp
-        self.local_n = self.n
-        self.local_ids = xp.arange(self.n, dtype=xp.int64)
-        self.local_n_of = xp.full(self.n, self.n, dtype=xp.int64)
-        self.local_ns = np.array([self.n], dtype=np.int64)
-        self.node_offsets = np.array([0, self.n], dtype=np.int64)
 
     def _init_arrays(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        xp = plane_namespace()
-        self.xp = xp
-        if xp is not np:
-            indptr = xp.asarray(np.asarray(indptr), dtype=xp.int64)
-            indices = xp.asarray(np.asarray(indices), dtype=xp.int64)
         self.indptr = indptr
         self.indices = indices
         self.n = int(indptr.shape[0]) - 1
         self.nnz = int(indices.shape[0])
         self.degrees = self.indptr[1:] - self.indptr[:-1]
         self._reverse = None
-        if xp is np:
-            self._nonempty = self.degrees > 0
-            self._starts = self.indptr[:-1][self._nonempty]
-            self._slot_row_end = None
-            self._max_degree = None
-        else:
-            # Portable-path helper tables: the row-end slot index of every
-            # slot (for the log-doubling segment max) and the widest row
-            # (its doubling depth).  Built once; the per-round reductions
-            # below touch only array-API standard operations.
-            self._nonempty = None
-            self._starts = None
-            if self.nnz:
-                slots = xp.arange(self.nnz, dtype=xp.int64)
-                rows = xp.searchsorted(self.indptr, slots, side="right") - 1
-                self._slot_row_end = xp.take(self.indptr, rows + 1)
-            else:
-                self._slot_row_end = xp.zeros(0, dtype=xp.int64)
-            self._max_degree = int(xp.max(self.degrees)) if self.n else 0
-
-    def _as_i64(self, values):
-        """Coerce slot values to an int64 array of the plane's namespace."""
-        xp = self.xp
-        values = xp.asarray(values)
-        if values.dtype != xp.int64:
-            values = xp.astype(values, xp.int64)
-        return values
+        self._nonempty = self.degrees > 0
+        self._starts = self.indptr[:-1][self._nonempty]
 
     def row_sum(self, slot_values: np.ndarray) -> np.ndarray:
         """Per-node sum of ``slot_values`` over each node's slots."""
-        if self.xp is np:
-            out = np.zeros(self.n, dtype=np.int64)
-            if self._starts.size:
-                values = np.asarray(slot_values).astype(np.int64, copy=False)
-                out[self._nonempty] = np.add.reduceat(values, self._starts)
-            return out
-        xp = self.xp
-        csum = xp.cumulative_sum(self._as_i64(slot_values), include_initial=True)
-        return xp.take(csum, self.indptr[1:]) - xp.take(csum, self.indptr[:-1])
+        out = np.zeros(self.n, dtype=np.int64)
+        if self._starts.size:
+            values = np.asarray(slot_values).astype(np.int64, copy=False)
+            out[self._nonempty] = np.add.reduceat(values, self._starts)
+        return out
 
     def row_max(self, slot_values: np.ndarray, empty: int) -> np.ndarray:
         """Per-node max of ``slot_values``; ``empty`` for isolated nodes."""
-        if self.xp is np:
-            out = np.full(self.n, empty, dtype=np.int64)
-            if self._starts.size:
-                values = np.asarray(slot_values).astype(np.int64, copy=False)
-                out[self._nonempty] = np.maximum.reduceat(values, self._starts)
-            return out
-        xp = self.xp
-        if not self.nnz:
-            return xp.full(self.n, empty, dtype=xp.int64)
-        # Log-doubling suffix sweep: after k passes, ``maxima[i]`` holds the
-        # max of slots [i, min(i + 2**k, row_end(i))), so each row's max
-        # lands on its first slot after ceil(log2(max_degree)) passes.
-        maxima = self._as_i64(slot_values)
-        slots = xp.arange(self.nnz, dtype=xp.int64)
-        offset = 1
-        while offset < self._max_degree:
-            reach = slots + offset
-            source = xp.where(reach < self.nnz, reach, self.nnz - 1)
-            shifted = xp.take(maxima, source)
-            maxima = xp.where(
-                reach < self._slot_row_end, xp.maximum(maxima, shifted), maxima
-            )
-            offset <<= 1
-        starts = self.indptr[:-1]
-        heads = xp.take(
-            maxima, xp.where(starts < self.nnz, starts, self.nnz - 1)
-        )
-        return xp.where(
-            self.degrees > 0, heads, xp.full(self.n, empty, dtype=xp.int64)
-        )
+        out = np.full(self.n, empty, dtype=np.int64)
+        if self._starts.size:
+            values = np.asarray(slot_values).astype(np.int64, copy=False)
+            out[self._nonempty] = np.maximum.reduceat(values, self._starts)
+        return out
 
     def row_any(self, slot_flags: np.ndarray) -> np.ndarray:
         """Per-node "any slot true" as a boolean array."""
@@ -439,29 +291,20 @@ class CsrPlane:
 
     def sent_slots(self, pending: Optional[PendingBroadcast]) -> np.ndarray:
         """Slot-level sender flags for one round of broadcast traffic."""
-        xp = self.xp
         if pending is None:
-            return (
-                np.zeros(self.nnz, dtype=bool)
-                if xp is np
-                else xp.zeros(self.nnz, dtype=xp.bool)
-            )
-        if xp is np:
-            return pending.mask[self.indices]
-        return xp.take(xp.asarray(pending.mask), self.indices)
+            return np.zeros(self.nnz, dtype=bool)
+        return pending.mask[self.indices]
 
     def gather(self, per_node: np.ndarray) -> np.ndarray:
         """Slot-level view of a per-node array (value of each slot's peer)."""
-        if self.xp is np:
-            return per_node[self.indices]
-        return self.xp.take(self.xp.asarray(per_node), self.indices)
+        return per_node[self.indices]
 
     def out_slots(self, senders: np.ndarray) -> np.ndarray:
         """Receiving slots of the broadcasts of ``senders``, sender-major.
 
         The slots ``s`` with ``indices[s]`` in ``senders`` — the set
         :meth:`sent_slots` flags — found in O(sum of sender degrees)
-        through the reverse-slot map.  Numpy planes only.
+        through the reverse-slot map.
         """
         if self._reverse is None:
             self._reverse = self._reverse_slots()
@@ -502,29 +345,26 @@ class VectorKernel(ABC):
     per-node program/context state; from then on :meth:`step` is the whole
     round: consume the inbound :class:`PendingBroadcast`, update state,
     record outputs/halts, and return the next round's outbound broadcast
-    (or ``None`` for a silent round).  The engine owns accounting and
+    (or ``None`` for a silent round).  The round loop owns accounting and
     termination; the kernel owns semantics.
+
+    Every plane may hold K instances (:mod:`repro.congest.engine.batched`;
+    a solo run is the case K = 1), so per-node transitions consult only
+    intra-instance data: ``plane.local_n_of`` / ``plane.local_ids``
+    instead of global ids and the global ``plane.n``.  Planes may be
+    *ragged* — instances of different sizes — so per-instance quantities
+    (packed-key bases, round schedules) come from the per-node
+    ``local_n_of`` array, never from a single scalar ``n``.  Instances
+    need not enter the plane in lockstep: a kernel whose
+    ``takeover_round`` exceeds 1 must implement :meth:`absorb_instance`
+    (usually together with :attr:`prologue_oracle`), and the round loop
+    executes each instance's scalar prologue against the shared global
+    clock before absorbing its state into the plane at its own takeover
+    round.
     """
 
     #: Filled in by :func:`register_kernel`.
     program_class: Type[NodeProgram]
-
-    #: Stacking contract (see :mod:`repro.congest.engine.batched`): ``True``
-    #: iff K independent instances of this kernel may execute as one stacked
-    #: message plane.  Requires per-node transitions that consult only
-    #: intra-instance data: ``plane.local_n_of`` / ``plane.local_ids``
-    #: instead of global ids and the global ``plane.n``, and never
-    #: ``self.network`` (a stacked run has no single network).  Stacked
-    #: planes may be *ragged* — instances of different sizes — so
-    #: per-instance quantities (packed-key bases, round schedules) must come
-    #: from the per-node ``local_n_of`` array, never from a single scalar
-    #: ``n``.  Instances need not enter the plane in lockstep: a kernel
-    #: whose ``takeover_round`` exceeds 1 must implement
-    #: :meth:`absorb_instance` (usually together with
-    #: :attr:`prologue_oracle`), and the stacked runner executes each
-    #: instance's scalar prologue against the shared global clock before
-    #: absorbing its state into the plane at its own takeover round.
-    stackable = True
 
     @classmethod
     def _blank(cls, plane: "CsrPlane") -> "VectorKernel":
@@ -536,7 +376,6 @@ class VectorKernel(ABC):
         """
         self = cls.__new__(cls)
         self.plane = plane
-        self.network = None
         self.live = np.ones(plane.n, dtype=bool)
         self._outputs = {}
         return self
@@ -551,7 +390,7 @@ class VectorKernel(ABC):
     #: first global node, ``plane.local_ns[k]`` its size — instances need
     #: not share one size).  The implementation must reproduce the scalar
     #: boot bit for bit: same initial state, same round-1 broadcast
-    #: mask/columns/bits.  A ``None`` *attribute* means the stacked runner
+    #: mask/columns/bits.  A ``None`` *attribute* means the round loop
     #: always boots through the scalar path; an implementation may also
     #: *return* ``None`` to decline one particular group (a kernel whose
     #: round-1 takeover is conditional on the inputs, e.g. lemma310's
@@ -559,12 +398,12 @@ class VectorKernel(ABC):
     #: and the per-instance takeover machinery.
     stacked_setup = None
 
-    #: Scalar-prologue actor oracle (optional, stacked runs only): a
-    #: classmethod ``prologue_oracle(network, programs) ->
+    #: Scalar-prologue actor oracle (optional): a classmethod
+    #: ``prologue_oracle(network, programs) ->
     #: Callable[[int], Optional[np.ndarray]]`` mapping a *local* round
     #: number to the sorted array of local node ids whose ``receive`` can
-    #: act that round (``None`` = every active node must run).  The stacked
-    #: runner uses it to skip provably no-op ``receive`` calls while an
+    #: act that round (``None`` = every active node must run).  The round
+    #: loop uses it to skip provably no-op ``receive`` calls while an
     #: instance is still in its scalar prologue; skipping a node must be
     #: observationally identical to delivering its (empty) inbox that
     #: round.  ``None`` disables the optimization.
@@ -572,7 +411,7 @@ class VectorKernel(ABC):
 
     @classmethod
     def stacked_blank(cls, plane: "CsrPlane") -> "VectorKernel":
-        """Kernel shell for stacked runs with per-instance takeover rounds.
+        """Kernel shell for runs with per-instance takeover rounds.
 
         Like :meth:`_blank` but every node starts *dead*: instances light
         up their slice of the plane only when :meth:`absorb_instance`
@@ -593,14 +432,14 @@ class VectorKernel(ABC):
     ) -> None:
         """Load one instance's scalar state into plane slice ``[lo, hi)``.
 
-        Called by the stacked runner at the instance's takeover round with
+        Called by the round loop at the instance's takeover round with
         that instance's per-node programs and contexts (*local* ids;
         global id = local id + ``lo``).  Implementations must set
         ``self.live[lo:hi]`` from the contexts' halted flags and fill
         every per-node state array exactly as ``__init__`` would for a
-        solo run.  The default refuses — kernels that take over at round 1
-        never need it, and the stacked runner converts the refusal into a
-        per-cell fallback.
+        lockstep plane.  The default refuses — kernels that always take
+        over at round 1 never need it, and the batch runner treats the
+        refusal as a signal to fall back per cell.
         """
         raise BatchEligibilityError(
             f"{type(self).__name__} cannot absorb a scalar prologue; "
@@ -610,12 +449,15 @@ class VectorKernel(ABC):
     def __init__(
         self,
         plane: CsrPlane,
-        network: Network,
-        programs: Dict[int, NodeProgram],
-        contexts: Dict[int, Context],
+        programs: Sequence[NodeProgram],
+        contexts: Sequence[Context],
     ):
+        """Lockstep boot: every instance of the plane takes over at round 1.
+
+        ``programs`` / ``contexts`` hold every node of the plane, indexed
+        by global id, as the scalar ``setup`` left them.
+        """
         self.plane = plane
-        self.network = network
         self.live = np.fromiter(
             (not contexts[v]._halted for v in range(plane.n)),
             dtype=bool,
@@ -637,18 +479,9 @@ class VectorKernel(ABC):
         """First round to execute vectorized (rounds before it run scalar)."""
         return 1
 
-    @property
-    def live_count(self) -> int:
-        return int(self.live.sum())
-
     def output(self, node: int, key: str, value: object) -> None:
         """Record one node's local output (mirrors ``Context.output``)."""
         self._outputs.setdefault(node, {})[key] = value
-
-    def write_outputs(self, outputs: Dict[int, Dict[str, object]]) -> None:
-        """Merge kernel-recorded outputs over the scalar-phase outputs."""
-        for node, values in self._outputs.items():
-            outputs[node].update(values)
 
     @abstractmethod
     def step(
@@ -676,11 +509,6 @@ def kernel_for(program_cls: Type[NodeProgram]) -> Optional[Type[VectorKernel]]:
     return _KERNELS.get(program_cls)
 
 
-#: Sentinel: the queued traffic at the handover point was not a conforming
-#: single-tag full broadcast, so the run must stay on scalar semantics.
-_NONCONFORMING = object()
-
-
 @register_engine
 class VectorEngine(Engine):
     """Numpy message-plane engine with scalar fallback (see module doc)."""
@@ -700,11 +528,10 @@ class VectorEngine(Engine):
         kernel_cls = self._kernel_class(programs)
         if kernel_cls is None or not kernel_cls.eligible(network, programs):
             return self._scalar.run(network, programs, contexts, max_rounds)
-        return self._run_hybrid(
-            kernel_cls, network, programs, contexts, max_rounds
-        )
+        # The round loop builds on this module, so it is imported here.
+        from repro.congest.engine.batched import run_instance
 
-    # -- eligibility ---------------------------------------------------------
+        return run_instance(network, kernel_cls, programs, contexts, max_rounds)
 
     @staticmethod
     def _kernel_class(
@@ -727,278 +554,3 @@ class VectorEngine(Engine):
         if any(type(p) is not cls for p in programs.values()):
             return None
         return kernel_cls
-
-    # -- hybrid loop ---------------------------------------------------------
-
-    def _run_hybrid(
-        self,
-        kernel_cls: Type[VectorKernel],
-        network: Network,
-        programs: Dict[int, NodeProgram],
-        contexts: Dict[int, Context],
-        max_rounds: int,
-    ) -> SimulationResult:
-        n = network.n
-        budget = network.bit_budget
-        records = [(v, contexts[v], programs[v].receive) for v in range(n)]
-
-        for v, ctx, _ in records:
-            ctx.round_number = 0
-            programs[v].setup(ctx)
-
-        active = [rec for rec in records if not rec[1]._halted]
-        drain: Sequence[tuple] = records
-        inboxes: Inboxes = [None] * n
-
-        total_messages = 0
-        total_bits = 0
-        max_bits = 0
-        messages_per_round: List[int] = []
-        bits_per_round: List[int] = []
-
-        takeover: Optional[int] = kernel_cls.takeover_round(network, programs)
-        pending: Optional[PendingBroadcast] = None
-        handover = False
-        rounds = 0
-
-        # Scalar prefix: exact FastEngine mechanics until the kernel's
-        # takeover round (round 1 for fully-broadcast programs).
-        while rounds < max_rounds:
-            if takeover is not None and rounds + 1 >= takeover:
-                collected = self._collect_handover(
-                    drain, kernel_cls.program_class.message_specs, n
-                )
-                if collected is _NONCONFORMING:
-                    takeover = None  # stay scalar for the whole run
-                else:
-                    pending = collected
-                    handover = True
-                    break
-
-            touched, sizes, senders = FastEngine._collect_traffic(
-                drain, inboxes
-            )
-            round_messages = len(sizes)
-            round_bits, max_bits = FastEngine._charge(
-                sizes, senders, budget, max_bits
-            )
-            total_bits += round_bits
-
-            if not active:
-                for to in touched:
-                    inboxes[to] = None
-                break
-
-            rounds += 1
-            total_messages += round_messages
-            messages_per_round.append(round_messages)
-            bits_per_round.append(round_bits)
-
-            still_active = []
-            keep = still_active.append
-            for rec in active:
-                v, ctx, recv = rec
-                ctx.round_number = rounds
-                box = inboxes[v]
-                if box is None:
-                    recv(ctx, _EMPTY_INBOX)
-                else:
-                    inboxes[v] = None
-                    recv(ctx, box)
-                if not ctx._halted:
-                    keep(rec)
-            for to in touched:
-                inboxes[to] = None
-
-            drain = active
-            active = still_active
-            if not active:
-                break
-        else:
-            raise SimulationLimitError(
-                f"simulation did not terminate within {max_rounds} rounds"
-            )
-
-        kernel: Optional[VectorKernel] = None
-        if handover:
-            plane = CsrPlane(network)
-            kernel = kernel_cls(plane, network, programs, contexts)
-            while rounds < max_rounds:
-                round_messages, round_bits, wire_max = self._account(
-                    plane, pending, budget
-                )
-                total_bits += round_bits
-                if wire_max > max_bits:
-                    max_bits = wire_max
-
-                if not kernel.live.any():
-                    break  # in-flight traffic charged, round not executed
-
-                rounds += 1
-                total_messages += round_messages
-                messages_per_round.append(round_messages)
-                bits_per_round.append(round_bits)
-
-                pending = kernel.step(rounds, pending)
-                if not kernel.live.any():
-                    # Mirrors the scalar engines' bottom-of-loop break: when
-                    # a round ends with every node halted, traffic queued
-                    # during that round is discarded *uncharged* (the scalar
-                    # loops never reach their next top-of-loop collection).
-                    break
-            else:
-                raise SimulationLimitError(
-                    f"simulation did not terminate within {max_rounds} rounds"
-                )
-
-        outputs = {v: dict(ctx._outputs) for v, ctx in contexts.items()}
-        if kernel is not None:
-            kernel.write_outputs(outputs)
-            all_halted = kernel.live_count == 0
-        else:
-            all_halted = not active
-        return SimulationResult(
-            rounds=rounds,
-            total_messages=total_messages,
-            total_bits=total_bits,
-            max_message_bits=max_bits,
-            outputs=outputs,
-            all_halted=all_halted,
-            messages_per_round=messages_per_round,
-            bits_per_round=bits_per_round,
-        )
-
-    # -- message plane -------------------------------------------------------
-
-    @staticmethod
-    def _collect_handover(
-        drain: Sequence[tuple],
-        specs: Sequence[MessageSpec],
-        n: int,
-    ):
-        """Drain queued outboxes into one :class:`PendingBroadcast`.
-
-        Returns the pending traffic (possibly with an all-false mask), or
-        :data:`_NONCONFORMING` when any queued outbox is not a full
-        single-message broadcast with a declared tag — partial sends,
-        per-neighbor messages and unknown tags all disqualify the round,
-        in which case no outbox is touched and scalar execution continues.
-        """
-        spec_by_tag = {spec.tag: spec for spec in specs}
-        senders: List[tuple] = []
-        spec: Optional[MessageSpec] = None
-        for rec in drain:
-            ctx = rec[1]
-            out = ctx._outbox
-            if not out:
-                continue
-            if len(out) != ctx.degree:
-                return _NONCONFORMING
-            messages = iter(out.values())
-            first = next(messages)
-            for msg in messages:
-                if msg is not first and msg != first:
-                    return _NONCONFORMING
-            if spec is None:
-                spec = spec_by_tag.get(first.tag)
-                if spec is None or len(first.fields) != spec.arity:
-                    return _NONCONFORMING
-            elif first.tag != spec.tag or len(first.fields) != spec.arity:
-                return _NONCONFORMING
-            senders.append((rec[0], ctx, first))
-
-        mask = np.zeros(n, dtype=bool)
-        if spec is None:
-            spec = specs[0]  # silent handover round: any spec will do
-        columns = tuple(
-            np.zeros(n, dtype=np.int64) for _ in range(spec.arity)
-        )
-        bits = np.zeros(n, dtype=np.int64)
-        for v, ctx, msg in senders:
-            ctx._outbox = {}
-            mask[v] = True
-            for i, field in enumerate(msg.fields):
-                columns[i][v] = field
-            bits[v] = msg.bits
-        return PendingBroadcast(spec, mask, columns, bits)
-
-    @staticmethod
-    def _account(
-        plane: CsrPlane,
-        pending: PendingTraffic,
-        budget: Optional[int],
-    ) -> Tuple[int, int, int]:
-        """Exact wire totals ``(messages, bits, max_bits)`` for one round.
-
-        A round may carry several independently-tagged parts (broadcast
-        and/or targeted); totals are summed across them.  A broadcast puts
-        ``degree`` copies of the sender's message on the wire, so its
-        counts are degree-weighted sums over the sender mask; a targeted
-        part puts exactly one message per masked slot on the wire, so its
-        counts are masked sums.  Raises :class:`MessageTooLargeError` for
-        the lowest-id over-budget sender, matching the scalar engines'
-        ascending scan.
-        """
-        messages = bits_total = wire_max = 0
-        for part in pending_parts(pending):
-            if isinstance(part, PendingTargeted):
-                m, b, w = VectorEngine._account_targeted(plane, part, budget)
-            else:
-                m, b, w = VectorEngine._account_broadcast(plane, part, budget)
-            messages += m
-            bits_total += b
-            if w > wire_max:
-                wire_max = w
-        return messages, bits_total, wire_max
-
-    @staticmethod
-    def _account_broadcast(
-        plane: CsrPlane,
-        pending: PendingBroadcast,
-        budget: Optional[int],
-    ) -> Tuple[int, int, int]:
-        senders = pending.sender_ids()
-        degrees = plane.degrees[senders]
-        on_wire = degrees > 0
-        if not on_wire.any():
-            return 0, 0, 0
-        senders = senders[on_wire]
-        degrees = degrees[on_wire]
-        bits = pending.bits[senders]
-        wire_max = int(bits.max())
-        if budget is not None and wire_max > budget:
-            sender = int(senders[np.argmax(bits > budget)])
-            receiver = int(plane.indices[plane.indptr[sender]])
-            raise MessageTooLargeError(
-                sender, receiver, int(pending.bits[sender]), budget
-            )
-        return int(degrees.sum()), int((degrees * bits).sum()), wire_max
-
-    @staticmethod
-    def _account_targeted(
-        plane: CsrPlane,
-        pending: PendingTargeted,
-        budget: Optional[int],
-    ) -> Tuple[int, int, int]:
-        mask = pending.slot_mask
-        if not mask.any():
-            return 0, 0, 0
-        bits = pending.bits[mask]
-        wire_max = int(bits.max())
-        if budget is not None and wire_max > budget:
-            slots = np.flatnonzero(mask & (pending.bits > budget))
-            senders = np.asarray(plane.indices)[slots]
-            # Slot order is receiver order; the scalar engines scan
-            # ascending *senders*, so pick lowest sender, then receiver.
-            slot = int(slots[np.lexsort((slots, senders))[0]])
-            receiver = (
-                int(np.searchsorted(np.asarray(plane.indptr), slot, "right"))
-                - 1
-            )
-            raise MessageTooLargeError(
-                int(plane.indices[slot]),
-                receiver,
-                int(pending.bits[slot]),
-                budget,
-            )
-        return int(mask.sum()), int(bits.sum()), wire_max

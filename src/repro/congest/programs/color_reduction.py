@@ -103,8 +103,8 @@ class ColorReductionKernel(VectorKernel):
 
     _SPEC = ColorReductionProgram.message_specs[0]
 
-    def __init__(self, plane, network, programs, contexts):
-        super().__init__(plane, network, programs, contexts)
+    def __init__(self, plane, programs, contexts):
+        super().__init__(plane, programs, contexts)
         n = plane.n
         self._boot(
             np.fromiter(

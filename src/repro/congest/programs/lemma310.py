@@ -415,8 +415,8 @@ class Lemma310ExecutionKernel(VectorKernel):
                 )
         return table.get
 
-    def __init__(self, plane, network, programs, contexts):
-        super().__init__(plane, network, programs, contexts)
+    def __init__(self, plane, programs, contexts):
+        super().__init__(plane, programs, contexts)
         n = plane.n
         self.final_x = np.fromiter(
             (programs[v]._final_x or 0 for v in range(n)),
@@ -438,25 +438,15 @@ class Lemma310ExecutionKernel(VectorKernel):
             count=n,
         )
         self._alloc_protocol_arrays(n)
-        # Round-1 takeover: instances whose inputs pass the gate run the
-        # color-class rounds in-plane.  Evaluated per instance slice; a
-        # failing slice would have reported a later takeover round, so on
-        # a lockstep plane every slice passes (and on a solo exec-phase
-        # takeover none does).
-        offsets = getattr(plane, "node_offsets", None)
-        if offsets is None:
-            slices = [(0, n)]
-        else:
-            slices = [
-                (int(offsets[i]), int(offsets[i + 1]))
-                for i in range(len(offsets) - 1)
-            ]
-        for lo, hi in slices:
-            progs = [programs[v] for v in range(lo, hi)]
-            degrees = np.asarray(plane.degrees[lo:hi])
-            max_degree = int(degrees.max()) if hi > lo else 0
-            if self._vectorizable_inputs(progs, max_degree):
-                self._init_protocol_slice(lo, hi, progs)
+        # Round-1 takeover: every instance of a lockstep plane passed the
+        # gate (a failing one reports a later takeover round and joins
+        # through ``absorb_instance``), so each runs its color-class
+        # rounds in-plane.
+        offsets = plane.node_offsets.tolist()
+        for lo, hi in zip(offsets, offsets[1:]):
+            self._init_protocol_slice(
+                lo, hi, [programs[v] for v in range(lo, hi)]
+            )
 
     def _alloc_protocol_arrays(self, n: int) -> None:
         """Flat state for the in-plane color-class rounds (gate-passing

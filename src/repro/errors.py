@@ -55,15 +55,19 @@ class BatchEligibilityError(CongestError):
     """A group of instances cannot run as one stacked message plane.
 
     Raised by :func:`repro.congest.engine.batched.run_stacked` /
-    :func:`~repro.congest.engine.batched.iter_stacked` when the instances
-    violate a stacking precondition (a program without a stackable vector
-    kernel, a late-takeover kernel that cannot absorb a scalar prologue
-    — ``takeover_round > 1`` without ``absorb_instance`` — or a
-    non-conforming handover; sizes, bit budgets and per-instance takeover
-    rounds may all differ — the plane is ragged and instances join it at
-    their own takeover round).  The batch runner
-    treats this as a signal to fall back to per-cell execution, so callers
-    never see it unless they invoke the stacked engine directly.
+    :func:`~repro.congest.engine.batched.iter_stacked` when the call or
+    the instances violate a stacking precondition: a program without a
+    vector kernel, a round-limit or input-mapping count that differs from
+    the instance count, a kernel ``eligible`` gate that declines an
+    instance, a lockstep group handing over mixed tags, or instances that
+    must join the plane one by one — a ``takeover_round`` above 1, or a
+    sibling whose handover is non-conforming — under a kernel without
+    ``absorb_instance``.  Sizes, bit budgets and per-instance takeover
+    rounds may all differ (the plane is ragged and instances join it at
+    their own takeover round), and a non-conforming instance alone runs
+    scalar inside its group instead of raising.  The batch runner treats
+    this as a signal to fall back to per-cell execution, so callers never
+    see it unless they invoke the stacked engine directly.
     """
 
 

@@ -1,7 +1,7 @@
 """Stacked multi-instance engine: parity, isolation, eligibility.
 
 The batched mode's contract is absolute: splitting a K-instance stacked
-run must reproduce K solo ``vector``-engine runs **bit for bit** — rounds,
+run must reproduce K solo ``fast``-engine runs **bit for bit** — rounds,
 outputs, message/bit totals, per-round series, ``max_message_bits``, all
 of it.  These tests enforce the contract across the graph zoo and seed
 ensembles, prove per-instance termination masks never leak traffic
@@ -128,7 +128,7 @@ def _solo_and_stacked(program: str, networks, seeds=None):
     )
     solo = [
         Simulator(
-            net, cls, inputs=(inputs[k] if inputs else {}), engine="vector"
+            net, cls, inputs=(inputs[k] if inputs else {}), engine="fast"
         ).run(max_rounds=max_rounds(n))
         for k, net in enumerate(networks)
     ]
@@ -139,7 +139,7 @@ def _solo_and_stacked(program: str, networks, seeds=None):
 @pytest.mark.parametrize("family", EXACT_FAMILIES)
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
 def test_stacked_parity_across_families(family, program):
-    """K stacked seeds == K solo vector runs, field for field."""
+    """K stacked seeds == K solo fast runs, field for field."""
     networks = _networks(family, 32, range(5))
     solo, stacked = _solo_and_stacked(program, networks)
     for k, (a, b) in enumerate(zip(solo, stacked)):
@@ -304,7 +304,7 @@ def test_color_reduction_respects_initial_colors():
     ]
     solo = [
         Simulator(
-            net, ColorReductionProgram, inputs=inputs[k], engine="vector"
+            net, ColorReductionProgram, inputs=inputs[k], engine="fast"
         ).run(max_rounds=n + 4)
         for k, net in enumerate(networks)
     ]
@@ -342,7 +342,7 @@ class TestRaggedStacking:
     count (or the size-derived CONGEST bit budget): a mixed-size sweep
     stacks into one block-diagonal plane with per-instance offset tables,
     and the bit-for-bit parity contract extends unchanged — every instance
-    of the stack must reproduce its solo ``vector`` run field for field.
+    of the stack must reproduce its solo ``fast`` run field for field.
     """
 
     #: Mixed sizes spanning an order of magnitude, with a duplicated size
@@ -358,7 +358,7 @@ class TestRaggedStacking:
 
     @pytest.mark.parametrize("program", sorted(PROGRAMS))
     def test_ragged_parity_field_for_field(self, program):
-        """n ∈ {20, 60, 150} stacked == the same solo vector runs."""
+        """n ∈ {20, 60, 150} stacked == the same solo fast runs."""
         cls, max_rounds, inputs_fn = PROGRAMS[program]
         networks = self._ragged_networks()
         inputs = (
@@ -368,7 +368,7 @@ class TestRaggedStacking:
         )
         solo = [
             Simulator(
-                net, cls, inputs=(inputs[k] if inputs else {}), engine="vector"
+                net, cls, inputs=(inputs[k] if inputs else {}), engine="fast"
             ).run(max_rounds=max_rounds(net.n))
             for k, net in enumerate(networks)
         ]
@@ -393,7 +393,7 @@ class TestRaggedStacking:
         graphs = [suite_instance("gnp", 24, seed=s).graph for s in range(2)]
         networks = [Network.congest(graphs[0]), Network.local(graphs[1])]
         solo = [
-            Simulator(net, DistributedGreedyProgram, engine="vector").run(
+            Simulator(net, DistributedGreedyProgram, engine="fast").run(
                 max_rounds=8 * 24 + 16
             )
             for net in networks
@@ -448,6 +448,20 @@ class TestRaggedStacking:
             run_stacked(
                 networks, DistributedGreedyProgram, max_rounds=limits[:2]
             )  # wrong arity: one limit per instance
+
+    def test_input_mappings_must_match_instances(self):
+        """One input mapping per instance, checked at the call like the
+        round limits: too few would run the rest on default inputs, too
+        many would index past the plane."""
+        networks = self._ragged_networks()
+        colors = {v: v for v in range(networks[0].n)}
+        for program, inputs in (
+            (ColorReductionProgram, [colors]),
+            (ColorReductionProgram, [None] * (len(networks) + 1)),
+            (DistributedGreedyProgram, [None]),
+        ):
+            with pytest.raises(BatchEligibilityError, match="input mappings"):
+                iter_stacked(networks, program, inputs=inputs)
 
     def test_ragged_plane_offset_tables(self):
         networks = self._ragged_networks()
@@ -527,7 +541,7 @@ class TestLemma310Stacking:
     scalar prologue against the shared global clock and are absorbed at
     their *own* takeover round.  A mixed group carries both side by side.
     The parity contract is the same absolute one in every lane: field for
-    field against solo ``vector`` runs.
+    field against solo ``fast`` runs.
     """
 
     @pytest.mark.parametrize("family", ("gnp", "tree", "geometric"))
@@ -537,7 +551,7 @@ class TestLemma310Stacking:
         assert set(_lemma310_takeovers(networks, inputs)) == {1}
         solo = [
             Simulator(
-                net, Lemma310Program, inputs=inputs[k], engine="vector"
+                net, Lemma310Program, inputs=inputs[k], engine="fast"
             ).run(max_rounds=limits[k])
             for k, net in enumerate(networks)
         ]
@@ -578,7 +592,7 @@ class TestLemma310Stacking:
         assert takeovers[0] == 1 and len(set(takeovers)) > 2
         solo = [
             Simulator(
-                net, Lemma310Program, inputs=inputs[k], engine="vector"
+                net, Lemma310Program, inputs=inputs[k], engine="fast"
             ).run(max_rounds=limits[k])
             for k, net in enumerate(networks)
         ]
@@ -611,7 +625,7 @@ class TestLemma310Stacking:
             assert runs["reference"] == runs["vector"], k
         solo = [
             Simulator(
-                net, Lemma310Program, inputs=inputs[k], engine="vector"
+                net, Lemma310Program, inputs=inputs[k], engine="fast"
             ).run(max_rounds=limits[k])
             for k, net in enumerate(networks)
         ]
@@ -659,7 +673,7 @@ class TestLemma310Stacking:
         inputs, limits = _lemma310_group(networks)
         solo = [
             Simulator(
-                net, Lemma310Program, inputs=inputs[k], engine="vector"
+                net, Lemma310Program, inputs=inputs[k], engine="fast"
             ).run(max_rounds=limits[k])
             for k, net in enumerate(networks)
         ]

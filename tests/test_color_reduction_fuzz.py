@@ -1,14 +1,12 @@
 """Differential fuzz: color reduction on every route against the reference.
 
-``test_stacked_fuzz.py`` compares stacked runs with solo vector runs only,
-so a bug shared by the kernel's two paths passes it.  Here every draw is
-checked against the reference engine instead: reference ≡ fast ≡ vector ≡
-stacked, on every :class:`SimulationResult` field or on the raised error's
-type and fields.  Draws mix degenerate graphs (one node, no edges, stars,
-paths) with gnp and suite graphs, initial colorings that are absent,
-permuted, duplicated, sparse or all zero, ragged groups of one to four
-instances, and bit budgets that either admit every message or reject the
-group's largest one.
+Every draw is checked against the reference engine: reference ≡ fast ≡
+vector ≡ stacked, on every :class:`SimulationResult` field or on the
+raised error's type and fields.  Draws mix degenerate graphs (one node, no
+edges, stars, paths) with gnp and suite graphs, initial colorings that are
+absent, permuted, duplicated, sparse or all zero, ragged groups of one to
+four instances, bit budgets that either admit every message or reject the
+group's largest one, and per-instance round limits from 0 to ``n + 4``.
 
 The sparse-frontier pieces under the kernel are pinned here as well:
 :meth:`CsrPlane.out_slots` against the dense slot mask, and a joiner merged
@@ -24,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.congest.engine import CsrPlane, StackedPlane, iter_stacked
 from repro.congest.engine.batched import _accumulate_round, _merge_joiners
-from repro.congest.engine.vector import PendingBroadcast, VectorEngine
+from repro.congest.engine.vector import PendingBroadcast
 from repro.congest.network import Network
 from repro.congest.programs.color_reduction import ColorReductionProgram
 from repro.congest.simulator import Simulator
@@ -84,11 +82,15 @@ def colorings(draw, n: int):
 
 @st.composite
 def groups(draw):
-    """A ragged group: ``[(graph, initial coloring)]`` plus a budget mode."""
+    """A ragged group: ``[(graph, initial coloring, round limit)]`` plus a
+    budget mode."""
     members = []
     for _ in range(draw(st.integers(1, 4))):
         graph = draw(graphs())
-        members.append((graph, draw(colorings(graph.number_of_nodes()))))
+        n = graph.number_of_nodes()
+        members.append(
+            (graph, draw(colorings(n)), draw(st.integers(0, n + 4)))
+        )
     return members, draw(st.booleans())
 
 
@@ -98,6 +100,8 @@ def _outcome(run):
         return run()
     except MessageTooLargeError as exc:
         return (type(exc), exc.sender, exc.receiver, exc.bits, exc.budget)
+    except SimulationLimitError as exc:
+        return (type(exc), str(exc))
 
 
 def _solo(net, initial, engine, max_rounds):
@@ -105,19 +109,23 @@ def _solo(net, initial, engine, max_rounds):
     return _outcome(lambda: sim.run(max_rounds=max_rounds))
 
 
-def _failing_tick(net, initial) -> int:
-    """The first round-loop tick whose traffic the reference rejects.
+def _rejected(outcome) -> bool:
+    return isinstance(outcome, tuple) and outcome[0] is MessageTooLargeError
+
+
+def _failing_tick(net, initial, limit, outcome) -> int:
+    """The round-loop tick at which the reference run fails.
 
     Tick t charges the traffic sent in round t - 1 (setup for t = 1); a
-    run limited to m rounds reaches tick t iff t <= m.
+    run limited to m rounds checks its limit at tick m + 1, before that
+    tick's traffic is charged, and reaches tick t's charge iff t <= m.
     """
-    lo, hi = 1, net.n + 4
+    if not _rejected(outcome):
+        return limit + 1
+    lo, hi = 1, limit
     while lo < hi:
         mid = (lo + hi) // 2
-        try:
-            rejected = isinstance(_solo(net, initial, "reference", mid), tuple)
-        except SimulationLimitError:
-            rejected = False
+        rejected = _rejected(_solo(net, initial, "reference", mid))
         lo, hi = (lo, mid) if rejected else (mid + 1, hi)
     return lo
 
@@ -138,20 +146,21 @@ def _assert_same(got, want, where):
 @given(groups())
 def test_every_route_matches_reference(case):
     members, tight = case
-    budgets = [Network.congest(graph).bit_budget for graph, _ in members]
+    budgets = [Network.congest(graph).bit_budget for graph, _, _ in members]
     if tight:
         largest = max(
             _solo(Network.local(graph), initial, "reference", len(graph) + 4)
             .max_message_bits
-            for graph, initial in members
+            for graph, initial, _ in members
         )
         if largest:  # no traffic at all leaves nothing to reject
             budgets = [largest - 1] * len(members)
     networks = [
-        Network(graph, bit_budget=b) for (graph, _), b in zip(members, budgets)
+        Network(graph, bit_budget=b)
+        for (graph, _, _), b in zip(members, budgets)
     ]
-    inputs = [initial for _, initial in members]
-    limits = [net.n + 4 for net in networks]
+    inputs = [initial for _, initial, _ in members]
+    limits = [limit for _, _, limit in members]
 
     reference = []
     for k, (net, initial) in enumerate(zip(networks, inputs)):
@@ -160,8 +169,15 @@ def test_every_route_matches_reference(case):
         for engine in ("fast", "vector"):
             _assert_same(_solo(net, initial, engine, limits[k]), want, (engine, k))
 
+    # A failing group stops at its first failing tick.  The round limits
+    # are checked before the tick's traffic is charged, so a limit error
+    # wins; otherwise the lowest rejected instance names the offender.
     failing = [
-        (_failing_tick(net, initial), k)
+        (
+            _failing_tick(net, initial, limits[k], reference[k]),
+            _rejected(reference[k]),
+            k,
+        )
         for k, (net, initial) in enumerate(zip(networks, inputs))
         if isinstance(reference[k], tuple)
     ]
@@ -176,12 +192,13 @@ def test_every_route_matches_reference(case):
 
     raised = _outcome(drain)
     if failing:
-        # The group stops at the first rejected tick, on its lowest instance.
-        assert raised == reference[min(failing)[1]], "stacked error"
+        assert raised == reference[min(failing)[2]], "stacked error"
+        # An instance that finishes in round r >= 1 is yielded at the end
+        # of tick r; one that halted in setup after tick 1's charge.
         expected = {
             k
             for k, want in enumerate(reference)
-            if not isinstance(want, tuple) and want.rounds < tick
+            if not isinstance(want, tuple) and max(want.rounds, 1) < tick
         }
     else:
         assert raised is None
@@ -220,6 +237,12 @@ def _broadcast(n, lo, hi, with_senders):
     return PendingBroadcast(_SPEC, mask, (column,), bits, senders)
 
 
+def _ledger(plane, pending):
+    budgets = np.full(plane.instances, 1 << 20)
+    rows = _accumulate_round(plane, pending, plane.degrees > 0, budgets)
+    return [[int(x) for x in row] for row in rows]
+
+
 def test_merging_a_joiner_clears_stale_senders():
     networks = [
         Network.congest(suite_instance("gnp", n, seed=n).graph)
@@ -228,22 +251,20 @@ def test_merging_a_joiner_clears_stale_senders():
     plane = StackedPlane(networks)
     lo, hi = int(plane.node_offsets[1]), int(plane.node_offsets[2])
     joiner = _broadcast(hi - lo, 0, hi - lo, with_senders=False)
-    active = np.ones(plane.n, dtype=bool)
     totals = []
     for with_senders in (True, False):
         part = _broadcast(plane.n, 0, lo, with_senders)
         merged = _merge_joiners(plane, part, [(1, joiner)])
-        ledger = _accumulate_round(plane, merged, None, active)
-        totals.append([row.tolist() for row in ledger])
+        totals.append(_ledger(plane, merged))
     assert totals[0] == totals[1]
     assert totals[0][0][1] > 0, "the joiner's messages must be charged"
-    # The solo accounting reads the same sender list.
-    solo = CsrPlane(networks[0])
+    # A one-instance plane (a solo run) charges a listed sender set exactly
+    # like its mask.
+    solo = StackedPlane(networks[:1])
     sparse = _broadcast(solo.n, 0, solo.n, with_senders=True)
     dense = _broadcast(solo.n, 0, solo.n, with_senders=False)
-    assert VectorEngine._account(solo, sparse, None) == VectorEngine._account(
-        solo, dense, None
-    )
+    assert _ledger(solo, sparse) == _ledger(solo, dense)
+    assert _ledger(solo, sparse)[0][0] > 0
 
 
 def test_out_slots_rejects_an_asymmetric_csr():

@@ -5,9 +5,12 @@ contract on curated fixtures; this fuzzer draws *seeded* random instance
 groups — mixed graph families, mixed sizes, mixed generator seeds, mixed
 per-instance round limits — across ALL kernels the registry reports as
 stackable and asserts the absolute contract on each draw: a K-instance
-stacked run reproduces the K solo ``vector``-engine runs **field for
+stacked run reproduces the K solo ``fast``-engine runs **field for
 field** — rounds, outputs, message/bit totals, per-round series,
-``max_message_bits``, ``all_halted``.
+``max_message_bits``, ``all_halted``.  The reference is ``fast``, not
+solo ``vector``, because a solo ``vector`` run is the same round loop on
+a one-instance plane; ``test_engine_parity.py`` pins ``fast`` to the
+``reference`` engine.
 
 For lemma310 the draws additionally perturb a coin-flip's worth of
 instances away from the canonical uniform inputs (``x != p`` on a third
@@ -106,7 +109,7 @@ def _solo_runs(program: str, networks, inputs, limits):
             net,
             spec.batch_factory,
             inputs=(inputs[k] if inputs else {}),
-            engine="vector",
+            engine="fast",
         ).run(max_rounds=limits[k])
         for k, net in enumerate(networks)
     ]
@@ -185,3 +188,4 @@ def test_fuzz_covers_lemma310_and_mixed_takeovers():
     assert saw_round_one, "no fuzz draw ran the in-plane round-1 lane"
     assert saw_late, "no fuzz draw ran the scalar-prologue lane"
     assert mixed, "no fuzz draw mixed per-instance takeover rounds"
+
