@@ -20,8 +20,7 @@ the uniform bar because the stacked loop runs as many rounds as the
 *largest* instance needs while per-cell work shrinks with size.  A fifth
 target is the **lemma310 bar**: the canonical uniform Lemma 3.10 sweep
 stacks through the vectorized color-class kernel (round-1 takeover, the
-alpha/decide/fold protocol running in-plane) and must clear ≥ 3x — the
-workload that was batch-ineligible before the two-speed kernel landed.
+alpha/decide/fold protocol running in-plane) and must clear ≥ 3x.
 
 Run with::
 
@@ -161,8 +160,8 @@ def bench_batched_lemma310_50_seeds(benchmark):
 
     Every instance is canonical-uniform (``x = p = 1/2``, mode auto), so
     the stacked kernel takes over at round 1 and runs the full
-    announce/alpha/decide/fold protocol on the plane — no scalar
-    prologue.  Parity is asserted record for record before the speedup,
+    announce/alpha/decide/fold protocol on the plane.  Parity is
+    asserted record for record before the speedup,
     so the derandomized coin flips, traffic totals, and outputs are
     pinned bit for bit against the per-cell vector path.
     """

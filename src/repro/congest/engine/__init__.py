@@ -48,7 +48,6 @@ from repro.congest.engine.batched import (
 from repro.congest.engine.fast import FastEngine
 from repro.congest.engine.reference import ReferenceEngine
 from repro.congest.engine.vector import (
-    CsrPlane,
     MessageSpec,
     PendingBroadcast,
     PendingTargeted,
@@ -71,7 +70,6 @@ __all__ = [
     "FastEngine",
     "ReferenceEngine",
     "VectorEngine",
-    "CsrPlane",
     "MessageSpec",
     "PendingBroadcast",
     "PendingTargeted",

@@ -11,64 +11,39 @@ loop is the only one on the message plane: a solo ``vector``-engine run
 (:func:`run_instance`) is the case K = 1.
 
 * :class:`StackedPlane` — K per-instance CSR topologies concatenated
-  block-diagonally in instance-major order.  The layout is **ragged**:
-  instances may have *different* node counts, described by per-instance
-  offset tables (``local_ns[k]`` is instance ``k``'s size,
-  ``node_offsets[k]`` its first global node, ``slot_offsets[k]`` its first
-  edge slot).  Because no row ever references another instance's slots,
-  all of :class:`~repro.congest.engine.vector.CsrPlane`'s row reductions
-  (``np.add.reduceat`` over the non-empty rows) are exactly the
-  per-instance reductions, computed in one call; per-instance aggregates
+  block-diagonally in instance-major order, plus exact int64 row
+  reductions.  The layout is **ragged**: instances may have *different*
+  node counts, described by per-instance offset tables (``local_ns[k]``
+  is instance ``k``'s size, ``node_offsets[k]`` its first global node,
+  ``slot_offsets[k]`` its first edge slot).  Because no row ever
+  references another instance's slots, every row reduction
+  (``np.add.reduceat`` over the non-empty rows) is exactly the
+  per-instance reduction, computed in one call; per-instance aggregates
   reduce the same way over the ``node_offsets`` segment boundaries.
 * :func:`iter_stacked` / :func:`run_stacked` — the batched entry points.
-  They instantiate programs and contexts *per instance with local ids*
-  (so every message field, bit length and packed comparison key is
-  identical to a solo run), perform the scalar ``setup`` + handover per
-  instance, then drive the registered
+  They boot the registered
   :class:`~repro.congest.engine.vector.VectorKernel` over the union plane
-  with **per-instance accounting**: each instance has its own round
-  counter, per-round series, wire totals, bit budget, round limit and
-  termination mask.  The moment an instance's termination mask flips,
+  and drive it with **per-instance accounting**: each instance has its own
+  round counter, per-round series, wire totals, bit budget, round limit
+  and termination mask.  The moment an instance's termination mask flips,
   :func:`iter_stacked` yields its finished :class:`SimulationResult` —
   in-group per-record streaming — and the result is bit-for-bit what the
   instance's solo run on any engine produces (``tests/test_batched_engine.py``
   and ``tests/test_stacked_fuzz.py`` compare against ``fast``, which
   ``tests/test_engine_parity.py`` pins to ``reference``).
 
-The handover follows one set of rules for every width.  Each instance runs
-its own **scalar prologue** — exact ``FastEngine`` collect/charge/receive
-mechanics, driven by the shared global round clock — until its kernel
-``takeover_round``; at that round the loop collects the broadcast the
-instance queued and the instance joins the plane:
+Every instance joins the plane at round 1; there is no other takeover
+round.  The kernel is built in one of two ways:
 
-* when every instance takes over at round 1 with a conforming broadcast,
-  the kernel is constructed from the union state (the **lockstep boot**),
-  unless the kernel's ``stacked_setup`` already built it straight from the
-  inputs (batched entry points only);
-* otherwise the kernel boots from
-  :meth:`~repro.congest.engine.vector.VectorKernel.stacked_blank`, all
-  nodes dead, and lights each instance's slice up through
-  :meth:`~repro.congest.engine.vector.VectorKernel.absorb_instance` as it
-  joins;
-* an instance whose traffic at its takeover round is not one full
-  broadcast with a declared tag never joins: it finishes on FastEngine
-  mechanics, a scalar prologue that never ends.
-
-Because every instance executes round ``r`` at global tick ``r``, no round
-skew exists and every ledger entry matches the solo run.  Kernels may
-additionally publish a
-:attr:`~repro.congest.engine.vector.VectorKernel.prologue_oracle` that
-names the nodes whose ``receive`` can act in a given prologue round, so
-the scalar prologue costs O(actors) instead of O(n) per round — this is
-how the Lemma 3.10 program runs heterogeneous inputs: its takeover round
-is ``2 + 3 * num_colors``, a per-instance quantity, its color-class rounds
-run as sparse scalar prologues, and its execution phase runs vectorized
-on the plane.  Canonical uniform Lemma 3.10 instances instead take over
-at round 1 and run the color-class rounds *in-plane* (targeted alpha
-traffic and all), so an all-canonical group is a pure lockstep run with
-no scalar prologue; a mixed group carries in-plane and prologue instances
-side by side, and one plane round may then hold several
-differently-tagged pending parts.
+* through the kernel's ``stacked_setup``, straight from the inputs, with
+  no program or context objects at all (batched entry points only);
+* otherwise through the **lockstep object boot**: every instance builds
+  its programs and contexts (local ids, so every message field, bit
+  length and packed comparison key is identical to a solo run) and runs
+  ``setup``, each hands over the broadcast it queued, and the kernel is
+  constructed from the union state.  Every instance's handover must be
+  one full broadcast with a declared tag, and the sending instances must
+  share one tag.
 
 Eligibility is deliberately narrow and fails loudly
 (:class:`~repro.errors.BatchEligibilityError`) so callers can fall back to
@@ -76,12 +51,12 @@ per-cell execution:
 
 * the program class declares :attr:`NodeProgram.message_specs` and has a
   registered kernel;
-* a group whose instances join the plane one by one (a takeover round
-  above 1, or a sibling that stays scalar) needs a kernel that implements
-  ``absorb_instance``;
-* lockstep groups must hand over one tag, while late joiners merge into
-  the plane round's matching-tag part or ride along as an extra part (a
-  silent instance joins any tag).
+* the kernel's ``eligible`` gate accepts every instance's inputs;
+* at an object boot, every handover conforms and the group shares a tag.
+
+A solo run does not raise in these cases: :class:`VectorEngine` runs a
+declined instance on ``FastEngine``, and one whose round-1 traffic does
+not conform on ``FastEngine``'s loop from its post-setup state.
 
 Node counts, bit budgets and round limits are all per-instance — mixed
 sizes (and hence the size-derived CONGEST budgets) stack fine.  Instances
@@ -93,9 +68,9 @@ while the others run on.
 
 from __future__ import annotations
 
+from array import array
 from itertools import accumulate
 from typing import (
-    Dict,
     Iterator,
     List,
     Mapping,
@@ -108,14 +83,12 @@ from typing import (
 import numpy as np
 
 from repro.congest.engine.base import SimulationResult
-from repro.congest.engine.fast import _EMPTY_INBOX, FastEngine, Inboxes
+from repro.congest.engine.fast import FastEngine
 from repro.congest.engine.vector import (
-    CsrPlane,
     MessageSpec,
     PendingBroadcast,
     PendingTargeted,
     VectorKernel,
-    _as_int64,
     kernel_for,
     pending_parts,
 )
@@ -123,6 +96,7 @@ from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
 from repro.errors import (
     BatchEligibilityError,
+    GraphError,
     MessageTooLargeError,
     SimulationLimitError,
 )
@@ -139,13 +113,21 @@ __all__ = [
 #: messages); far above any bit length :func:`bit_length_array` accepts.
 _NO_BUDGET = np.iinfo(np.int64).max
 
-#: Sentinel: the queued traffic at an instance's takeover round is not a
-#: conforming single-tag full broadcast, so the instance stays scalar.
-_NONCONFORMING = object()
+
+def _as_int64(values) -> np.ndarray:
+    if isinstance(values, array) and values.itemsize == 8:
+        return np.frombuffer(values, dtype=np.int64)
+    return np.asarray(values, dtype=np.int64)
 
 
-class StackedPlane(CsrPlane):
+class StackedPlane:
     """K instance topologies as one ragged block-diagonal CSR plane.
+
+    ``indices[indptr[v]:indptr[v+1]]`` are the neighbors of global node
+    ``v`` (the *slots* of row ``v``).  Row reductions use
+    ``ufunc.reduceat`` over the non-empty rows only, so isolated nodes are
+    handled without branching and all arithmetic stays in int64
+    (bit-exact, unlike float matvecs).
 
     Instance ``k`` owns the global node range
     ``node_offsets[k] .. node_offsets[k+1] - 1`` (its size is
@@ -161,6 +143,14 @@ class StackedPlane(CsrPlane):
     """
 
     __slots__ = (
+        "n",
+        "nnz",
+        "indptr",
+        "indices",
+        "degrees",
+        "_nonempty",
+        "_starts",
+        "_reverse",
         "instances",
         "local_n",
         "local_ns",
@@ -189,9 +179,14 @@ class StackedPlane(CsrPlane):
             indices_parts.append(indices + base)
             base += net.n
             slots += indices.shape[0]
-        self._init_arrays(
-            np.concatenate(indptr_parts), np.concatenate(indices_parts)
-        )
+        self.indptr = np.concatenate(indptr_parts)
+        self.indices = np.concatenate(indices_parts)
+        self.n = int(self.indptr.shape[0]) - 1
+        self.nnz = int(self.indices.shape[0])
+        self.degrees = self.indptr[1:] - self.indptr[:-1]
+        self._reverse = None
+        self._nonempty = self.degrees > 0
+        self._starts = self.indptr[:-1][self._nonempty]
         self.instances = k_count
         self.local_ns = np.array(sizes, dtype=np.int64)
         self.node_offsets = np.array([0, *accumulate(sizes)], dtype=np.int64)
@@ -200,6 +195,68 @@ class StackedPlane(CsrPlane):
         self.instance_of = np.repeat(np.arange(k_count), self.local_ns)
         self.local_ids = np.arange(self.n) - self.node_offsets[self.instance_of]
         self.local_n_of = self.local_ns[self.instance_of]
+
+    def row_sum(self, slot_values: np.ndarray) -> np.ndarray:
+        """Per-node sum of ``slot_values`` over each node's slots."""
+        out = np.zeros(self.n, dtype=np.int64)
+        if self._starts.size:
+            values = np.asarray(slot_values).astype(np.int64, copy=False)
+            out[self._nonempty] = np.add.reduceat(values, self._starts)
+        return out
+
+    def row_max(self, slot_values: np.ndarray, empty: int) -> np.ndarray:
+        """Per-node max of ``slot_values``; ``empty`` for isolated nodes."""
+        out = np.full(self.n, empty, dtype=np.int64)
+        if self._starts.size:
+            values = np.asarray(slot_values).astype(np.int64, copy=False)
+            out[self._nonempty] = np.maximum.reduceat(values, self._starts)
+        return out
+
+    def row_any(self, slot_flags: np.ndarray) -> np.ndarray:
+        """Per-node "any slot true" as a boolean array."""
+        return self.row_sum(slot_flags) > 0
+
+    def sent_slots(self, pending: Optional[PendingBroadcast]) -> np.ndarray:
+        """Slot-level sender flags for one round of broadcast traffic."""
+        if pending is None:
+            return np.zeros(self.nnz, dtype=bool)
+        return pending.mask[self.indices]
+
+    def gather(self, per_node: np.ndarray) -> np.ndarray:
+        """Slot-level view of a per-node array (value of each slot's peer)."""
+        return per_node[self.indices]
+
+    def out_slots(self, senders: np.ndarray) -> np.ndarray:
+        """Receiving slots of the broadcasts of ``senders``, sender-major.
+
+        The slots ``s`` with ``indices[s]`` in ``senders`` — the set
+        :meth:`sent_slots` flags — found in O(sum of sender degrees)
+        through the reverse-slot map.
+        """
+        if self._reverse is None:
+            self._reverse = self._reverse_slots()
+        degrees = self.degrees[senders]
+        # Concatenate the senders' own slot ranges [indptr[u], indptr[u+1]).
+        shift = self.indptr[senders] - (np.cumsum(degrees) - degrees)
+        slots = np.arange(int(degrees.sum())) + np.repeat(shift, degrees)
+        return self._reverse[slots]
+
+    def _reverse_slots(self) -> np.ndarray:
+        """Map the slot of ``v`` in row ``u`` to the slot of ``u`` in row ``v``.
+
+        With sorted rows, the slots naming ``v`` in ascending slot order
+        are ``v``'s own row in order, so a stable sort by neighbor id lays
+        them out exactly at ``indptr[v] .. indptr[v+1]``.
+        """
+        reverse = np.empty(self.nnz, dtype=np.int64)
+        reverse[np.argsort(self.indices, kind="stable")] = np.arange(self.nnz)
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        if not (
+            np.array_equal(self.indices[reverse], rows)
+            and np.array_equal(rows[reverse], self.indices)
+        ):
+            raise GraphError("CSR topology is not symmetric with sorted rows")
+        return reverse
 
     def live_per_instance(self, live: np.ndarray) -> np.ndarray:
         """Per-instance count of set flags in a global node mask.
@@ -215,10 +272,9 @@ def stack_ineligibility(program_cls: type) -> Optional[str]:
     """Why ``program_cls`` cannot run stacked, or ``None`` if it can.
 
     This is the *static* half of eligibility (specs declared, kernel
-    registered); :func:`iter_stacked` additionally verifies the
-    per-instance conditions (the kernel's ``eligible`` gate, and
-    ``absorb_instance`` support when instances join one by one) at run
-    time.
+    registered); :func:`iter_stacked` additionally checks the kernel's
+    ``eligible`` gate per instance, and an object boot the handovers, at
+    run time.
     """
     if not getattr(program_cls, "message_specs", ()):
         return f"{program_cls.__name__} declares no message_specs"
@@ -228,40 +284,39 @@ def stack_ineligibility(program_cls: type) -> Optional[str]:
 
 
 def _collect_handover(
-    drain: Sequence[tuple],
+    contexts: Mapping[int, Context],
     specs: Sequence[MessageSpec],
     n: int,
-):
-    """Drain one instance's queued outboxes into a :class:`PendingBroadcast`.
+) -> Optional[PendingBroadcast]:
+    """Drain one instance's round-1 outboxes into a :class:`PendingBroadcast`.
 
     Returns the pending traffic (possibly with an all-false mask), or
-    :data:`_NONCONFORMING` when any queued outbox is not a full
-    single-message broadcast with a declared tag — partial sends,
-    per-neighbor messages and unknown tags all disqualify the round, in
-    which case no outbox is touched and scalar execution continues.
+    ``None`` when any queued outbox is not a full single-message broadcast
+    with a declared tag — partial sends, per-neighbor messages and unknown
+    tags all disqualify the round, in which case no outbox is touched.
     """
     spec_by_tag = {spec.tag: spec for spec in specs}
     senders: List[tuple] = []
     spec: Optional[MessageSpec] = None
-    for rec in drain:
-        ctx = rec[1]
+    for v in range(n):
+        ctx = contexts[v]
         out = ctx._outbox
         if not out:
             continue
         if len(out) != ctx.degree:
-            return _NONCONFORMING
+            return None
         messages = iter(out.values())
         first = next(messages)
         for msg in messages:
             if msg is not first and msg != first:
-                return _NONCONFORMING
+                return None
         if spec is None:
             spec = spec_by_tag.get(first.tag)
             if spec is None or len(first.fields) != spec.arity:
-                return _NONCONFORMING
+                return None
         elif first.tag != spec.tag or len(first.fields) != spec.arity:
-            return _NONCONFORMING
-        senders.append((rec[0], ctx, first))
+            return None
+        senders.append((v, ctx, first))
 
     mask = np.zeros(n, dtype=bool)
     if spec is None:
@@ -404,251 +459,74 @@ def _targeted_ledger(plane, part, charged, budgets):
     )
 
 
-class _PrologueInstance:
-    """One instance executing scalar rounds inside the round loop.
-
-    Holds the exact solo-scalar machinery — per-node records, the active
-    map, inbox planes, the drain set and the instance's own bit budget —
-    so every scalar round runs :class:`FastEngine`'s collect/charge/
-    receive mechanics bit for bit, just driven by the shared global clock.
-    ``takeover`` is the round the instance joins the plane at, or
-    ``None`` once its handover was non-conforming: it then runs scalar to
-    the end.  ``oracle`` (from :attr:`VectorKernel.prologue_oracle`)
-    optionally names the nodes whose ``receive`` can act in a given
-    round; skipped nodes are provably no-ops, so sparse prologues charge
-    and deliver identically to the solo full scan.
-    """
-
-    __slots__ = (
-        "net",
-        "n",
-        "takeover",
-        "programs",
-        "contexts",
-        "active",
-        "drain",
-        "inboxes",
-        "budget",
-        "oracle",
-        "touched",
-    )
-
-    def __init__(
-        self,
-        net: Network,
-        programs: Mapping[int, NodeProgram],
-        contexts: Mapping[int, Context],
-        records: List[tuple],
-        takeover: Optional[int],
-    ):
-        self.net = net
-        self.n = net.n
-        self.takeover = takeover
-        self.programs = programs
-        self.contexts = contexts
-        #: id -> record, insertion-ordered ascending (the solo active list).
-        self.active = {
-            rec[0]: rec for rec in records if not rec[1]._halted
-        }
-        self.drain: Sequence[tuple] = records
-        self.inboxes: Inboxes = [None] * net.n
-        self.budget = net.bit_budget
-        self.oracle = None
-        self.touched: List[int] = []
-
-    def execute_round(self, round_no: int) -> None:
-        """Deliver and run one scalar round (solo active-set semantics).
-
-        With an oracle, only the named actors run — in ascending id order,
-        a subsequence of the solo scan, so inbox insertion order and every
-        per-node call sequence are preserved.  The executed set becomes
-        the next round's drain (non-actors queue nothing, so draining only
-        actors collects exactly the solo traffic).
-        """
-        actors = None if self.oracle is None else self.oracle(round_no)
-        if actors is None:
-            executed = list(self.active.values())
-        else:
-            get = self.active.get
-            executed = [
-                rec for a in actors if (rec := get(int(a))) is not None
-            ]
-        inboxes = self.inboxes
-        for rec in executed:
-            v, ctx, recv = rec
-            ctx.round_number = round_no
-            box = inboxes[v]
-            if box is None:
-                recv(ctx, _EMPTY_INBOX)
-            else:
-                inboxes[v] = None
-                recv(ctx, box)
-            if ctx._halted:
-                del self.active[v]
-        for to in self.touched:
-            inboxes[to] = None
-        self.touched = []
-        self.drain = executed
-
-
-def _setup(
-    net: Network,
-    programs: Mapping[int, NodeProgram],
-    contexts: Mapping[int, Context],
-) -> List[tuple]:
-    """Scalar round 0: every node's ``setup``; returns the node records."""
-    records = [(v, contexts[v], programs[v].receive) for v in range(net.n)]
-    for v, ctx, _ in records:
-        ctx.round_number = 0
-        programs[v].setup(ctx)
-    return records
-
-
 def _instantiate(
     net: Network,
     program_factory: type,
-    node_inputs: Optional[Mapping[int, object]],
-    kernel_cls: type,
-):
+    node_inputs: Mapping[int, object],
+) -> Tuple[dict, dict]:
     """One instance's programs and contexts (*local* ids), set up."""
-    node_inputs = node_inputs or {}
     programs = {v: program_factory(node_inputs.get(v)) for v in range(net.n)}
     contexts = {v: Context(v, net.neighbors(v), net.n) for v in range(net.n)}
-    records = _setup(net, programs, contexts)
-    if not kernel_cls.eligible(net, programs):
-        raise BatchEligibilityError(
-            f"{kernel_cls.__name__} declined an instance of the group"
-        )
-    return programs, contexts, records
+    FastEngine.setup(net, programs, contexts)
+    return programs, contexts
 
 
 def _object_boot(
     plane: StackedPlane,
-    networks: Sequence[Network],
-    built: Sequence[tuple],
     kernel_cls: type,
+    built: Sequence[Tuple[Mapping[int, NodeProgram], Mapping[int, Context]]],
 ):
-    """The boot handover of instances whose ``setup`` has run.
+    """The lockstep boot of instances whose ``setup`` has run.
 
-    ``built`` holds each instance's programs, contexts (local ids) and
-    node records.  Instances that take over at round 1 with a conforming
-    broadcast join the plane at boot; the rest become
-    :class:`_PrologueInstance` entries.  Returns ``(kernel, pending,
-    prologue, in_plane)``, ``in_plane`` flagging the instances that
-    joined.
+    ``built`` holds each instance's programs and contexts (local ids).
+    Returns ``(kernel, pending)``, or ``None`` when an instance's round-1
+    handover is not one conforming broadcast (its outboxes untouched).
     """
     specs = kernel_cls.program_class.message_specs
-    joiners: List[Tuple[int, PendingBroadcast]] = []
-    prologue: Dict[int, _PrologueInstance] = {}
-    for k, (net, (programs, contexts, records)) in enumerate(
-        zip(networks, built)
-    ):
-        takeover: Optional[int] = int(kernel_cls.takeover_round(net, programs))
-        if takeover <= 1:
-            handover = _collect_handover(records, specs, net.n)
-            if handover is not _NONCONFORMING:
-                joiners.append((k, handover))
-                continue
-            takeover = None
-        prologue[k] = _PrologueInstance(net, programs, contexts, records, takeover)
-
-    in_plane = np.zeros(len(networks), dtype=bool)
-    in_plane[[k for k, _ in joiners]] = True
-    if not prologue:
-        # Lockstep boot: the kernel reads every instance's state at once,
-        # indexed by global id.
-        kernel = kernel_cls(
-            plane,
-            [box[v] for (box, _, _), net in zip(built, networks)
-             for v in range(net.n)],
-            [box[v] for (_, box, _), net in zip(built, networks)
-             for v in range(net.n)],
-        )
-        pending = _merge_joiners(plane, None, joiners)
-        if isinstance(pending, tuple):
-            raise BatchEligibilityError(
-                "instances handed over mixed tags: "
-                f"{sorted(part.spec.tag for part in pending)}"
-            )
-        return kernel, pending, prologue, in_plane
-
-    # Instances join one by one: boot the kernel dead and absorb each
-    # instance's state at its own takeover round.
-    late = any(inst.takeover is not None for inst in prologue.values())
-    if (joiners or late) and (
-        kernel_cls.absorb_instance is VectorKernel.absorb_instance
-    ):
-        raise BatchEligibilityError(
-            f"{kernel_cls.__name__} does not implement absorb_instance; "
-            "instances cannot join the plane one by one"
-        )
-    kernel = kernel_cls.stacked_blank(plane)
-    for k, _ in joiners:
-        lo = int(plane.node_offsets[k])
-        programs, contexts, _ = built[k]
-        kernel.absorb_instance(lo, lo + networks[k].n, programs, contexts)
-    oracle_factory = kernel_cls.prologue_oracle
-    if oracle_factory is not None:
-        for inst in prologue.values():
-            if inst.takeover is not None:
-                inst.oracle = oracle_factory(inst.net, inst.programs)
-    return kernel, _merge_joiners(plane, None, joiners), prologue, in_plane
+    handovers = []
+    for k, (_, contexts) in enumerate(built):
+        handover = _collect_handover(contexts, specs, int(plane.local_ns[k]))
+        if handover is None:
+            return None
+        handovers.append(handover)
+    pending = _boot_merge(plane, handovers)
+    # The kernel reads every instance's state at once, by global id.
+    kernel = kernel_cls(
+        plane,
+        [box[v] for box, _ in built for v in range(len(box))],
+        [box[v] for _, box in built for v in range(len(box))],
+    )
+    return kernel, pending
 
 
-def _merge_joiners(
-    plane: StackedPlane,
-    pending,
-    joiners: Sequence[Tuple[int, PendingBroadcast]],
-):
-    """Scatter per-instance takeover broadcasts into the plane's traffic.
+def _boot_merge(
+    plane: StackedPlane, handovers: Sequence[PendingBroadcast]
+) -> Optional[PendingBroadcast]:
+    """Scatter the instances' round-1 handovers into one plane broadcast.
 
-    ``pending`` is the kernel's own outbound traffic for this plane round
-    (masks confined to already-absorbed instances; possibly several
-    differently-tagged parts); each joiner contributes its local handover
-    broadcast at its node-offset slice.  Joiners are grouped by tag: each
-    group merges into the kernel part carrying the same tag when one
-    exists, otherwise it becomes a new broadcast part — one plane round
-    may legitimately carry mixed tags when instances are in different
-    protocol phases.  Returns ``None`` / a single part / a tuple of
-    parts, in kernel-part order with appended joiner tags last.
+    Each handover covers its instance's local ids and lands at the
+    instance's node-offset slice.  Silent instances join any tag; the
+    sending ones must share one (:class:`BatchEligibilityError`
+    otherwise).  ``None`` when no instance sends.
     """
-    parts = list(pending_parts(pending))
-    groups: Dict[str, List[Tuple[int, PendingBroadcast]]] = {}
-    for k, joiner in joiners:
-        if joiner.mask.any():
-            groups.setdefault(joiner.spec.tag, []).append((k, joiner))
-    for tag, group in groups.items():
-        target: Optional[PendingBroadcast] = None
-        for part in parts:
-            if isinstance(part, PendingBroadcast) and part.spec.tag == tag:
-                target = part
-                break
-        if target is None:
-            spec = group[0][1].spec
-            target = PendingBroadcast(
-                spec,
-                np.zeros(plane.n, dtype=bool),
-                tuple(
-                    np.zeros(plane.n, dtype=np.int64)
-                    for _ in range(spec.arity)
-                ),
-                np.zeros(plane.n, dtype=np.int64),
-            )
-            parts.append(target)
-        for k, joiner in group:
-            lo = int(plane.node_offsets[k])
-            hi = lo + int(plane.local_ns[k])
-            # The kernel's own masks never cover a just-joining instance,
-            # so slice assignment cannot clobber absorbed traffic.
-            target.mask[lo:hi] = joiner.mask
-            target.senders = None  # stale once the mask changed
-            target.bits[lo:hi] = joiner.bits
-            if joiner.spec.arity == target.spec.arity:
-                for i in range(target.spec.arity):
-                    target.columns[i][lo:hi] = joiner.columns[i]
-    if not parts:
+    sending = [(k, h) for k, h in enumerate(handovers) if h.mask.any()]
+    if not sending:
         return None
-    return parts[0] if len(parts) == 1 else tuple(parts)
+    tags = sorted({h.spec.tag for _, h in sending})
+    if len(tags) > 1:
+        raise BatchEligibilityError(f"instances handed over mixed tags: {tags}")
+    spec = sending[0][1].spec
+    mask = np.zeros(plane.n, dtype=bool)
+    columns = tuple(np.zeros(plane.n, dtype=np.int64) for _ in range(spec.arity))
+    bits = np.zeros(plane.n, dtype=np.int64)
+    offsets = plane.node_offsets.tolist()
+    for k, handover in sending:
+        lo, hi = offsets[k], offsets[k + 1]
+        mask[lo:hi] = handover.mask
+        bits[lo:hi] = handover.bits
+        for column, part in zip(columns, handover.columns):
+            column[lo:hi] = part
+    return PendingBroadcast(spec, mask, columns, bits)
 
 
 def _round_limits(
@@ -672,17 +550,14 @@ def _rounds(
     contexts: Optional[Sequence[Mapping[int, Context]]],
     kernel: VectorKernel,
     pending,
-    prologue: Dict[int, _PrologueInstance],
-    in_plane: np.ndarray,
 ) -> Iterator[Tuple[int, SimulationResult]]:
     """The round loop: yields ``(k, result)`` as each instance finishes.
 
     Every tick follows the solo loops' order.  An instance over its round
     limit raises before the tick's traffic is charged.  The traffic is
-    charged against each instance's budget; an instance with no live
-    node then finishes without executing the round (checked at boot and
-    after a join, the only ticks where it can happen).  Otherwise the
-    round executes, and an instance whose nodes all halted in it
+    charged against each instance's budget; at the boot tick, an instance
+    with no live node then finishes without executing a round.  Otherwise
+    the round executes, and an instance whose nodes all halted in it
     finishes, its queued traffic discarded uncharged.
 
     The ledger is per-instance: one history row per executed round for
@@ -697,7 +572,6 @@ def _rounds(
         dtype=np.int64,
     )
     offsets = plane.node_offsets.tolist()
-    specs = kernel.program_class.message_specs
     #: Nodes whose sends reach a wire (see ``_accumulate_round``).
     charged = plane.degrees > 0
     open_limits = dict(enumerate(limits))
@@ -705,24 +579,20 @@ def _rounds(
     hist_msgs: List[np.ndarray] = []
     hist_bits: List[np.ndarray] = []
     hist_max: List[np.ndarray] = []
-    stepping = bool(in_plane.any())
-    #: Kernel nodes halt only in ``step`` and revive only by joining, so
-    #: an instance's finish shows as a change of the plane's live count
-    #: (a join resets it to force a look); the per-instance reduction
-    #: waits for one.  At boot a fully live plane has no empty instance.
+    #: Kernel nodes only ever halt, so an instance's finish shows as a
+    #: change of the plane's live count; the per-instance reduction waits
+    #: for one.  A fully live plane has no empty instance.
     live_count = plane.n
     rounds = 0
 
     def finished(count: int) -> List[int]:
-        """Instances with no live node left, ascending."""
+        """Unfinished instances with no live node left, ascending."""
         nonlocal live_count
-        done = [k for k, inst in prologue.items() if not inst.active]
-        if count != live_count:
-            live_count = count
-            alive = plane.live_per_instance(kernel.live)
-            done += np.flatnonzero(in_plane & (alive == 0)).tolist()
-            done.sort()
-        return done
+        if count == live_count:
+            return []
+        live_count = count
+        alive = plane.live_per_instance(kernel.live)
+        return [k for k in np.flatnonzero(alive == 0).tolist() if k in open_limits]
 
     def finish(k: int, dropped_bits, dropped_max) -> Tuple[int, SimulationResult]:
         """Snapshot instance ``k``'s solo-equivalent result.
@@ -733,8 +603,6 @@ def _rounds(
         nonlocal next_limit
         lo, hi = offsets[k], offsets[k + 1]
         charged[lo:hi] = False
-        in_plane[k] = False
-        prologue.pop(k, None)
         del open_limits[k]
         next_limit = min(open_limits.values(), default=0)
         if contexts:
@@ -760,51 +628,17 @@ def _rounds(
             bits_per_round=bits,
         )
 
-    check_top = True
     while True:
         if rounds >= next_limit:
             raise SimulationLimitError(
                 f"simulation did not terminate within {next_limit} rounds"
             )
-        # Instances whose next round is their takeover round hand their
-        # queued broadcast over and join the plane, so the handover
-        # traffic is charged this tick.
-        joiners: List[Tuple[int, PendingBroadcast]] = []
-        for k, inst in prologue.items():
-            if inst.takeover is None or rounds + 1 < inst.takeover:
-                continue
-            handover = _collect_handover(inst.drain, specs, inst.n)
-            if handover is _NONCONFORMING:
-                inst.takeover = None
-                continue
-            lo = offsets[k]
-            kernel.absorb_instance(lo, lo + inst.n, inst.programs, inst.contexts)
-            joiners.append((k, handover))
-        if joiners:
-            for k, _ in joiners:
-                del prologue[k]
-                in_plane[k] = True
-            pending = _merge_joiners(plane, pending, joiners)
-            stepping = check_top = True
-            live_count = -1
-
         msgs_k, bits_k, max_k = _accumulate_round(
             plane, pending, charged, budgets
         )
-        # Scalar instances: exact FastEngine collection and charging
-        # against the instance's own budget.
-        for k, inst in prologue.items():
-            touched, sizes, senders = FastEngine._collect_traffic(
-                inst.drain, inst.inboxes
-            )
-            inst.touched = touched
-            round_bits, max_k[k] = FastEngine._charge(
-                sizes, senders, inst.budget, 0
-            )
-            msgs_k[k] += len(sizes)
-            bits_k[k] += round_bits
-        if check_top:
-            check_top = False
+        if not rounds:
+            # Boot tick: an instance whose every node halted in ``setup``
+            # has its handover charged but executes no round.
             for k in finished(np.count_nonzero(kernel.live)):
                 yield finish(k, bits_k[k], max_k[k])
             if not open_limits:
@@ -814,15 +648,11 @@ def _rounds(
         hist_bits.append(bits_k)
         hist_max.append(max_k)
         rounds += 1
-        pending = kernel.step(rounds, pending) if stepping else None
-        for inst in prologue.values():
-            inst.execute_round(rounds)
-        count = np.count_nonzero(kernel.live)
-        if prologue or count != live_count:
-            for k in finished(count):
-                yield finish(k, 0, 0)
-            if not open_limits:
-                return
+        pending = kernel.step(rounds, pending)
+        for k in finished(np.count_nonzero(kernel.live)):
+            yield finish(k, 0, 0)
+        if not open_limits:
+            return
 
 
 def _iter_stacked(
@@ -833,35 +663,32 @@ def _iter_stacked(
 ) -> Iterator[Tuple[int, SimulationResult]]:
     """Generator body of :func:`iter_stacked` (arguments pre-validated)."""
     kernel_cls = kernel_for(program_factory)
+    inputs = [node_inputs or {} for node_inputs in inputs]
+    for net, node_inputs in zip(networks, inputs):
+        if not kernel_cls.eligible(net, node_inputs):
+            raise BatchEligibilityError(
+                f"{kernel_cls.__name__} declined an instance of the group"
+            )
     plane = StackedPlane(networks)
-    # Vectorized boot: no per-node program or context objects at all —
-    # the kernel initializes its planes and the round-1 broadcast directly
-    # from the instance inputs.  This is where batched sweeps stop paying
-    # O(total nodes) Python object construction.  ``stacked_setup``
-    # implies a round-1 takeover for every instance; a kernel with
-    # *conditional* round-1 takeover (lemma310's canonical gate) returns
-    # ``None`` to decline the group, sending it through the object boot.
-    boot = None
     if kernel_cls.stacked_setup is not None:
-        boot = kernel_cls.stacked_setup(plane, list(inputs))
-    if boot is not None:
-        kernel, pending = boot
-        in_plane = np.ones(len(networks), dtype=bool)
-        yield from _rounds(
-            plane, networks, limits, None, kernel, pending, {}, in_plane
-        )
+        # Vectorized boot: no per-node program or context objects at all —
+        # the kernel initializes its planes and the round-1 broadcast
+        # directly from the instance inputs.  This is where batched sweeps
+        # stop paying O(total nodes) Python object construction.
+        kernel, pending = kernel_cls.stacked_setup(plane, inputs)
+        yield from _rounds(plane, networks, limits, None, kernel, pending)
         return
     built = [
-        _instantiate(net, program_factory, node_inputs, kernel_cls)
+        _instantiate(net, program_factory, node_inputs)
         for net, node_inputs in zip(networks, inputs)
     ]
-    yield from _rounds(
-        plane,
-        networks,
-        limits,
-        [contexts for _, contexts, _ in built],
-        *_object_boot(plane, networks, built, kernel_cls),
-    )
+    boot = _object_boot(plane, kernel_cls, built)
+    if boot is None:
+        raise BatchEligibilityError(
+            "an instance's round-1 traffic is not one conforming broadcast"
+        )
+    contexts = [box for _, box in built]
+    yield from _rounds(plane, networks, limits, contexts, *boot)
 
 
 def iter_stacked(
@@ -942,15 +769,18 @@ def run_instance(
     programs: Mapping[int, NodeProgram],
     contexts: Mapping[int, Context],
     max_rounds: int,
-) -> SimulationResult:
+) -> Optional[SimulationResult]:
     """One solo ``vector`` run: the round loop on a one-instance plane.
 
-    Boots from the caller's programs and contexts (the Simulator's, not
-    yet set up) exactly as :func:`iter_stacked` boots each instance of a
-    group without a vectorized ``stacked_setup``.
+    Boots from the caller's programs and contexts, which ``setup`` has
+    already run on, through the lockstep object boot.  Returns ``None``,
+    with the state untouched, when the round-1 handover is not one
+    conforming broadcast; the caller then finishes the run on
+    ``FastEngine``.
     """
     plane = StackedPlane([network])
-    built = [(programs, contexts, _setup(network, programs, contexts))]
-    boot = _object_boot(plane, [network], built, kernel_cls)
+    boot = _object_boot(plane, kernel_cls, [(programs, contexts)])
+    if boot is None:
+        return None
     rounds = _rounds(plane, [network], [max_rounds], [contexts], *boot)
     return next(rounds)[1]

@@ -72,6 +72,34 @@ class FastEngine(Engine):
         contexts: Dict[int, Context],
         max_rounds: int,
     ) -> SimulationResult:
+        self.setup(network, programs, contexts)
+        return self.run_rounds(network, programs, contexts, max_rounds)
+
+    @staticmethod
+    def setup(
+        network: Network,
+        programs: Dict[int, NodeProgram],
+        contexts: Dict[int, Context],
+    ) -> None:
+        """Round 0: every node's ``setup``, in ascending id order."""
+        for v in range(network.n):
+            ctx = contexts[v]
+            ctx.round_number = 0
+            programs[v].setup(ctx)
+
+    def run_rounds(
+        self,
+        network: Network,
+        programs: Dict[int, NodeProgram],
+        contexts: Dict[int, Context],
+        max_rounds: int,
+    ) -> SimulationResult:
+        """Rounds 1, 2, ... from the state :meth:`setup` left.
+
+        Every outbox ``setup`` queued is still in place; the first round
+        collects them.  The vector engine enters here when a run's round-1
+        traffic does not fit the message plane.
+        """
         if all(p.event_driven for p in programs.values()):
             return self._run_event_driven(network, programs, contexts, max_rounds)
         return self._run_active_set(network, programs, contexts, max_rounds)
@@ -169,11 +197,6 @@ class FastEngine(Engine):
         records = [
             (v, contexts[v], programs[v].receive) for v in range(n)
         ]
-
-        for v, ctx, _ in records:
-            ctx.round_number = 0
-            programs[v].setup(ctx)
-
         active = [rec for rec in records if not rec[1]._halted]
         # Nodes whose setup/receive ran since the last collection — the only
         # ones that can hold queued traffic (includes nodes that halted
@@ -266,12 +289,6 @@ class FastEngine(Engine):
         budget = network.bit_budget
         ctxs = [contexts[v] for v in range(n)]
         recvs = [programs[v].receive for v in range(n)]
-
-        for v in range(n):
-            ctx = ctxs[v]
-            ctx.round_number = 0
-            programs[v].setup(ctx)
-
         live = sum(1 for ctx in ctxs if not ctx._halted)
         drain: Sequence[tuple] = [(v, ctxs[v]) for v in range(n)]
         inboxes: Inboxes = [None] * n

@@ -22,42 +22,33 @@ Three pieces cooperate:
   reference engine.
 * :class:`VectorKernel` — a per-program-class state machine over flat numpy
   arrays.  A kernel re-expresses the program's ``receive`` transition as
-  scatter/gather over the :class:`CsrPlane`; program modules register their
-  kernel with :func:`register_kernel`.
+  scatter/gather over the
+  :class:`~repro.congest.engine.batched.StackedPlane`; program modules
+  register their kernel with :func:`register_kernel`.
 * :class:`VectorEngine` — the engine.  A run whose programs declare no
   :attr:`~repro.congest.node.NodeProgram.message_specs`, have no
   registered kernel, mix program classes or fail the kernel's
   :meth:`VectorKernel.eligible` gate runs on
-  :class:`~repro.congest.engine.fast.FastEngine`.  Every other run is the
-  one-instance case of the round loop in
-  :mod:`repro.congest.engine.batched`: the loop runs ``setup`` and any
-  scalar prefix of rounds through FastEngine mechanics, hands the live
-  state to the kernel at its declared ``takeover_round`` and finishes the
-  run with vectorized rounds.  The parity suite
-  (``tests/test_engine_parity.py``) proves all engines observationally
-  identical either way.
+  :class:`~repro.congest.engine.fast.FastEngine`.  Every other run runs
+  ``setup`` and is then the one-instance case of the round loop in
+  :mod:`repro.congest.engine.batched`, which takes over at round 1 —
+  unless the traffic ``setup`` queued is not one conforming broadcast, in
+  which case the run continues on FastEngine's loop from its post-setup
+  state.  The parity suite (``tests/test_engine_parity.py``) proves all
+  engines observationally identical either way.
 
-Fully-broadcast programs (greedy MDS, rounding execution, color reduction)
-take over at round 1, and so does the Lemma 3.10 loop on its canonical
-uniform inputs — its color-class rounds run *in-plane*, with the targeted
-``alpha`` sends expressed as :class:`PendingTargeted` slot traffic and a
-round optionally carrying several differently-tagged parts at once.  On
-heterogeneous inputs the loop instead runs those rounds under scalar
-semantics and vectorizes the final execution-phase broadcasts (takeover
-at ``2 + 3*num_colors``; the takeover round is per-instance,
-input-dependent state).  The handover follows one set of rules whether
-the plane holds one instance or K (see
-:mod:`repro.congest.engine.batched`): an instance joins the plane at its
-own takeover round, through :meth:`VectorKernel.absorb_instance` when that
-round is late, and an instance whose traffic at that round is not one
-conforming broadcast finishes on FastEngine mechanics.
+Round 1 is the only takeover round, for every kernel.  The Lemma 3.10
+kernel's round-1 gate admits its canonical uniform inputs, whose
+color-class rounds run *in-plane*, with the targeted ``alpha`` sends
+expressed as :class:`PendingTargeted` slot traffic and a round optionally
+carrying several differently-tagged parts at once; other inputs run on
+``fast``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from array import array
-from typing import Dict, Optional, Sequence, Tuple, Type, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -69,10 +60,12 @@ from repro.congest.message import (
 )
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
-from repro.errors import BatchEligibilityError, CongestError, GraphError
+from repro.errors import CongestError
+
+if TYPE_CHECKING:
+    from repro.congest.engine.batched import StackedPlane
 
 __all__ = [
-    "CsrPlane",
     "MessageSpec",
     "PendingBroadcast",
     "VectorEngine",
@@ -232,121 +225,17 @@ def pending_parts(pending: PendingTraffic) -> Tuple[object, ...]:
     return (pending,)
 
 
-class CsrPlane:
-    """Array view of a network's CSR topology plus exact row reductions.
-
-    ``indices[indptr[v]:indptr[v+1]]`` are the neighbors of ``v`` (the
-    *slots* of row ``v``).  Row reductions use ``ufunc.reduceat`` over the
-    non-empty rows only, so isolated nodes are handled without branching
-    and all arithmetic stays in int64 (bit-exact, unlike float matvecs).
-    Kernels run on its subclass
-    :class:`~repro.congest.engine.batched.StackedPlane`, which adds the
-    per-instance tables.
-    """
-
-    __slots__ = (
-        "n",
-        "nnz",
-        "indptr",
-        "indices",
-        "degrees",
-        "_nonempty",
-        "_starts",
-        "_reverse",
-    )
-
-    def __init__(self, network: Network):
-        indptr, indices = network.csr()
-        self._init_arrays(_as_int64(indptr), _as_int64(indices))
-
-    def _init_arrays(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        self.indptr = indptr
-        self.indices = indices
-        self.n = int(indptr.shape[0]) - 1
-        self.nnz = int(indices.shape[0])
-        self.degrees = self.indptr[1:] - self.indptr[:-1]
-        self._reverse = None
-        self._nonempty = self.degrees > 0
-        self._starts = self.indptr[:-1][self._nonempty]
-
-    def row_sum(self, slot_values: np.ndarray) -> np.ndarray:
-        """Per-node sum of ``slot_values`` over each node's slots."""
-        out = np.zeros(self.n, dtype=np.int64)
-        if self._starts.size:
-            values = np.asarray(slot_values).astype(np.int64, copy=False)
-            out[self._nonempty] = np.add.reduceat(values, self._starts)
-        return out
-
-    def row_max(self, slot_values: np.ndarray, empty: int) -> np.ndarray:
-        """Per-node max of ``slot_values``; ``empty`` for isolated nodes."""
-        out = np.full(self.n, empty, dtype=np.int64)
-        if self._starts.size:
-            values = np.asarray(slot_values).astype(np.int64, copy=False)
-            out[self._nonempty] = np.maximum.reduceat(values, self._starts)
-        return out
-
-    def row_any(self, slot_flags: np.ndarray) -> np.ndarray:
-        """Per-node "any slot true" as a boolean array."""
-        return self.row_sum(slot_flags) > 0
-
-    def sent_slots(self, pending: Optional[PendingBroadcast]) -> np.ndarray:
-        """Slot-level sender flags for one round of broadcast traffic."""
-        if pending is None:
-            return np.zeros(self.nnz, dtype=bool)
-        return pending.mask[self.indices]
-
-    def gather(self, per_node: np.ndarray) -> np.ndarray:
-        """Slot-level view of a per-node array (value of each slot's peer)."""
-        return per_node[self.indices]
-
-    def out_slots(self, senders: np.ndarray) -> np.ndarray:
-        """Receiving slots of the broadcasts of ``senders``, sender-major.
-
-        The slots ``s`` with ``indices[s]`` in ``senders`` — the set
-        :meth:`sent_slots` flags — found in O(sum of sender degrees)
-        through the reverse-slot map.
-        """
-        if self._reverse is None:
-            self._reverse = self._reverse_slots()
-        degrees = self.degrees[senders]
-        # Concatenate the senders' own slot ranges [indptr[u], indptr[u+1]).
-        shift = self.indptr[senders] - (np.cumsum(degrees) - degrees)
-        slots = np.arange(int(degrees.sum())) + np.repeat(shift, degrees)
-        return self._reverse[slots]
-
-    def _reverse_slots(self) -> np.ndarray:
-        """Map the slot of ``v`` in row ``u`` to the slot of ``u`` in row ``v``.
-
-        With sorted rows, the slots naming ``v`` in ascending slot order
-        are ``v``'s own row in order, so a stable sort by neighbor id lays
-        them out exactly at ``indptr[v] .. indptr[v+1]``.
-        """
-        reverse = np.empty(self.nnz, dtype=np.int64)
-        reverse[np.argsort(self.indices, kind="stable")] = np.arange(self.nnz)
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        if not (
-            np.array_equal(self.indices[reverse], rows)
-            and np.array_equal(rows[reverse], self.indices)
-        ):
-            raise GraphError("CSR topology is not symmetric with sorted rows")
-        return reverse
-
-
-def _as_int64(values) -> np.ndarray:
-    if isinstance(values, array) and values.itemsize == 8:
-        return np.frombuffer(values, dtype=np.int64)
-    return np.asarray(values, dtype=np.int64)
-
-
 class VectorKernel(ABC):
     """Vectorized state machine for one node-program class.
 
-    A kernel is constructed at handover time with the plane and the live
-    per-node program/context state; from then on :meth:`step` is the whole
-    round: consume the inbound :class:`PendingBroadcast`, update state,
-    record outputs/halts, and return the next round's outbound broadcast
-    (or ``None`` for a silent round).  The round loop owns accounting and
-    termination; the kernel owns semantics.
+    The contract has four parts: :meth:`eligible` decides from a run's
+    inputs whether the kernel can run it; the kernel is built at round 1,
+    either by :meth:`stacked_setup` straight from the inputs or by
+    ``__init__`` from the programs and contexts ``setup`` left; and from
+    then on :meth:`step` is the whole round: consume the inbound traffic,
+    update state, record outputs/halts, and return the next round's
+    outbound traffic (or ``None`` for a silent round).  The round loop
+    owns accounting and termination; the kernel owns semantics.
 
     Every plane may hold K instances (:mod:`repro.congest.engine.batched`;
     a solo run is the case K = 1), so per-node transitions consult only
@@ -354,20 +243,14 @@ class VectorKernel(ABC):
     instead of global ids and the global ``plane.n``.  Planes may be
     *ragged* — instances of different sizes — so per-instance quantities
     (packed-key bases, round schedules) come from the per-node
-    ``local_n_of`` array, never from a single scalar ``n``.  Instances
-    need not enter the plane in lockstep: a kernel whose
-    ``takeover_round`` exceeds 1 must implement :meth:`absorb_instance`
-    (usually together with :attr:`prologue_oracle`), and the round loop
-    executes each instance's scalar prologue against the shared global
-    clock before absorbing its state into the plane at its own takeover
-    round.
+    ``local_n_of`` array, never from a single scalar ``n``.
     """
 
     #: Filled in by :func:`register_kernel`.
     program_class: Type[NodeProgram]
 
     @classmethod
-    def _blank(cls, plane: "CsrPlane") -> "VectorKernel":
+    def _blank(cls, plane: "StackedPlane") -> "VectorKernel":
         """Bare kernel shell for :meth:`stacked_setup` implementations.
 
         Bypasses ``__init__`` (there are no per-node program objects to
@@ -380,83 +263,29 @@ class VectorKernel(ABC):
         self._outputs = {}
         return self
 
-    #: Vectorized boot (optional, stacked runs only): subclasses may bind a
-    #: classmethod ``stacked_setup(plane, inputs) -> (kernel, pending)``
-    #: that replaces per-node program instantiation, scalar ``setup`` and
-    #: handover collection with direct array initialization.  ``inputs`` is
-    #: one optional ``{node: input}`` mapping per instance (local ids);
-    #: implementations translate local to global ids through the plane's
-    #: ragged offset tables (``plane.node_offsets[k]`` is instance ``k``'s
-    #: first global node, ``plane.local_ns[k]`` its size — instances need
-    #: not share one size).  The implementation must reproduce the scalar
-    #: boot bit for bit: same initial state, same round-1 broadcast
-    #: mask/columns/bits.  A ``None`` *attribute* means the round loop
-    #: always boots through the scalar path; an implementation may also
-    #: *return* ``None`` to decline one particular group (a kernel whose
-    #: round-1 takeover is conditional on the inputs, e.g. lemma310's
-    #: canonical gate), which sends that group through the scalar boot
-    #: and the per-instance takeover machinery.
+    #: Vectorized boot (optional): subclasses may bind a classmethod
+    #: ``stacked_setup(plane, inputs) -> (kernel, pending)`` that replaces
+    #: per-node program instantiation, scalar ``setup`` and handover
+    #: collection with direct array initialization.  ``inputs`` is one
+    #: optional ``{node: input}`` mapping per instance (local ids; a
+    #: missing node has input ``None``), and every instance has passed
+    #: :meth:`eligible`.  Implementations translate local to global ids
+    #: through the plane's ragged offset tables (``plane.node_offsets[k]``
+    #: is instance ``k``'s first global node, ``plane.local_ns[k]`` its
+    #: size) and read exactly nodes ``0 .. local_ns[k] - 1`` of each
+    #: mapping.  The boot must reproduce the scalar one bit for bit: same
+    #: initial state, same round-1 broadcast mask/columns/bits.  ``None``
+    #: means the round loop boots through ``__init__``.
     stacked_setup = None
-
-    #: Scalar-prologue actor oracle (optional): a classmethod
-    #: ``prologue_oracle(network, programs) ->
-    #: Callable[[int], Optional[np.ndarray]]`` mapping a *local* round
-    #: number to the sorted array of local node ids whose ``receive`` can
-    #: act that round (``None`` = every active node must run).  The round
-    #: loop uses it to skip provably no-op ``receive`` calls while an
-    #: instance is still in its scalar prologue; skipping a node must be
-    #: observationally identical to delivering its (empty) inbox that
-    #: round.  ``None`` disables the optimization.
-    prologue_oracle = None
-
-    @classmethod
-    def stacked_blank(cls, plane: "CsrPlane") -> "VectorKernel":
-        """Kernel shell for runs with per-instance takeover rounds.
-
-        Like :meth:`_blank` but every node starts *dead*: instances light
-        up their slice of the plane only when :meth:`absorb_instance`
-        hands their scalar-prologue state over.  Subclasses with extra
-        per-node state arrays override this to allocate them (zeroed) at
-        full plane width.
-        """
-        kernel = cls._blank(plane)
-        kernel.live = np.zeros(plane.n, dtype=bool)
-        return kernel
-
-    def absorb_instance(
-        self,
-        lo: int,
-        hi: int,
-        programs: Dict[int, NodeProgram],
-        contexts: Dict[int, Context],
-    ) -> None:
-        """Load one instance's scalar state into plane slice ``[lo, hi)``.
-
-        Called by the round loop at the instance's takeover round with
-        that instance's per-node programs and contexts (*local* ids;
-        global id = local id + ``lo``).  Implementations must set
-        ``self.live[lo:hi]`` from the contexts' halted flags and fill
-        every per-node state array exactly as ``__init__`` would for a
-        lockstep plane.  The default refuses — kernels that always take
-        over at round 1 never need it, and the batch runner treats the
-        refusal as a signal to fall back per cell.
-        """
-        raise BatchEligibilityError(
-            f"{type(self).__name__} cannot absorb a scalar prologue; "
-            "kernels with takeover_round > 1 must implement absorb_instance"
-        )
 
     def __init__(
         self,
-        plane: CsrPlane,
+        plane: "StackedPlane",
         programs: Sequence[NodeProgram],
         contexts: Sequence[Context],
     ):
-        """Lockstep boot: every instance of the plane takes over at round 1.
-
-        ``programs`` / ``contexts`` hold every node of the plane, indexed
-        by global id, as the scalar ``setup`` left them.
-        """
+        """Object boot: ``programs`` / ``contexts`` hold every node of the
+        plane, indexed by global id, as the scalar ``setup`` left them."""
         self.plane = plane
         self.live = np.fromiter(
             (not contexts[v]._halted for v in range(plane.n)),
@@ -466,18 +295,16 @@ class VectorKernel(ABC):
         self._outputs: Dict[int, Dict[str, object]] = {}
 
     @classmethod
-    def eligible(
-        cls, network: Network, programs: Dict[int, NodeProgram]
-    ) -> bool:
-        """Whether this run's inputs fit the vectorized implementation."""
-        return True
+    def eligible(cls, network: Network, inputs: Mapping[int, object]) -> bool:
+        """Whether the kernel can run one instance with these inputs.
 
-    @classmethod
-    def takeover_round(
-        cls, network: Network, programs: Dict[int, NodeProgram]
-    ) -> int:
-        """First round to execute vectorized (rounds before it run scalar)."""
-        return 1
+        ``inputs`` maps local node ids to their program inputs, a missing
+        node meaning ``None`` (what :attr:`NodeProgram.input` holds).  It
+        is the kernel's only gate: a declined solo run executes on
+        :class:`FastEngine`, and a declined instance makes its stacked
+        group raise :class:`~repro.errors.BatchEligibilityError`.
+        """
+        return True
 
     def output(self, node: int, key: str, value: object) -> None:
         """Record one node's local output (mirrors ``Context.output``)."""
@@ -526,12 +353,20 @@ class VectorEngine(Engine):
         max_rounds: int,
     ) -> SimulationResult:
         kernel_cls = self._kernel_class(programs)
-        if kernel_cls is None or not kernel_cls.eligible(network, programs):
+        if kernel_cls is None or not kernel_cls.eligible(
+            network, {v: p.input for v, p in programs.items()}
+        ):
             return self._scalar.run(network, programs, contexts, max_rounds)
         # The round loop builds on this module, so it is imported here.
         from repro.congest.engine.batched import run_instance
 
-        return run_instance(network, kernel_cls, programs, contexts, max_rounds)
+        self._scalar.setup(network, programs, contexts)
+        result = run_instance(network, kernel_cls, programs, contexts, max_rounds)
+        if result is None:
+            # The round-1 traffic is not one conforming broadcast: the run
+            # goes on from its post-setup state on FastEngine's own loop.
+            return self._scalar.run_rounds(network, programs, contexts, max_rounds)
+        return result
 
     @staticmethod
     def _kernel_class(

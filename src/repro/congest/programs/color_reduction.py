@@ -85,7 +85,7 @@ class ColorReductionKernel(VectorKernel):
     degrees), not O(n + nnz): boot buckets every node by the round its
     color acts in (``n_k - color``), and a recolored node is re-queued
     when its new class comes up later.  Delivery reads the senders'
-    slots through :meth:`CsrPlane.out_slots`, accounting reads the
+    slots through :meth:`StackedPlane.out_slots`, accounting reads the
     broadcast's ``senders`` list, bit lengths are computed for senders
     only, and the mex is a short Python loop over each acting row.  An
     instance finishes once, at round ``n_k``, in O(n_k).  Boot is
@@ -113,33 +113,40 @@ class ColorReductionKernel(VectorKernel):
         )
 
     @classmethod
-    def eligible(cls, network, programs) -> bool:
-        """Initial colors must lie in the plane's exact range [0, 2**53)."""
-        return all(
-            p.color is None or 0 <= p.color < _MAX_EXACT_FIELD
-            for p in programs.values()
-        )
+    def eligible(cls, network, inputs) -> bool:
+        """Initial colors must lie below the plane's exact range, 2**53.
+
+        A negative color is no limit of the plane: ``setup`` raises for
+        it on every engine, and so does :meth:`stacked_setup`.
+        """
+        for v in range(network.n):
+            color = inputs.get(v)
+            if color is not None and int(color) >= _MAX_EXACT_FIELD:
+                return False
+        return True
 
     @classmethod
     def stacked_setup(cls, plane, inputs):
         """Vectorized boot: every node announces its initial color.
 
         Colors default to the node's *local* id (a proper n-coloring per
-        instance, exactly what the scalar ``setup`` picks); explicit
-        initial colors from ``inputs`` overwrite their entries.  Declines
-        (``None``) a group with a color outside :meth:`eligible`'s range,
-        so the object boot raises or declines exactly as ``setup`` would.
+        instance, exactly what the scalar ``setup`` picks); the initial
+        colors of an instance's nodes ``0 .. n_k - 1`` overwrite their
+        entries, and any other key is ignored, as the scalar engines
+        ignore it.
         """
         color = plane.local_ids.copy()
         for k, mapping in enumerate(inputs):
             if not mapping:
                 continue
             base = int(plane.node_offsets[k])
-            for v, c in mapping.items():
+            for v in range(int(plane.local_ns[k])):
+                c = mapping.get(v)
                 if c is not None:
-                    if not 0 <= int(c) < _MAX_EXACT_FIELD:
-                        return None
-                    color[base + int(v)] = int(c)
+                    color[base + v] = int(c)
+        if color.min() < 0:
+            # The first negative color in setup order: raise setup's error.
+            message_bits((int(color[color < 0][0]),))
         kernel = cls._blank(plane)
         kernel._boot(color)
         pending = PendingBroadcast(

@@ -21,6 +21,11 @@ inclusive neighborhood):
 The per-node math reuses :class:`repro.derand.estimators.ConstraintEstimator`
 verbatim, so the distributed run provably mirrors the centralized engine up
 to the paper's alpha quantization; tests compare the two end to end.
+
+On the ``vector`` engine, :class:`Lemma310ExecutionKernel` runs the whole
+protocol in-plane from round 1 for the canonical uniform inputs the
+registered ``lemma310`` spec produces; its ``eligible`` gate routes every
+other input to ``fast``.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import networkx as nx
 import numpy as np
 
 from repro.congest.engine import (
-    CsrPlane,
     EngineSpec,
     MessageSpec,
     PendingBroadcast,
@@ -63,10 +67,8 @@ class Lemma310Program(NodeProgram):
     #: the execution rounds).  The color-class rounds additionally use
     #: ``announce`` broadcasts and targeted ``alpha`` sends; those ride on
     #: kernel-internal specs (they are never handover traffic, so they are
-    #: not listed here).  For the canonical uniform workload the vector
-    #: kernel runs the *whole* protocol in-plane from round 1; anything
-    #: else runs the color-class rounds under scalar FastEngine semantics
-    #: with takeover at the execution phase (see
+    #: not listed here).  The vector kernel runs the *whole* protocol
+    #: in-plane from round 1 for canonical uniform inputs (see
     #: :class:`Lemma310ExecutionKernel`).
     message_specs = (
         MessageSpec("xp", "x_num", "p_num"),
@@ -277,243 +279,166 @@ def _exp_exact(values: np.ndarray) -> np.ndarray:
 
 @register_kernel(Lemma310Program)
 class Lemma310ExecutionKernel(VectorKernel):
-    """Vectorized Lemma 3.10 loop with a two-speed takeover.
+    """Vectorized Lemma 3.10 loop for the canonical uniform workload.
 
-    For the **canonical uniform workload** — every node participating with
-    ``x = p`` on a shared grid, ``c = 1``, mode ``auto`` and a proper
-    coloring — the kernel takes over at **round 1** and runs the
-    color-class conditional-expectation rounds themselves inside the
-    plane: announce broadcasts, targeted alpha quotes
-    (:class:`PendingTargeted`), decide/fix, and estimator folds, all as
-    flat array updates.  Under these inputs every coin weight is exactly
-    ``1.0`` and the estimator resolves to exact-product mode, so its float
-    operation *sequence* collapses to IEEE-identical array arithmetic:
-    the log-product starts as a left-fold of equal ``log1p(-p)`` terms
-    (replayed via a partial-sum table), updates are single subtractions,
-    and ``phi`` bounds call libm's ``exp`` per element (see
-    :data:`_VEC_EXP`).  Results stay bit-for-bit equal to the scalar
-    engines.
+    :meth:`eligible` admits the **canonical uniform inputs** — every node
+    participating with the same ``x = p`` on one grid, ``c = 1``, mode
+    ``auto``, a color in ``[0, num_colors)`` and max degree + 1 below 512
+    — and the kernel takes over at round 1 and runs the color-class
+    conditional-expectation rounds themselves inside the plane: announce
+    broadcasts, targeted alpha quotes (:class:`PendingTargeted`),
+    decide/fix, and estimator folds, all as flat array updates.  Under
+    these inputs every coin weight is exactly ``1.0`` and the estimator
+    resolves to exact-product mode, so its float operation *sequence*
+    collapses to IEEE-identical array arithmetic: the log-product starts
+    as a left-fold of equal ``log1p(-p)`` terms (replayed via a
+    partial-sum table), updates are single subtractions, and ``phi``
+    bounds call libm's ``exp`` per element (see :data:`_VEC_EXP`).
+    Results stay bit-for-bit equal to the scalar engines.
 
-    Anything non-canonical keeps the original split: the engine runs the
-    color-class rounds scalar and the kernel takes over at round
-    ``2 + 3 * num_colors``, the first execution round, where every node
-    has queued its ``exec`` broadcast of the phase-one value.
-
-    Stacked runs exploit the per-instance takeover machinery
-    (:mod:`repro.congest.engine.batched`) in both directions: canonical
-    instances join the plane at round 1 (an all-canonical group runs
-    fully lockstep, no scalar prologue at all), while heterogeneous
-    instances run their own sparse scalar prologue — via
-    :meth:`prologue_oracle`'s statically-derived actor sets — and join at
-    their own ``2 + 3 * num_colors`` round via :meth:`absorb_instance`.
-    One plane round may then carry differently-tagged traffic from
-    instances in different phases (multi-part pendings).
+    Other inputs never reach the plane: a solo ``vector`` run executes on
+    ``fast``, and a stacked group containing one raises
+    :class:`~repro.errors.BatchEligibilityError`, so the batch runner
+    reruns its cells one by one.
     """
 
     @classmethod
-    def eligible(cls, network, programs) -> bool:
-        num_colors = {p.num_colors for p in programs.values()}
-        return len(num_colors) == 1
+    def eligible(cls, network, inputs) -> bool:
+        """The canonical gate: can the whole protocol run in-plane?
 
-    @staticmethod
-    def _vectorizable_inputs(progs, max_degree: int) -> bool:
-        """Can the color-class rounds run in-plane for these inputs?
-
-        The gate pins down exactly the regime where the scalar float
-        sequence is replayable as array math: every node participates with
-        the *same* ``x_num == p_num`` (uniformity makes every coin weight
+        It pins down exactly the regime where the scalar float sequence is
+        replayable as array math: every node participates with the
+        *same* ``x_num == p_num`` (uniformity makes every coin weight
         exactly ``1.0``, resolves ``mode='auto'`` to exact-product, and —
         critically — makes every free coin contribute the same
         ``log1p(-p)`` term, so the initial log-product is a function of
         degree alone), ``c_num == scale`` (``c == 1.0``, making
-        ``satisfied`` an integer count), a proper color in
-        ``[0, num_colors)`` on a uniform grid, and degrees small enough
+        ``satisfied`` an integer count), a color in ``[0, num_colors)``
+        on a uniform grid, and degrees small enough
         that the estimator's 512-update refresh never fires (the
         vectorized log-product replays the scalar *subtraction* sequence,
         not the refresh recompute; a node commits at most ``degree + 1``
         coins).
         """
-        if not progs:
+        if network.max_degree + 1 >= 512:
             return False
-        first = progs[0]
-        scale = first.scale
-        num_colors = first.num_colors
-        x_num = first.x_num
-        if num_colors < 1 or max_degree + 1 >= 512:
-            return False
-        for p in progs:
-            if (
-                p.scale != scale
-                or p.num_colors != num_colors
-                or p.mode != "auto"
-                or p.x_num != x_num
-                or p.p_num != x_num
-                or not (0 < x_num < scale)
-                or p.c_num != scale
-                or not (0 <= p.color < num_colors)
-            ):
+        try:
+            first = inputs[0]
+            iota = first["iota"]
+            num_colors = first["num_colors"]
+            x_num = first["x_num"]
+            scale = 1 << iota
+            if num_colors < 1 or not 0 < x_num < scale:
                 return False
+            for v in range(network.n):
+                spec = inputs[v]
+                if not (
+                    spec["iota"] == iota
+                    and spec["num_colors"] == num_colors
+                    and spec["mode"] == "auto"
+                    and spec["x_num"] == x_num
+                    and spec["p_num"] == x_num
+                    and spec["c_num"] == scale
+                    and 0 <= spec["color"] < num_colors
+                ):
+                    return False
+        except (KeyError, TypeError, ValueError):
+            return False
         return True
-
-    @classmethod
-    def takeover_round(cls, network, programs) -> int:
-        n = network.n
-        progs = [programs[v] for v in range(n)]
-        indptr, _indices = network.csr()
-        degrees = np.diff(np.asarray(indptr, dtype=np.int64))
-        max_degree = int(degrees.max()) if n else 0
-        if cls._vectorizable_inputs(progs, max_degree):
-            return 1
-        return 2 + 3 * programs[0].num_colors
-
-    @classmethod
-    def prologue_oracle(cls, network, programs):
-        """Static per-round actor sets for the color-class prologue.
-
-        The prologue's actors are fully determined by the inputs: the
-        deciders of class ``i`` are the participating nodes of color ``i``
-        (their coins are still free when class ``i`` opens — classes fix
-        coins in order), so for class rounds ``2+3i`` / ``3+3i`` / ``4+3i``
-        the acting nodes are the deciders' neighborhoods, the deciders
-        themselves, and the union of the deciders' neighborhoods with the
-        next class's deciders.  Every skipped node sees an empty inbox and
-        falls through ``receive`` without touching estimator state, so
-        sparse execution is observationally identical to the full scan.
-        Rounds outside the table (the exchange round, the final exec
-        broadcast where everyone acts, and the post-takeover rounds)
-        return ``None`` — every active node runs.
-        """
-        plane = CsrPlane(network)
-        n = plane.n
-        color = np.fromiter(
-            (programs[v].color for v in range(n)), dtype=np.int64, count=n
-        )
-        participates = np.fromiter(
-            (
-                programs[v]._participates(
-                    programs[v].x_num, programs[v].p_num
-                )
-                for v in range(n)
-            ),
-            dtype=bool,
-            count=n,
-        )
-        num_colors = int(programs[0].num_colors) if n else 0
-        decider_color = np.where(participates, color, -1)
-        slot_class = np.repeat(decider_color, np.asarray(plane.degrees))
-        table: Dict[int, np.ndarray] = {}
-        for i in range(num_colors):
-            deciders = np.flatnonzero(decider_color == i)
-            # Distance-2 coloring ⇒ decider neighborhoods of one class are
-            # disjoint; ``unique`` both sorts and guards improper inputs.
-            heard = np.unique(np.asarray(plane.indices)[slot_class == i])
-            table[2 + 3 * i] = heard
-            table[3 + 3 * i] = deciders
-            if i + 1 < num_colors:
-                table[4 + 3 * i] = np.union1d(
-                    heard, np.flatnonzero(decider_color == i + 1)
-                )
-        return table.get
 
     def __init__(self, plane, programs, contexts):
         super().__init__(plane, programs, contexts)
-        n = plane.n
-        self.final_x = np.fromiter(
-            (programs[v]._final_x or 0 for v in range(n)),
-            dtype=np.int64,
-            count=n,
+        self._boot(
+            np.fromiter(
+                (p.color for p in programs), dtype=np.int64, count=plane.n
+            ),
+            [
+                (programs[lo].num_colors, programs[lo].scale, programs[lo].x_num)
+                for lo in plane.node_offsets[:-1].tolist()
+            ],
         )
-        self.c_num = np.fromiter(
-            (programs[v].c_num for v in range(n)), dtype=np.int64, count=n
-        )
-        self.scale = np.fromiter(
-            (programs[v].scale for v in range(n)), dtype=np.int64, count=n
-        )
-        self.coin = np.fromiter(
+
+    @classmethod
+    def stacked_setup(cls, plane, inputs):
+        """Vectorized boot straight from the canonical input dicts.
+
+        The protocol state and the setup round's ``xp`` broadcast, bit
+        for bit, without O(total nodes) program/context construction and
+        scalar ``setup`` calls: every connected node broadcasts
+        ``Message("xp", x_num, x_num)`` (a degree-0 broadcast queues no
+        wire traffic, so the scalar handover masks it off too).
+        """
+        kernel = cls._blank(plane)
+        sizes = plane.local_ns.tolist()
+        colors = np.fromiter(
             (
-                -1 if programs[v].coin is None else programs[v].coin
-                for v in range(n)
+                mapping[v]["color"]
+                for mapping, n_k in zip(inputs, sizes)
+                for v in range(n_k)
             ),
             dtype=np.int64,
-            count=n,
+            count=plane.n,
         )
-        self._alloc_protocol_arrays(n)
-        # Round-1 takeover: every instance of a lockstep plane passed the
-        # gate (a failing one reports a later takeover round and joins
-        # through ``absorb_instance``), so each runs its color-class
-        # rounds in-plane.
-        offsets = plane.node_offsets.tolist()
-        for lo, hi in zip(offsets, offsets[1:]):
-            self._init_protocol_slice(
-                lo, hi, [programs[v] for v in range(lo, hi)]
-            )
-
-    def _alloc_protocol_arrays(self, n: int) -> None:
-        """Flat state for the in-plane color-class rounds (gate-passing
-        slices only; elsewhere the arrays stay at their dead defaults)."""
-        self.vectorized = np.zeros(n, dtype=bool)
-        self.color = np.full(n, -1, dtype=np.int64)
-        self.num_colors = np.zeros(n, dtype=np.int64)
-        #: exact per-instance ``log1p(-p)`` coin factor
-        self.t = np.zeros(n, dtype=np.float64)
-        #: ``f(x_num)`` — the undecided neighbor's expected phase-one value
-        self.x_f = np.zeros(n, dtype=np.float64)
-        self.scale_f = np.ones(n, dtype=np.float64)
-        #: the estimator's ``_log_prod`` over still-free coins
-        self.log_prod = np.zeros(n, dtype=np.float64)
-        #: integer count of successfully-fixed coins; under the gate the
-        #: scalar ``fixed_sum`` is exactly ``1.0 * fixed_success``, so the
-        #: ``satisfied`` test is the exact integer comparison ``>= 1``
-        self.fixed_success = np.zeros(n, dtype=np.int64)
-        self._slot_rows_cache: Optional[np.ndarray] = None
-
-    def _init_protocol_slice(self, lo: int, hi: int, progs) -> None:
-        """Load one gate-passing instance slice at its round-1 takeover."""
-        count = hi - lo
-        first = progs[0]
-        color = np.fromiter(
-            (p.color for p in progs), dtype=np.int64, count=count
+        params = [
+            (m[0]["num_colors"], 1 << m[0]["iota"], m[0]["x_num"])
+            for m in inputs
+        ]
+        kernel._boot(colors, params)
+        x_col = np.repeat([x_num for _, _, x_num in params], sizes)
+        pending = PendingBroadcast(
+            _XP_SPEC,
+            plane.degrees > 0,
+            (x_col, x_col),
+            _XP_SPEC.bits_array((x_col, x_col)),
         )
-        self._load_protocol_slice(
-            lo, hi, color, first.num_colors, first.scale, first.x_num
-        )
+        return kernel, pending
 
-    def _load_protocol_slice(
-        self,
-        lo: int,
-        hi: int,
-        color: np.ndarray,
-        num_colors: int,
-        scale: int,
-        x_num: int,
-    ) -> None:
-        """Fill one instance slice's in-plane protocol state from raw
-        gate-passing values (shared by the program-object boot and
-        :meth:`stacked_setup`'s input-dict boot).
+    def _boot(self, colors: np.ndarray, params) -> None:
+        """Per-node protocol state at round 1, from canonical inputs.
 
-        Replays the scalar estimator constructor exactly: each node's
-        initial ``_log_prod`` is a *left-fold* of ``degree + 1`` equal
+        ``colors`` is every node's color in plane order; ``params`` holds
+        each instance's ``(num_colors, scale, x_num)``.  Replays the
+        scalar estimator constructor exactly: each node's initial
+        ``_log_prod`` is a *left-fold* of ``degree + 1`` equal
         ``log1p(-p)`` terms, reproduced by indexing a partial-sum table
         built with the same sequential additions (``np.cumsum`` pairwise
         summation would NOT match the scalar fold bit-for-bit).
         """
-        count = hi - lo
-        p_f = x_num / scale
-        t = math.log1p(-p_f)
-        degrees = np.asarray(self.plane.degrees[lo:hi])
-        max_degree = int(degrees.max()) if count else 0
-        partial = [0.0]
-        for _ in range(max_degree + 1):
-            partial.append(partial[-1] + t)
-        table = np.asarray(partial, dtype=np.float64)
-        self.vectorized[lo:hi] = True
-        self.color[lo:hi] = color
-        self.num_colors[lo:hi] = num_colors
-        self.t[lo:hi] = t
-        self.x_f[lo:hi] = p_f
-        self.scale_f[lo:hi] = float(scale)
-        self.log_prod[lo:hi] = table[degrees + 1]
-        self.fixed_success[lo:hi] = 0
+        plane = self.plane
+        n = plane.n
+        self.color = colors
+        self.coin = np.full(n, -1, dtype=np.int64)
+        #: the phase-one value each node broadcasts in its execution round
+        self.final_x = np.zeros(n, dtype=np.int64)
+        self.num_colors = np.empty(n, dtype=np.int64)
+        #: the grid denominator, and ``c_num`` too (the gate pins ``c = 1``)
+        self.scale = np.empty(n, dtype=np.int64)
+        #: exact per-instance ``log1p(-p)`` coin factor
+        self.t = np.empty(n, dtype=np.float64)
+        #: ``f(x_num)`` — the undecided neighbor's expected phase-one value
+        self.x_f = np.empty(n, dtype=np.float64)
+        #: the estimator's ``_log_prod`` over still-free coins
+        self.log_prod = np.empty(n, dtype=np.float64)
+        #: integer count of successfully-fixed coins; under the gate the
+        #: scalar ``fixed_sum`` is exactly ``1.0 * fixed_success``, so the
+        #: ``satisfied`` test is the exact integer comparison ``>= 1``
+        self.fixed_success = np.zeros(n, dtype=np.int64)
+        offsets = plane.node_offsets.tolist()
+        for k, (num_colors, scale, x_num) in enumerate(params):
+            lo, hi = offsets[k], offsets[k + 1]
+            p_f = x_num / scale
+            t = math.log1p(-p_f)
+            degrees = plane.degrees[lo:hi]
+            partial = [0.0]
+            for _ in range(int(degrees.max()) + 1):
+                partial.append(partial[-1] + t)
+            self.num_colors[lo:hi] = num_colors
+            self.scale[lo:hi] = scale
+            self.t[lo:hi] = t
+            self.x_f[lo:hi] = p_f
+            self.log_prod[lo:hi] = np.asarray(partial)[degrees + 1]
+        self.scale_f = self.scale.astype(np.float64)
+        self._slot_rows_cache: Optional[np.ndarray] = None
 
     def _slot_rows(self) -> np.ndarray:
         """Receiver row of every CSR slot (lazy; class rounds only)."""
@@ -525,173 +450,36 @@ class Lemma310ExecutionKernel(VectorKernel):
             )
         return self._slot_rows_cache
 
-    @classmethod
-    def stacked_blank(cls, plane):
-        """All-dead kernel shell; instance slices filled at absorb time."""
-        kernel = cls._blank(plane)
-        n = plane.n
-        kernel.live = np.zeros(n, dtype=bool)
-        kernel.final_x = np.zeros(n, dtype=np.int64)
-        kernel.c_num = np.zeros(n, dtype=np.int64)
-        kernel.scale = np.ones(n, dtype=np.int64)
-        kernel.coin = np.full(n, -1, dtype=np.int64)
-        kernel._alloc_protocol_arrays(n)
-        return kernel
-
-    @classmethod
-    def stacked_setup(cls, plane, inputs):
-        """Vectorized boot for all-canonical groups; ``None`` otherwise.
-
-        A batched sweep of the canonical uniform workload never needs a
-        scalar prologue: every instance passes the round-1 gate, so the
-        whole boot — program state, protocol planes, and the setup
-        round's ``xp`` broadcast — is synthesized directly from the input
-        dicts, skipping O(total nodes) program/context construction and
-        scalar ``setup`` calls.  The gate is re-evaluated from the raw
-        inputs here; any non-canonical (or incomplete) instance declines
-        the *group* by returning ``None``, which routes it through the
-        object-level boot where canonical members still join the plane at
-        round 1 and the rest run their scalar prologues.
-        """
-        n = plane.n
-        k_count = len(plane.local_ns)
-        degrees = np.asarray(plane.degrees)
-        kernel = cls.stacked_blank(plane)
-        kernel.live[:] = True
-        x_col = np.zeros(n, dtype=np.int64)
-        p_col = np.zeros(n, dtype=np.int64)
-        for k in range(k_count):
-            mapping = inputs[k]
-            if not mapping:
-                return None
-            lo = int(plane.node_offsets[k])
-            count = int(plane.local_ns[k])
-            hi = lo + count
-            try:
-                specs = [mapping[v] for v in range(count)]
-                first = specs[0]
-                iota = int(first["iota"])
-                num_colors = int(first["num_colors"])
-                x_num = int(first["x_num"])
-                scale = 1 << iota
-                color = np.fromiter(
-                    (s["color"] for s in specs), dtype=np.int64, count=count
-                )
-                canonical = (
-                    num_colors >= 1
-                    and 0 < x_num < scale
-                    and all(
-                        s["iota"] == iota
-                        and s["num_colors"] == num_colors
-                        and s["mode"] == "auto"
-                        and s["x_num"] == x_num
-                        and s["p_num"] == x_num
-                        and s["c_num"] == scale
-                        for s in specs
-                    )
-                )
-            except (KeyError, TypeError, ValueError):
-                return None
-            deg = degrees[lo:hi]
-            max_degree = int(deg.max()) if count else 0
-            if (
-                not canonical
-                or max_degree + 1 >= 512
-                or not bool(np.all((0 <= color) & (color < num_colors)))
-            ):
-                return None
-            kernel.c_num[lo:hi] = scale
-            kernel.scale[lo:hi] = scale
-            x_col[lo:hi] = x_num
-            p_col[lo:hi] = x_num
-            kernel._load_protocol_slice(lo, hi, color, num_colors, scale, x_num)
-        # The setup round bit for bit: every connected node broadcasts
-        # ``Message("xp", x_num, p_num)`` (a degree-0 broadcast queues no
-        # wire traffic, so the scalar handover masks it off too).
-        pending = PendingBroadcast(
-            _XP_SPEC,
-            degrees > 0,
-            (x_col, p_col),
-            _XP_SPEC.bits_array((x_col, p_col)),
-        )
-        return kernel, pending
-
-    def absorb_instance(self, lo, hi, programs, contexts):
-        """Load one instance's post-prologue state (exactly ``__init__``).
-
-        A gate-passing instance absorbs at round 1 — its programs are
-        fresh from ``setup`` (``_final_x`` and ``coin`` still unset, which
-        the generic fill below maps to the correct dead defaults) — and
-        additionally loads the in-plane protocol state.  Anything else
-        absorbs at its execution phase with only the exec-state arrays.
-        """
-        count = hi - lo
-        self.live[lo:hi] = np.fromiter(
-            (not contexts[v]._halted for v in range(count)),
-            dtype=bool,
-            count=count,
-        )
-        self.final_x[lo:hi] = np.fromiter(
-            (programs[v]._final_x or 0 for v in range(count)),
-            dtype=np.int64,
-            count=count,
-        )
-        self.c_num[lo:hi] = np.fromiter(
-            (programs[v].c_num for v in range(count)),
-            dtype=np.int64,
-            count=count,
-        )
-        self.scale[lo:hi] = np.fromiter(
-            (programs[v].scale for v in range(count)),
-            dtype=np.int64,
-            count=count,
-        )
-        self.coin[lo:hi] = np.fromiter(
-            (
-                -1 if programs[v].coin is None else programs[v].coin
-                for v in range(count)
-            ),
-            dtype=np.int64,
-            count=count,
-        )
-        progs = [programs[v] for v in range(count)]
-        degrees = np.asarray(self.plane.degrees[lo:hi])
-        max_degree = int(degrees.max()) if count else 0
-        if self._vectorizable_inputs(progs, max_degree):
-            self._init_protocol_slice(lo, hi, progs)
-
     # -- in-plane color-class rounds ------------------------------------------
 
     def step(self, round_no: int, inbound):
-        plane = self.plane
         parts = {
             part.spec.tag: part for part in pending_parts(inbound)
         }
         outbound: list = []
-        acting = self.vectorized & self.live
-        if acting.any():
-            if round_no == 1:
-                # Exchange round: estimator state was precomputed at
-                # takeover (uniform inputs make the xp payloads known);
-                # class 0's deciders announce.
-                self._emit_announce(acting, 0, outbound)
-            else:
-                class_index, phase = divmod(round_no - 2, 3)
-                in_class = acting & (self.num_colors > class_index)
-                if phase == 0 and in_class.any():
-                    self._alpha_round(class_index, acting, outbound)
-                elif phase == 1 and in_class.any():
-                    self._decide_round(class_index, in_class, parts, outbound)
-                elif phase == 2:
-                    if in_class.any():
-                        self._fold_round(class_index, acting)
-                        self._emit_announce(acting, class_index + 1, outbound)
-                    # Instances whose last class just closed broadcast the
-                    # phase-one value (the scalar ``_maybe_announce`` at
-                    # ``class_index == num_colors``).
-                    entering = acting & (self.num_colors == class_index + 1)
-                    if entering.any():
-                        self._emit_exec(entering, outbound)
+        live = self.live
+        if round_no == 1:
+            # Exchange round: estimator state was precomputed at boot
+            # (uniform inputs make the xp payloads known); class 0's
+            # deciders announce.
+            self._emit_announce(live, 0, outbound)
+        else:
+            class_index, phase = divmod(round_no - 2, 3)
+            in_class = live & (self.num_colors > class_index)
+            if phase == 0 and in_class.any():
+                self._alpha_round(class_index, live, outbound)
+            elif phase == 1 and in_class.any():
+                self._decide_round(class_index, in_class, parts, outbound)
+            elif phase == 2:
+                if in_class.any():
+                    self._fold_round(class_index, live)
+                    self._emit_announce(live, class_index + 1, outbound)
+                # Instances whose last class just closed broadcast the
+                # phase-one value (the scalar ``_maybe_announce`` at
+                # ``class_index == num_colors``).
+                entering = live & (self.num_colors == class_index + 1)
+                if entering.any():
+                    self._emit_exec(entering, outbound)
         self._finish_execution(round_no, parts.get("exec"))
         if not outbound:
             return None
@@ -826,21 +614,18 @@ class Lemma310ExecutionKernel(VectorKernel):
         sent = plane.sent_slots(exec_part)
         heard = plane.row_sum(sent)
         received = plane.row_sum(np.where(sent, plane.gather(self.final_x), 0))
-        # A node finishes once it heard the phase-one value of its whole
-        # neighborhood in one round (all nodes broadcast simultaneously).
-        # In-plane instances additionally must have *reached* their
-        # execution phase — an isolated node trivially hears its whole
-        # (empty) neighborhood every round.
-        finishing = self.live & (heard == plane.degrees)
-        if round_no >= 2:
-            class_index = (round_no - 2) // 3
-            in_exec = self.num_colors <= class_index
-        else:
-            in_exec = np.zeros(plane.n, dtype=bool)
-        finishing &= in_exec | ~self.vectorized
+        # A node finishes once it has reached its execution phase and heard
+        # the phase-one value of its whole neighborhood in one round (all
+        # nodes broadcast simultaneously; an isolated node trivially hears
+        # its whole, empty, neighborhood every round).
+        finishing = (
+            self.live
+            & (heard == plane.degrees)
+            & (self.num_colors <= (round_no - 2) // 3)
+        )
         if finishing.any():
             covered = self.final_x + received
-            final = np.where(covered < self.c_num, self.scale, self.final_x)
+            final = np.where(covered < self.scale, self.scale, self.final_x)
             for v in np.flatnonzero(finishing):
                 node = int(v)
                 self.output(node, "value", int(final[v]))
@@ -991,9 +776,8 @@ register_program(
         program=Lemma310Program,
         drive=_drive,
         summarize=_summary,
-        # Batch recipe: stacked instances run their color-class prologues
-        # scalar (sparse, via the kernel's prologue_oracle) and join the
-        # shared plane at their own 2 + 3*num_colors takeover round.
+        # Batch recipe: the canonical inputs clear the kernel's gate, so a
+        # group boots through stacked_setup and runs in-plane from round 1.
         batch_factory=Lemma310Program,
         batch_inputs=_batch_inputs,
         batch_max_rounds=_batch_max_rounds,

@@ -91,31 +91,20 @@ class RoundingExecutionKernel(VectorKernel):
         )
 
     @classmethod
+    def eligible(cls, network, inputs) -> bool:
+        """Every node needs its ``(x_num, c_num, scale)`` input."""
+        return all(inputs.get(v) is not None for v in range(network.n))
+
+    @classmethod
     def stacked_setup(cls, plane, inputs):
-        """Vectorized boot: every node announces its phase-one numerator.
-
-        Each instance must supply a full ``{node: (x_num, c_num, scale)}``
-        mapping (the solo entry point always does); a missing node raises,
-        which batched callers treat as "run this group per cell".
-        """
+        """Vectorized boot: every node announces its phase-one numerator."""
         kernel = cls._blank(plane)
-        n = plane.n
-        if any(not mapping for mapping in inputs):
-            from repro.errors import BatchEligibilityError
-
-            raise BatchEligibilityError(
-                "rounding-exec instances need full per-node input mappings"
-            )
-        x_num = np.zeros(n, dtype=np.int64)
-        c_num = np.zeros(n, dtype=np.int64)
-        scale = np.zeros(n, dtype=np.int64)
-        for k, mapping in enumerate(inputs):
-            base = int(plane.node_offsets[k])
-            for v in range(int(plane.local_ns[k])):
-                xv, cv, sv = mapping[v]
-                x_num[base + v] = xv
-                c_num[base + v] = cv
-                scale[base + v] = sv
+        triples = [
+            mapping[v]
+            for mapping, n_k in zip(inputs, plane.local_ns.tolist())
+            for v in range(n_k)
+        ]
+        x_num, c_num, scale = np.array(triples, dtype=np.int64).T
         kernel.x_num = x_num
         kernel.c_num = c_num
         kernel.scale = scale

@@ -28,7 +28,12 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.derand.estimators import REFRESH_EVERY, EstimatorConfig, chernoff_t
+from repro.derand.estimators import (
+    REFRESH_EVERY,
+    T_SEARCH_HI,
+    EstimatorConfig,
+    chernoff_t,
+)
 from repro.domsets.covering import ltr_sum, row_sums
 from repro.errors import DerandomizationError
 from repro.rounding.abstract import (
@@ -104,7 +109,7 @@ class ConditionalExpectationEngine:
         for row in np.flatnonzero(self._mode == _CHERNOFF).tolist():
             entries, coins = self._free_coins(row)
             t = self._t[row] = chernoff_t(
-                float(inst.c[row] - self._fixed[row]), coins, self.config.t_search_hi
+                float(inst.c[row] - self._fixed[row]), coins, T_SEARCH_HI
             )
             self._factor[entries] = [
                 math.log(q * math.exp(-t * w) + (1.0 - q)) for w, q in coins

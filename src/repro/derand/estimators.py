@@ -44,6 +44,9 @@ from repro.rounding.abstract import uncovered_probability
 #: updates to keep float drift below the guarantee-checking tolerance.
 REFRESH_EVERY = 512
 
+#: Upper end of the ternary-search window for the Chernoff parameter.
+T_SEARCH_HI = 500.0
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -53,14 +56,11 @@ class EstimatorConfig:
         ``"auto"`` picks ``exact-product`` when valid, otherwise
         ``chernoff``.  Explicit modes force one flavor (``exact-enum`` only
         for tiny instances).
-    t_search_hi:
-        Upper end of the ternary-search window for the Chernoff parameter.
     enum_limit:
         Maximum number of free coins ``exact-enum`` will enumerate.
     """
 
     mode: str = "auto"
-    t_search_hi: float = 500.0
     enum_limit: int = 18
 
     def __post_init__(self) -> None:
@@ -149,7 +149,7 @@ class ConstraintEstimator:
         self.t = 0.0
         if mode == "chernoff":
             self.t = chernoff_t(
-                self.c - self.fixed_sum, list(self.free.values()), config.t_search_hi
+                self.c - self.fixed_sum, list(self.free.values()), T_SEARCH_HI
             )
         self._log_prod = self._full_log_prod()
         self._updates = 0

@@ -59,15 +59,12 @@ class BatchEligibilityError(CongestError):
     the instances violate a stacking precondition: a program without a
     vector kernel, a round-limit or input-mapping count that differs from
     the instance count, a kernel ``eligible`` gate that declines an
-    instance, a lockstep group handing over mixed tags, or instances that
-    must join the plane one by one — a ``takeover_round`` above 1, or a
-    sibling whose handover is non-conforming — under a kernel without
-    ``absorb_instance``.  Sizes, bit budgets and per-instance takeover
-    rounds may all differ (the plane is ragged and instances join it at
-    their own takeover round), and a non-conforming instance alone runs
-    scalar inside its group instead of raising.  The batch runner treats
-    this as a signal to fall back to per-cell execution, so callers never
-    see it unless they invoke the stacked engine directly.
+    instance, or, at an object boot, an instance whose round-1 traffic is
+    not one conforming broadcast or a group handing over mixed tags.
+    Every instance joins the plane at round 1; sizes and bit budgets may
+    differ (the plane is ragged).  The batch runner treats this as a
+    signal to fall back to per-cell execution, so callers never see it
+    unless they invoke the stacked engine directly.
     """
 
 

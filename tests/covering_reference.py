@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.derand.estimators import EstimatorConfig
+from repro.derand.estimators import T_SEARCH_HI, EstimatorConfig
 from repro.domsets.covering import Constraint, ValueVar
 from repro.errors import (
     ColoringError,
@@ -318,7 +318,7 @@ class RefEstimator:
         self.mode = mode
         self.t = 0.0
         if mode == "chernoff":
-            self.t = self._choose_t(config.t_search_hi)
+            self.t = self._choose_t(T_SEARCH_HI)
         self._log_prod = self._full_log_prod()
         self._updates = 0
 

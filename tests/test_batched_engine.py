@@ -29,6 +29,7 @@ from repro.congest.programs.lemma310 import Lemma310Program
 from repro.congest.programs.rounding_exec import RoundingExecutionProgram
 from repro.congest.simulator import Simulator
 from repro.errors import BatchEligibilityError
+from repro.graphs.generators import gnp_graph
 from repro.graphs.suite import suite_instance
 
 #: (program class, max_rounds for size n, per-instance inputs builder).
@@ -71,8 +72,8 @@ def _lemma310_group(networks):
 
 def _perturb_lemma310(network, inputs):
     """Make one instance's inputs heterogeneous (``x != p`` on a third of
-    the nodes), failing the kernel's round-1 gate so the instance runs the
-    scalar color-class prologue and absorbs at ``2 + 3*num_colors``."""
+    the nodes), failing the kernel's canonical gate: solo, the instance
+    runs on ``fast``; in a group, it makes the group decline."""
     from repro.util.transmittable import TransmittableGrid
 
     grid = TransmittableGrid.for_n(network.n)
@@ -87,10 +88,10 @@ def _break_lemma310_uniformity(network, inputs):
     """Keep every node at ``x == p`` but vary the value across nodes.
 
     Each node still looks canonical in isolation; only the *cross-node*
-    uniformity clause of the round-1 gate fails.  The vectorized protocol
-    seeds its whole log-product table from one shared ``p``, so absorbing
-    such an instance at round 1 would silently compute wrong alpha quotes
-    — the gate must route it through the scalar prologue instead."""
+    uniformity clause of the canonical gate fails.  The vectorized
+    protocol seeds its whole log-product table from one shared ``p``, so
+    running such an instance in-plane would silently compute wrong alpha
+    quotes — the gate must decline it."""
     from repro.util.transmittable import TransmittableGrid
 
     grid = TransmittableGrid.for_n(network.n)
@@ -105,18 +106,18 @@ def _break_lemma310_uniformity(network, inputs):
     }
 
 
-def _lemma310_takeovers(networks, inputs):
-    """Actual per-instance takeover rounds, straight from the kernel."""
+def _lemma310_accepted(networks, inputs):
+    """Whether the kernel's canonical gate admits each instance."""
     from repro.congest.engine import kernel_for
 
     kernel_cls = kernel_for(Lemma310Program)
+    return [kernel_cls.eligible(net, box) for net, box in zip(networks, inputs)]
+
+
+def _fast_runs(networks, program, inputs, limits):
     return [
-        int(
-            kernel_cls.takeover_round(
-                net, {v: Lemma310Program(box[v]) for v in range(net.n)}
-            )
-        )
-        for net, box in zip(networks, inputs)
+        Simulator(net, program, inputs=box, engine="fast").run(max_rounds=limit)
+        for net, box, limit in zip(networks, inputs, limits)
     ]
 
 
@@ -218,14 +219,12 @@ class TestStackedPlaneIsolation:
         assert list(plane.instance_of[30:]) == [2] * 15
 
     def test_row_reductions_match_per_instance_planes(self):
-        from repro.congest.engine import CsrPlane
-
         networks = _networks("gnp", 18, range(3))
         plane = StackedPlane(networks)
         values = np.arange(plane.nnz, dtype=np.int64) % 11
         stacked_sum = plane.row_sum(values)
         for k, net in enumerate(networks):
-            solo = CsrPlane(net)
+            solo = StackedPlane([net])
             lo, hi = plane.slot_offsets[k], plane.slot_offsets[k + 1]
             solo_sum = solo.row_sum(values[lo:hi])
             assert list(stacked_sum[k * 18 : (k + 1) * 18]) == list(solo_sum)
@@ -250,46 +249,35 @@ class TestEligibility:
         ):
             assert stack_ineligibility(cls) is None
 
-    def test_late_takeover_without_absorb_is_rejected_at_boot(self, monkeypatch):
-        """takeover_round > 1 demands absorb_instance — checked eagerly,
-        before any scalar prologue work is spent.  Heterogeneous inputs
-        force the late takeover (canonical ones run in-plane from round 1
-        and never need absorption)."""
-        from repro.congest.engine import VectorKernel, kernel_for
-
-        kernel_cls = kernel_for(Lemma310Program)
-        monkeypatch.setattr(
-            kernel_cls, "absorb_instance", VectorKernel.absorb_instance
-        )
+    def test_noncanonical_lemma310_group_is_rejected_at_boot(self, monkeypatch):
+        """Round 1 is the only takeover round: a group with an instance
+        the canonical gate declines raises before any program is built or
+        set up, and the batch runner reruns its cells one by one."""
         networks = _networks("gnp", 12, range(2))
         inputs, limits = _lemma310_group(networks)
-        inputs = [
-            _perturb_lemma310(net, box)
-            for net, box in zip(networks, inputs)
-        ]
-        assert all(t > 1 for t in _lemma310_takeovers(networks, inputs))
-        with pytest.raises(BatchEligibilityError, match="absorb_instance"):
+        inputs[1] = _perturb_lemma310(networks[1], inputs[1])
+        assert _lemma310_accepted(networks, inputs) == [True, False]
+
+        def no_setup(self, ctx):
+            raise AssertionError("a declined group must not run setup")
+
+        monkeypatch.setattr(Lemma310Program, "setup", no_setup)
+        with pytest.raises(BatchEligibilityError, match="declined"):
             run_stacked(
                 networks, Lemma310Program, inputs=inputs, max_rounds=limits
             )
 
-    def test_canonical_lemma310_takes_over_at_round_one(self, monkeypatch):
-        """Canonical uniform inputs clear the kernel's round-1 gate: the
-        whole group runs lockstep in-plane and never calls
-        absorb_instance at all."""
-        from repro.congest.engine import VectorKernel, kernel_for
-
-        kernel_cls = kernel_for(Lemma310Program)
-        monkeypatch.setattr(
-            kernel_cls, "absorb_instance", VectorKernel.absorb_instance
-        )
+    def test_canonical_lemma310_takes_over_at_round_one(self):
+        """Canonical uniform inputs clear the kernel's gate: the whole
+        group boots through ``stacked_setup`` and runs in-plane."""
         networks = _networks("gnp", 12, range(2))
         inputs, limits = _lemma310_group(networks)
-        assert _lemma310_takeovers(networks, inputs) == [1, 1]
+        assert _lemma310_accepted(networks, inputs) == [True, True]
         results = run_stacked(
             networks, Lemma310Program, inputs=inputs, max_rounds=limits
         )
         assert all(r.all_halted for r in results)
+        assert results == _fast_runs(networks, Lemma310Program, inputs, limits)
 
     def test_bfs_reports_reason(self):
         assert "message_specs" in stack_ineligibility(BFSTreeProgram)
@@ -333,6 +321,36 @@ def test_rounding_exec_missing_inputs_is_eligibility_error():
     networks = _networks("gnp", 16, range(2))
     with pytest.raises(BatchEligibilityError):
         run_stacked(networks, RoundingExecutionProgram, max_rounds=4)
+
+
+def test_rounding_exec_partial_inputs_is_eligibility_error():
+    """A mapping without one node's input declines like an empty one."""
+    networks = _networks("gnp", 16, range(2))
+    full = {v: (3, 40, 64) for v in range(16)}
+    partial = {v: box for v, box in full.items() if v != 5}
+    with pytest.raises(BatchEligibilityError):
+        run_stacked(
+            networks, RoundingExecutionProgram, inputs=[full, partial], max_rounds=4
+        )
+
+
+def test_color_reduction_reads_only_its_own_nodes():
+    """A key outside ``0 .. n_k - 1`` in one instance's initial colors is
+    ignored, as the scalar engines ignore it; it must not overwrite a
+    sibling's color (key ``n_k`` is the next instance's node 0, key -1
+    the last instance's last node)."""
+    a = Network.congest(gnp_graph(12, 0.4, seed=3))
+    b = Network.congest(gnp_graph(10, 0.4, seed=4))
+    colors = {v: 7 * v % 12 for v in range(12)}
+    for stray in (12, -1):
+        inputs = [{**colors, stray: 5}, None]
+        fast = _fast_runs(
+            [a, b], ColorReductionProgram, [box or {} for box in inputs], [100] * 2
+        )
+        stacked = run_stacked(
+            [a, b], ColorReductionProgram, inputs=inputs, max_rounds=100
+        )
+        assert stacked == fast, stray
 
 
 class TestRaggedStacking:
@@ -494,14 +512,12 @@ class TestRaggedStacking:
         assert list(plane.live_per_instance(live)) == [0, 7, 0, 20]
 
     def test_ragged_row_reductions_match_solo_planes(self):
-        from repro.congest.engine import CsrPlane
-
         networks = self._ragged_networks()
         plane = StackedPlane(networks)
         values = np.arange(plane.nnz, dtype=np.int64) % 13
         stacked_sum = plane.row_sum(values)
         for k, net in enumerate(networks):
-            solo = CsrPlane(net)
+            solo = StackedPlane([net])
             lo, hi = plane.slot_offsets[k], plane.slot_offsets[k + 1]
             n_lo, n_hi = plane.node_offsets[k], plane.node_offsets[k + 1]
             assert list(stacked_sum[n_lo:n_hi]) == list(solo.row_sum(values[lo:hi]))
@@ -533,28 +549,21 @@ class TestRaggedStacking:
 
 
 class TestLemma310Stacking:
-    """Lemma 3.10 stacking, both speeds.
+    """Lemma 3.10 stacking: canonical groups run in-plane, others decline.
 
-    Canonical uniform instances clear the kernel's round-1 gate and run
-    their color-class rounds *in-plane* (lockstep, targeted alpha traffic
-    and all); heterogeneous instances run their ``2 + 3*num_colors``
-    scalar prologue against the shared global clock and are absorbed at
-    their *own* takeover round.  A mixed group carries both side by side.
-    The parity contract is the same absolute one in every lane: field for
-    field against solo ``fast`` runs.
+    Canonical uniform instances clear the kernel's gate and run their
+    color-class rounds *in-plane* from round 1 (targeted alpha traffic
+    and all), field for field against solo ``fast`` runs.  Any other
+    instance makes its group raise :class:`BatchEligibilityError`, and
+    alone it runs on ``fast`` under the ``vector`` engine.
     """
 
     @pytest.mark.parametrize("family", ("gnp", "tree", "geometric"))
     def test_uniform_parity_field_for_field(self, family):
         networks = _networks(family, 24, range(4))
         inputs, limits = _lemma310_group(networks)
-        assert set(_lemma310_takeovers(networks, inputs)) == {1}
-        solo = [
-            Simulator(
-                net, Lemma310Program, inputs=inputs[k], engine="fast"
-            ).run(max_rounds=limits[k])
-            for k, net in enumerate(networks)
-        ]
+        assert all(_lemma310_accepted(networks, inputs))
+        solo = _fast_runs(networks, Lemma310Program, inputs, limits)
         stacked = run_stacked(
             networks, Lemma310Program, inputs=inputs, max_rounds=limits
         )
@@ -569,14 +578,11 @@ class TestLemma310Stacking:
             assert a == b
 
     def test_ragged_mixed_takeover_parity(self):
-        """Canonical and heterogeneous instances inside one plane.
+        """Canonical and heterogeneous instances of different sizes.
 
-        The perturbed instances fail the round-1 gate and run scalar
-        prologues of different ``2 + 3*num_colors`` lengths while the
-        canonical one executes its color-class rounds in-plane from round
-        1 — three distinct takeover rounds, one shared clock, and plane
-        rounds that carry in-plane and handover traffic with different
-        tags at once.
+        The group declines as a whole; its canonical member still stacks
+        on its own, and every instance's solo ``vector`` run — in-plane
+        or on ``fast`` — equals its ``fast`` run.
         """
         specs = [("gnp", 16, 0), ("gnp-dense", 40, 1), ("tree", 28, 2)]
         networks = [
@@ -588,33 +594,38 @@ class TestLemma310Stacking:
             _perturb_lemma310(net, box) if k else box
             for k, (net, box) in enumerate(zip(networks, inputs))
         ]
-        takeovers = _lemma310_takeovers(networks, inputs)
-        assert takeovers[0] == 1 and len(set(takeovers)) > 2
-        solo = [
-            Simulator(
-                net, Lemma310Program, inputs=inputs[k], engine="fast"
-            ).run(max_rounds=limits[k])
-            for k, net in enumerate(networks)
-        ]
+        assert _lemma310_accepted(networks, inputs) == [True, False, False]
+        fast = _fast_runs(networks, Lemma310Program, inputs, limits)
+        with pytest.raises(BatchEligibilityError):
+            run_stacked(
+                networks, Lemma310Program, inputs=inputs, max_rounds=limits
+            )
         assert run_stacked(
-            networks, Lemma310Program, inputs=inputs, max_rounds=limits
-        ) == solo
+            networks[:1], Lemma310Program, inputs=inputs[:1], max_rounds=limits[:1]
+        ) == fast[:1]
+        vector = [
+            Simulator(net, Lemma310Program, inputs=box, engine="vector").run(
+                max_rounds=limit
+            )
+            for net, box, limit in zip(networks, inputs, limits)
+        ]
+        assert vector == fast
 
     def test_nonuniform_x_equals_p_declines_round_one(self):
-        """Per-node-canonical but cross-node-varying inputs stay scalar.
+        """Per-node-canonical but cross-node-varying inputs decline.
 
         ``x == p`` holds at every node yet the value differs across
-        nodes: the round-1 gate must decline (the in-plane log-product
-        replay assumes one shared ``p``), the scalar engines must agree
-        with the vector engine solo, and the stacked run must still match
-        solo field for field through the prologue lane."""
+        nodes: the gate must decline (the in-plane log-product replay
+        assumes one shared ``p``), solo ``vector`` runs must agree with
+        the scalar engines, and a stacked group must raise."""
         networks = _networks("gnp", 20, range(2))
         inputs, limits = _lemma310_group(networks)
         inputs = [
             _break_lemma310_uniformity(net, box)
             for net, box in zip(networks, inputs)
         ]
-        assert all(t > 1 for t in _lemma310_takeovers(networks, inputs))
+        assert not any(_lemma310_accepted(networks, inputs))
+        fast = _fast_runs(networks, Lemma310Program, inputs, limits)
         for k, net in enumerate(networks):
             runs = {
                 engine: Simulator(
@@ -622,51 +633,41 @@ class TestLemma310Stacking:
                 ).run(max_rounds=limits[k])
                 for engine in ("reference", "vector")
             }
-            assert runs["reference"] == runs["vector"], k
-        solo = [
-            Simulator(
-                net, Lemma310Program, inputs=inputs[k], engine="fast"
-            ).run(max_rounds=limits[k])
-            for k, net in enumerate(networks)
-        ]
-        assert run_stacked(
-            networks, Lemma310Program, inputs=inputs, max_rounds=limits
-        ) == solo
+            assert runs["reference"] == runs["vector"] == fast[k], k
+        with pytest.raises(BatchEligibilityError):
+            run_stacked(
+                networks, Lemma310Program, inputs=inputs, max_rounds=limits
+            )
 
     def test_vectorized_boot_matches_object_boot(self, monkeypatch):
-        """`stacked_setup` accepts exactly the all-canonical groups and
-        reproduces the object-level boot bit for bit.
+        """`stacked_setup` reproduces the object-level boot bit for bit.
 
         An all-canonical group boots without a single program or context
         object; disabling the hook forces the same group through scalar
-        ``setup`` plus handover stitching, and the results must be
-        identical.  Any perturbed instance makes ``stacked_setup`` decline
-        (return ``None``) so the group keeps its per-instance lanes."""
+        ``setup`` plus the lockstep handover, and the results must be
+        identical.  A perturbed instance makes either boot decline."""
         from repro.congest.engine import kernel_for
 
         kernel_cls = kernel_for(Lemma310Program)
         networks = _networks("gnp", 24, range(3))
         inputs, limits = _lemma310_group(networks)
+        mixed = [dict(box) for box in inputs]
+        mixed[1] = _perturb_lemma310(networks[1], mixed[1])
         vec_boot = run_stacked(
             networks, Lemma310Program, inputs=inputs, max_rounds=limits
         )
+        with pytest.raises(BatchEligibilityError):
+            run_stacked(networks, Lemma310Program, inputs=mixed, max_rounds=limits)
         with monkeypatch.context() as m:
             m.setattr(kernel_cls, "stacked_setup", None)
             obj_boot = run_stacked(
                 networks, Lemma310Program, inputs=inputs, max_rounds=limits
             )
+            with pytest.raises(BatchEligibilityError):
+                run_stacked(
+                    networks, Lemma310Program, inputs=mixed, max_rounds=limits
+                )
         assert vec_boot == obj_boot
-        from repro.congest.engine.batched import StackedPlane
-
-        mixed = [dict(box) for box in inputs]
-        mixed[1] = _perturb_lemma310(networks[1], mixed[1])
-        assert (
-            kernel_cls.stacked_setup(StackedPlane(networks), mixed) is None
-        )
-        assert (
-            kernel_cls.stacked_setup(StackedPlane(networks), inputs)
-            is not None
-        )
 
     def test_iter_stacked_streams_lemma310(self):
         networks = _networks("gnp", 20, range(3))

@@ -9,8 +9,9 @@ four instances, bit budgets that either admit every message or reject the
 group's largest one, and per-instance round limits from 0 to ``n + 4``.
 
 The sparse-frontier pieces under the kernel are pinned here as well:
-:meth:`CsrPlane.out_slots` against the dense slot mask, and a joiner merged
-into a broadcast part that carries ``senders``.
+:meth:`StackedPlane.out_slots` against the dense slot mask, and a broadcast
+that lists its ``senders`` charged like its mask, with the boot merge
+landing each instance's handover in its own slice.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.congest.engine import CsrPlane, StackedPlane, iter_stacked
-from repro.congest.engine.batched import _accumulate_round, _merge_joiners
+from repro.congest.engine import StackedPlane, iter_stacked
+from repro.congest.engine.batched import _accumulate_round, _boot_merge
 from repro.congest.engine.vector import PendingBroadcast
 from repro.congest.network import Network
 from repro.congest.programs.color_reduction import ColorReductionProgram
@@ -217,7 +218,7 @@ def _planes():
 @settings(max_examples=40, deadline=None)
 @given(_planes(), st.data())
 def test_out_slots_matches_dense_mask(networks, data):
-    for plane in (CsrPlane(networks[0]), StackedPlane(networks)):
+    for plane in (StackedPlane(networks[:1]), StackedPlane(networks)):
         flags = st.lists(st.booleans(), min_size=plane.n, max_size=plane.n)
         mask = np.array(data.draw(flags), dtype=bool)
         senders = np.flatnonzero(mask)
@@ -243,32 +244,34 @@ def _ledger(plane, pending):
     return [[int(x) for x in row] for row in rows]
 
 
-def test_merging_a_joiner_clears_stale_senders():
+def test_listed_senders_charge_like_the_mask():
     networks = [
         Network.congest(suite_instance("gnp", n, seed=n).graph)
         for n in (12, 9, 15)
     ]
+    # The boot merge lands each instance's handover in its own slice: the
+    # stacked ledger is the per-instance ledgers side by side.
     plane = StackedPlane(networks)
-    lo, hi = int(plane.node_offsets[1]), int(plane.node_offsets[2])
-    joiner = _broadcast(hi - lo, 0, hi - lo, with_senders=False)
-    totals = []
-    for with_senders in (True, False):
-        part = _broadcast(plane.n, 0, lo, with_senders)
-        merged = _merge_joiners(plane, part, [(1, joiner)])
-        totals.append(_ledger(plane, merged))
-    assert totals[0] == totals[1]
-    assert totals[0][0][1] > 0, "the joiner's messages must be charged"
-    # A one-instance plane (a solo run) charges a listed sender set exactly
-    # like its mask.
-    solo = StackedPlane(networks[:1])
-    sparse = _broadcast(solo.n, 0, solo.n, with_senders=True)
-    dense = _broadcast(solo.n, 0, solo.n, with_senders=False)
-    assert _ledger(solo, sparse) == _ledger(solo, dense)
-    assert _ledger(solo, sparse)[0][0] > 0
+    handovers = [
+        _broadcast(net.n, k, net.n, with_senders=False)
+        for k, net in enumerate(networks)
+    ]
+    stacked = _ledger(plane, _boot_merge(plane, handovers))
+    for k, (net, handover) in enumerate(zip(networks, handovers)):
+        solo = _ledger(StackedPlane([net]), handover)
+        assert [row[k] for row in stacked] == [row[0] for row in solo]
+        assert solo[0][0] > 0, "the handover's messages must be charged"
+    # A broadcast that lists its senders is charged exactly like its mask,
+    # stacked and on a one-instance plane (a solo run).
+    for plane in (StackedPlane(networks), StackedPlane(networks[:1])):
+        sparse = _broadcast(plane.n, 0, plane.n, with_senders=True)
+        dense = _broadcast(plane.n, 0, plane.n, with_senders=False)
+        assert _ledger(plane, sparse) == _ledger(plane, dense)
+        assert _ledger(plane, sparse)[0][0] > 0
 
 
 def test_out_slots_rejects_an_asymmetric_csr():
     # 0 -> 1 without 1 -> 0.
-    plane = CsrPlane(Network.from_csr([0, 1, 1], [1]))
+    plane = StackedPlane([Network.from_csr([0, 1, 1], [1])])
     with pytest.raises(GraphError, match="not symmetric"):
         plane.out_slots(np.array([0]))

@@ -582,8 +582,8 @@ class TestServerProtocol:
 class TestLemma310Coalescing:
     """Service-path coverage for the last kernel to join the stackable
     set: lemma310 cells in a multi-tenant window must coalesce into a
-    stacked plane (per-instance scalar prologues and all) — not fall
-    back per cell — and the served records must be solo-parity."""
+    stacked plane — not fall back per cell — and the served records must
+    be solo-parity."""
 
     def test_multi_tenant_lemma310_window_matches_solo(self, service):
         cells_a = _cells((20, 30), (0, 1), program="lemma310")

@@ -14,10 +14,10 @@ a one-instance plane; ``test_engine_parity.py`` pins ``fast`` to the
 
 For lemma310 the draws additionally perturb a coin-flip's worth of
 instances away from the canonical uniform inputs (``x != p`` on a third
-of their nodes), so every lane stays fuzzed: canonical instances run
-their color-class rounds *in-plane* from round 1, perturbed ones run
-their per-instance ``2 + 3*num_colors`` scalar prologue and join the
-plane late, and mixed draws exercise both inside one plane round.
+of their nodes), so both routes stay fuzzed: canonical instances run
+their color-class rounds *in-plane* from round 1, and a draw with a
+perturbed instance must raise :class:`BatchEligibilityError` as a group,
+after which its canonical instances are stacked on their own.
 
 Every draw is a deterministic function of ``(program, fuzz_seed)``, so a
 failure reproduces from the parametrized id alone.
@@ -30,9 +30,10 @@ import random
 import pytest
 
 from repro.api.registry import batchable_programs, program_spec
-from repro.congest.engine import iter_stacked, run_stacked
+from repro.congest.engine import iter_stacked, kernel_for, run_stacked
 from repro.congest.network import Network
 from repro.congest.simulator import Simulator
+from repro.errors import BatchEligibilityError
 from repro.graphs.suite import suite_instance
 
 #: Graph families whose generators honor the requested n exactly.
@@ -80,9 +81,9 @@ def _draw_group(program: str, fuzz_seed: int):
         # Perturb ~half the instances off the canonical uniform inputs:
         # either ``x != p`` on a third of the nodes, or (rarer) ``x == p``
         # per node but varying across nodes — both fail the kernel's
-        # round-1 gate (the second only via its cross-node uniformity
-        # clause) and run the scalar color-class prologue, so the fuzzer
-        # keeps covering in-plane, late-join, and mixed planes.
+        # canonical gate (the second only via its cross-node uniformity
+        # clause), so the fuzzer keeps covering accepted, declined and
+        # mixed groups.
         from repro.util.transmittable import TransmittableGrid
 
         for k, net in enumerate(networks):
@@ -102,6 +103,38 @@ def _draw_group(program: str, fuzz_seed: int):
     return networks, inputs, limits
 
 
+def _stackable(program: str, networks, inputs, limits):
+    """The draw's instances the kernel accepts, after checking that a
+    group with a declined instance raises as a whole and that each
+    declined instance's solo ``vector`` run equals its ``fast`` run."""
+    spec = program_spec(program)
+    kernel_cls = kernel_for(spec.batch_factory)
+    boxes = inputs or [None] * len(networks)
+    keep = [
+        k
+        for k, (net, box) in enumerate(zip(networks, boxes))
+        if kernel_cls.eligible(net, box or {})
+    ]
+    if len(keep) < len(networks):
+        with pytest.raises(BatchEligibilityError, match="declined"):
+            run_stacked(
+                networks, spec.batch_factory, inputs=inputs, max_rounds=limits
+            )
+        for k in sorted(set(range(len(networks))) - set(keep)):
+            runs = [
+                Simulator(
+                    networks[k], spec.batch_factory, inputs=boxes[k], engine=engine
+                ).run(max_rounds=limits[k])
+                for engine in ("fast", "vector")
+            ]
+            assert runs[0] == runs[1], (program, k)
+    return (
+        [networks[k] for k in keep],
+        [inputs[k] for k in keep] if inputs else None,
+        [limits[k] for k in keep],
+    )
+
+
 def _solo_runs(program: str, networks, inputs, limits):
     spec = program_spec(program)
     return [
@@ -119,7 +152,9 @@ def _solo_runs(program: str, networks, inputs, limits):
 @pytest.mark.parametrize("program", batchable_programs())
 def test_fuzz_stacked_parity_field_for_field(program, fuzz_seed):
     """Random mixed-size/mixed-seed groups: stacked == solo, every field."""
-    networks, inputs, limits = _draw_group(program, fuzz_seed)
+    networks, inputs, limits = _stackable(program, *_draw_group(program, fuzz_seed))
+    if not networks:
+        return
     spec = program_spec(program)
     solo = _solo_runs(program, networks, inputs, limits)
     stacked = run_stacked(
@@ -142,7 +177,9 @@ def test_fuzz_iter_stacked_yield_order_and_parity(program, fuzz_seed):
     """Streaming draws: per-instance results surface the moment each
     instance terminates, in non-decreasing completion order, and match
     the solo runs exactly."""
-    networks, inputs, limits = _draw_group(program, fuzz_seed)
+    networks, inputs, limits = _stackable(program, *_draw_group(program, fuzz_seed))
+    if not networks:
+        return
     spec = program_spec(program)
     solo = _solo_runs(program, networks, inputs, limits)
     collected = {}
@@ -162,30 +199,23 @@ def test_fuzz_iter_stacked_yield_order_and_parity(program, fuzz_seed):
 
 
 def test_fuzz_covers_lemma310_and_mixed_takeovers():
-    """The fuzz matrix actually exercises every lemma310 lane: canonical
-    instances take over at round 1 (in-plane color-class rounds),
-    perturbed ones keep their ``2 + 3*num_colors`` scalar prologue, and
-    at least one draw mixes both inside a single plane."""
-    from repro.congest.engine import kernel_for
+    """The fuzz matrix actually exercises every lemma310 route: canonical
+    instances that take over at round 1, perturbed ones the gate
+    declines, and at least one draw mixing both, which must decline as a
+    group while its canonical instances still stack."""
     from repro.congest.programs.lemma310 import Lemma310Program
 
     assert "lemma310" in batchable_programs()
     kernel_cls = kernel_for(Lemma310Program)
-    saw_round_one = saw_late = mixed = False
+    saw_accepted = saw_declined = mixed = False
     for fuzz_seed in FUZZ_SEEDS:
         networks, inputs, _ = _draw_group("lemma310", fuzz_seed)
-        takeovers = {
-            int(
-                kernel_cls.takeover_round(
-                    net, {v: Lemma310Program(box[v]) for v in range(net.n)}
-                )
-            )
-            for net, box in zip(networks, inputs)
+        accepted = {
+            kernel_cls.eligible(net, box) for net, box in zip(networks, inputs)
         }
-        saw_round_one = saw_round_one or 1 in takeovers
-        saw_late = saw_late or any(t > 1 for t in takeovers)
-        mixed = mixed or (1 in takeovers and len(takeovers) > 1)
-    assert saw_round_one, "no fuzz draw ran the in-plane round-1 lane"
-    assert saw_late, "no fuzz draw ran the scalar-prologue lane"
-    assert mixed, "no fuzz draw mixed per-instance takeover rounds"
-
+        saw_accepted = saw_accepted or True in accepted
+        saw_declined = saw_declined or False in accepted
+        mixed = mixed or len(accepted) > 1
+    assert saw_accepted, "no fuzz draw ran the in-plane round-1 route"
+    assert saw_declined, "no fuzz draw had an instance the gate declines"
+    assert mixed, "no fuzz draw mixed accepted and declined instances"

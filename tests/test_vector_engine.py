@@ -25,7 +25,7 @@ from repro.congest.engine import (
     register_kernel,
     run_stacked,
 )
-from repro.congest.engine.vector import CsrPlane, bit_length_array
+from repro.congest.engine.vector import bit_length_array
 from repro.congest.message import Message, bits_of_int, message_bits
 from repro.congest.network import Network
 from repro.congest.node import NodeProgram
@@ -33,6 +33,7 @@ from repro.congest.programs.color_reduction import ColorReductionProgram
 from repro.congest.programs.greedy_mds import DistributedGreedyProgram
 from repro.congest.simulator import Simulator
 from repro.errors import (
+    BatchEligibilityError,
     CongestError,
     MessageTooLargeError,
     SimulationLimitError,
@@ -143,9 +144,11 @@ def _check_hot_path(plane, networks, rng):
 
 
 class TestCsrPlane:
+    """The plane's CSR arithmetic, on one-instance and stacked planes."""
+
     def test_row_reductions_match_python(self, small_gnp):
         net = Network.congest(small_gnp)
-        plane = CsrPlane(net)
+        plane = StackedPlane([net])
         rng = np.random.default_rng(5)
         slot_values = rng.integers(0, 1000, size=plane.nnz)
         expect_sum = [
@@ -171,7 +174,7 @@ class TestCsrPlane:
     def test_isolated_nodes_use_empty_value(self):
         g = nx.empty_graph(4)
         net = Network.local(g)
-        plane = CsrPlane(net)
+        plane = StackedPlane([net])
         assert plane.row_sum(np.zeros(0, dtype=np.int64)).tolist() == [0] * 4
         assert plane.row_max(np.zeros(0, dtype=np.int64), empty=9).tolist() == [9] * 4
 
@@ -179,7 +182,7 @@ class TestCsrPlane:
     def test_hot_path_over_the_zoo(self, name):
         net = Network.congest(_zoo()[name])
         rng = np.random.default_rng(zlib.crc32(name.encode()))
-        _check_hot_path(CsrPlane(net), [net], rng)
+        _check_hot_path(StackedPlane([net]), [net], rng)
 
     def test_stacked_plane_hot_path(self):
         networks = [
@@ -203,18 +206,21 @@ class _PlainProgram(NodeProgram):
 
 
 class _TargetedProgram(NodeProgram):
-    """Declares a spec but sends to a single neighbor: traffic at the
-    takeover round is not a full broadcast, so the engine must stay on
-    scalar semantics for the whole run."""
+    """Declares a spec but sends to a single neighbor: its round-1
+    traffic is not a full broadcast, so the run must continue on
+    FastEngine's loop from the state ``setup`` left (``setup`` runs
+    once) and never reach the kernel."""
 
     message_specs = (MessageSpec("one", "value"),)
 
     def setup(self, ctx):
+        self.setups = getattr(self, "setups", 0) + 1
         if ctx.neighbors:
             ctx.send(ctx.neighbors[0], Message("one", ctx.node))
 
     def receive(self, ctx, inbox):
         ctx.output("heard", sorted(inbox))
+        ctx.output("setups", self.setups)
         ctx.halt()
 
 
@@ -246,9 +252,6 @@ class _MaybeTargetedProgram(NodeProgram):
 
 @register_kernel(_MaybeTargetedProgram)
 class _MaybeTargetedKernel(VectorKernel):
-    def absorb_instance(self, lo, hi, programs, contexts):
-        self.live[lo:hi] = [not contexts[v]._halted for v in range(hi - lo)]
-
     def step(self, round_no, inbound):
         plane = self.plane
         sent = plane.sent_slots(inbound)
@@ -260,25 +263,44 @@ class _MaybeTargetedKernel(VectorKernel):
         return None
 
 
-class _LateTargetedProgram(_MaybeTargetedProgram):
-    """The same traffic one round later: setup is silent, round 1 sends
-    (to one neighbor when the input says so), round 2 records and halts."""
+class _SetupHaltProgram(NodeProgram):
+    """Broadcasts its id in setup and, when its input says so, halts there
+    too: its traffic is charged, but no round runs."""
+
+    message_specs = (MessageSpec("id", "value"),)
 
     def setup(self, ctx):
-        pass
+        ctx.broadcast(Message("id", ctx.node))
+        if self.input:
+            ctx.halt()
 
     def receive(self, ctx, inbox):
-        if ctx.round_number == 1:
-            super().setup(ctx)
-        else:
-            super().receive(ctx, inbox)
+        ctx.output("heard", sorted(inbox))
+        ctx.halt()
 
 
-@register_kernel(_LateTargetedProgram)
-class _LateTargetedKernel(_MaybeTargetedKernel):
-    @classmethod
-    def takeover_round(cls, network, programs):
-        return 2
+@register_kernel(_SetupHaltProgram)
+class _SetupHaltKernel(_MaybeTargetedKernel):
+    pass
+
+
+class _TwoTagProgram(NodeProgram):
+    """Broadcasts its id under tag ``b`` when its input says so, else
+    under tag ``a``; then records what it heard and halts."""
+
+    message_specs = (MessageSpec("a", "value"), MessageSpec("b", "value"))
+
+    def setup(self, ctx):
+        ctx.broadcast(Message("b" if self.input else "a", ctx.node))
+
+    def receive(self, ctx, inbox):
+        ctx.output("heard", sorted(inbox))
+        ctx.halt()
+
+
+@register_kernel(_TwoTagProgram)
+class _TwoTagKernel(_MaybeTargetedKernel):
+    pass
 
 
 class TestFallbackLadder:
@@ -294,10 +316,12 @@ class TestFallbackLadder:
         fast = Simulator(net, _TargetedProgram, engine="fast").run()
         assert vec == fast
 
-    def test_nonconforming_instance_stays_scalar_in_a_group(self):
-        """Stacked twin: only the instance whose setup traffic is not a
-        full broadcast finishes on scalar mechanics; its siblings join
-        the plane, and every instance equals its fast run."""
+    def test_nonconforming_instance_declines_its_group(self):
+        """Round 1 is the only takeover round: a group with an instance
+        whose setup traffic is not a full broadcast raises at boot, so the
+        batch runner reruns its cells one by one.  Solo, that instance
+        finishes on FastEngine's loop from its post-setup state, and its
+        conforming siblings run on the plane; each equals its fast run."""
         networks = [
             Network.congest(gnp_graph(n, 0.3, seed=n)) for n in (12, 9, 15)
         ]
@@ -311,39 +335,68 @@ class TestFallbackLadder:
         # Instance 1 sends one message per connected node: not a broadcast.
         connected = sum(1 for v in range(9) if networks[1].degree(v))
         assert fast[1].total_messages == connected
-        assert (
+        with pytest.raises(BatchEligibilityError, match="conforming"):
             run_stacked(
                 networks, _MaybeTargetedProgram, inputs=inputs, max_rounds=5
             )
-            == fast
-        )
+        conforming = [networks[0], networks[2]]
+        assert run_stacked(
+            conforming, _MaybeTargetedProgram, max_rounds=5
+        ) == [fast[0], fast[2]]
         for net, box, want in zip(networks, inputs, fast):
             solo = Simulator(net, _MaybeTargetedProgram, inputs=box, engine="vector")
             assert solo.run(max_rounds=5) == want
 
-    def test_nonconforming_late_takeover_stays_scalar_in_a_group(self):
-        """The same rule at a late takeover round: an instance whose
-        round-1 traffic is not a broadcast keeps running scalar, its
-        siblings are absorbed at round 2."""
+    def test_mixed_handover_tags_decline_the_group(self):
+        """The boot merges every instance's round-1 broadcast into one
+        plane broadcast: sending instances must share a tag, and a silent
+        instance (no edges) joins any tag."""
         networks = [
-            Network.congest(gnp_graph(n, 0.3, seed=n)) for n in (12, 9, 15)
+            Network.congest(gnp_graph(12, 0.3, seed=1)),
+            Network.congest(gnp_graph(9, 0.3, seed=2)),
+            Network.congest(nx.empty_graph(5)),
         ]
-        inputs = [None, dict.fromkeys(range(9), True), None]
+        all_b = dict.fromkeys(range(9), True)
         fast = [
-            Simulator(net, _LateTargetedProgram, inputs=box, engine="fast").run(
+            Simulator(net, _TwoTagProgram, inputs=box, engine="fast").run(
+                max_rounds=5
+            )
+            for net, box in zip(networks, (None, all_b, all_b))
+        ]
+        with pytest.raises(BatchEligibilityError, match="mixed tags"):
+            run_stacked(
+                networks, _TwoTagProgram, inputs=[None, all_b, None], max_rounds=5
+            )
+        assert run_stacked(
+            [networks[0], networks[2]],
+            _TwoTagProgram,
+            inputs=[None, all_b],
+            max_rounds=5,
+        ) == [fast[0], fast[2]]
+        for net, box, want in zip(networks, (None, all_b, all_b), fast):
+            solo = Simulator(net, _TwoTagProgram, inputs=box, engine="vector")
+            assert solo.run(max_rounds=5) == want
+
+    def test_instance_halting_in_setup_matches_fast(self):
+        """An instance whose nodes all halt in setup finishes at the boot
+        tick: its handover is charged, no round counts."""
+        networks = [
+            Network.congest(gnp_graph(n, 0.3, seed=n)) for n in (12, 9)
+        ]
+        inputs = [dict.fromkeys(range(12), True), None]
+        fast = [
+            Simulator(net, _SetupHaltProgram, inputs=box, engine="fast").run(
                 max_rounds=5
             )
             for net, box in zip(networks, inputs)
         ]
-        assert [r.rounds for r in fast] == [2, 2, 2]
+        assert fast[0].rounds == 0 and fast[0].total_bits > 0
         assert (
-            run_stacked(
-                networks, _LateTargetedProgram, inputs=inputs, max_rounds=5
-            )
+            run_stacked(networks, _SetupHaltProgram, inputs=inputs, max_rounds=5)
             == fast
         )
         for net, box, want in zip(networks, inputs, fast):
-            solo = Simulator(net, _LateTargetedProgram, inputs=box, engine="vector")
+            solo = Simulator(net, _SetupHaltProgram, inputs=box, engine="vector")
             assert solo.run(max_rounds=5) == want
 
     def test_mixed_program_classes_fall_back(self):
