@@ -109,8 +109,10 @@ class Network:
         the ``(indptr, indices)`` arrays another process compiled (e.g. via
         ``multiprocessing.shared_memory``) and reconstructs an equivalent
         network without re-generating — or even materializing — the
-        ``networkx`` graph.  The ``graph`` property rebuilds one lazily if
-        an algorithm outside the simulator needs it.
+        ``networkx`` graph.  The G(n, p) suite families, generated as
+        arrays, compile here too.  The ``graph`` property rebuilds one
+        lazily (in sorted adjacency order) if an algorithm outside the
+        simulator needs it.
 
         ``indptr``/``indices`` may be any int sequences (``array('l')``,
         numpy arrays, lists); they are copied into the canonical ``array``

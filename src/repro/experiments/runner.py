@@ -96,7 +96,7 @@ from repro.api.registry import (
     batchable_programs,
     program_spec,
 )
-from repro.congest.network import Network
+from repro.congest.network import Network, congest_bit_budget
 from repro.errors import UnknownStrategyError, WorkerLostError
 from repro.graphs.suite import suite_instance
 
@@ -154,9 +154,17 @@ def available_strategies() -> List[str]:
 
 
 def build_network(cell: GridCell) -> Network:
-    """Generate the cell's graph and compile it into a CONGEST network."""
+    """Generate the cell's topology and compile it into a CONGEST network.
+
+    Array-generated families (G(n, p)) compile straight from their CSR, so
+    no networkx graph is built; the others compile their graph.
+    """
     inst = suite_instance(cell.family, cell.n, seed=cell.seed)
-    return Network.congest(inst.graph)
+    if inst.arrays is None:
+        return Network.congest(inst.graph)
+    return Network.from_csr(
+        inst.arrays.indptr, inst.arrays.indices, bit_budget=congest_bit_budget(inst.n)
+    )
 
 
 def _run_cell_record(

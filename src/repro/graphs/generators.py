@@ -6,19 +6,27 @@ so the suite leans on random geometric (unit-disk) graphs; classic families
 round out the sweep so degree distributions from near-regular to heavy-tailed
 are covered.  All generators return normalized graphs (labels ``0..n-1``)
 and take an explicit ``seed`` so experiments are reproducible.
+
+G(n, p) is generated as arrays (:func:`gnp_arrays`, an :class:`EdgeArrays`):
+networkx's ``random()`` draws replayed in numpy, the connectivity patch
+from ``scipy.sparse.csgraph`` component labels, ``normalize_graph``'s
+relabelling as one rank array, and the sorted adjacency (CSR) by one sort.
+The arrays equal those of the networkx route, and :func:`gnp_graph` builds
+the same graph from them, down to adjacency order.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import networkx as nx
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graphs.normalize import normalize_graph
+from repro.graphs.normalize import normalize_graph, repr_rank
 
 
 def _ensure_connected(graph: nx.Graph, rng: random.Random) -> nx.Graph:
@@ -59,47 +67,133 @@ def _python_random_stream(seed: int) -> np.random.RandomState:
             return np.random.RandomState(words)
 
 
-def _gnp_pairs(n: int, p: float, seed: int) -> Iterator[Tuple[int, int]]:
+@dataclass(frozen=True, eq=False)
+class EdgeArrays:
+    """A normalized graph on ``0..n-1`` held as arrays.
+
+    ``u[i]``-``v[i]`` is the ``i``-th edge in the order
+    :func:`~repro.graphs.normalize.normalize_graph` would add it, and
+    ``indptr``/``indices`` are the sorted adjacency (CSR) the engines run
+    on: ``indices[indptr[w]:indptr[w + 1]]`` are ``w``'s neighbours in
+    ascending order.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_edges(cls, n: int, u: np.ndarray, v: np.ndarray) -> "EdgeArrays":
+        """Wrap an ordered simple edge list; its CSR takes one sort."""
+        slots = np.sort(np.concatenate([u * n + v, v * n + u]))
+        counts = np.bincount(slots // n, minlength=n)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return cls(u, v, indptr, slots % n)
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def max_degree(self) -> int:
+        return int(np.diff(self.indptr).max(initial=0))
+
+    def graph(self) -> nx.Graph:
+        """The networkx graph, equal to the networkx route's down to
+        adjacency order (nodes ``0..n-1`` first, then the edges in order)."""
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.n))
+        graph.add_edges_from(zip(self.u.tolist(), self.v.tolist()))
+        return graph
+
+
+def _gnp_pairs(n: int, p: float, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """The edges ``nx.gnp_random_graph(n, p, seed=seed)`` adds, in its order.
 
     Pair ``k`` of ``itertools.combinations(range(n), 2)`` is kept when the
     ``k``-th draw of ``random.Random(seed)`` is ``< p``; a kept flat index
     maps back to ``(u, v)`` through the row offsets ``u * (2n - u - 1) / 2``
-    (the flat index of ``(u, u + 1)``).
+    (the flat index of ``(u, u + 1)``).  For ``p >= 1`` every draw is kept,
+    as networkx's complete graph adds every pair in the same order.
     """
     total = n * (n - 1) // 2
-    stream = _python_random_stream(seed)
     kept = [np.empty(0, dtype=np.int64)]
-    for start in range(0, total, _GNP_CHUNK):
-        draws = stream.random_sample(min(_GNP_CHUNK, total - start))
-        kept.append(np.flatnonzero(draws < p) + start)
+    if p > 0:
+        stream = _python_random_stream(seed)
+        for start in range(0, total, _GNP_CHUNK):
+            draws = stream.random_sample(min(_GNP_CHUNK, total - start))
+            kept.append(np.flatnonzero(draws < p) + start)
     flat = np.concatenate(kept)
     rows = np.arange(n, dtype=np.int64)
     offsets = rows * (2 * n - rows - 1) // 2
     u = np.searchsorted(offsets, flat, side="right") - 1
-    v = flat - offsets[u] + u + 1
-    return zip(u.tolist(), v.tolist())
+    return u, flat - offsets[u] + u + 1
+
+
+def _connect(
+    n: int, u: np.ndarray, v: np.ndarray, rng: random.Random
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The edges ``(u, v)`` on ``0..n-1`` patched by :func:`_ensure_connected`
+    with ``rng``, in the networkx graph's ``edges()`` order.
+
+    networkx lists components by smallest node and the sort by size is
+    stable, so components go largest first, ties by smallest node; each
+    later one links a member to the largest, both chosen from sorted lists.
+    ``edges()`` lists each edge under its smaller endpoint, in that node's
+    adjacency order: its drawn neighbours ascending, then its links.  For
+    drawn edges in pair order followed by the links, that is a stable sort
+    by smaller endpoint.
+    """
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    adjacency = coo_array((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n))
+    count, labels = connected_components(adjacency, directed=False)
+    if count == 1:
+        return u, v
+    sizes = np.bincount(labels, minlength=count)
+    _, smallest = np.unique(labels, return_index=True)
+    order = np.lexsort((smallest, -sizes))
+    members = np.argsort(labels, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    anchor = members[starts[order[0]] : starts[order[0] + 1]]
+    links = [
+        (rng.choice(members[starts[c] : starts[c + 1]]), rng.choice(anchor))
+        for c in order[1:].tolist()
+    ]
+    low = np.concatenate([u, np.min(links, axis=1)])
+    high = np.concatenate([v, np.max(links, axis=1)])
+    by_low = np.argsort(low, kind="stable")
+    return low[by_low], high[by_low]
+
+
+def gnp_arrays(n: int, p: float, seed: int = 0, connected: bool = True) -> EdgeArrays:
+    """Erdos-Renyi ``G(n, p)``, optionally patched to be connected, as arrays.
+
+    The arrays of ``normalize_graph(nx.gnp_random_graph(n, p, seed=seed))``
+    (patched first by :func:`_ensure_connected` when ``connected``), whose
+    ``n(n-1)/2`` Python ``random()`` calls are replayed in numpy; no
+    networkx graph is built.  ``normalize_graph`` adds the edges in
+    ``edges()`` order, relabelled by one rank array.
+    """
+    if n <= 0:
+        raise GraphError("n must be positive")
+    u, v = _gnp_pairs(n, p, seed)
+    if connected:
+        u, v = _connect(n, u, v, random.Random(seed))
+    rank = repr_rank(n)
+    return EdgeArrays.from_edges(n, rank[u], rank[v])
 
 
 def gnp_graph(n: int, p: float, seed: int = 0, connected: bool = True) -> nx.Graph:
     """Erdos-Renyi ``G(n, p)``; optionally patched to be connected.
 
     Identical, down to node and adjacency order, to
-    ``nx.gnp_random_graph(n, p, seed=seed)`` (then patched and normalized),
-    whose ``n(n-1)/2`` Python ``random()`` calls are replayed in numpy.
+    ``nx.gnp_random_graph(n, p, seed=seed)`` (then patched and normalized):
+    the networkx graph of :func:`gnp_arrays`.
     """
-    if n <= 0:
-        raise GraphError("n must be positive")
-    rng = random.Random(seed)
-    if p >= 1:
-        graph = nx.complete_graph(n)
-    else:
-        graph = nx.empty_graph(n)
-        if p > 0:
-            graph.add_edges_from(_gnp_pairs(n, p, seed))
-    if connected:
-        _ensure_connected(graph, rng)
-    return normalize_graph(graph)
+    return gnp_arrays(n, p, seed=seed, connected=connected).graph()
 
 
 def geometric_graph(

@@ -14,16 +14,23 @@ function is not idempotent).  Every generator ends in this relabelling, so
 the ranking is part of every topology's identity: the topology cache key,
 the result and oracle caches and the committed benchmark artifacts all
 assume it.  Do not "fix" it to numeric order without versioning the
-topology cache key.
+topology cache key.  The G(n, p) generator relabels its edge arrays with
+:func:`repr_rank`, the same ranking of the integer labels ``0..n-1`` as one
+index array.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
+from typing import Dict, Hashable, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import GraphError
+
+
+def _rank_key(label: Hashable) -> Tuple[str, str]:
+    return type(label).__name__, repr(label)
 
 
 def relabel_map(graph: nx.Graph) -> Dict[Hashable, int]:
@@ -33,8 +40,16 @@ def relabel_map(graph: nx.Graph) -> Dict[Hashable, int]:
     types (e.g. tuples from grid graphs) still order deterministically; the
     integer label 10 therefore ranks before 2 (see the module docstring).
     """
-    labels = sorted(graph.nodes(), key=lambda x: (type(x).__name__, repr(x)))
+    labels = sorted(graph.nodes(), key=_rank_key)
     return {label: i for i, label in enumerate(labels)}
+
+
+def repr_rank(n: int) -> np.ndarray:
+    """:func:`relabel_map` of a graph on the integer labels ``0..n-1`` as
+    one int64 index array: ``rank[label]`` is the label's new id."""
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=_rank_key)] = np.arange(n)
+    return rank
 
 
 def normalize_graph(graph: nx.Graph) -> nx.Graph:

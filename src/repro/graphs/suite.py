@@ -2,43 +2,70 @@
 
 One place defines the (family, size) grid so all tables in
 ``benchmarks/`` sweep the same instances and rows are comparable across
-experiments.
+experiments.  The G(n, p) families (``gnp``, ``gnp-dense``) are generated
+as arrays, so the runner compiles them with ``Network.from_csr`` and no
+networkx graph is built unless ``SuiteInstance.graph`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Sequence
+from functools import cached_property
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 import networkx as nx
 
 from repro.errors import GraphError
 from repro.graphs import generators
+from repro.graphs.generators import EdgeArrays
 
 
 @dataclass(frozen=True)
 class SuiteInstance:
-    """A named, reproducible benchmark graph."""
+    """A named, reproducible benchmark graph.
+
+    ``topology`` is a networkx graph, or, for the G(n, p) families, the
+    :class:`~repro.graphs.generators.EdgeArrays` they are generated as; then
+    ``n`` and ``max_degree`` are read off the arrays, the CSR is ready for
+    :meth:`~repro.congest.network.Network.from_csr`, and ``graph`` is built
+    on first access.
+    """
 
     name: str
     family: str
-    graph: nx.Graph
+    topology: Union[nx.Graph, EdgeArrays]
+
+    @property
+    def arrays(self) -> Optional[EdgeArrays]:
+        """The topology's arrays, or ``None`` for a networkx-built family."""
+        return self.topology if isinstance(self.topology, EdgeArrays) else None
+
+    @cached_property
+    def graph(self) -> nx.Graph:
+        """The networkx graph (built from the arrays on first access)."""
+        if self.arrays is not None:
+            return self.arrays.graph()
+        return self.topology
 
     @property
     def n(self) -> int:
+        if self.arrays is not None:
+            return self.arrays.n
         return self.graph.number_of_nodes()
 
     @property
     def max_degree(self) -> int:
+        if self.arrays is not None:
+            return self.arrays.max_degree
         return max((d for _, d in self.graph.degree()), default=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SuiteInstance({self.name}, n={self.n}, Delta={self.max_degree})"
 
 
-_FAMILY_BUILDERS: Dict[str, Callable[[int, int], nx.Graph]] = {
-    "gnp": lambda n, seed: generators.gnp_graph(n, p=min(0.5, 4.0 / n), seed=seed),
-    "gnp-dense": lambda n, seed: generators.gnp_graph(
+_FAMILY_BUILDERS: Dict[str, Callable[[int, int], Union[nx.Graph, EdgeArrays]]] = {
+    "gnp": lambda n, seed: generators.gnp_arrays(n, p=min(0.5, 4.0 / n), seed=seed),
+    "gnp-dense": lambda n, seed: generators.gnp_arrays(
         n, p=min(0.8, 12.0 / n), seed=seed
     ),
     "geometric": lambda n, seed: generators.geometric_graph(n, seed=seed),
@@ -63,12 +90,14 @@ def families() -> List[str]:
 
 def suite_instance(family: str, n: int, seed: int = 0) -> SuiteInstance:
     """Build one reproducible suite instance."""
+    if n < 1:
+        raise GraphError(f"n must be positive, got {n}")
     if family not in _FAMILY_BUILDERS:
         raise GraphError(
             f"unknown family {family!r}; known: {', '.join(families())}"
         )
-    graph = _FAMILY_BUILDERS[family](n, seed)
-    return SuiteInstance(name=f"{family}-{n}", family=family, graph=graph)
+    topology = _FAMILY_BUILDERS[family](n, seed)
+    return SuiteInstance(name=f"{family}-{n}", family=family, topology=topology)
 
 
 def benchmark_suite(

@@ -8,7 +8,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.congest.network import Network, congest_bit_budget
 from repro.errors import GraphError
+from repro.experiments.runner import GridCell, build_network, run_grid
 from repro.graphs.generators import (
     _ensure_connected,
     _python_random_stream,
@@ -16,6 +18,7 @@ from repro.graphs.generators import (
     clique_graph,
     dumbbell_graph,
     geometric_graph,
+    gnp_arrays,
     gnp_graph,
     grid_graph,
     preferential_attachment_graph,
@@ -28,6 +31,7 @@ from repro.graphs.normalize import (
     is_normalized,
     normalize_graph,
     relabel_map,
+    repr_rank,
     require_normalized,
 )
 from repro.graphs.powers import (
@@ -75,6 +79,11 @@ class TestNormalize:
         assert nx.utils.graphs_equal(once, nx.path_graph([0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 2, 3]))
         # Not idempotent: a normalized graph with >= 11 nodes is permuted again.
         assert sorted(normalize_graph(once).edges()) != sorted(once.edges())
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 101, 1000])
+    def test_repr_rank_is_relabel_map_of_integer_labels(self, n):
+        mapping = relabel_map(nx.empty_graph(n))
+        assert repr_rank(n).tolist() == [mapping[label] for label in range(n)]
 
 
 class TestGenerators:
@@ -193,6 +202,14 @@ class TestSuite:
         with pytest.raises(GraphError):
             suite_instance("nope", 10)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("family", families())
+    def test_rejects_n_below_one(self, family, n):
+        with pytest.raises(GraphError, match="n must be positive"):
+            suite_instance(family, n)
+        (record,) = run_grid([GridCell(family, n, "bfs", "fast")])
+        assert record["error"]["type"] == "GraphError"
+
     def test_benchmark_suite_covers_families(self):
         instances = list(benchmark_suite(sizes=(20,), families_subset=("gnp", "tree")))
         assert {i.family for i in instances} == {"gnp", "tree"}
@@ -235,6 +252,12 @@ def adjacency(graph):
     return list(graph), [list(graph.adj[v]) for v in graph]
 
 
+def assert_same_network(network, reference):
+    """Same sorted adjacency arrays and bit budget."""
+    assert network.csr() == reference.csr()
+    assert network.bit_budget == reference.bit_budget
+
+
 def kth_draw(seed, k):
     """The ``k``-th ``random()`` of ``random.Random(seed)``."""
     stream = random.Random(seed)
@@ -255,11 +278,14 @@ def gnp_params(draw):
     n = draw(st.integers(1, 120))
     seed = draw(SEEDS)
     pairs = n * (n - 1) // 2
-    kind = draw(st.sampled_from(["fixed", "per-n", "float", "on-a-draw"]))
+    kind = draw(st.sampled_from(["fixed", "per-n", "sparse", "float", "on-a-draw"]))
     if kind == "fixed":
         p = draw(st.sampled_from([0.0, -0.1, 1.0, 1.5]))
     elif kind == "per-n":
         p = draw(st.sampled_from([4.0, 12.0])) / n
+    elif kind == "sparse":
+        # Many components of tied sizes: the connectivity patch's order.
+        p = draw(st.sampled_from([0.5, 1.0])) / n
     elif kind == "on-a-draw" and pairs:
         # p equal to the stream's own k-th draw: pair k sits on the threshold.
         p = kth_draw(seed, draw(st.integers(0, pairs - 1)))
@@ -282,9 +308,15 @@ class TestGnpReplay:
     @given(gnp_params(), st.booleans())
     def test_matches_networkx_reference(self, params, connected):
         n, p, seed = params
+        reference = reference_gnp_graph(n, p, seed=seed, connected=connected)
         assert adjacency(gnp_graph(n, p, seed=seed, connected=connected)) == adjacency(
-            reference_gnp_graph(n, p, seed=seed, connected=connected)
+            reference
         )
+        arrays = gnp_arrays(n, p, seed=seed, connected=connected)
+        compiled = Network.from_csr(
+            arrays.indptr, arrays.indices, bit_budget=congest_bit_budget(arrays.n)
+        )
+        assert_same_network(compiled, Network.congest(reference))
 
     def test_draw_equal_to_p_is_not_kept(self):
         n, seed = 30, 3
@@ -297,11 +329,13 @@ class TestGnpReplay:
 
     @pytest.mark.parametrize("n", [200, 250, 400, 500, 800, 1000])
     def test_suite_instances_at_benchmark_sizes(self, n):
-        for seed in (0, 7):
-            g = suite_instance("gnp", n, seed=seed).graph
-            assert adjacency(g) == adjacency(
-                reference_gnp_graph(n, min(0.5, 4.0 / n), seed=seed)
-            )
+        for family, p in (("gnp", min(0.5, 4.0 / n)), ("gnp-dense", min(0.8, 12.0 / n))):
+            for seed in (0, 7):
+                reference = reference_gnp_graph(n, p, seed=seed)
+                g = suite_instance(family, n, seed=seed).graph
+                assert adjacency(g) == adjacency(reference)
+                cell = GridCell(family, n, "greedy", "vector", seed)
+                assert_same_network(build_network(cell), Network.congest(reference))
 
 
 #: sha256 of the JSON of ``[list(G.adj[v]) for v in G]`` for one instance of

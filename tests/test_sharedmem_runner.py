@@ -6,6 +6,8 @@ import networkx as nx
 import pytest
 
 from repro.api import Experiment
+from repro.api.registry import registered_specs
+from repro.congest.engine import available_engines
 from repro.congest.network import Network
 from repro.errors import GraphError, UnknownEngineError, UnknownProgramError
 from repro.experiments.runner import GridCell, run_grid
@@ -91,10 +93,14 @@ class TestGridExpansionValidation:
 
 
 class TestSharedMemoryGrid:
+    # Every registered program (the cds composite included) on every engine
+    # it allows: workers run on from_csr networks, whose lazy graph is
+    # rebuilt in sorted adjacency order.
     GRID = [
-        GridCell(family="gnp", n=24, program=p, engine=e, seed=5)
-        for p in ("bfs", "greedy")
-        for e in ("reference", "fast", "vector")
+        GridCell(family="gnp", n=24, program=spec.name, engine=e, seed=5)
+        for spec in registered_specs()
+        for e in available_engines()
+        if spec.supports_engine(e)
     ]
 
     def _strip_walls(self, results):
