@@ -18,9 +18,11 @@ inclusive neighborhood):
 * finally two rounds execute the rounding phases (value exchange,
   constraint check).
 
-The per-node math reuses :class:`repro.derand.estimators.ConstraintEstimator`
-verbatim, so the distributed run provably mirrors the centralized engine up
-to the paper's alpha quantization; tests compare the two end to end.
+Each node keeps its constraint's estimator as a one-row
+:class:`repro.derand.estimators.PessimisticEstimator`, the class the
+centralized engine keeps over all rows, so the distributed run mirrors the
+engine up to the paper's alpha quantization; tests compare the two end to
+end.
 
 On the ``vector`` engine, :class:`Lemma310ExecutionKernel` runs the whole
 protocol in-plane from round 1 for the canonical uniform inputs the
@@ -50,7 +52,7 @@ from repro.congest.message import MESSAGE_HEADER_BITS, Message
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
 from repro.congest.simulator import SimulationResult, Simulator
-from repro.derand.estimators import ConstraintEstimator, EstimatorConfig
+from repro.derand.estimators import EstimatorConfig, PessimisticEstimator
 from repro.errors import CongestError
 from repro.util.transmittable import TransmittableGrid
 
@@ -89,7 +91,9 @@ class Lemma310Program(NodeProgram):
         self.mode: str = spec["mode"]
         #: neighbor id -> (x_num, p_num); filled in round 1
         self.nbr: Dict[int, Tuple[int, int]] = {}
-        self.estimator: ConstraintEstimator | None = None
+        self.estimator: PessimisticEstimator | None = None
+        #: node id (-1 for this node) -> its entry in the estimator's row
+        self._entry: Dict[int, int] = {}
         self.coin: int | None = None
         self._final_x: int | None = None
 
@@ -102,24 +106,31 @@ class Lemma310Program(NodeProgram):
         return 0 < x_num and 0 < p_num < self.scale
 
     def _build_estimator(self) -> None:
-        deterministic = 0.0
-        free: Dict[int, Tuple[float, float]] = {}
+        """One row over the neighbors as received, then this node (id -1
+        locally); only variables with ``x > 0`` enter it."""
         entries = dict(self.nbr)
-        entries[-1] = (self.x_num, self.p_num)  # own variable, id -1 locally
-        for node_id, (x_num, p_num) in entries.items():
-            if x_num <= 0:
-                continue
-            if self._participates(x_num, p_num):
-                free[node_id] = (self._f(x_num) / self._f(p_num), self._f(p_num))
-            else:
-                deterministic += self._f(x_num)
-        self.estimator = ConstraintEstimator(
-            cid=0,
-            c=self._f(self.c_num),
-            deterministic_sum=deterministic,
-            free_coins=free,
+        entries[-1] = (self.x_num, self.p_num)
+        held = [(u, x, p) for u, (x, p) in entries.items() if x > 0]
+        self._entry = {u: i for i, (u, _, _) in enumerate(held)}
+        self.estimator = PessimisticEstimator(
+            indptr=np.array([0, len(held)]),
+            members=np.arange(len(held)),
+            c=np.array([self._f(self.c_num)]),
+            x=np.array([self._f(x) for _, x, _ in held], dtype=float),
+            p=np.array([self._f(p) for _, _, p in held], dtype=float),
+            coin=np.array([self._participates(x, p) for _, x, p in held], dtype=bool),
             config=EstimatorConfig(mode=self.mode),
+            cids=np.zeros(1, dtype=np.int64),
+            ids=np.array(list(self._entry), dtype=np.int64),
         )
+
+    def _involves(self, node_id: int) -> bool:
+        """The coin of ``node_id`` is still free in this node's row."""
+        entry = self._entry.get(node_id)
+        return entry is not None and bool(self.estimator.free[entry])
+
+    def _fix(self, node_id: int, success: bool) -> None:
+        self.estimator.commit(np.array([self._entry[node_id]]), np.array([success]))
 
     def _own_success_value(self) -> float:
         return self._f(self.x_num) / self._f(self.p_num)
@@ -139,8 +150,10 @@ class Lemma310Program(NodeProgram):
             ex0 = ex1 = self._f(self.x_num)
         if key == -1:  # the decider is this node itself
             ex0, ex1 = 0.0, self._own_success_value()
-        phi0 = self.estimator.phi_if(key, False)
-        phi1 = self.estimator.phi_if(key, True)
+        entry = self._entry[key]
+        phi0, phi1 = self.estimator.phi_if(
+            np.array([entry, entry]), np.array([False, True])
+        ).tolist()
         return ex0 + phi0, ex1 + phi1
 
     # -- protocol ------------------------------------------------------------
@@ -201,16 +214,13 @@ class Lemma310Program(NodeProgram):
                 total1 += round(own1 * self.scale)
                 self.coin = 1 if total1 < total0 else 0
                 ctx.broadcast(Message("fixed", self.coin))
-                assert self.estimator is not None
-                self.estimator.fix(-1, bool(self.coin))
+                self._fix(-1, bool(self.coin))
         else:
             # Neighbors fold the decision into their estimators; the next
             # class announces.
             for sender, msg in inbox.items():
-                if msg.tag == "fixed":
-                    assert self.estimator is not None
-                    if self.estimator.involves(sender):
-                        self.estimator.fix(sender, bool(msg.fields[0]))
+                if msg.tag == "fixed" and self._involves(sender):
+                    self._fix(sender, bool(msg.fields[0]))
             self._maybe_announce(ctx, class_index + 1)
 
     def _maybe_announce(self, ctx: Context, class_index: int) -> None:
@@ -263,8 +273,8 @@ _ANNOUNCE_SPEC = MessageSpec("announce")
 _ALPHA_SPEC = MessageSpec("alpha", "alpha0", "alpha1")
 _XP_SPEC, _FIXED_SPEC, _EXEC_SPEC = Lemma310Program.message_specs
 
-#: Element-wise ``math.exp`` — NOT ``np.exp``.  The scalar estimator calls
-#: libm's ``exp`` per node and its exact float results are part of the
+#: Element-wise ``math.exp`` — NOT ``np.exp``.  The node program's estimator
+#: calls libm's ``exp`` per node and its exact float results are part of the
 #: observable contract (alpha quotes round to wire integers); numpy's
 #: vectorized exp may differ by an ULP, which is enough to flip a
 #: rounded quote.  ``frompyfunc`` applies the very same libm call
@@ -398,8 +408,8 @@ class Lemma310ExecutionKernel(VectorKernel):
 
         ``colors`` is every node's color in plane order; ``params`` holds
         each instance's ``(num_colors, scale, x_num)``.  Replays the
-        scalar estimator constructor exactly: each node's initial
-        ``_log_prod`` is a *left-fold* of ``degree + 1`` equal
+        node program's estimator constructor exactly: each node's initial
+        ``log_prod`` is a *left-fold* of ``degree + 1`` equal
         ``log1p(-p)`` terms, reproduced by indexing a partial-sum table
         built with the same sequential additions (``np.cumsum`` pairwise
         summation would NOT match the scalar fold bit-for-bit).
@@ -417,10 +427,10 @@ class Lemma310ExecutionKernel(VectorKernel):
         self.t = np.empty(n, dtype=np.float64)
         #: ``f(x_num)`` — the undecided neighbor's expected phase-one value
         self.x_f = np.empty(n, dtype=np.float64)
-        #: the estimator's ``_log_prod`` over still-free coins
+        #: the estimator's ``log_prod`` over still-free coins
         self.log_prod = np.empty(n, dtype=np.float64)
         #: integer count of successfully-fixed coins; under the gate the
-        #: scalar ``fixed_sum`` is exactly ``1.0 * fixed_success``, so the
+        #: estimator's ``fixed`` sum is exactly ``1.0 * fixed_success``, so the
         #: ``satisfied`` test is the exact integer comparison ``>= 1``
         self.fixed_success = np.zeros(n, dtype=np.int64)
         offsets = plane.node_offsets.tolist()
@@ -573,7 +583,7 @@ class Lemma310ExecutionKernel(VectorKernel):
         total1 = sum1 + self.scale[deciders]
         coin = np.where(total1 < total0, 1, 0).astype(np.int64)
         self.coin[deciders] = coin
-        # estimator.fix(-1, coin): own factor leaves the free set.
+        # The node program's own commit: its factor leaves the free set.
         self.fixed_success[deciders] += coin
         self.log_prod[deciders] -= self.t[deciders]
         n = plane.n

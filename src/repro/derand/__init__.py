@@ -7,7 +7,8 @@ coin so that the objective estimate
 
 never increases, where ``phi_v`` upper-bounds ``Pr(E_v | theta)`` (the
 probability constraint ``v`` is violated after phase one).  Three estimator
-modes are provided (see DESIGN.md Section 3, item 4):
+modes are provided, one class computing all of them
+(:class:`repro.derand.estimators.PessimisticEstimator`):
 
 * ``exact-product`` — the exact conditional probability, available whenever
   any single coin success covers the constraint on its own (always true for
@@ -21,7 +22,7 @@ Two scheduling front-ends mirror the paper's two derandomization routes:
 :mod:`repro.derand.decomposition_based` (Lemma 3.4 with Lemmas 3.8/3.9).
 """
 
-from repro.derand.estimators import ConstraintEstimator, EstimatorConfig
+from repro.derand.estimators import EstimatorConfig
 from repro.derand.conditional import (
     ConditionalExpectationEngine,
     DerandResult,
@@ -39,7 +40,6 @@ from repro.derand.decomposition_based import (
 from repro.derand.seed_level import SeedLevelDerandomizer, SeedLevelResult
 
 __all__ = [
-    "ConstraintEstimator",
     "EstimatorConfig",
     "ConditionalExpectationEngine",
     "DerandResult",

@@ -7,8 +7,12 @@ color are 2-separated, so their inclusive neighborhoods — hence the
 constraints their members touch — are disjoint, exactly the paper's "bits of
 distinct clusters with the same color can be fixed at the same time").
 Within a cluster, members are fixed sequentially in ID order, mirroring the
-per-cluster seed-bit fixing (one coin per member substitutes the seed; see
-DESIGN.md Section 3 item 3 for why the guarantee is preserved verbatim).
+per-cluster seed-bit fixing.  One coin per member substitutes the seed: it
+is a seed of one symbol per member, whose coins are fully independent, so
+the expectation Lemma 3.4 bounds is the same and fixing each coin by
+conditional expectation never raises it.
+:class:`~repro.derand.seed_level.SeedLevelDerandomizer` fixes the k-wise
+seeds themselves.
 
 Round accounting per the paper: fixing one coin costs one aggregation over
 the cluster tree (O(depth) rounds), clusters of one color run in parallel,

@@ -15,15 +15,17 @@ count admits exhaustive enumeration of seed completions (``K = k * m`` bits,
 is computed *exactly*: for a fully determined candidate seed the cluster's
 coins are determined, and the objective's dependence on other clusters'
 still-random coins stays in closed product form
-(:meth:`~repro.derand.estimators.ConstraintEstimator.phi_given`).  No
-independence assumption is made about the in-cluster coins — the enumeration
-*is* the k-wise distribution — so every inequality in the proof of Lemma 3.4
-is reproduced, not approximated.
+(:meth:`~repro.derand.estimators.PessimisticEstimator.phi_given`, asked for
+every candidate seed at once).  No independence assumption is made about the
+in-cluster coins — the enumeration *is* the k-wise distribution — so every
+inequality in the proof of Lemma 3.4 is reproduced, not approximated.
 
-Clusters with too many participants for enumeration fall back to the
-coin-level fixing documented in DESIGN.md §3 item 3 (a seed of one symbol
-per member, strictly more independence); the result records how many
-clusters took which path.
+Clusters with too many participants for enumeration fall back to fixing one
+coin per member, in id order, by conditional expectation.  That is a seed of
+one symbol per member: its coins are fully independent, which is k-wise
+independence for every ``k``, so the objective still never increases and
+Lemma 3.4's bound holds.  The result records how many clusters took which
+path.
 
 This is a fidelity demonstrator, deliberately exponential in the seed
 length; the production route is :mod:`repro.derand.decomposition_based`.
@@ -34,8 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.decomposition.cluster_graph import NetworkDecomposition
-from repro.derand.estimators import ConstraintEstimator, EstimatorConfig
+from repro.derand.conditional import ConditionalExpectationEngine
+from repro.derand.estimators import EstimatorConfig
+from repro.domsets.covering import ltr_sum, row_sums
 from repro.errors import DerandomizationError
 from repro.randomness.kwise import KWiseCoins, seed_bits_required
 from repro.rounding.abstract import RoundingOutcome, RoundingScheme, execute_rounding
@@ -113,85 +119,58 @@ class SeedLevelDerandomizer:
         self.k = k
         self.max_seed_bits = max_seed_bits
         self.config = config or EstimatorConfig()
-        inst = scheme.instance
-
-        self._ex: Dict[int, float] = {}
-        self._weight: Dict[int, float] = {}
-        self._coin: Dict[int, Tuple[float, float]] = {}
-        for u, var in inst.value_vars.items():
-            pu = scheme.p.get(u, 1.0)
-            self._weight[u] = var.weight
-            if var.x <= 0.0:
-                self._ex[u] = 0.0
-            elif pu >= 1.0:
-                self._ex[u] = var.x
-            else:
-                self._coin[u] = (var.x / pu, pu)
-                self._ex[u] = var.x
-        self.estimators: Dict[int, ConstraintEstimator] = {}
-        for cid, cn in inst.constraints.items():
-            deterministic = 0.0
-            free: Dict[int, Tuple[float, float]] = {}
-            for u in cn.members:
-                var = inst.value_vars[u]
-                pu = scheme.p.get(u, 1.0)
-                if var.x <= 0.0:
-                    continue
-                if pu >= 1.0:
-                    deterministic += var.x
-                else:
-                    free[u] = (var.x / pu, pu)
-            self.estimators[cid] = ConstraintEstimator(
-                cid, cn.c, deterministic, free, self.config
-            )
-        self.decisions: Dict[int, bool] = {}
+        self.engine = ConditionalExpectationEngine(scheme, self.config)
+        self.decisions = self.engine.decisions
 
     # -- objective bookkeeping ------------------------------------------------
 
     def objective(self) -> float:
-        inst = self.scheme.instance
-        total = sum(self._weight[u] * ex for u, ex in self._ex.items())
-        for cid, est in self.estimators.items():
-            total += inst.constraints[cid].join_weight * est.phi()
-        return total
-
-    def _commit(self, u: int, success: bool) -> None:
-        self.decisions[u] = success
-        w, _p = self._coin[u]
-        self._ex[u] = w if success else 0.0
-        for cid in self.scheme.instance.var_constraints[u]:
-            self.estimators[cid].fix(u, success)
+        return self.engine.objective()
 
     # -- per-cluster machinery --------------------------------------------------
 
-    def _cluster_phi_sum(self, members: List[int], coins: Dict[int, bool]) -> float:
-        """Objective slice that depends on this cluster's coins, for one
-        complete in-cluster coin assignment."""
+    def _cluster_rows(self, pos: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """``(touched, ptr, entries, owner)``: the constraint rows that the
+        cluster's variable rows ``pos`` touch, in ascending constraint id;
+        per touched row, the CSR ``ptr`` of the cluster's member ``entries``
+        in it, in cluster order; and their owners' indices in ``pos``."""
+        entries, rows, owner = self.engine.incidence(pos)
+        order = np.lexsort((owner, self.scheme.instance.cids[rows]))
+        entries, rows, owner = entries[order], rows[order], owner[order]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        return rows[starts], np.append(starts, len(rows)), entries, owner
+
+    def _cluster_slices(self, pos: np.ndarray, coins: np.ndarray) -> np.ndarray:
+        """The objective slice that depends on the cluster's coins, for each
+        complete in-cluster assignment (row of ``coins``): each member's
+        ``w(u) X_u``, then each touched constraint's ``jw * phi`` with the
+        member coins it holds fixed, added left to right."""
         inst = self.scheme.instance
-        total = 0.0
-        for u in members:
-            w, _p = self._coin[u]
-            total += self._weight[u] * (w if coins[u] else 0.0)
-        touched = sorted(
-            {cid for u in members for cid in inst.var_constraints[u]}
-        )
-        for cid in touched:
-            est = self.estimators[cid]
-            relevant = {u: coins[u] for u in members if est.involves(u)}
-            total += inst.constraints[cid].join_weight * est.phi_given(relevant)
-        return total
+        est = self.engine.estimator
+        touched, ptr, entries, owner = self._cluster_rows(pos)
+        count = len(coins)
+        groups = np.add.outer(np.arange(count) * len(entries), ptr[:-1]).ravel()
+        phi = est.phi_given(
+            np.append(groups, count * len(entries)),
+            np.tile(entries, count),
+            coins[:, owner].ravel(),
+        ).reshape(count, len(touched))
+        terms = np.hstack((
+            inst.weight[pos] * np.where(coins, est.w[pos], 0.0),
+            inst.join_weight[touched] * phi,
+        ))
+        return row_sums(np.arange(count + 1) * terms.shape[1], terms.ravel())
 
     def _slice_under_current_state(self, members: List[int]) -> float:
         """The same objective slice evaluated from the current (independent
         coin) estimator state — the baseline the global objective carries."""
         inst = self.scheme.instance
-        total = sum(self._weight[u] * self._ex[u] for u in members)
-        touched = sorted(
-            {cid for u in members for cid in inst.var_constraints[u]}
-        )
-        for cid in touched:
-            total += inst.constraints[cid].join_weight * self.estimators[cid].phi()
-        return total
+        pos = inst.rows_of(members)
+        touched = self._cluster_rows(pos)[0]
+        return ltr_sum(np.concatenate((
+            inst.weight[pos] * self.engine.expected[pos],
+            inst.join_weight[touched] * self.engine.phi()[touched],
+        )))
 
     def _fix_cluster_by_seed(
         self, members: List[int]
@@ -209,21 +188,17 @@ class SeedLevelDerandomizer:
         m = self.m
         bits_total = seed_bits_required(k, m)
         order = 1 << m
-        numerators = {
-            u: int(self._coin[u][1] * order) for u in members
-        }
-        index_of = {u: i for i, u in enumerate(members)}
+        pos = self.scheme.instance.rows_of(members)
+        numerators = [int(p * order) for p in self.scheme.probabilities[pos].tolist()]
 
-        # Precompute the objective slice for every candidate seed.
-        slice_of: List[float] = []
+        # Every candidate seed's coins, then its objective slice.
+        coins = np.empty((1 << bits_total, len(members)), dtype=bool)
         for seed_int in range(1 << bits_total):
             bits = [(seed_int >> (bits_total - 1 - i)) & 1 for i in range(bits_total)]
             family = KWiseCoins(k=k, m=m, seed_bits=bits)
-            coins = {
-                u: family.coin(index_of[u], numerators[u]) for u in members
-            }
-            slice_of.append(self._cluster_phi_sum(members, coins))
-        kwise_mean = sum(slice_of) / len(slice_of)
+            coins[seed_int] = [family.coin(i, num) for i, num in enumerate(numerators)]
+        slice_of = self._cluster_slices(pos, coins)
+        kwise_mean = ltr_sum(slice_of) / len(slice_of)
 
         # Fix bits left to right by exact conditional expectation.
         chosen_prefix = 0
@@ -231,34 +206,21 @@ class SeedLevelDerandomizer:
             remaining = bits_total - (j + 1)
             sums = [0.0, 0.0]
             for b in (0, 1):
-                prefix = (chosen_prefix << 1) | b
-                base = prefix << remaining
-                total = 0.0
-                for completion in range(1 << remaining):
-                    total += slice_of[base | completion]
-                sums[b] = total / (1 << remaining)
+                base = ((chosen_prefix << 1) | b) << remaining
+                sums[b] = ltr_sum(slice_of[base:base + (1 << remaining)]) / (1 << remaining)
             chosen_prefix = (chosen_prefix << 1) | (1 if sums[1] < sums[0] else 0)
-        realized = slice_of[chosen_prefix]
+        realized = float(slice_of[chosen_prefix])
 
         bits = [(chosen_prefix >> (bits_total - 1 - i)) & 1 for i in range(bits_total)]
-        family = KWiseCoins(k=k, m=m, seed_bits=bits)
-        for u in members:
-            self._commit(u, family.coin(index_of[u], numerators[u]))
+        for u, coin in zip(members, coins[chosen_prefix].tolist()):
+            self.engine.fix([u], [coin])
         return bits, k, m, kwise_mean, realized
 
     def _fix_cluster_by_coins(self, members: List[int]) -> None:
-        """Coin-level fallback (the DESIGN.md §3 substitution)."""
-        inst = self.scheme.instance
+        """Coin-level fallback: one member at a time, by conditional
+        expectation over independent coins."""
         for u in members:
-            w, _p = self._coin[u]
-            succ = self._weight[u] * w
-            fail = 0.0
-            for cid in inst.var_constraints[u]:
-                jw = inst.constraints[cid].join_weight
-                est = self.estimators[cid]
-                succ += jw * est.phi_if(u, True)
-                fail += jw * est.phi_if(u, False)
-            self._commit(u, succ < fail)
+            self.engine.fix([u])
 
     # -- main loop -----------------------------------------------------------------
 

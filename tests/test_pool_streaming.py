@@ -18,6 +18,7 @@ remainder is re-dispatched.  Timing-free, so it cannot flake.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,20 @@ from repro.experiments.runner import (
     iter_grid_records,
     run_grid_records,
 )
+
+
+SHM = Path("/dev/shm")
+
+
+@pytest.fixture()
+def no_shared_memory_leak():
+    """No ``/dev/shm/psm_*`` segment created during the test survives it."""
+    if not SHM.is_dir():
+        pytest.skip("no /dev/shm to inspect")
+    before = set(SHM.glob("psm_*"))
+    yield
+    leaked = sorted(path.name for path in set(SHM.glob("psm_*")) - before)
+    assert not leaked, leaked
 
 
 def _sweep_cells(sizes=(20, 30), seeds=(0, 1, 2), family="gnp"):
@@ -62,6 +77,7 @@ class TestPoolParity:
 
 
 class TestPoolInGroupStreaming:
+    @pytest.mark.usefixtures("no_shared_memory_leak")
     def test_records_stream_individually_across_pool(self, monkeypatch):
         """Kill a worker after 1 streamed record: with per-record delivery
         the parent already holds that record, so exactly width-1 cells of
@@ -115,6 +131,7 @@ class TestPoolInGroupStreaming:
             assert latencies == sorted(latencies)
 
 
+@pytest.mark.usefixtures("no_shared_memory_leak")
 class TestWorkerLoss:
     def test_worker_kill_preserves_record_set(self, monkeypatch):
         cells = _sweep_cells(sizes=(20, 30), seeds=(0, 1, 2))
@@ -187,6 +204,7 @@ class TestConsumerIndependence:
         assert {rec.key for rec in seen} == expected
         assert all(rec.ok for rec in seen)
 
+    @pytest.mark.usefixtures("no_shared_memory_leak")
     def test_abandoned_iterator_cleans_up(self):
         """Closing the streaming iterator mid-run terminates workers and
         unlinks shared memory (the finally path) without hanging."""

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.verify import is_dominating_set
 from repro.decomposition.ball_carving import carve_decomposition
-from repro.derand.estimators import ConstraintEstimator, EstimatorConfig
+from repro.derand.estimators import EstimatorConfig
 from repro.derand.seed_level import SeedLevelDerandomizer
 from repro.domsets.covering import CoveringInstance
 from repro.errors import DerandomizationError
@@ -14,6 +14,7 @@ from repro.fractional.raising import kmw06_initial_fds
 from repro.graphs.generators import gnp_graph, random_tree
 from repro.randomness.kwise import KWiseCoins
 from repro.rounding.schemes import one_shot_scheme
+from tests.test_estimators import make
 
 
 def one_shot_setup(graph):
@@ -118,36 +119,38 @@ class TestSeedLevel:
 
 
 class TestPhiGiven:
+    """The several-coins query of one-row estimators."""
+
     def test_matches_sequential_fixing(self):
         coins = {1: (1.0, 0.3), 2: (1.0, 0.5), 3: (1.0, 0.7)}
-        est = ConstraintEstimator(
-            0, 1.0, 0.0, dict(coins), EstimatorConfig(mode="exact-product")
-        )
+        est = make(1.0, 0.0, dict(coins), "exact-product")
         joint = est.phi_given({1: False, 2: False})
         est.fix(1, False)
         est.fix(2, False)
         assert est.phi() == pytest.approx(joint)
 
     def test_success_covers(self):
-        est = ConstraintEstimator(
-            0, 1.0, 0.0, {1: (1.0, 0.3), 2: (1.0, 0.5)},
-            EstimatorConfig(mode="exact-product"),
-        )
+        est = make(1.0, 0.0, {1: (1.0, 0.3), 2: (1.0, 0.5)}, "exact-product")
         assert est.phi_given({1: True}) == 0.0
 
     def test_chernoff_joint(self):
         coins = {1: (0.3, 0.5), 2: (0.3, 0.5), 3: (0.3, 0.5)}
-        est = ConstraintEstimator(
-            0, 1.0, 0.0, dict(coins), EstimatorConfig(mode="chernoff")
-        )
+        est = make(1.0, 0.0, dict(coins), "chernoff")
         joint = est.phi_given({1: True, 2: False})
         est.fix(1, True)
         est.fix(2, False)
         assert est.phi() == pytest.approx(joint, abs=1e-9)
 
+    def test_one_coin_matches_phi_if(self):
+        for mode in ("exact-product", "chernoff", "exact-enum"):
+            est = make(1.0, 0.2, {1: (1.0, 0.3), 2: (1.0, 0.5)}, mode)
+            for success in (False, True):
+                assert est.phi_given({2: success}) == est.phi_if(2, success)
+
     def test_unknown_coin_rejected(self):
-        est = ConstraintEstimator(
-            0, 1.0, 0.0, {1: (1.0, 0.3)}, EstimatorConfig(mode="exact-product")
-        )
-        with pytest.raises(DerandomizationError):
-            est.phi_given({9: True})
+        est = make(1.0, 0.5, {1: (1.0, 0.3), 2: (1.0, 0.4)}, "exact-product")
+        with pytest.raises(DerandomizationError, match="coin -1 is not free"):
+            est.phi_given({-1: True})
+        est.fix(2, False)
+        with pytest.raises(DerandomizationError, match="coin 2 is not free"):
+            est.phi_given({1: False, 2: True})
