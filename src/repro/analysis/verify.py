@@ -6,11 +6,12 @@ Every algorithm output in tests and benchmarks passes through these;
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, List, Set
 
 from repro.errors import InfeasibleSolutionError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def domination_deficit(graph: nx.Graph, candidate: Iterable[int]) -> List[int]:
@@ -46,6 +47,8 @@ def require_dominating_set(
 
 def is_connected_dominating_set(graph: nx.Graph, candidate: Iterable[int]) -> bool:
     """Whether ``candidate`` dominates and induces a connected subgraph."""
+    import networkx as nx
+
     chosen = set(candidate)
     if not chosen:
         return graph.number_of_nodes() == 0
@@ -58,6 +61,8 @@ def is_connected_dominating_set(graph: nx.Graph, candidate: Iterable[int]) -> bo
 def require_connected_dominating_set(
     graph: nx.Graph, candidate: Iterable[int], what: str = "CDS"
 ) -> Set[int]:
+    import networkx as nx
+
     chosen = set(candidate)
     require_dominating_set(graph, chosen, what)
     induced = graph.subgraph(chosen)

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import FrozenSet, List, Optional, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Set
 
 from repro.analysis.verify import (
     is_connected_dominating_set,
@@ -22,6 +20,9 @@ from repro.analysis.verify import (
 from repro.baselines.greedy import greedy_mds
 from repro.errors import GraphError, SearchBudgetExceededError
 from repro.graphs.normalize import require_normalized
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def exact_mds(
@@ -93,6 +94,8 @@ def exact_cds(graph: nx.Graph, node_limit: int = 24) -> Optional[Set[int]]:
     is a dominating set, so ``|MDS|`` lower-bounds ``|CDS|``).  Exponential;
     keep ``n`` small.
     """
+    import networkx as nx
+
     require_normalized(graph)
     n = graph.number_of_nodes()
     if n == 0:

@@ -10,12 +10,13 @@ against.
 from __future__ import annotations
 
 import heapq
-from typing import List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Set, Tuple
 
 from repro.analysis.verify import require_dominating_set
 from repro.graphs.normalize import require_normalized
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def greedy_mds(graph: nx.Graph) -> Set[int]:

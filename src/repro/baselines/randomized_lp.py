@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Set
 
 from repro.analysis.verify import require_dominating_set
 from repro.fractional.lp import lp_fractional_mds
 from repro.graphs.normalize import require_normalized
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def randomized_lp_rounding_mds(

@@ -25,11 +25,12 @@ a path to some S-node remain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.errors import GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass

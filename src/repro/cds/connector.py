@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Set
 
-import networkx as nx
-
 from repro.analysis.verify import require_connected_dominating_set
 from repro.cds.gs_graph import GSGraph
 from repro.errors import GraphError
@@ -22,6 +20,8 @@ from repro.errors import GraphError
 def cds_from_spanning_tree(gsg: GSGraph) -> Set[int]:
     """``S`` plus the interior nodes of witness paths of a ``G_S`` spanning
     tree (BFS tree from the smallest S-node)."""
+    import networkx as nx
+
     if not gsg.s_nodes:
         if gsg.graph.number_of_nodes() == 0:
             return set()

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
 from repro.analysis.verify import require_dominating_set
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -37,6 +38,8 @@ class GSGraph:
 def build_gs_graph(graph: nx.Graph, s_nodes: Iterable[int]) -> GSGraph:
     """BFS to depth 3 from every S-node; record lexicographically smallest
     shortest witness paths."""
+    import networkx as nx
+
     s_list = sorted(set(s_nodes))
     require_dominating_set(graph, s_list, "G_S input")
     s_set = set(s_list)
@@ -73,6 +76,8 @@ def build_gs_graph(graph: nx.Graph, s_nodes: Iterable[int]) -> GSGraph:
 
 def verify_claim_41(gsg: GSGraph) -> bool:
     """Claim 4.1: ``G_S`` connected iff ``G`` connected."""
+    import networkx as nx
+
     g_connected = nx.is_connected(gsg.graph) if gsg.graph.number_of_nodes() else True
     gs_connected = nx.is_connected(gsg.gs) if gsg.gs.number_of_nodes() else True
     return g_connected == gs_connected

@@ -22,12 +22,13 @@ realize its edges by adding only the (at most 2) interior relay nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from repro.cds.clustering import ClusterTreeSet
 from repro.errors import GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -46,6 +47,8 @@ class PathSelection:
         return max(self.edge_congestion.values(), default=0)
 
     def cluster_graph(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         for (a, b) in self.cluster_edges:
             g.add_edge(a, b)

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.analysis.verify import require_connected_dominating_set
 from repro.cds.clustering import cluster_dominating_set
@@ -43,6 +41,9 @@ from repro.spanner.baswana_sen import (
     derandomized_sampler,
     spanner_subgraph,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -103,6 +104,8 @@ def approx_cds(
     spanner_phases: Optional[int] = None,
 ) -> CDSResult:
     """Theorem 1.4 pipeline.  Pass ``mds`` to reuse a precomputed set."""
+    import networkx as nx
+
     require_connected(graph, "connected dominating set")
     n = graph.number_of_nodes()
     ledger = CostLedger()

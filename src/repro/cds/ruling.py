@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
 from repro.errors import GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)

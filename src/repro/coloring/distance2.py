@@ -10,11 +10,9 @@ colors in ``O(Delta_L Delta_R + Delta_L log* n)`` rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
-import networkx as nx
 import numpy as np
-from scipy import sparse
 
 from repro.congest.cost import bek15_coloring_rounds
 from repro.congest.network import Network
@@ -22,6 +20,10 @@ from repro.domsets.covering import CoveringInstance
 from repro.errors import ColoringError
 from repro.graphs.powers import square_graph
 from repro.util.mathx import log_star
+
+if TYPE_CHECKING:
+    import networkx as nx
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,8 @@ def distance2_coloring(
     (the :func:`~repro.coloring.greedy.greedy_coloring` order) and checked
     for properness.
     """
+    from scipy import sparse
+
     network = graph if isinstance(graph, Network) else Network(graph)
     n = network.n
     nodes = np.arange(n)
@@ -98,6 +102,8 @@ def _first_fit(conflicts: sparse.csr_matrix, nodes: np.ndarray) -> Tuple[List[in
     :func:`~repro.coloring.greedy.greedy_coloring` order when rows ascend by
     id), checked for properness; returns the colors and the conflict count.
     ``nodes`` names the rows in the error message."""
+    from scipy import sparse
+
     # Row v of the strictly lower triangle: v's conflicts among the earlier
     # rows, which first-fit has colored before v.
     lower = sparse.tril(conflicts, k=-1, format="csr")

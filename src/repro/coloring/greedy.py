@@ -9,11 +9,12 @@ costs for the distributed version are charged separately, see
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Sequence
 
 from repro.errors import ColoringError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def greedy_coloring(

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.coloring.greedy import validate_coloring
 from repro.errors import ColoringError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _is_prime(n: int) -> bool:

@@ -12,11 +12,12 @@ round (nodes already know neighbor colors and announce changes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict
 
 from repro.coloring.greedy import validate_coloring
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,16 @@ paper for transmittable values).
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.normalize import require_normalized
 from repro.util.mathx import ceil_log2
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _as_long_array(values) -> array:
@@ -138,6 +140,8 @@ class Network:
         """The ``networkx`` view of the topology (rebuilt lazily after
         :meth:`from_csr`; the constructor argument otherwise)."""
         if self._graph is None:
+            import networkx as nx
+
             g = nx.Graph()
             g.add_nodes_from(range(self.n))
             indptr, indices = self._indptr, self._indices

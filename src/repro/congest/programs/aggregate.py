@@ -19,15 +19,16 @@ use vectors of width 1 or 2 (which is all the paper's algorithms need:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
 
 from repro.congest.engine import EngineSpec
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
 from repro.congest.simulator import SimulationResult, Simulator
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class TreeAggregationProgram(NodeProgram):

@@ -12,15 +12,16 @@ unreached nodes).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
 from repro.congest.engine import EngineSpec
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
 from repro.congest.simulator import SimulationResult, Simulator
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class BFSTreeProgram(NodeProgram):

@@ -12,9 +12,8 @@ Every message is a single color value (``O(log n)`` bits).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.congest.engine import (
@@ -30,6 +29,9 @@ from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
 from repro.congest.simulator import SimulationResult, Simulator
 from repro.errors import ColoringError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class ColorReductionProgram(NodeProgram):

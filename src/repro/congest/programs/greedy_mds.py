@@ -20,9 +20,8 @@ Each phase costs four CONGEST rounds:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.congest.engine import (
@@ -36,6 +35,9 @@ from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
 from repro.congest.simulator import SimulationResult, Simulator
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class DistributedGreedyProgram(NodeProgram):

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.congest.engine import (
@@ -55,6 +54,9 @@ from repro.congest.simulator import SimulationResult, Simulator
 from repro.derand.estimators import EstimatorConfig, PessimisticEstimator
 from repro.errors import CongestError
 from repro.util.transmittable import TransmittableGrid
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Lemma310Program(NodeProgram):

@@ -17,9 +17,8 @@ Values travel as grid numerators; one value per message.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.congest.engine import (
@@ -34,6 +33,9 @@ from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
 from repro.congest.simulator import SimulationResult, Simulator
 from repro.util.transmittable import TransmittableGrid
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class RoundingExecutionProgram(NodeProgram):

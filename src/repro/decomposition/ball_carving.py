@@ -21,9 +21,7 @@ charged separately.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.decomposition.cluster_graph import (
     Cluster,
@@ -32,6 +30,9 @@ from repro.decomposition.cluster_graph import (
 from repro.errors import DecompositionError
 from repro.graphs.normalize import require_normalized
 from repro.graphs.powers import nodes_within
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _grow_ball(graph: nx.Graph, center: int, available: Set[int]) -> Set[int]:

@@ -9,12 +9,13 @@ the graph into clusters colored so that same-color clusters are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, List
 
 from repro.errors import DecompositionError
 from repro.graphs.powers import nodes_within
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,8 @@ def _validate_tree(graph: nx.Graph, cluster: Cluster) -> None:
 
 def validate_decomposition(dec: NetworkDecomposition) -> None:
     """Check all Definition 3.1 / 3.2 invariants; raise on violation."""
+    import networkx as nx
+
     graph = dec.graph
     seen: Dict[int, int] = {}
     for cluster in dec.clusters:

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Mapping
 
 from repro.congest.cost import CostLedger
 from repro.congest.network import Network
@@ -35,6 +33,9 @@ from repro.rounding.abstract import RoundingScheme
 from repro.rounding.schemes import halving_probabilities, one_shot_scheme
 from repro.util.mathx import ceil_log2
 from repro.util.transmittable import TransmittableGrid
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Rounds per color class in the Lemma 3.10 loop: announce, alphas, decide.
 ROUNDS_PER_COLOR = 3

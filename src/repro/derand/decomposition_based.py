@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Mapping
 
 from repro.congest.cost import CostLedger, gk18_decomposition_rounds
 from repro.congest.network import Network
@@ -38,6 +36,9 @@ from repro.errors import DerandomizationError
 from repro.rounding.abstract import RoundingScheme
 from repro.rounding.schemes import factor_two_scheme, one_shot_scheme
 from repro.util.transmittable import TransmittableGrid
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass

@@ -10,12 +10,13 @@ case ``c == 1``; an integral FDS is a dominating set in the classical sense.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Set, Tuple
 
 from repro.errors import InfeasibleSolutionError
 from repro.graphs.normalize import require_normalized
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Numerical slack for feasibility checks on float values.
 FEASIBILITY_TOL = 1e-9

@@ -21,8 +21,8 @@ share the structure arrays, which are read-only.  ``value_vars``,
 access.
 
 Every sum that feeds a decision or an output adds left to right in member
-order, as a loop of ``+=`` would: :func:`row_sums` (scipy's CSR product adds
-each row in stored order) or :func:`ltr_sum` (``np.cumsum``), never
+order, as a loop of ``+=`` would: :func:`row_sums` (``np.bincount`` adds
+each weight in stored order) or :func:`ltr_sum` (``np.cumsum``), never
 ``.sum()``, which numpy computes pairwise.
 """
 
@@ -31,15 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
-from scipy import sparse
 
 from repro.congest.network import Network, closed_neighborhoods
 from repro.domsets.cfds import FEASIBILITY_TOL
 from repro.errors import InfeasibleSolutionError
+
+if TYPE_CHECKING:
+    import networkx as nx
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,12 @@ class Constraint:
 
 
 def row_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Each CSR row of ``data`` summed left to right from ``0.0`` (scipy's
-    CSR product adds each row in stored order)."""
-    matrix = sparse.csr_matrix((data, np.arange(len(data)), indptr),
-                               shape=(len(indptr) - 1, len(data)))
-    return matrix @ np.ones(len(data))
+    """Each CSR row of ``data`` summed left to right from ``0.0``
+    (``np.bincount`` adds every weight into its bin in stored order)."""
+    rows = len(indptr) - 1
+    owner = np.repeat(np.arange(rows), np.diff(indptr))
+    # An empty bincount is int64.
+    return np.bincount(owner, weights=data, minlength=rows).astype(np.float64, copy=False)
 
 
 def ltr_sum(values: np.ndarray) -> float:
@@ -211,6 +214,8 @@ class CoveringInstance:
 
     def incidence(self) -> sparse.csr_matrix:
         """Constraint-by-variable 0/1 matrix ``M`` in member order."""
+        from scipy import sparse
+
         return self._cached(
             "incidence",
             lambda: sparse.csr_matrix(

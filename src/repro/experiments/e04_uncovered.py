@@ -20,7 +20,7 @@ import random
 
 from repro.derand.conditional import ConditionalExpectationEngine
 from repro.derand.estimators import EstimatorConfig
-from repro.domsets.covering import CoveringInstance
+from repro.domsets.covering import CoveringInstance, ltr_sum
 from repro.experiments.harness import ExperimentReport
 from repro.fractional.raising import kmw06_initial_fds
 from repro.graphs.generators import gnp_graph, regular_graph
@@ -45,7 +45,7 @@ def _mc_uncovered(scheme, coin_factory, trials: int) -> float:
 
 def _estimator_mass(scheme, mode: str) -> float:
     engine = ConditionalExpectationEngine(scheme, EstimatorConfig(mode=mode))
-    return sum(engine.phi().tolist()) / max(
+    return ltr_sum(engine.phi()) / max(
         1, scheme.instance.num_constraints
     )
 

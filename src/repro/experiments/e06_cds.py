@@ -9,8 +9,6 @@ constant of), (b) exact ``OPT_CDS`` on instances small enough to solve, and
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.analysis.bounds import theorem14_cds_bound
 from repro.analysis.verify import is_connected_dominating_set
 from repro.baselines.exact import exact_cds
@@ -25,6 +23,8 @@ COLUMNS = [
 
 
 def run(fast: bool = True, eps: float = 0.5) -> ExperimentReport:
+    import networkx as nx
+
     report = ExperimentReport(
         experiment="E6",
         claim="Theorem 1.4: O(ln Delta)-approx connected dominating set",

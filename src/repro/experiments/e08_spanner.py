@@ -14,8 +14,6 @@ import math
 import random
 import statistics
 
-import networkx as nx
-
 from repro.experiments.harness import ExperimentReport, standard_suite
 from repro.spanner.baswana_sen import (
     baswana_sen_spanner,
@@ -31,6 +29,8 @@ COLUMNS = [
 
 
 def run(fast: bool = True, seeds: int = 3) -> ExperimentReport:
+    import networkx as nx
+
     report = ExperimentReport(
         experiment="E8",
         claim="Spanner: O(n log^2 n) edges, connected, derandomized ~ randomized",

@@ -13,8 +13,6 @@ greedy phases' four-step cycle — that totals alone hide.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.analysis.verify import is_dominating_set
 from repro.coloring.greedy import validate_coloring
 from repro.congest.network import Network, congest_bit_budget
@@ -41,6 +39,8 @@ COLUMNS = [
 
 
 def run(fast: bool = True) -> ExperimentReport:
+    import networkx as nx
+
     report = ExperimentReport(
         experiment="E10",
         claim="CONGEST honesty: measured rounds and <= O(log n)-bit messages",

@@ -33,14 +33,17 @@ sum is bit-for-bit the loop's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-import networkx as nx
 import numpy as np
 
 from repro.congest.network import Network, closed_neighborhoods
+from repro.domsets.covering import ltr_sum
 from repro.errors import GraphError
 from repro.graphs.normalize import require_normalized
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,7 @@ def distributed_fractional_mds(
     values = x.tolist()
     return DistributedLPResult(
         values=dict(enumerate(values)),
-        size=sum(values),
+        size=ltr_sum(x),
         rounds=rounds,
         iterations=iterations,
         threshold_trace=trace,

@@ -11,15 +11,16 @@ also available for small instances via :mod:`repro.baselines.exact`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import networkx as nx
 import numpy as np
-from scipy import sparse
 
 from repro.congest.network import Network
 from repro.domsets.covering import CoveringInstance
 from repro.errors import LPError, LPInfeasibleError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: HiGHS status codes as ``linprog`` and ``milp`` report them.  Infeasibility
 #: is a fact about the instance and gets its own error type; everything else
@@ -52,6 +53,7 @@ def solve_covering_lp(instance: CoveringInstance) -> LPSolution:
     id.  An instance without variables is solved here: optimum 0 unless a
     demand is positive, which makes it infeasible.
     """
+    from scipy import sparse
     from scipy.optimize import linprog
 
     if instance.num_vars == 0:

@@ -11,9 +11,8 @@ Section 3.4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import TYPE_CHECKING, Dict, Mapping
 
-import networkx as nx
 import numpy as np
 
 from repro.congest.cost import CostLedger, kmw06_lp_rounds
@@ -23,6 +22,9 @@ from repro.domsets.covering import ltr_sum, row_sums
 from repro.errors import GraphError, InfeasibleSolutionError
 from repro.fractional.distributed import distributed_fractional_mds
 from repro.fractional.lp import lp_fractional_mds
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def repair_feasibility(
@@ -110,7 +112,7 @@ def kmw06_initial_fds(
     if provider == "lp":
         solution = lp_fractional_mds(network)
         values = solution.values
-        provider_size = sum(values.values())
+        provider_size = ltr_sum(np.fromiter(values.values(), float, len(values)))
         ledger.charge("kmw06-lp", kmw06_lp_rounds(delta_tilde - 1, eps))
     elif provider == "distributed":
         result = distributed_fractional_mds(

@@ -9,7 +9,7 @@ and take an explicit ``seed`` so experiments are reproducible.
 
 G(n, p) is generated as arrays (:func:`gnp_arrays`, an :class:`EdgeArrays`):
 networkx's ``random()`` draws replayed in numpy, the connectivity patch
-from ``scipy.sparse.csgraph`` component labels, ``normalize_graph``'s
+from numpy component labels (:func:`_component_roots`), ``normalize_graph``'s
 relabelling as one rank array, and the sorted adjacency (CSR) by one sort.
 The arrays equal those of the networkx route, and :func:`gnp_graph` builds
 the same graph from them, down to adjacency order.
@@ -20,18 +20,22 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.normalize import normalize_graph, repr_rank
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 def _ensure_connected(graph: nx.Graph, rng: random.Random) -> nx.Graph:
     """Connect components by linking a random node of each component to the
     largest component (adds the minimum number of edges)."""
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return graph
     components = sorted(nx.connected_components(graph), key=len, reverse=True)
@@ -102,6 +106,8 @@ class EdgeArrays:
     def graph(self) -> nx.Graph:
         """The networkx graph, equal to the networkx route's down to
         adjacency order (nodes ``0..n-1`` first, then the edges in order)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n))
         graph.add_edges_from(zip(self.u.tolist(), self.v.tolist()))
@@ -131,6 +137,28 @@ def _gnp_pairs(n: int, p: float, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     return u, flat - offsets[u] + u + 1
 
 
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest node of every node's component in the graph on
+    ``0..n-1`` with edges ``(u, v)``.
+
+    Min-label hooking with pointer jumping: each round, every edge between
+    two trees hooks the larger root under the smaller, and every node then
+    jumps to its root.  Pointers only decrease, so a component's smallest
+    node stays its root.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            return root
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+
+
 def _connect(
     n: int, u: np.ndarray, v: np.ndarray, rng: random.Random
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -145,15 +173,13 @@ def _connect(
     drawn edges in pair order followed by the links, that is a stable sort
     by smaller endpoint.
     """
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
-    adjacency = coo_array((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n))
-    count, labels = connected_components(adjacency, directed=False)
+    root = _component_roots(n, u, v)
+    smallest = np.flatnonzero(root == np.arange(n))
+    count = len(smallest)
     if count == 1:
         return u, v
+    labels = np.searchsorted(smallest, root)
     sizes = np.bincount(labels, minlength=count)
-    _, smallest = np.unique(labels, return_index=True)
     order = np.lexsort((smallest, -sizes))
     members = np.argsort(labels, kind="stable")
     starts = np.concatenate([[0], np.cumsum(sizes)])
@@ -204,6 +230,8 @@ def geometric_graph(
     ``radius`` defaults to the connectivity threshold
     ``sqrt(2 * ln(n) / (pi * n))`` so average degree stays ~logarithmic.
     """
+    import networkx as nx
+
     if n <= 0:
         raise GraphError("n must be positive")
     if radius is None:
@@ -217,6 +245,8 @@ def geometric_graph(
 
 def preferential_attachment_graph(n: int, m: int = 2, seed: int = 0) -> nx.Graph:
     """Barabasi-Albert preferential attachment: heavy-tailed degrees."""
+    import networkx as nx
+
     if n <= m:
         raise GraphError("n must exceed m")
     return normalize_graph(nx.barabasi_albert_graph(n, m, seed=seed))
@@ -224,16 +254,22 @@ def preferential_attachment_graph(n: int, m: int = 2, seed: int = 0) -> nx.Graph
 
 def grid_graph(rows: int, cols: int) -> nx.Graph:
     """2D grid: the bounded-degree, large-diameter extreme."""
+    import networkx as nx
+
     return normalize_graph(nx.grid_2d_graph(rows, cols))
 
 
 def ring_graph(n: int) -> nx.Graph:
     """Cycle on ``n`` nodes."""
+    import networkx as nx
+
     return normalize_graph(nx.cycle_graph(n))
 
 
 def random_tree(n: int, seed: int = 0) -> nx.Graph:
     """Uniform random labelled tree (Pruefer sequence)."""
+    import networkx as nx
+
     if n <= 0:
         raise GraphError("n must be positive")
     if n <= 2:
@@ -248,6 +284,8 @@ def caterpillar_graph(spine: int, legs_per_node: int = 2) -> nx.Graph:
 
     Its MDS is essentially the spine, a classic adversarial shape for greedy.
     """
+    import networkx as nx
+
     graph = nx.path_graph(spine)
     next_id = spine
     for v in range(spine):
@@ -259,6 +297,8 @@ def caterpillar_graph(spine: int, legs_per_node: int = 2) -> nx.Graph:
 
 def regular_graph(n: int, d: int, seed: int = 0) -> nx.Graph:
     """Random ``d``-regular graph."""
+    import networkx as nx
+
     if not 0 <= d < n:
         raise GraphError("a d-regular graph needs 0 <= d < n")
     if (n * d) % 2 != 0:
@@ -268,17 +308,23 @@ def regular_graph(n: int, d: int, seed: int = 0) -> nx.Graph:
 
 def star_graph(n: int) -> nx.Graph:
     """Star with ``n`` leaves: MDS is a single node, Delta = n."""
+    import networkx as nx
+
     return normalize_graph(nx.star_graph(n))
 
 
 def clique_graph(n: int) -> nx.Graph:
     """Complete graph: MDS is a single node, maximal density."""
+    import networkx as nx
+
     return normalize_graph(nx.complete_graph(n))
 
 
 def dumbbell_graph(clique_size: int, path_length: int) -> nx.Graph:
     """Two cliques joined by a path: dense ends, sparse middle, a shape where
     the domination need is heterogeneous (good crossover probe)."""
+    import networkx as nx
+
     graph = nx.complete_graph(clique_size)
     offset = clique_size
     other = nx.complete_graph(clique_size)

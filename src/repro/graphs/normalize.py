@@ -21,12 +21,14 @@ index array.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _rank_key(label: Hashable) -> Tuple[str, str]:
@@ -58,6 +60,8 @@ def normalize_graph(graph: nx.Graph) -> nx.Graph:
     Self-loops are dropped (a self-loop is meaningless for domination since
     neighborhoods are inclusive anyway); multi-edges collapse.
     """
+    import networkx as nx
+
     if graph.is_directed():
         raise GraphError("directed graphs are not supported")
     simple = nx.Graph()

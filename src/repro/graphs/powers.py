@@ -9,11 +9,12 @@ Section 4.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Set
 
 from repro.errors import GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def ball(
@@ -45,6 +46,8 @@ def graph_power(graph: nx.Graph, k: int) -> nx.Graph:
     Runs a depth-``k`` BFS from every node; ``O(n * m_k)`` where ``m_k`` is
     the ball size, fine at simulation scale.
     """
+    import networkx as nx
+
     if k < 1:
         raise GraphError("power k must be >= 1")
     power = nx.Graph()

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.errors import GraphError
 from repro.graphs import generators
 from repro.graphs.generators import EdgeArrays
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)

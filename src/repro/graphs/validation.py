@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,8 @@ def require_connected(graph: nx.Graph, what: str = "algorithm") -> None:
 
     The CDS problem (Section 4) is only well posed on connected graphs.
     """
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         raise GraphError(f"{what} requires a non-empty graph")
     if not nx.is_connected(graph):

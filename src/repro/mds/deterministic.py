@@ -15,9 +15,7 @@ verifies domination and the per-step estimator budgets.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict
 
 from repro.congest.network import Network
 from repro.decomposition.ball_carving import carve_decomposition
@@ -32,6 +30,9 @@ from repro.derand.decomposition_based import (
 )
 from repro.derand.estimators import EstimatorConfig
 from repro.mds.pipeline import MDSResult, PipelineParams, run_pipeline
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def approx_mds_coloring(

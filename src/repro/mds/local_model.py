@@ -17,9 +17,7 @@ steps; only the ledger differs, exactly how the paper states the corollary.
 from __future__ import annotations
 
 import math
-from typing import Dict
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict
 
 from repro.congest.network import Network
 from repro.derand.coloring_based import (
@@ -29,6 +27,9 @@ from repro.derand.coloring_based import (
 from repro.derand.estimators import EstimatorConfig
 from repro.mds.pipeline import MDSResult, PipelineParams, run_pipeline
 from repro.util.mathx import log_star
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def approx_mds_local(

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Set
 
-import networkx as nx
 import numpy as np
 
 from repro.analysis.bounds import theorem11_approximation_bound
@@ -32,6 +31,9 @@ from repro.congest.network import Network, as_network
 from repro.domsets.cfds import CFDS, fractionality_of
 from repro.errors import GraphError
 from repro.fractional.raising import kmw06_initial_fds
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.analysis.verify import require_dominating_set
 from repro.congest.cost import CostLedger
@@ -25,6 +24,9 @@ from repro.mds.pipeline import MDSResult, PipelineParams, StageTrace
 from repro.rounding.abstract import execute_rounding
 from repro.rounding.coins import independent_coins, kwise_coins
 from repro.rounding.schemes import factor_two_scheme, one_shot_scheme
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def approx_mds_randomized(

@@ -32,9 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, Optional, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.analysis.verify import require_dominating_set
 from repro.baselines.exact import exact_mds
@@ -48,6 +46,9 @@ from repro.errors import (
 from repro.fractional.lp import solve_covering_lp
 from repro.oracle.cache import oracle_cache
 from repro.oracle.ilp import solve_mds_ilp
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Oracle modes ``certify`` accepts.
 ORACLE_MODES = ("auto", "exact", "ilp", "lp")

@@ -19,17 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import FrozenSet, Optional
+from typing import TYPE_CHECKING, FrozenSet, Optional
 
-import networkx as nx
 import numpy as np
-from scipy import sparse
 
 from repro.analysis.verify import require_dominating_set
 from repro.congest.network import closed_neighborhoods
 from repro.errors import LPError
 from repro.fractional.lp import HIGHS_STATUS
 from repro.graphs.normalize import require_normalized
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,7 @@ def solve_mds_ilp(graph: nx.Graph, time_limit_s: float = 10.0) -> ILPSolution:
             mip_gap=0.0,
             solve_wall_s=0.0,
         )
+    from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     # Closed neighbourhoods are symmetric, so their CSR rows are the CSC

@@ -140,10 +140,11 @@ def expected_output_size(
     the probability that the constraint is violated after phase one.
     """
     a = scheme.instance.size()
-    penalty = sum(
-        scheme.instance.constraints[cid].join_weight * pr
-        for cid, pr in uncovered_probabilities.items()
-    )
+    constraints = scheme.instance.constraints
+    penalty = ltr_sum(np.fromiter(
+        (constraints[cid].join_weight * pr for cid, pr in uncovered_probabilities.items()),
+        float, len(uncovered_probabilities),
+    ))
     return a + penalty
 
 

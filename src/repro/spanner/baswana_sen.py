@@ -33,12 +33,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Dict, List, Set, Tuple
 
 from repro.errors import GraphError
 from repro.util.mathx import ceil_log2
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: A sampler maps (phase, cluster ids, cluster adjacency info) -> sampled ids.
 Sampler = Callable[[int, List[int], "PhaseView"], Set[int]]
@@ -258,6 +259,8 @@ def spanner_subgraph(graph: nx.Graph, result: SpannerResult) -> nx.Graph:
     Spanner edges are edges of ``graph``; every node appears even if
     isolated in the spanner (singleton clusters that merged immediately).
     """
+    import networkx as nx
+
     sub = nx.Graph()
     sub.add_nodes_from(graph.nodes())
     for u, v in result.edges:

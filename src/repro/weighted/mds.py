@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping, Set
 
 from repro.analysis.verify import require_dominating_set
 from repro.coloring.distance2 import bipartite_distance2_coloring
@@ -22,6 +20,9 @@ from repro.fractional.lp import solve_covering_lp
 from repro.fractional.raising import repair_feasibility
 from repro.rounding.schemes import one_shot_scheme
 from repro.util.transmittable import TransmittableGrid
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass

@@ -1,6 +1,9 @@
-"""Shared fixtures: small deterministic graphs used across the suite."""
+"""Shared fixtures: small deterministic graphs used across the suite, and a
+shared-memory leak check."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -17,6 +20,19 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.graphs.normalize import normalize_graph
+
+SHM = Path("/dev/shm")
+
+
+@pytest.fixture
+def no_shared_memory_leak():
+    """No ``/dev/shm/psm_*`` segment created during the test survives it."""
+    if not SHM.is_dir():
+        pytest.skip("no /dev/shm to inspect")
+    before = set(SHM.glob("psm_*"))
+    yield
+    leaked = sorted(path.name for path in set(SHM.glob("psm_*")) - before)
+    assert not leaked, leaked
 
 
 @pytest.fixture

@@ -37,6 +37,27 @@ def loop_sum(values: Iterable[float]) -> float:
     return total
 
 
+def neumaier_sum(values: Iterable[float], start=0):
+    """Python 3.12's builtin ``sum()``, for binding in place of ``sum`` on
+    older versions: ints add exactly, and once the total is a float, every
+    term adds with Neumaier's compensation."""
+    total, compensation = start, 0.0
+    for value in values:
+        if not isinstance(total, float):
+            total = total + value
+            continue
+        value = float(value)
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
 class RefInstance:
     """The object ``CoveringInstance``."""
 

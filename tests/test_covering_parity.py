@@ -10,6 +10,7 @@ model returns, as recorded before the arrays replaced the objects.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 import random
@@ -27,13 +28,13 @@ from repro.derand.conditional import ConditionalExpectationEngine
 from repro.derand.estimators import EstimatorConfig
 from repro.domsets.covering import Constraint, CoveringInstance, ValueVar, row_sums
 from repro.errors import ReproError
-from repro.fractional.raising import repair_feasibility
+from repro.fractional.raising import kmw06_initial_fds, repair_feasibility
 from repro.graphs.generators import gnp_graph
 from repro.graphs.normalize import normalize_graph
 from repro.graphs.suite import families, suite_instance
 from repro.mds.deterministic import approx_mds_coloring, approx_mds_decomposition
 from repro.mds.pipeline import PipelineParams
-from repro.rounding.abstract import RoundingScheme
+from repro.rounding.abstract import RoundingScheme, expected_output_size
 from repro.rounding.schemes import halving_probabilities, one_shot_scheme
 from repro.setcover.instance import SetCoverInstance
 from repro.setcover.solve import approx_min_set_cover
@@ -44,6 +45,7 @@ from tests.covering_reference import (
     RefInstance,
     RefScheme,
     loop_sum,
+    neumaier_sum,
     ref_bipartite_coloring,
     ref_factor_two_p,
     ref_one_shot_scheme,
@@ -200,6 +202,30 @@ def test_row_sums_add_left_to_right(rows, long_row):
     indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int64)
     data = np.array([x for r in rows for x in r], dtype=float)
     assert row_sums(indptr, data).tolist() == [loop_sum(r) + 0.0 for r in rows]
+
+
+EDGE_FLOATS = st.one_of(
+    st.floats(-1e20, 1e20),
+    st.sampled_from([0.0, -0.0, 1e-20, -1e-20, 1e20, -1e20, math.inf, -math.inf]),
+)
+
+
+@PARITY
+@given(st.lists(st.lists(EDGE_FLOATS, max_size=8), max_size=40))
+def test_row_sums_match_the_scipy_product(rows):
+    """``row_sums`` is, bit for bit, the scipy CSR product with a ones
+    vector that it replaced: signed zeros, infinities, huge and tiny terms
+    and empty rows included."""
+    from scipy import sparse
+
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int64)
+    data = np.array([x for r in rows for x in r], dtype=float)
+    matrix = sparse.csr_matrix((data, np.arange(len(data)), indptr),
+                               shape=(len(rows), len(data)))
+    want = matrix @ np.ones(len(data))
+    got = row_sums(indptr, data)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 class TestTransformParity:
@@ -415,3 +441,52 @@ class TestPinnedRoutes:
         for key, want in pinned.items():
             assert got[key]["sha256"] == want["sha256"], key
             assert got[key]["trace"] == pytest.approx(want["trace"], rel=1e-12, abs=0.0), key
+
+
+# -- reported sums ------------------------------------------------------------
+
+
+def _suite_schemes():
+    for family in families():
+        graph = _suite_graph(family, PINNED_SIZES[0])
+        x = {v: 1.0 / (d + 1) for v, d in graph.degree()}
+        delta_tilde = max(d for _, d in graph.degree()) + 1
+        yield one_shot_scheme(CoveringInstance.from_graph(graph, x), delta_tilde)
+
+
+def _expected_sizes():
+    sizes = []
+    for scheme in _suite_schemes():
+        phi = ConditionalExpectationEngine(scheme, EstimatorConfig()).phi()
+        sizes.append(expected_output_size(scheme, dict(zip(scheme.instance.cids.tolist(), phi))))
+    return sizes
+
+
+def _estimator_masses():
+    from repro.experiments.e04_uncovered import _estimator_mass
+
+    return [_estimator_mass(scheme, "exact-product") for scheme in _suite_schemes()]
+
+
+def _provider_sizes(provider: str):
+    return [kmw06_initial_fds(_suite_graph(family, n), 0.5, provider=provider).provider_size
+            for family in families() for n in PINNED_SIZES]
+
+
+#: Figures that each module once added with builtin ``sum()``.
+SUM_SITES = {
+    "repro.fractional.raising": lambda: _provider_sizes("lp"),
+    "repro.fractional.distributed": lambda: _provider_sizes("distributed"),
+    "repro.rounding.abstract": _expected_sizes,
+    "repro.experiments.e04_uncovered": _estimator_masses,
+}
+
+
+@pytest.mark.parametrize("module", sorted(SUM_SITES))
+def test_reported_sums_ignore_builtin_sum(module, monkeypatch):
+    """With Python 3.12's compensated ``sum()`` bound to the module's
+    ``sum``, its figures repeat bit for bit: they add left to right on
+    every Python version."""
+    want = SUM_SITES[module]()
+    monkeypatch.setattr(importlib.import_module(module), "sum", neumaier_sum, raising=False)
+    assert SUM_SITES[module]() == want

@@ -18,7 +18,6 @@ remainder is re-dispatched.  Timing-free, so it cannot flake.
 """
 
 import time
-from pathlib import Path
 
 import pytest
 
@@ -29,20 +28,6 @@ from repro.experiments.runner import (
     iter_grid_records,
     run_grid_records,
 )
-
-
-SHM = Path("/dev/shm")
-
-
-@pytest.fixture()
-def no_shared_memory_leak():
-    """No ``/dev/shm/psm_*`` segment created during the test survives it."""
-    if not SHM.is_dir():
-        pytest.skip("no /dev/shm to inspect")
-    before = set(SHM.glob("psm_*"))
-    yield
-    leaked = sorted(path.name for path in set(SHM.glob("psm_*")) - before)
-    assert not leaked, leaked
 
 
 def _sweep_cells(sizes=(20, 30), seeds=(0, 1, 2), family="gnp"):

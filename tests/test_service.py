@@ -405,6 +405,7 @@ class TestFairnessAndBackpressure:
             svc.stop(drain=False)
 
 
+@pytest.mark.usefixtures("no_shared_memory_leak")
 class TestDisconnect:
     def test_mid_window_cancel_skips_delivery_but_serves_siblings(self, service):
         cells_a = _cells((20, 30), (0,))
@@ -541,6 +542,7 @@ class TestServerProtocol:
         probe = encode_frame({"type": "stats", "id": "probe"})
         assert _raw_exchange(server.port, probe)[0]["type"] == "stats"
 
+    @pytest.mark.usefixtures("no_shared_memory_leak")
     def test_client_disconnect_mid_window_leaves_siblings_served(self, server):
         """A tenant dropping its socket after submitting must not disturb
         the window its cells were admitted to."""
