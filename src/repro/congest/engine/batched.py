@@ -32,18 +32,10 @@ loop is the only one on the message plane: a solo ``vector``-engine run
   and ``tests/test_stacked_fuzz.py`` compare against ``fast``, which
   ``tests/test_engine_parity.py`` pins to ``reference``).
 
-Every instance joins the plane at round 1; there is no other takeover
-round.  The kernel is built in one of two ways:
-
-* through the kernel's ``stacked_setup``, straight from the inputs, with
-  no program or context objects at all (batched entry points only);
-* otherwise through the **lockstep object boot**: every instance builds
-  its programs and contexts (local ids, so every message field, bit
-  length and packed comparison key is identical to a solo run) and runs
-  ``setup``, each hands over the broadcast it queued, and the kernel is
-  constructed from the union state.  Every instance's handover must be
-  one full broadcast with a declared tag, and the sending instances must
-  share one tag.
+Every instance joins the plane at round 1, through the kernel's
+``stacked_setup``: the kernel state and the round-1 traffic come straight
+from the instances' inputs, with no program or context objects and no
+``setup`` call, and every node boots live.  A solo run boots the same way.
 
 Eligibility is deliberately narrow and fails loudly
 (:class:`~repro.errors.BatchEligibilityError`) so callers can fall back to
@@ -51,12 +43,10 @@ per-cell execution:
 
 * the program class declares :attr:`NodeProgram.message_specs` and has a
   registered kernel;
-* the kernel's ``eligible`` gate accepts every instance's inputs;
-* at an object boot, every handover conforms and the group shares a tag.
+* the kernel's ``eligible`` gate accepts every instance's inputs.
 
 A solo run does not raise in these cases: :class:`VectorEngine` runs a
-declined instance on ``FastEngine``, and one whose round-1 traffic does
-not conform on ``FastEngine``'s loop from its post-setup state.
+declined instance on ``FastEngine``.
 
 Node counts, bit budgets and round limits are all per-instance — mixed
 sizes (and hence the size-derived CONGEST budgets) stack fine.  Instances
@@ -70,22 +60,12 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from typing import (
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.congest.engine.base import SimulationResult
-from repro.congest.engine.fast import FastEngine
 from repro.congest.engine.vector import (
-    MessageSpec,
     PendingBroadcast,
     PendingTargeted,
     VectorKernel,
@@ -93,7 +73,6 @@ from repro.congest.engine.vector import (
     pending_parts,
 )
 from repro.congest.network import Network
-from repro.congest.node import Context, NodeProgram
 from repro.errors import (
     BatchEligibilityError,
     GraphError,
@@ -273,63 +252,13 @@ def stack_ineligibility(program_cls: type) -> Optional[str]:
 
     This is the *static* half of eligibility (specs declared, kernel
     registered); :func:`iter_stacked` additionally checks the kernel's
-    ``eligible`` gate per instance, and an object boot the handovers, at
-    run time.
+    ``eligible`` gate per instance at run time.
     """
     if not getattr(program_cls, "message_specs", ()):
         return f"{program_cls.__name__} declares no message_specs"
     if kernel_for(program_cls) is None:
         return f"{program_cls.__name__} has no registered vector kernel"
     return None
-
-
-def _collect_handover(
-    contexts: Mapping[int, Context],
-    specs: Sequence[MessageSpec],
-    n: int,
-) -> Optional[PendingBroadcast]:
-    """Drain one instance's round-1 outboxes into a :class:`PendingBroadcast`.
-
-    Returns the pending traffic (possibly with an all-false mask), or
-    ``None`` when any queued outbox is not a full single-message broadcast
-    with a declared tag — partial sends, per-neighbor messages and unknown
-    tags all disqualify the round, in which case no outbox is touched.
-    """
-    spec_by_tag = {spec.tag: spec for spec in specs}
-    senders: List[tuple] = []
-    spec: Optional[MessageSpec] = None
-    for v in range(n):
-        ctx = contexts[v]
-        out = ctx._outbox
-        if not out:
-            continue
-        if len(out) != ctx.degree:
-            return None
-        messages = iter(out.values())
-        first = next(messages)
-        for msg in messages:
-            if msg is not first and msg != first:
-                return None
-        if spec is None:
-            spec = spec_by_tag.get(first.tag)
-            if spec is None or len(first.fields) != spec.arity:
-                return None
-        elif first.tag != spec.tag or len(first.fields) != spec.arity:
-            return None
-        senders.append((v, ctx, first))
-
-    mask = np.zeros(n, dtype=bool)
-    if spec is None:
-        spec = specs[0]  # silent handover round: any spec will do
-    columns = tuple(np.zeros(n, dtype=np.int64) for _ in range(spec.arity))
-    bits = np.zeros(n, dtype=np.int64)
-    for v, ctx, msg in senders:
-        ctx._outbox = {}
-        mask[v] = True
-        for i, field in enumerate(msg.fields):
-            columns[i][v] = field
-        bits[v] = msg.bits
-    return PendingBroadcast(spec, mask, columns, bits)
 
 
 def _accumulate_round(
@@ -459,76 +388,6 @@ def _targeted_ledger(plane, part, charged, budgets):
     )
 
 
-def _instantiate(
-    net: Network,
-    program_factory: type,
-    node_inputs: Mapping[int, object],
-) -> Tuple[dict, dict]:
-    """One instance's programs and contexts (*local* ids), set up."""
-    programs = {v: program_factory(node_inputs.get(v)) for v in range(net.n)}
-    contexts = {v: Context(v, net.neighbors(v), net.n) for v in range(net.n)}
-    FastEngine.setup(net, programs, contexts)
-    return programs, contexts
-
-
-def _object_boot(
-    plane: StackedPlane,
-    kernel_cls: type,
-    built: Sequence[Tuple[Mapping[int, NodeProgram], Mapping[int, Context]]],
-):
-    """The lockstep boot of instances whose ``setup`` has run.
-
-    ``built`` holds each instance's programs and contexts (local ids).
-    Returns ``(kernel, pending)``, or ``None`` when an instance's round-1
-    handover is not one conforming broadcast (its outboxes untouched).
-    """
-    specs = kernel_cls.program_class.message_specs
-    handovers = []
-    for k, (_, contexts) in enumerate(built):
-        handover = _collect_handover(contexts, specs, int(plane.local_ns[k]))
-        if handover is None:
-            return None
-        handovers.append(handover)
-    pending = _boot_merge(plane, handovers)
-    # The kernel reads every instance's state at once, by global id.
-    kernel = kernel_cls(
-        plane,
-        [box[v] for box, _ in built for v in range(len(box))],
-        [box[v] for _, box in built for v in range(len(box))],
-    )
-    return kernel, pending
-
-
-def _boot_merge(
-    plane: StackedPlane, handovers: Sequence[PendingBroadcast]
-) -> Optional[PendingBroadcast]:
-    """Scatter the instances' round-1 handovers into one plane broadcast.
-
-    Each handover covers its instance's local ids and lands at the
-    instance's node-offset slice.  Silent instances join any tag; the
-    sending ones must share one (:class:`BatchEligibilityError`
-    otherwise).  ``None`` when no instance sends.
-    """
-    sending = [(k, h) for k, h in enumerate(handovers) if h.mask.any()]
-    if not sending:
-        return None
-    tags = sorted({h.spec.tag for _, h in sending})
-    if len(tags) > 1:
-        raise BatchEligibilityError(f"instances handed over mixed tags: {tags}")
-    spec = sending[0][1].spec
-    mask = np.zeros(plane.n, dtype=bool)
-    columns = tuple(np.zeros(plane.n, dtype=np.int64) for _ in range(spec.arity))
-    bits = np.zeros(plane.n, dtype=np.int64)
-    offsets = plane.node_offsets.tolist()
-    for k, handover in sending:
-        lo, hi = offsets[k], offsets[k + 1]
-        mask[lo:hi] = handover.mask
-        bits[lo:hi] = handover.bits
-        for column, part in zip(columns, handover.columns):
-            column[lo:hi] = part
-    return PendingBroadcast(spec, mask, columns, bits)
-
-
 def _round_limits(
     max_rounds: Union[int, Sequence[int]], k_count: int
 ) -> List[int]:
@@ -547,7 +406,6 @@ def _rounds(
     plane: StackedPlane,
     networks: Sequence[Network],
     limits: Sequence[int],
-    contexts: Optional[Sequence[Mapping[int, Context]]],
     kernel: VectorKernel,
     pending,
 ) -> Iterator[Tuple[int, SimulationResult]]:
@@ -555,16 +413,15 @@ def _rounds(
 
     Every tick follows the solo loops' order.  An instance over its round
     limit raises before the tick's traffic is charged.  The traffic is
-    charged against each instance's budget; at the boot tick, an instance
-    with no live node then finishes without executing a round.  Otherwise
-    the round executes, and an instance whose nodes all halted in it
-    finishes, its queued traffic discarded uncharged.
+    charged against each instance's budget, then the round executes, and
+    an instance whose nodes all halted in it finishes, its queued traffic
+    discarded uncharged.  Every node boots live, so no instance finishes
+    before its first round.
 
     The ledger is per-instance: one history row per executed round for
     messages, bits and the largest message.  Instances finish in monotone
     order, so each unfinished instance has executed every round so far:
-    the history *is* its per-round series.  ``contexts`` holds each
-    instance's contexts (local ids), ``None`` after a vectorized boot.
+    the history *is* its per-round series.
     """
     budgets = np.array(
         [_NO_BUDGET if net.bit_budget is None else net.bit_budget
@@ -581,47 +438,26 @@ def _rounds(
     hist_max: List[np.ndarray] = []
     #: Kernel nodes only ever halt, so an instance's finish shows as a
     #: change of the plane's live count; the per-instance reduction waits
-    #: for one.  A fully live plane has no empty instance.
+    #: for one.
     live_count = plane.n
     rounds = 0
 
-    def finished(count: int) -> List[int]:
-        """Unfinished instances with no live node left, ascending."""
-        nonlocal live_count
-        if count == live_count:
-            return []
-        live_count = count
-        alive = plane.live_per_instance(kernel.live)
-        return [k for k in np.flatnonzero(alive == 0).tolist() if k in open_limits]
-
-    def finish(k: int, dropped_bits, dropped_max) -> Tuple[int, SimulationResult]:
-        """Snapshot instance ``k``'s solo-equivalent result.
-
-        ``dropped_*`` charge the traffic of a tick the instance did not
-        execute (it had no live node at that tick's start).
-        """
+    def finish(k: int) -> Tuple[int, SimulationResult]:
+        """Snapshot instance ``k``'s solo-equivalent result."""
         nonlocal next_limit
         lo, hi = offsets[k], offsets[k + 1]
         charged[lo:hi] = False
         del open_limits[k]
         next_limit = min(open_limits.values(), default=0)
-        if contexts:
-            outputs = {v: dict(c._outputs) for v, c in contexts[k].items()}
-        else:
-            outputs = {v: {} for v in range(hi - lo)}
         kernel_output = kernel._outputs.get
-        for v, values in outputs.items():
-            extra = kernel_output(lo + v)
-            if extra:
-                values.update(extra)
+        outputs = {v: dict(kernel_output(lo + v, ())) for v in range(hi - lo)}
         messages = [int(row[k]) for row in hist_msgs]
         bits = [int(row[k]) for row in hist_bits]
-        largest = max((int(row[k]) for row in hist_max), default=0)
         return k, SimulationResult(
             rounds=rounds,
             total_messages=sum(messages),
-            total_bits=sum(bits) + int(dropped_bits),
-            max_message_bits=max(largest, int(dropped_max)),
+            total_bits=sum(bits),
+            max_message_bits=max((int(row[k]) for row in hist_max), default=0),
             outputs=outputs,
             all_halted=True,
             messages_per_round=messages,
@@ -636,21 +472,19 @@ def _rounds(
         msgs_k, bits_k, max_k = _accumulate_round(
             plane, pending, charged, budgets
         )
-        if not rounds:
-            # Boot tick: an instance whose every node halted in ``setup``
-            # has its handover charged but executes no round.
-            for k in finished(np.count_nonzero(kernel.live)):
-                yield finish(k, bits_k[k], max_k[k])
-            if not open_limits:
-                return
-
         hist_msgs.append(msgs_k)
         hist_bits.append(bits_k)
         hist_max.append(max_k)
         rounds += 1
         pending = kernel.step(rounds, pending)
-        for k in finished(np.count_nonzero(kernel.live)):
-            yield finish(k, 0, 0)
+        count = np.count_nonzero(kernel.live)
+        if count == live_count:
+            continue
+        live_count = count
+        alive = plane.live_per_instance(kernel.live)
+        for k in np.flatnonzero(alive == 0).tolist():
+            if k in open_limits:
+                yield finish(k)
         if not open_limits:
             return
 
@@ -670,25 +504,8 @@ def _iter_stacked(
                 f"{kernel_cls.__name__} declined an instance of the group"
             )
     plane = StackedPlane(networks)
-    if kernel_cls.stacked_setup is not None:
-        # Vectorized boot: no per-node program or context objects at all —
-        # the kernel initializes its planes and the round-1 broadcast
-        # directly from the instance inputs.  This is where batched sweeps
-        # stop paying O(total nodes) Python object construction.
-        kernel, pending = kernel_cls.stacked_setup(plane, inputs)
-        yield from _rounds(plane, networks, limits, None, kernel, pending)
-        return
-    built = [
-        _instantiate(net, program_factory, node_inputs)
-        for net, node_inputs in zip(networks, inputs)
-    ]
-    boot = _object_boot(plane, kernel_cls, built)
-    if boot is None:
-        raise BatchEligibilityError(
-            "an instance's round-1 traffic is not one conforming broadcast"
-        )
-    contexts = [box for _, box in built]
-    yield from _rounds(plane, networks, limits, contexts, *boot)
+    kernel, pending = kernel_cls.stacked_setup(plane, inputs)
+    yield from _rounds(plane, networks, limits, kernel, pending)
 
 
 def iter_stacked(
@@ -766,21 +583,15 @@ def run_stacked(
 def run_instance(
     network: Network,
     kernel_cls: type,
-    programs: Mapping[int, NodeProgram],
-    contexts: Mapping[int, Context],
+    inputs: Mapping[int, object],
     max_rounds: int,
-) -> Optional[SimulationResult]:
+) -> SimulationResult:
     """One solo ``vector`` run: the round loop on a one-instance plane.
 
-    Boots from the caller's programs and contexts, which ``setup`` has
-    already run on, through the lockstep object boot.  Returns ``None``,
-    with the state untouched, when the round-1 handover is not one
-    conforming broadcast; the caller then finishes the run on
-    ``FastEngine``.
+    ``inputs`` maps nodes to their program inputs and has passed
+    ``kernel_cls.eligible``; the kernel boots from them through
+    ``stacked_setup``, as every instance of a stacked group does.
     """
     plane = StackedPlane([network])
-    boot = _object_boot(plane, kernel_cls, [(programs, contexts)])
-    if boot is None:
-        return None
-    rounds = _rounds(plane, [network], [max_rounds], [contexts], *boot)
-    return next(rounds)[1]
+    kernel, pending = kernel_cls.stacked_setup(plane, [inputs])
+    return next(_rounds(plane, [network], [max_rounds], kernel, pending))[1]

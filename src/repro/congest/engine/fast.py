@@ -72,34 +72,10 @@ class FastEngine(Engine):
         contexts: Dict[int, Context],
         max_rounds: int,
     ) -> SimulationResult:
-        self.setup(network, programs, contexts)
-        return self.run_rounds(network, programs, contexts, max_rounds)
-
-    @staticmethod
-    def setup(
-        network: Network,
-        programs: Dict[int, NodeProgram],
-        contexts: Dict[int, Context],
-    ) -> None:
-        """Round 0: every node's ``setup``, in ascending id order."""
         for v in range(network.n):
             ctx = contexts[v]
             ctx.round_number = 0
             programs[v].setup(ctx)
-
-    def run_rounds(
-        self,
-        network: Network,
-        programs: Dict[int, NodeProgram],
-        contexts: Dict[int, Context],
-        max_rounds: int,
-    ) -> SimulationResult:
-        """Rounds 1, 2, ... from the state :meth:`setup` left.
-
-        Every outbox ``setup`` queued is still in place; the first round
-        collects them.  The vector engine enters here when a run's round-1
-        traffic does not fit the message plane.
-        """
         if all(p.event_driven for p in programs.values()):
             return self._run_event_driven(network, programs, contexts, max_rounds)
         return self._run_active_set(network, programs, contexts, max_rounds)

@@ -21,24 +21,23 @@ Three pieces cooperate:
   keeps ``bits_per_round`` / ``messages_per_round`` identical to the
   reference engine.
 * :class:`VectorKernel` — a per-program-class state machine over flat numpy
-  arrays.  A kernel re-expresses the program's ``receive`` transition as
-  scatter/gather over the
+  arrays.  A kernel boots straight from the per-node inputs
+  (:meth:`VectorKernel.stacked_setup`) and re-expresses the program's
+  ``receive`` transition as scatter/gather over the
   :class:`~repro.congest.engine.batched.StackedPlane`; program modules
   register their kernel with :func:`register_kernel`.
 * :class:`VectorEngine` — the engine.  A run whose programs declare no
   :attr:`~repro.congest.node.NodeProgram.message_specs`, have no
   registered kernel, mix program classes or fail the kernel's
   :meth:`VectorKernel.eligible` gate runs on
-  :class:`~repro.congest.engine.fast.FastEngine`.  Every other run runs
-  ``setup`` and is then the one-instance case of the round loop in
-  :mod:`repro.congest.engine.batched`, which takes over at round 1 —
-  unless the traffic ``setup`` queued is not one conforming broadcast, in
-  which case the run continues on FastEngine's loop from its post-setup
-  state.  The parity suite (``tests/test_engine_parity.py``) proves all
+  :class:`~repro.congest.engine.fast.FastEngine`.  Every other run is the
+  one-instance case of the round loop in
+  :mod:`repro.congest.engine.batched`: the kernel boots from the
+  programs' inputs, no ``setup`` runs, and the plane carries the run from
+  round 1.  The parity suite (``tests/test_engine_parity.py``) proves all
   engines observationally identical either way.
 
-Round 1 is the only takeover round, for every kernel.  The Lemma 3.10
-kernel's round-1 gate admits its canonical uniform inputs, whose
+The Lemma 3.10 kernel's gate admits its canonical uniform inputs, whose
 color-class rounds run *in-plane*, with the targeted ``alpha`` sends
 expressed as :class:`PendingTargeted` slot traffic and a round optionally
 carrying several differently-tagged parts at once; other inputs run on
@@ -228,14 +227,13 @@ def pending_parts(pending: PendingTraffic) -> Tuple[object, ...]:
 class VectorKernel(ABC):
     """Vectorized state machine for one node-program class.
 
-    The contract has four parts: :meth:`eligible` decides from a run's
-    inputs whether the kernel can run it; the kernel is built at round 1,
-    either by :meth:`stacked_setup` straight from the inputs or by
-    ``__init__`` from the programs and contexts ``setup`` left; and from
-    then on :meth:`step` is the whole round: consume the inbound traffic,
-    update state, record outputs/halts, and return the next round's
-    outbound traffic (or ``None`` for a silent round).  The round loop
-    owns accounting and termination; the kernel owns semantics.
+    The contract has three hooks: :meth:`eligible` decides from a run's
+    inputs whether the kernel can run it; :meth:`stacked_setup` builds
+    the kernel and the round-1 traffic straight from those inputs; and
+    from then on :meth:`step` is the whole round: consume the inbound
+    traffic, update state, record outputs/halts, and return the next
+    round's outbound traffic (or ``None`` for a silent round).  The round
+    loop owns accounting and termination; the kernel owns semantics.
 
     Every plane may hold K instances (:mod:`repro.congest.engine.batched`;
     a solo run is the case K = 1), so per-node transitions consult only
@@ -249,49 +247,10 @@ class VectorKernel(ABC):
     #: Filled in by :func:`register_kernel`.
     program_class: Type[NodeProgram]
 
-    @classmethod
-    def _blank(cls, plane: "StackedPlane") -> "VectorKernel":
-        """Bare kernel shell for :meth:`stacked_setup` implementations.
-
-        Bypasses ``__init__`` (there are no per-node program objects to
-        read state from); every node starts live with no outputs, exactly
-        the state after a setup phase that neither outputs nor halts.
-        """
-        self = cls.__new__(cls)
+    def __init__(self, plane: "StackedPlane"):
+        """Bare kernel over ``plane``: every node live, no outputs yet."""
         self.plane = plane
         self.live = np.ones(plane.n, dtype=bool)
-        self._outputs = {}
-        return self
-
-    #: Vectorized boot (optional): subclasses may bind a classmethod
-    #: ``stacked_setup(plane, inputs) -> (kernel, pending)`` that replaces
-    #: per-node program instantiation, scalar ``setup`` and handover
-    #: collection with direct array initialization.  ``inputs`` is one
-    #: optional ``{node: input}`` mapping per instance (local ids; a
-    #: missing node has input ``None``), and every instance has passed
-    #: :meth:`eligible`.  Implementations translate local to global ids
-    #: through the plane's ragged offset tables (``plane.node_offsets[k]``
-    #: is instance ``k``'s first global node, ``plane.local_ns[k]`` its
-    #: size) and read exactly nodes ``0 .. local_ns[k] - 1`` of each
-    #: mapping.  The boot must reproduce the scalar one bit for bit: same
-    #: initial state, same round-1 broadcast mask/columns/bits.  ``None``
-    #: means the round loop boots through ``__init__``.
-    stacked_setup = None
-
-    def __init__(
-        self,
-        plane: "StackedPlane",
-        programs: Sequence[NodeProgram],
-        contexts: Sequence[Context],
-    ):
-        """Object boot: ``programs`` / ``contexts`` hold every node of the
-        plane, indexed by global id, as the scalar ``setup`` left them."""
-        self.plane = plane
-        self.live = np.fromiter(
-            (not contexts[v]._halted for v in range(plane.n)),
-            dtype=bool,
-            count=plane.n,
-        )
         self._outputs: Dict[int, Dict[str, object]] = {}
 
     @classmethod
@@ -305,6 +264,25 @@ class VectorKernel(ABC):
         group raise :class:`~repro.errors.BatchEligibilityError`.
         """
         return True
+
+    @classmethod
+    @abstractmethod
+    def stacked_setup(
+        cls, plane: "StackedPlane", inputs: Sequence[Mapping[int, object]]
+    ) -> Tuple["VectorKernel", PendingTraffic]:
+        """Boot: the kernel at round 1 and the traffic ``setup`` queues.
+
+        ``inputs`` is one ``{node: input}`` mapping per instance (local
+        ids; a missing node has input ``None``), and every instance has
+        passed :meth:`eligible`.  Implementations translate local to
+        global ids through the plane's ragged offset tables
+        (``plane.node_offsets[k]`` is instance ``k``'s first global node,
+        ``plane.local_ns[k]`` its size), read exactly nodes
+        ``0 .. local_ns[k] - 1`` of each mapping, and start from
+        ``cls(plane)``.  Every node boots live.  The boot stands in for
+        every node's ``setup`` bit for bit: same state, and the same
+        round-1 messages, bit lengths and raised errors.
+        """
 
     def output(self, node: int, key: str, value: object) -> None:
         """Record one node's local output (mirrors ``Context.output``)."""
@@ -324,6 +302,11 @@ def register_kernel(program_cls: Type[NodeProgram]):
     """Class decorator: attach a kernel to a node-program class."""
 
     def decorate(kernel_cls: Type[VectorKernel]) -> Type[VectorKernel]:
+        missing = sorted(kernel_cls.__abstractmethods__)
+        if missing:
+            raise TypeError(
+                f"{kernel_cls.__name__} does not implement {', '.join(missing)}"
+            )
         kernel_cls.program_class = program_cls
         _KERNELS[program_cls] = kernel_cls
         return kernel_cls
@@ -353,20 +336,14 @@ class VectorEngine(Engine):
         max_rounds: int,
     ) -> SimulationResult:
         kernel_cls = self._kernel_class(programs)
-        if kernel_cls is None or not kernel_cls.eligible(
-            network, {v: p.input for v, p in programs.items()}
-        ):
-            return self._scalar.run(network, programs, contexts, max_rounds)
-        # The round loop builds on this module, so it is imported here.
-        from repro.congest.engine.batched import run_instance
+        if kernel_cls is not None:
+            inputs = {v: p.input for v, p in programs.items()}
+            if kernel_cls.eligible(network, inputs):
+                # The round loop builds on this module: imported here.
+                from repro.congest.engine.batched import run_instance
 
-        self._scalar.setup(network, programs, contexts)
-        result = run_instance(network, kernel_cls, programs, contexts, max_rounds)
-        if result is None:
-            # The round-1 traffic is not one conforming broadcast: the run
-            # goes on from its post-setup state on FastEngine's own loop.
-            return self._scalar.run_rounds(network, programs, contexts, max_rounds)
-        return result
+                return run_instance(network, kernel_cls, inputs, max_rounds)
+        return self._scalar.run(network, programs, contexts, max_rounds)
 
     @staticmethod
     def _kernel_class(

@@ -111,15 +111,16 @@ class NodeProgram:
     #: making round cost proportional to messages instead of live nodes.
     event_driven = False
 
-    #: Vectorization contract (per-phase opt-in): the
-    #: :class:`~repro.congest.engine.vector.MessageSpec` shapes of every
-    #: broadcast phase this program wants executed on the numpy message
-    #: plane — a fixed tag plus named small-int fields, sent identically to
-    #: all neighbors.  Non-empty only makes the program *eligible*; the
-    #: vector engine also needs a registered
-    #: :class:`~repro.congest.engine.vector.VectorKernel` for the class,
-    #: and any phase whose traffic does not conform (targeted sends, mixed
-    #: tags, partial broadcasts) runs under FastEngine semantics instead.
+    #: Vectorization contract: the
+    #: :class:`~repro.congest.engine.vector.MessageSpec` shapes of the
+    #: broadcast phases this program runs on the numpy message plane — a
+    #: fixed tag plus named small-int fields, sent identically to all
+    #: neighbors; they are the wire formats of its kernel.  Non-empty only
+    #: makes the program *eligible*; the vector engine also needs a
+    #: registered :class:`~repro.congest.engine.vector.VectorKernel` for
+    #: the class, which boots the whole run from the nodes' inputs (no
+    #: ``setup`` call), and inputs its ``eligible`` gate declines run on
+    #: FastEngine instead.
     message_specs: tuple = ()
 
     def __init__(self, input_value: object = None):

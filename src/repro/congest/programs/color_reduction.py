@@ -105,15 +105,6 @@ class ColorReductionKernel(VectorKernel):
 
     _SPEC = ColorReductionProgram.message_specs[0]
 
-    def __init__(self, plane, programs, contexts):
-        super().__init__(plane, programs, contexts)
-        n = plane.n
-        self._boot(
-            np.fromiter(
-                (programs[v].color for v in range(n)), dtype=np.int64, count=n
-            )
-        )
-
     @classmethod
     def eligible(cls, network, inputs) -> bool:
         """Initial colors must lie below the plane's exact range, 2**53.
@@ -149,7 +140,7 @@ class ColorReductionKernel(VectorKernel):
         if color.min() < 0:
             # The first negative color in setup order: raise setup's error.
             message_bits((int(color[color < 0][0]),))
-        kernel = cls._blank(plane)
+        kernel = cls(plane)
         kernel._boot(color)
         pending = PendingBroadcast(
             cls._SPEC,

@@ -142,22 +142,6 @@ class DistributedGreedyKernel(VectorKernel):
 
     _SPEC = {spec.tag: spec for spec in DistributedGreedyProgram.message_specs}
 
-    def __init__(self, plane, programs, contexts):
-        super().__init__(plane, programs, contexts)
-        n = plane.n
-        self.ids = plane.local_ids
-        self.covered = np.fromiter(
-            (programs[v].covered for v in range(n)), dtype=bool, count=n
-        )
-        self.in_ds = np.fromiter(
-            (programs[v].in_ds for v in range(n)), dtype=bool, count=n
-        )
-        #: Last-heard covered bit per edge slot; unheard counts as uncovered,
-        #: like ``neighbor_covered.get(u, False)``.
-        self.ncov = np.zeros(plane.nnz, dtype=np.int64)
-        self.span = np.zeros(n, dtype=np.int64)
-        self.best_key = np.zeros(n, dtype=np.int64)
-
     @classmethod
     def stacked_setup(cls, plane, inputs):
         """Vectorized boot: the scalar ``setup`` is one fixed broadcast.
@@ -167,11 +151,13 @@ class DistributedGreedyKernel(VectorKernel):
         with at least one neighbor send a zero covered-bit" — no program
         objects needed.  ``inputs`` is unused (the program takes none).
         """
-        kernel = cls._blank(plane)
+        kernel = cls(plane)
         n = plane.n
         kernel.ids = plane.local_ids
         kernel.covered = np.zeros(n, dtype=bool)
         kernel.in_ds = np.zeros(n, dtype=bool)
+        # Last-heard covered bit per edge slot; unheard counts as uncovered,
+        # like ``neighbor_covered.get(u, False)``.
         kernel.ncov = np.zeros(plane.nnz, dtype=np.int64)
         kernel.span = np.zeros(n, dtype=np.int64)
         kernel.best_key = np.zeros(n, dtype=np.int64)

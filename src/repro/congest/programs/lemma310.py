@@ -47,6 +47,7 @@ from repro.congest.engine import (
     pending_parts,
     register_kernel,
 )
+from repro.congest.engine.vector import _MAX_EXACT_FIELD
 from repro.congest.message import MESSAGE_HEADER_BITS, Message
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
@@ -69,11 +70,10 @@ class Lemma310Program(NodeProgram):
 
     #: The broadcast-shaped phases (value exchange, coin announcements and
     #: the execution rounds).  The color-class rounds additionally use
-    #: ``announce`` broadcasts and targeted ``alpha`` sends; those ride on
-    #: kernel-internal specs (they are never handover traffic, so they are
-    #: not listed here).  The vector kernel runs the *whole* protocol
-    #: in-plane from round 1 for canonical uniform inputs (see
-    #: :class:`Lemma310ExecutionKernel`).
+    #: ``announce`` broadcasts and targeted ``alpha`` sends, which ride on
+    #: kernel-internal specs not listed here.  The vector kernel runs the
+    #: *whole* protocol in-plane from round 1 for canonical uniform inputs
+    #: (see :class:`Lemma310ExecutionKernel`).
     message_specs = (
         MessageSpec("xp", "x_num", "p_num"),
         MessageSpec("fixed", "coin"),
@@ -269,8 +269,8 @@ class Lemma310Program(NodeProgram):
 
 #: Kernel-internal wire specs for the color-class rounds.  ``announce``
 #: is a field-less broadcast (header bits only); ``alpha`` is a targeted
-#: two-field quote.  They never appear in handover traffic, so they are
-#: deliberately not part of :attr:`Lemma310Program.message_specs`.
+#: two-field quote.  Neither is a broadcast-shaped phase, so neither is
+#: part of :attr:`Lemma310Program.message_specs`.
 _ANNOUNCE_SPEC = MessageSpec("announce")
 _ALPHA_SPEC = MessageSpec("alpha", "alpha0", "alpha1")
 _XP_SPEC, _FIXED_SPEC, _EXEC_SPEC = Lemma310Program.message_specs
@@ -294,12 +294,13 @@ class Lemma310ExecutionKernel(VectorKernel):
     """Vectorized Lemma 3.10 loop for the canonical uniform workload.
 
     :meth:`eligible` admits the **canonical uniform inputs** — every node
-    participating with the same ``x = p`` on one grid, ``c = 1``, mode
-    ``auto``, a color in ``[0, num_colors)`` and max degree + 1 below 512
-    — and the kernel takes over at round 1 and runs the color-class
-    conditional-expectation rounds themselves inside the plane: announce
-    broadcasts, targeted alpha quotes (:class:`PendingTargeted`),
-    decide/fix, and estimator folds, all as flat array updates.  Under
+    participating with the same ``x = p`` on one grid of scale below
+    ``2**51``, ``c = 1``, mode ``auto``, a color in ``[0, num_colors)``
+    and max degree + 1 below 512 — and the kernel takes over at round 1
+    and runs the color-class conditional-expectation rounds themselves
+    inside the plane: announce broadcasts, targeted alpha quotes
+    (:class:`PendingTargeted`), decide/fix, and estimator folds, all as
+    flat array updates.  Under
     these inputs every coin weight is exactly ``1.0`` and the estimator
     resolves to exact-product mode, so its float operation *sequence*
     collapses to IEEE-identical array arithmetic: the log-product starts
@@ -326,7 +327,8 @@ class Lemma310ExecutionKernel(VectorKernel):
         ``log1p(-p)`` term, so the initial log-product is a function of
         degree alone), ``c_num == scale`` (``c == 1.0``, making
         ``satisfied`` an integer count), a color in ``[0, num_colors)``
-        on a uniform grid, and degrees small enough
+        on a uniform grid whose alpha quotes (at most ``4 * scale``) stay
+        below the plane's exact field range, and degrees small enough
         that the estimator's 512-update refresh never fires (the
         vectorized log-product replays the scalar *subtraction* sequence,
         not the refresh recompute; a node commits at most ``degree + 1``
@@ -340,7 +342,8 @@ class Lemma310ExecutionKernel(VectorKernel):
             num_colors = first["num_colors"]
             x_num = first["x_num"]
             scale = 1 << iota
-            if num_colors < 1 or not 0 < x_num < scale:
+            # Alpha quotes reach 4 * scale on the wire.
+            if num_colors < 1 or not 0 < x_num < scale < _MAX_EXACT_FIELD // 4:
                 return False
             for v in range(network.n):
                 spec = inputs[v]
@@ -358,18 +361,6 @@ class Lemma310ExecutionKernel(VectorKernel):
             return False
         return True
 
-    def __init__(self, plane, programs, contexts):
-        super().__init__(plane, programs, contexts)
-        self._boot(
-            np.fromiter(
-                (p.color for p in programs), dtype=np.int64, count=plane.n
-            ),
-            [
-                (programs[lo].num_colors, programs[lo].scale, programs[lo].x_num)
-                for lo in plane.node_offsets[:-1].tolist()
-            ],
-        )
-
     @classmethod
     def stacked_setup(cls, plane, inputs):
         """Vectorized boot straight from the canonical input dicts.
@@ -377,10 +368,10 @@ class Lemma310ExecutionKernel(VectorKernel):
         The protocol state and the setup round's ``xp`` broadcast, bit
         for bit, without O(total nodes) program/context construction and
         scalar ``setup`` calls: every connected node broadcasts
-        ``Message("xp", x_num, x_num)`` (a degree-0 broadcast queues no
-        wire traffic, so the scalar handover masks it off too).
+        ``Message("xp", x_num, x_num)`` (a degree-0 node's broadcast
+        queues no message, so the mask leaves it out).
         """
-        kernel = cls._blank(plane)
+        kernel = cls(plane)
         sizes = plane.local_ns.tolist()
         colors = np.fromiter(
             (

@@ -28,6 +28,7 @@ from repro.congest.engine import (
     VectorKernel,
     register_kernel,
 )
+from repro.congest.engine.vector import _MAX_EXACT_FIELD
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
@@ -36,6 +37,8 @@ from repro.util.transmittable import TransmittableGrid
 
 if TYPE_CHECKING:
     import networkx as nx
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class RoundingExecutionProgram(NodeProgram):
@@ -79,28 +82,29 @@ class RoundingExecutionKernel(VectorKernel):
     the same round, exactly like the scalar ``receive``.
     """
 
-    def __init__(self, plane, programs, contexts):
-        super().__init__(plane, programs, contexts)
-        n = plane.n
-        self.x_num = np.fromiter(
-            (programs[v].x_num for v in range(n)), dtype=np.int64, count=n
-        )
-        self.c_num = np.fromiter(
-            (programs[v].c_num for v in range(n)), dtype=np.int64, count=n
-        )
-        self.scale = np.fromiter(
-            (programs[v].scale for v in range(n)), dtype=np.int64, count=n
-        )
-
     @classmethod
     def eligible(cls, network, inputs) -> bool:
-        """Every node needs its ``(x_num, c_num, scale)`` input."""
-        return all(inputs.get(v) is not None for v in range(network.n))
+        """Every node needs its ``(x_num, c_num, scale)`` input, in range.
+
+        ``x_num`` travels on the wire as given, so it must lie in the
+        plane's exact range ``[0, 2**53)`` (a negative one raises in
+        ``setup`` on ``fast``), and no coverage sum nor ``c_num`` or
+        ``scale`` may leave int64.
+        """
+        x_top = min(_MAX_EXACT_FIELD, _INT64_MAX // (network.max_degree + 1) + 1)
+        for v in range(network.n):
+            triple = inputs.get(v)
+            if triple is None:
+                return False
+            x_num, c_num, scale = triple
+            if not (0 <= x_num < x_top and max(abs(c_num), abs(scale)) <= _INT64_MAX):
+                return False
+        return True
 
     @classmethod
     def stacked_setup(cls, plane, inputs):
         """Vectorized boot: every node announces its phase-one numerator."""
-        kernel = cls._blank(plane)
+        kernel = cls(plane)
         triples = [
             mapping[v]
             for mapping, n_k in zip(inputs, plane.local_ns.tolist())

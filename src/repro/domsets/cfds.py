@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Set, Tuple
 
+import numpy as np
+
+from repro.domsets.covering import FEASIBILITY_TOL, ltr_sum
 from repro.errors import InfeasibleSolutionError
 from repro.graphs.normalize import require_normalized
 
 if TYPE_CHECKING:
     import networkx as nx
-
-#: Numerical slack for feasibility checks on float values.
-FEASIBILITY_TOL = 1e-9
 
 
 def fractionality_of(values: Mapping[int, float], tol: float = 1e-15) -> float:
@@ -76,7 +76,7 @@ class CFDS:
     @property
     def size(self) -> float:
         """Total value ``sum_v x(v)`` (the paper's CFDS size)."""
-        return sum(self.values.values())
+        return ltr_sum(np.fromiter(self.values.values(), float, len(self.values)))
 
     @property
     def fractionality(self) -> float:

@@ -36,12 +36,14 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Seque
 import numpy as np
 
 from repro.congest.network import Network, closed_neighborhoods
-from repro.domsets.cfds import FEASIBILITY_TOL
 from repro.errors import InfeasibleSolutionError
 
 if TYPE_CHECKING:
     import networkx as nx
     from scipy import sparse
+
+#: Numerical slack for feasibility checks on float values.
+FEASIBILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -252,7 +254,8 @@ class CoveringInstance:
 
     def member_sums(self, values: np.ndarray | None = None) -> np.ndarray:
         """Per constraint row, the member values summed left to right."""
-        return self.incidence() @ (self.x if values is None else values)
+        values = self.x if values is None else values
+        return row_sums(self.indptr, values[self.members])
 
     # -- object views -------------------------------------------------------
 

@@ -58,10 +58,9 @@ class BatchEligibilityError(CongestError):
     :func:`~repro.congest.engine.batched.iter_stacked` when the call or
     the instances violate a stacking precondition: a program without a
     vector kernel, a round-limit or input-mapping count that differs from
-    the instance count, a kernel ``eligible`` gate that declines an
-    instance, or, at an object boot, an instance whose round-1 traffic is
-    not one conforming broadcast or a group handing over mixed tags.
-    Every instance joins the plane at round 1; sizes and bit budgets may
+    the instance count, or a kernel ``eligible`` gate that declines an
+    instance.  Every instance joins the plane at round 1, booted from its
+    inputs by the kernel's ``stacked_setup``; sizes and bit budgets may
     differ (the plane is ragged).  The batch runner treats this as a
     signal to fall back to per-cell execution, so callers never see it
     unless they invoke the stacked engine directly.

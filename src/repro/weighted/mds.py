@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Set
 
+import numpy as np
+
 from repro.analysis.verify import require_dominating_set
 from repro.coloring.distance2 import bipartite_distance2_coloring
 from repro.congest.cost import CostLedger
@@ -14,7 +16,7 @@ from repro.derand.coloring_based import (
     derandomized_rounding_with_coloring,
 )
 from repro.derand.estimators import EstimatorConfig
-from repro.domsets.covering import CoveringInstance
+from repro.domsets.covering import CoveringInstance, ltr_sum
 from repro.errors import GraphError
 from repro.fractional.lp import solve_covering_lp
 from repro.fractional.raising import repair_feasibility
@@ -87,7 +89,7 @@ def approx_weighted_mds(
     values = repair_feasibility(graph, lp.values)
     # Weighted raising: lifting by lambda costs sum_v w_v * lambda; keep the
     # lift proportional to the LP weight so the factor stays (1 + raise).
-    total_weight = sum(w.values())
+    total_weight = ltr_sum(np.fromiter(w.values(), float, len(w)))
     lam = raise_fraction * max(lp.optimum, 1e-9) / max(total_weight, 1e-9)
     lam = min(lam, 1.0 / (2.0 * delta_tilde))
     values = {v: max(x, lam) for v, x in values.items()}
@@ -112,7 +114,7 @@ def approx_weighted_mds(
     require_dominating_set(graph, ds, "weighted one-shot output")
     return WeightedMDSResult(
         dominating_set=ds,
-        weight=sum(w[v] for v in ds),
+        weight=ltr_sum(np.fromiter((w[v] for v in ds), float, len(ds))),
         lp_optimum=lp.optimum,
         num_colors=coloring.num_colors,
         ledger=ledger,

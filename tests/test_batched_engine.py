@@ -302,20 +302,6 @@ def test_color_reduction_respects_initial_colors():
     assert solo == stacked
 
 
-def test_scalar_boot_fallback_matches_vectorized_boot(monkeypatch):
-    """A stackable kernel without ``stacked_setup`` boots through the
-    object-level path (per-node programs + handover) with identical
-    results — the contract both boots must satisfy."""
-    from repro.congest.engine import kernel_for
-
-    kernel_cls = kernel_for(DistributedGreedyProgram)
-    networks = _networks("gnp", 28, range(4))
-    fast = run_stacked(networks, DistributedGreedyProgram, max_rounds=8 * 28 + 16)
-    monkeypatch.setattr(kernel_cls, "stacked_setup", None)
-    scalar = run_stacked(networks, DistributedGreedyProgram, max_rounds=8 * 28 + 16)
-    assert fast == scalar
-
-
 def test_rounding_exec_missing_inputs_is_eligibility_error():
     """Absent per-node inputs surface as the documented fallback signal."""
     networks = _networks("gnp", 16, range(2))
@@ -638,36 +624,6 @@ class TestLemma310Stacking:
             run_stacked(
                 networks, Lemma310Program, inputs=inputs, max_rounds=limits
             )
-
-    def test_vectorized_boot_matches_object_boot(self, monkeypatch):
-        """`stacked_setup` reproduces the object-level boot bit for bit.
-
-        An all-canonical group boots without a single program or context
-        object; disabling the hook forces the same group through scalar
-        ``setup`` plus the lockstep handover, and the results must be
-        identical.  A perturbed instance makes either boot decline."""
-        from repro.congest.engine import kernel_for
-
-        kernel_cls = kernel_for(Lemma310Program)
-        networks = _networks("gnp", 24, range(3))
-        inputs, limits = _lemma310_group(networks)
-        mixed = [dict(box) for box in inputs]
-        mixed[1] = _perturb_lemma310(networks[1], mixed[1])
-        vec_boot = run_stacked(
-            networks, Lemma310Program, inputs=inputs, max_rounds=limits
-        )
-        with pytest.raises(BatchEligibilityError):
-            run_stacked(networks, Lemma310Program, inputs=mixed, max_rounds=limits)
-        with monkeypatch.context() as m:
-            m.setattr(kernel_cls, "stacked_setup", None)
-            obj_boot = run_stacked(
-                networks, Lemma310Program, inputs=inputs, max_rounds=limits
-            )
-            with pytest.raises(BatchEligibilityError):
-                run_stacked(
-                    networks, Lemma310Program, inputs=mixed, max_rounds=limits
-                )
-        assert vec_boot == obj_boot
 
     def test_iter_stacked_streams_lemma310(self):
         networks = _networks("gnp", 20, range(3))

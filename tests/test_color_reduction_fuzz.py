@@ -10,8 +10,8 @@ group's largest one, and per-instance round limits from 0 to ``n + 4``.
 
 The sparse-frontier pieces under the kernel are pinned here as well:
 :meth:`StackedPlane.out_slots` against the dense slot mask, and a broadcast
-that lists its ``senders`` charged like its mask, with the boot merge
-landing each instance's handover in its own slice.
+that lists its ``senders`` charged like its mask, with each instance's
+broadcast charged in its own slice of a stacked plane.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.congest.engine import StackedPlane, iter_stacked
-from repro.congest.engine.batched import _accumulate_round, _boot_merge
+from repro.congest.engine.batched import _accumulate_round
 from repro.congest.engine.vector import PendingBroadcast
 from repro.congest.network import Network
 from repro.congest.programs.color_reduction import ColorReductionProgram
@@ -249,14 +249,20 @@ def test_listed_senders_charge_like_the_mask():
         Network.congest(suite_instance("gnp", n, seed=n).graph)
         for n in (12, 9, 15)
     ]
-    # The boot merge lands each instance's handover in its own slice: the
-    # stacked ledger is the per-instance ledgers side by side.
+    # Each instance's round-1 broadcast lands in its own slice of one plane
+    # broadcast: the stacked ledger is the per-instance ledgers side by side.
     plane = StackedPlane(networks)
     handovers = [
         _broadcast(net.n, k, net.n, with_senders=False)
         for k, net in enumerate(networks)
     ]
-    stacked = _ledger(plane, _boot_merge(plane, handovers))
+    merged = PendingBroadcast(
+        _SPEC,
+        np.concatenate([h.mask for h in handovers]),
+        (np.concatenate([h.columns[0] for h in handovers]),),
+        np.concatenate([h.bits for h in handovers]),
+    )
+    stacked = _ledger(plane, merged)
     for k, (net, handover) in enumerate(zip(networks, handovers)):
         solo = _ledger(StackedPlane([net]), handover)
         assert [row[k] for row in stacked] == [row[0] for row in solo]

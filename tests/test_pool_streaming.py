@@ -63,11 +63,13 @@ class TestPoolParity:
 
 class TestPoolInGroupStreaming:
     @pytest.mark.usefixtures("no_shared_memory_leak")
-    def test_records_stream_individually_across_pool(self, monkeypatch):
-        """Kill a worker after 1 streamed record: with per-record delivery
-        the parent already holds that record, so exactly width-1 cells of
-        the unit come back as crash-fallback records — group-at-a-time
-        buffering would have lost all of them."""
+    @pytest.mark.parametrize("sent", [1, 2, 3, 4])
+    def test_records_stream_individually_across_pool(self, monkeypatch, sent):
+        """Kill a worker after ``sent`` streamed records of its width-4
+        unit (after the last one, ``unit_done`` is still unsent): with
+        per-record delivery the parent already holds those records, so
+        exactly the other 4 - ``sent`` cells come back as crash-fallback
+        records — group-at-a-time buffering would have lost all of them."""
         cells = _sweep_cells(sizes=(20,), seeds=(0, 1, 2, 3))
         plan = _plan_units(cells, "batch", 0)
         assert plan[0][0] == "batch" and len(plan[0][1]) == 4
@@ -75,7 +77,7 @@ class TestPoolInGroupStreaming:
         cells.append(GridCell("gnp", 20, "greedy", "fast", seed=0))
 
         seq = _metrics_by_key(run_grid_records(cells, jobs=1, strategy="batch"))
-        monkeypatch.setenv("REPRO_POOLSTREAM_KILL", "0:1")
+        monkeypatch.setenv("REPRO_POOLSTREAM_KILL", f"0:{sent}")
         pool = run_grid_records(cells, jobs=2, strategy="batch")
         assert _metrics_by_key(pool) == seq
 
@@ -87,10 +89,10 @@ class TestPoolInGroupStreaming:
             for rec in pool
             if rec.batch is not None and (rec.plan is None or "fallback" not in rec.plan)
         ]
-        # One record crossed the boundary before the crash ...
-        assert len(streamed) == 1
-        # ... and only the remaining three were re-dispatched.
-        assert len(fallbacks) == 3
+        # ``sent`` records crossed the boundary before the crash ...
+        assert len(streamed) == sent
+        # ... and only the remaining ones were re-dispatched.
+        assert len(fallbacks) == 4 - sent
         for rec in fallbacks:
             assert set(rec.plan) == {"fallback", "actual_wall_s"}
             assert rec.plan["fallback"]["type"] == "WorkerLostError"

@@ -3,8 +3,8 @@
 Cross-engine observational equivalence lives in ``test_engine_parity.py``;
 this module pins the pieces that make the numpy message plane *exact* —
 vectorized bit lengths, :class:`MessageSpec` wire accounting, the CSR row
-reductions — and the fallback ladder (no spec, no kernel, mixed program
-classes, non-conforming traffic at handover).
+reductions — the fallback ladder (no spec, no kernel, mixed program
+classes) and the kernel contract :func:`register_kernel` enforces.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.congest.engine import (
     StackedPlane,
     VectorEngine,
     VectorKernel,
+    kernel_for,
     register_kernel,
     run_stacked,
 )
@@ -31,9 +32,10 @@ from repro.congest.network import Network
 from repro.congest.node import NodeProgram
 from repro.congest.programs.color_reduction import ColorReductionProgram
 from repro.congest.programs.greedy_mds import DistributedGreedyProgram
+from repro.congest.programs.lemma310 import Lemma310Program
+from repro.congest.programs.rounding_exec import RoundingExecutionProgram
 from repro.congest.simulator import Simulator
 from repro.errors import (
-    BatchEligibilityError,
     CongestError,
     MessageTooLargeError,
     SimulationLimitError,
@@ -205,199 +207,12 @@ class _PlainProgram(NodeProgram):
         ctx.halt()
 
 
-class _TargetedProgram(NodeProgram):
-    """Declares a spec but sends to a single neighbor: its round-1
-    traffic is not a full broadcast, so the run must continue on
-    FastEngine's loop from the state ``setup`` left (``setup`` runs
-    once) and never reach the kernel."""
-
-    message_specs = (MessageSpec("one", "value"),)
-
-    def setup(self, ctx):
-        self.setups = getattr(self, "setups", 0) + 1
-        if ctx.neighbors:
-            ctx.send(ctx.neighbors[0], Message("one", ctx.node))
-
-    def receive(self, ctx, inbox):
-        ctx.output("heard", sorted(inbox))
-        ctx.output("setups", self.setups)
-        ctx.halt()
-
-
-@register_kernel(_TargetedProgram)
-class _TargetedKernel(VectorKernel):
-    def step(self, round_no, inbound):  # pragma: no cover - never reached
-        raise AssertionError("non-conforming traffic must not reach the kernel")
-
-
-class _MaybeTargetedProgram(NodeProgram):
-    """Broadcasts its id in setup, or sends it to one neighbor when its
-    input says so; then records what it heard and halts."""
-
-    message_specs = (MessageSpec("id", "value"),)
-
-    def setup(self, ctx):
-        if not ctx.neighbors:
-            return
-        message = Message("id", ctx.node)
-        if self.input:
-            ctx.send(ctx.neighbors[0], message)
-        else:
-            ctx.broadcast(message)
-
-    def receive(self, ctx, inbox):
-        ctx.output("heard", sorted(inbox))
-        ctx.halt()
-
-
-@register_kernel(_MaybeTargetedProgram)
-class _MaybeTargetedKernel(VectorKernel):
-    def step(self, round_no, inbound):
-        plane = self.plane
-        sent = plane.sent_slots(inbound)
-        for v in np.flatnonzero(self.live).tolist():
-            row = slice(plane.indptr[v], plane.indptr[v + 1])
-            heard = plane.local_ids[plane.indices[row][sent[row]]]
-            self.output(v, "heard", sorted(heard.tolist()))
-        self.live[:] = False  # every node halts in round 1
-        return None
-
-
-class _SetupHaltProgram(NodeProgram):
-    """Broadcasts its id in setup and, when its input says so, halts there
-    too: its traffic is charged, but no round runs."""
-
-    message_specs = (MessageSpec("id", "value"),)
-
-    def setup(self, ctx):
-        ctx.broadcast(Message("id", ctx.node))
-        if self.input:
-            ctx.halt()
-
-    def receive(self, ctx, inbox):
-        ctx.output("heard", sorted(inbox))
-        ctx.halt()
-
-
-@register_kernel(_SetupHaltProgram)
-class _SetupHaltKernel(_MaybeTargetedKernel):
-    pass
-
-
-class _TwoTagProgram(NodeProgram):
-    """Broadcasts its id under tag ``b`` when its input says so, else
-    under tag ``a``; then records what it heard and halts."""
-
-    message_specs = (MessageSpec("a", "value"), MessageSpec("b", "value"))
-
-    def setup(self, ctx):
-        ctx.broadcast(Message("b" if self.input else "a", ctx.node))
-
-    def receive(self, ctx, inbox):
-        ctx.output("heard", sorted(inbox))
-        ctx.halt()
-
-
-@register_kernel(_TwoTagProgram)
-class _TwoTagKernel(_MaybeTargetedKernel):
-    pass
-
-
 class TestFallbackLadder:
     def test_program_without_specs_falls_back(self, small_gnp):
         net = Network.congest(small_gnp)
         vec = Simulator(net, _PlainProgram, engine="vector").run()
         fast = Simulator(net, _PlainProgram, engine="fast").run()
         assert vec == fast
-
-    def test_nonconforming_traffic_stays_scalar(self, small_gnp):
-        net = Network.congest(small_gnp)
-        vec = Simulator(net, _TargetedProgram, engine="vector").run()
-        fast = Simulator(net, _TargetedProgram, engine="fast").run()
-        assert vec == fast
-
-    def test_nonconforming_instance_declines_its_group(self):
-        """Round 1 is the only takeover round: a group with an instance
-        whose setup traffic is not a full broadcast raises at boot, so the
-        batch runner reruns its cells one by one.  Solo, that instance
-        finishes on FastEngine's loop from its post-setup state, and its
-        conforming siblings run on the plane; each equals its fast run."""
-        networks = [
-            Network.congest(gnp_graph(n, 0.3, seed=n)) for n in (12, 9, 15)
-        ]
-        inputs = [None, dict.fromkeys(range(9), True), None]
-        fast = [
-            Simulator(net, _MaybeTargetedProgram, inputs=box, engine="fast").run(
-                max_rounds=5
-            )
-            for net, box in zip(networks, inputs)
-        ]
-        # Instance 1 sends one message per connected node: not a broadcast.
-        connected = sum(1 for v in range(9) if networks[1].degree(v))
-        assert fast[1].total_messages == connected
-        with pytest.raises(BatchEligibilityError, match="conforming"):
-            run_stacked(
-                networks, _MaybeTargetedProgram, inputs=inputs, max_rounds=5
-            )
-        conforming = [networks[0], networks[2]]
-        assert run_stacked(
-            conforming, _MaybeTargetedProgram, max_rounds=5
-        ) == [fast[0], fast[2]]
-        for net, box, want in zip(networks, inputs, fast):
-            solo = Simulator(net, _MaybeTargetedProgram, inputs=box, engine="vector")
-            assert solo.run(max_rounds=5) == want
-
-    def test_mixed_handover_tags_decline_the_group(self):
-        """The boot merges every instance's round-1 broadcast into one
-        plane broadcast: sending instances must share a tag, and a silent
-        instance (no edges) joins any tag."""
-        networks = [
-            Network.congest(gnp_graph(12, 0.3, seed=1)),
-            Network.congest(gnp_graph(9, 0.3, seed=2)),
-            Network.congest(nx.empty_graph(5)),
-        ]
-        all_b = dict.fromkeys(range(9), True)
-        fast = [
-            Simulator(net, _TwoTagProgram, inputs=box, engine="fast").run(
-                max_rounds=5
-            )
-            for net, box in zip(networks, (None, all_b, all_b))
-        ]
-        with pytest.raises(BatchEligibilityError, match="mixed tags"):
-            run_stacked(
-                networks, _TwoTagProgram, inputs=[None, all_b, None], max_rounds=5
-            )
-        assert run_stacked(
-            [networks[0], networks[2]],
-            _TwoTagProgram,
-            inputs=[None, all_b],
-            max_rounds=5,
-        ) == [fast[0], fast[2]]
-        for net, box, want in zip(networks, (None, all_b, all_b), fast):
-            solo = Simulator(net, _TwoTagProgram, inputs=box, engine="vector")
-            assert solo.run(max_rounds=5) == want
-
-    def test_instance_halting_in_setup_matches_fast(self):
-        """An instance whose nodes all halt in setup finishes at the boot
-        tick: its handover is charged, no round counts."""
-        networks = [
-            Network.congest(gnp_graph(n, 0.3, seed=n)) for n in (12, 9)
-        ]
-        inputs = [dict.fromkeys(range(12), True), None]
-        fast = [
-            Simulator(net, _SetupHaltProgram, inputs=box, engine="fast").run(
-                max_rounds=5
-            )
-            for net, box in zip(networks, inputs)
-        ]
-        assert fast[0].rounds == 0 and fast[0].total_bits > 0
-        assert (
-            run_stacked(networks, _SetupHaltProgram, inputs=inputs, max_rounds=5)
-            == fast
-        )
-        for net, box, want in zip(networks, inputs, fast):
-            solo = Simulator(net, _SetupHaltProgram, inputs=box, engine="vector")
-            assert solo.run(max_rounds=5) == want
 
     def test_mixed_program_classes_fall_back(self):
         programs = {0: _PlainProgram(), 1: DistributedGreedyProgram()}
@@ -408,6 +223,80 @@ class TestFallbackLadder:
         kernel_cls = VectorEngine._kernel_class(programs)
         assert kernel_cls is not None
         assert kernel_cls.program_class is DistributedGreedyProgram
+
+
+@pytest.mark.parametrize("program", batchable_programs())
+def test_solo_vector_boots_without_setup(program, monkeypatch):
+    """An accepted solo ``vector`` run boots through ``stacked_setup``
+    from the programs' inputs, as a stacked group does: no node's
+    ``setup`` runs, and the result is the ``fast`` run's."""
+    spec = program_spec(program)
+    net = Network.congest(suite_instance("gnp", 24, seed=1).graph)
+    inputs = spec.batch_inputs(net) if spec.batch_inputs is not None else {}
+    limit = int(spec.batch_max_rounds(net))
+    want = Simulator(net, spec.batch_factory, inputs=inputs, engine="fast").run(limit)
+
+    def no_setup(self, ctx):
+        raise AssertionError("setup ran on the vector engine")
+
+    monkeypatch.setattr(spec.batch_factory, "setup", no_setup)
+    assert Simulator(net, spec.batch_factory, inputs=inputs, engine="vector").run(limit) == want
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("x_num", -1),
+        ("x_num", 1 << 53),
+        ("x_num", 1 << 63),
+        ("c_num", 1 << 63),
+        ("iota", 51),
+        ("iota", 62),
+        ("iota", 70),
+    ],
+    ids=["x<0", "x=2^53", "x=2^63", "c=2^63", "iota=51", "iota=62", "iota=70"],
+)
+def test_inputs_the_plane_cannot_hold_run_on_fast(field, value):
+    """The gate declines inputs whose wire fields or sums the plane cannot
+    hold exactly, so a solo ``vector`` run is the ``fast`` run: the same
+    result, or ``setup``'s error for a negative field."""
+    net = Network.local(nx.path_graph(5))
+    if field == "iota":
+        program = Lemma310Program
+        half, one = 1 << (value - 1), 1 << value
+        inputs = {
+            v: dict(box, iota=value, x_num=half, p_num=half, c_num=one)
+            for v, box in program_spec("lemma310").batch_inputs(net).items()
+        }
+    else:
+        program = RoundingExecutionProgram
+        triple = (value, 4, 8) if field == "x_num" else (1, value, 8)
+        inputs = dict.fromkeys(range(5), triple)
+    assert not kernel_for(program).eligible(net, inputs)
+
+    def run(engine):
+        try:
+            return Simulator(net, program, inputs=inputs, engine=engine).run(
+                max_rounds=40
+            )
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    assert run("vector") == run("fast")
+
+
+def test_register_kernel_requires_stacked_setup():
+    """Every kernel boots from its inputs: a kernel class without
+    ``stacked_setup`` is refused at registration, by name."""
+
+    class _NoBootProgram(NodeProgram):
+        message_specs = (MessageSpec("id", "value"),)
+
+    class _NoBootKernel(VectorKernel):
+        def step(self, round_no, inbound):  # pragma: no cover - never run
+            return None
+
+    with pytest.raises(TypeError, match="_NoBootKernel .*stacked_setup"):
+        register_kernel(_NoBootProgram)(_NoBootKernel)
+    assert kernel_for(_NoBootProgram) is None
 
 
 class TestBudgetEnforcement:
