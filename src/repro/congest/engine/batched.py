@@ -191,10 +191,6 @@ class StackedPlane:
             out[self._nonempty] = np.maximum.reduceat(values, self._starts)
         return out
 
-    def row_any(self, slot_flags: np.ndarray) -> np.ndarray:
-        """Per-node "any slot true" as a boolean array."""
-        return self.row_sum(slot_flags) > 0
-
     def sent_slots(self, pending: Optional[PendingBroadcast]) -> np.ndarray:
         """Slot-level sender flags for one round of broadcast traffic."""
         if pending is None:
@@ -205,6 +201,17 @@ class StackedPlane:
         """Slot-level view of a per-node array (value of each slot's peer)."""
         return per_node[self.indices]
 
+    def row_slots(self, nodes: np.ndarray) -> np.ndarray:
+        """The slots of the rows of ``nodes``, concatenated in that order.
+
+        Row ``v`` contributes ``indptr[v] .. indptr[v+1] - 1``, so the
+        result costs O(sum of the nodes' degrees); an isolated node
+        contributes nothing.
+        """
+        degrees = self.degrees[nodes]
+        shift = self.indptr[nodes] - (np.cumsum(degrees) - degrees)
+        return np.arange(int(degrees.sum())) + np.repeat(shift, degrees)
+
     def out_slots(self, senders: np.ndarray) -> np.ndarray:
         """Receiving slots of the broadcasts of ``senders``, sender-major.
 
@@ -214,11 +221,7 @@ class StackedPlane:
         """
         if self._reverse is None:
             self._reverse = self._reverse_slots()
-        degrees = self.degrees[senders]
-        # Concatenate the senders' own slot ranges [indptr[u], indptr[u+1]).
-        shift = self.indptr[senders] - (np.cumsum(degrees) - degrees)
-        slots = np.arange(int(degrees.sum())) + np.repeat(shift, degrees)
-        return self._reverse[slots]
+        return self._reverse[self.row_slots(senders)]
 
     def _reverse_slots(self) -> np.ndarray:
         """Map the slot of ``v`` in row ``u`` to the slot of ``u`` in row ``v``.

@@ -125,11 +125,17 @@ class DistributedGreedyProgram(NodeProgram):
 class DistributedGreedyKernel(VectorKernel):
     """Vector transcription of the four-step greedy phase.
 
-    Per-node dicts become flat planes: ``ncov`` keeps the last-heard
-    covered bit per CSR edge slot (the ``neighbor_covered`` map), spans are
-    CSR row sums, and the 2-hop maximum runs on a packed integer key that
-    orders exactly like the scalar ``(span, -id)`` pair:
-    ``key = span * n + (n - 1 - id)``.
+    Per-node dicts become flat planes.  The ``neighbor_covered`` maps are
+    two per-node arrays: ``known[u]`` says u's neighbors have heard that u
+    is covered, and ``heard[v]`` counts the neighbors v has heard are
+    covered.  This is exact because covered bits only go 0→1 and every
+    ``cov`` or ``join`` message reaches all of the sender's neighbors in
+    the same round, so all of them hold the same bit for it.  A node that
+    becomes known adds 1 to each neighbor's ``heard`` once, O(nnz) over
+    the whole run, and a span is ``(~covered) + degree - heard``.  The
+    2-hop maximum runs on a packed integer key that orders exactly like
+    the scalar ``(span, -id)`` pair: ``key = span * n + (n - 1 - id)``,
+    packed once per sender and gathered once per slot.
 
     All id arithmetic uses ``plane.local_ids`` / ``plane.local_n_of``
     (equal to the global ids / ``n`` on a solo plane), which is what makes
@@ -156,9 +162,9 @@ class DistributedGreedyKernel(VectorKernel):
         kernel.ids = plane.local_ids
         kernel.covered = np.zeros(n, dtype=bool)
         kernel.in_ds = np.zeros(n, dtype=bool)
-        # Last-heard covered bit per edge slot; unheard counts as uncovered,
-        # like ``neighbor_covered.get(u, False)``.
-        kernel.ncov = np.zeros(plane.nnz, dtype=np.int64)
+        # Unheard counts as uncovered, like ``neighbor_covered.get(u, False)``.
+        kernel.known = np.zeros(n, dtype=bool)
+        kernel.heard = np.zeros(n, dtype=np.int64)
         kernel.span = np.zeros(n, dtype=np.int64)
         kernel.best_key = np.zeros(n, dtype=np.int64)
         spec = cls._SPEC["cov"]
@@ -179,15 +185,20 @@ class DistributedGreedyKernel(VectorKernel):
         plane = self.plane
         if inbound is None:
             return np.full(plane.n, -1, dtype=np.int64)
-        sent = plane.sent_slots(inbound)
-        span_slot = inbound.columns[0][plane.indices]
-        id_slot = inbound.columns[1][plane.indices]
-        # Per-slot packed-key base: the sender's instance's n (a slot and
-        # its peer always live in the same instance, so this is also the
-        # receiving row's base).
-        base = plane.local_n_of[plane.indices]
-        key_slot = span_slot * base + (base - 1 - id_slot)
-        return plane.row_max(np.where(sent, key_slot, -1), empty=-1)
+        # A slot and its peer live in the same instance, so the sender's
+        # base is also the receiving row's.
+        base = plane.local_n_of
+        span, ids = inbound.columns
+        key = np.where(inbound.mask, span * base + (base - 1 - ids), -1)
+        return plane.row_max(key[plane.indices], empty=-1)
+
+    def _hear_covered(self, senders: np.ndarray) -> None:
+        """The neighbors of ``senders`` hear that they are covered."""
+        plane = self.plane
+        senders = senders[~self.known[senders]]
+        self.known[senders] = True
+        receivers = plane.indices[plane.row_slots(senders)]
+        self.heard += np.bincount(receivers, minlength=plane.n)
 
     def _broadcast(self, tag: str, *columns: np.ndarray) -> PendingBroadcast:
         spec = self._SPEC[tag]
@@ -203,12 +214,11 @@ class DistributedGreedyKernel(VectorKernel):
         if step == 0:
             # Covered bits arrive; halt exhausted nodes, announce spans.
             if inbound is not None:
-                sent = plane.sent_slots(inbound)
-                self.ncov[sent] = inbound.columns[0][plane.indices[sent]]
+                self._hear_covered(
+                    np.flatnonzero(inbound.mask & (inbound.columns[0] == 1))
+                )
             self.span = (
-                (~self.covered).astype(np.int64)
-                + plane.degrees
-                - plane.row_sum(self.ncov)
+                (~self.covered).astype(np.int64) + plane.degrees - self.heard
             )
             halting = self.live & self.covered & (self.span == 0)
             if halting.any():
@@ -236,10 +246,10 @@ class DistributedGreedyKernel(VectorKernel):
             return self._broadcast("join", self.in_ds.astype(np.int64))
         # Joins arrive; fold coverage and start the next phase.
         if inbound is not None:
-            sent = plane.sent_slots(inbound)
-            joined = sent & (inbound.columns[0][plane.indices] == 1)
-            self.ncov[joined] = 1
-            self.covered |= self.live & plane.row_any(joined)
+            joined = np.flatnonzero(inbound.mask & (inbound.columns[0] == 1))
+            self._hear_covered(joined)
+            receivers = plane.indices[plane.row_slots(joined)]
+            self.covered[receivers[self.live[receivers]]] = True
         return self._broadcast("cov", self.covered.astype(np.int64))
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -441,17 +441,6 @@ class Lemma310ExecutionKernel(VectorKernel):
             self.x_f[lo:hi] = p_f
             self.log_prod[lo:hi] = np.asarray(partial)[degrees + 1]
         self.scale_f = self.scale.astype(np.float64)
-        self._slot_rows_cache: Optional[np.ndarray] = None
-
-    def _slot_rows(self) -> np.ndarray:
-        """Receiver row of every CSR slot (lazy; class rounds only)."""
-        if self._slot_rows_cache is None:
-            plane = self.plane
-            self._slot_rows_cache = np.repeat(
-                np.arange(plane.n, dtype=np.int64),
-                np.asarray(plane.degrees),
-            )
-        return self._slot_rows_cache
 
     # -- in-plane color-class rounds ------------------------------------------
 
@@ -500,14 +489,17 @@ class Lemma310ExecutionKernel(VectorKernel):
 
         The scalar path raises on any node that hears two simultaneous
         announces; decider sets are state-derived here, so the same check
-        is a row count over decider-neighbor slots.
+        counts each node's appearances in the deciders' rows.
         """
         plane = self.plane
-        deciders = acting & (self.color == class_index)
-        if not deciders.any():
+        deciders = np.flatnonzero(acting & (self.color == class_index))
+        if deciders.size == 0:
             return
-        senders = np.asarray(plane.indices)
-        decider_neighbors = plane.row_sum(deciders[senders].astype(np.int64))
+        # The slots of decider rows each carry one alpha quote (sender =
+        # the slot's peer), in ascending slot order.
+        slots = plane.row_slots(deciders)
+        quoting = plane.indices[slots]
+        decider_neighbors = np.bincount(quoting, minlength=plane.n)
         bad = acting & (decider_neighbors > 1)
         if bad.any():
             node = int(np.flatnonzero(bad)[0])
@@ -516,12 +508,8 @@ class Lemma310ExecutionKernel(VectorKernel):
                 f"{int(decider_neighbors[node])} simultaneous "
                 "deciders; the coloring is not distance-2"
             )
-        # Receiver-side slots of decider rows each carry one alpha quote
-        # (sender = the slot's peer).
-        slots = np.flatnonzero(deciders[self._slot_rows()])
         if slots.size == 0:
             return
-        quoting = senders[slots]
         coin = self.coin[quoting]
         # Expected own phase-one value: f(x) while undecided (p * x/p),
         # else the committed outcome (own_success is exactly 1.0 here).
@@ -557,10 +545,12 @@ class Lemma310ExecutionKernel(VectorKernel):
             return
         alpha = parts.get("alpha")
         if alpha is not None:
-            masked0 = np.where(alpha.slot_mask, alpha.columns[0], 0)
-            masked1 = np.where(alpha.slot_mask, alpha.columns[1], 0)
-            sum0 = plane.row_sum(masked0)[deciders]
-            sum1 = plane.row_sum(masked1)[deciders]
+            slots = plane.row_slots(deciders)
+            quotes = np.stack([column[slots] for column in alpha.columns])
+            sum0, sum1 = _segment_sums(
+                np.where(alpha.slot_mask[slots], quotes, 0),
+                plane.degrees[deciders],
+            )
         else:
             sum0 = sum1 = np.zeros(deciders.size, dtype=np.int64)
         # Own pair: (phi_if(own, fail), own_success + 0.0) — the success
@@ -588,19 +578,20 @@ class Lemma310ExecutionKernel(VectorKernel):
         )
 
     def _fold_round(self, class_index, acting) -> None:
-        """Neighbors fold the delivered decisions into estimator state."""
+        """Neighbors fold the delivered decisions into estimator state.
+
+        The receivers are the decider rows' peers: live, since an instance
+        finishes all at once, and distinct, since the alpha round raised
+        for a node with two decider neighbors.
+        """
         plane = self.plane
-        deciders = acting & (self.color == class_index)
-        if not deciders.any():
+        deciders = np.flatnonzero(acting & (self.color == class_index))
+        if deciders.size == 0:
             return
-        senders = np.asarray(plane.indices)
-        decided_slot = deciders[senders]
-        delta = plane.row_sum(np.where(decided_slot, self.coin[senders], 0))
-        folding = plane.row_any(decided_slot) & acting
-        self.fixed_success += np.where(folding, delta, 0)
-        self.log_prod = np.where(
-            folding, self.log_prod - self.t, self.log_prod
-        )
+        receivers = plane.indices[plane.row_slots(deciders)]
+        decided = np.repeat(self.coin[deciders], plane.degrees[deciders])
+        np.add.at(self.fixed_success, receivers, decided)
+        self.log_prod[receivers] -= self.t[receivers]
 
     def _emit_exec(self, entering, outbound) -> None:
         """The scalar ``_broadcast_final_x``: commit and announce the
@@ -613,14 +604,23 @@ class Lemma310ExecutionKernel(VectorKernel):
         outbound.append(PendingBroadcast(_EXEC_SPEC, entering, (column,), bits))
 
     def _finish_execution(self, round_no: int, exec_part) -> None:
+        """Finish the nodes in their execution phase that heard their
+        whole neighborhood's phase-one value in this round.
+
+        Every node of an instance, isolated ones included, broadcasts
+        ``exec`` in the round its instance's last class closes and
+        finishes when that broadcast is delivered, so a round without
+        ``exec`` traffic finishes no node.
+        """
+        if exec_part is None:
+            return
         plane = self.plane
-        sent = plane.sent_slots(exec_part)
-        heard = plane.row_sum(sent)
-        received = plane.row_sum(np.where(sent, plane.gather(self.final_x), 0))
-        # A node finishes once it has reached its execution phase and heard
-        # the phase-one value of its whole neighborhood in one round (all
-        # nodes broadcast simultaneously; an isolated node trivially hears
-        # its whole, empty, neighborhood every round).
+        senders = np.flatnonzero(exec_part.mask)
+        receivers = plane.indices[plane.row_slots(senders)]
+        heard = np.bincount(receivers, minlength=plane.n)
+        received = np.zeros(plane.n, dtype=np.int64)
+        values = np.repeat(self.final_x[senders], plane.degrees[senders])
+        np.add.at(received, receivers, values)
         finishing = (
             self.live
             & (heard == plane.degrees)
@@ -635,6 +635,21 @@ class Lemma310ExecutionKernel(VectorKernel):
                 if self.coin[v] >= 0:
                     self.output(node, "coin", int(self.coin[v]))
             self.live &= ~finishing
+
+
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Exact int64 sums of consecutive segments of the given lengths.
+
+    The last axis of ``values`` is the concatenation of the segments; an
+    empty segment sums to 0 (``reduceat`` alone would read the next
+    segment's first value for it).
+    """
+    out = np.zeros(values.shape[:-1] + lengths.shape, dtype=np.int64)
+    nonempty = lengths > 0
+    if nonempty.any():
+        starts = (np.cumsum(lengths) - lengths)[nonempty]
+        out[..., nonempty] = np.add.reduceat(values, starts, axis=-1)
+    return out
 
 
 def run_lemma310_on_graph(

@@ -7,13 +7,17 @@ CONGEST bit budget.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.verify import is_dominating_set
+from repro.api.registry import program_spec
 from repro.coloring.distance2 import distance2_coloring
+from repro.congest.engine import run_stacked
 from repro.congest.network import Network
 from repro.congest.programs import lemma310
 from repro.congest.programs.lemma310 import run_lemma310_on_graph
-from repro.derand.coloring_based import schedule_from_colors
+from repro.congest.simulator import Simulator
+from repro.derand.coloring_based import ROUNDS_PER_COLOR, schedule_from_colors
 from repro.derand.conditional import ConditionalExpectationEngine
 from repro.derand.estimators import EstimatorConfig
 from repro.domsets.cfds import CFDS, fractionality_of
@@ -22,6 +26,7 @@ from repro.fractional.raising import kmw06_initial_fds
 from repro.graphs.generators import gnp_graph, random_tree, regular_graph
 from repro.rounding.schemes import factor_two_scheme, one_shot_scheme
 from repro.util.transmittable import TransmittableGrid
+from tests.test_stacked_program_fuzz import graphs as fuzz_graphs
 
 
 def one_shot_setup(graph):
@@ -55,17 +60,47 @@ def test_one_shot_decisions_match_engine(seed):
 
 
 def test_round_and_bit_budgets():
-    graph = gnp_graph(40, 0.1, seed=2)
-    scheme, coloring, grid = one_shot_setup(graph)
-    values = {u: var.x for u, var in scheme.instance.value_vars.items()}
-    network = Network.congest(graph)
-    _, _, sim = run_lemma310_on_graph(
-        graph, values, scheme.p, coloring.colors, mode="exact-product",
-        grid=grid, network=network,
-    )
-    assert sim.rounds <= 3 * coloring.num_colors + 4
-    assert sim.max_message_bits <= network.bit_budget
-    assert sim.all_halted
+    """The run takes exactly the rounds ``derand/coloring_based.py``
+    charges for the color loop plus rounding execution."""
+    for seed in (2, 3, 5, 7):
+        graph = gnp_graph(40, 0.1, seed=seed)
+        scheme, coloring, grid = one_shot_setup(graph)
+        values = {u: var.x for u, var in scheme.instance.value_vars.items()}
+        network = Network.congest(graph)
+        for engine in ("fast", "vector"):
+            _, _, sim = run_lemma310_on_graph(
+                graph, values, scheme.p, coloring.colors, mode="exact-product",
+                grid=grid, network=network, engine=engine,
+            )
+            charged = ROUNDS_PER_COLOR * coloring.num_colors + 2
+            assert sim.rounds == charged, (seed, engine)
+            assert sim.max_message_bits <= network.bit_budget
+            assert sim.all_halted
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(st.lists(fuzz_graphs(), min_size=1, max_size=3))
+def test_measured_rounds_equal_the_charge(graphs):
+    """The canonical loop plus rounding execution takes exactly
+    ``ROUNDS_PER_COLOR * num_colors + 2`` rounds, the ``lemma3.10-color-loop``
+    and ``rounding-execution`` charges, on ``fast``, solo ``vector`` and
+    in a ragged stacked group, on every suite family, one node, no edges,
+    and isolated nodes beside edges."""
+    spec = program_spec("lemma310")
+    networks = [Network.congest(graph) for graph in graphs]
+    inputs = [spec.batch_inputs(net) for net in networks]
+    limits = [int(spec.batch_max_rounds(net)) for net in networks]
+    charged = [ROUNDS_PER_COLOR * box[0]["num_colors"] + 2 for box in inputs]
+    for net, box, limit, want in zip(networks, inputs, limits, charged):
+        for engine in ("fast", "vector"):
+            sim = Simulator(net, spec.batch_factory, inputs=box, engine=engine)
+            assert sim.run(max_rounds=limit).rounds == want, engine
+    stacked = run_stacked(networks, spec.batch_factory, inputs, limits)
+    assert [result.rounds for result in stacked] == charged
 
 
 def test_factor_two_mode_on_tree():

@@ -1,12 +1,15 @@
-"""Differential fuzz: greedy MDS and rounding execution on every vector route.
+"""Differential fuzz: greedy MDS, rounding execution and the Lemma 3.10
+loop on every vector route.
 
 The colour-reduction twin of this file is ``test_color_reduction_fuzz.py``.
 Hypothesis draws ragged groups of one to four graphs (one node, no edges,
-stars, paths, gnp and suite graphs) with per-instance round limits from 0 to
-the spec's full limit + 2, under the CONGEST budget or one bit below the
-group's largest message.  Rounding execution also draws its inputs: the
-spec's canonical mapping, random ``(x_num, c_num, scale)`` triples, a
-mapping missing some nodes, or none at all.  Against ``fast``:
+stars, paths, gnp graphs with and without isolated nodes, and suite graphs)
+with per-instance round limits from 0 to the spec's full limit + 2, under
+the CONGEST budget or one bit below the group's largest message.  Rounding
+execution also draws its inputs: the spec's canonical mapping, random
+``(x_num, c_num, scale)`` triples, a mapping missing some nodes, or none at
+all.  Lemma 3.10 runs the spec's canonical inputs, which its kernel's gate
+accepts.  Against ``fast``:
 
 * a solo ``vector`` run gives the same result or raises the same error
   (type and fields: offender, receiver, bits and budget, or the limit
@@ -16,6 +19,10 @@ mapping missing some nodes, or none at all.  Against ``fast``:
 * a rounding-execution group with a missing input raises
   :class:`BatchEligibilityError` before anything runs, while the solo
   routes raise what the program raises for it.
+
+Most draws stop early on a short limit or a tight budget, so one
+deterministic case runs Lemma 3.10 to its full limit on graphs with
+isolated nodes, solo and in a ragged group.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import networkx as nx
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api.registry import program_spec
-from repro.congest.engine import iter_stacked
+from repro.congest.engine import iter_stacked, run_stacked
 from repro.congest.network import Network
 from repro.congest.simulator import Simulator
 from repro.errors import (
@@ -34,6 +41,7 @@ from repro.errors import (
 )
 from repro.graphs.generators import gnp_graph
 from repro.graphs.suite import families, suite_instance
+from tests.test_vector_engine import _zoo
 
 _FIELDS = (
     "rounds",
@@ -50,7 +58,9 @@ _FIELDS = (
 @st.composite
 def graphs(draw) -> nx.Graph:
     kind = draw(
-        st.sampled_from(("single", "edgeless", "star", "path", "gnp", "suite"))
+        st.sampled_from(
+            ("single", "edgeless", "star", "path", "gnp", "isolated", "suite")
+        )
     )
     if kind == "single":
         return nx.empty_graph(1)
@@ -58,14 +68,23 @@ def graphs(draw) -> nx.Graph:
         family = draw(st.sampled_from(families()))
         n, seed = draw(st.integers(8, 24)), draw(st.integers(0, 99))
         return suite_instance(family, n, seed=seed).graph
-    n = draw(st.integers(2, 30 if kind == "gnp" else 12))
+    n = draw(st.integers(2, 30 if kind in ("gnp", "isolated") else 12))
     if kind == "edgeless":
         return nx.empty_graph(n)
     if kind == "star":
         return nx.star_graph(n - 1)
     if kind == "path":
         return nx.path_graph(n)
-    return gnp_graph(n, draw(st.floats(0.02, 0.5)), seed=draw(st.integers(0, 99)))
+    if kind == "gnp":
+        return gnp_graph(
+            n, draw(st.floats(0.02, 0.5)), seed=draw(st.integers(0, 99))
+        )
+    # Isolated nodes beside edges: a gnp graph that loses every edge at
+    # some of its nodes.
+    graph = gnp_graph(n, draw(st.floats(0.2, 0.6)), seed=draw(st.integers(0, 99)))
+    lonely = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    graph.remove_edges_from(list(graph.edges(lonely)))
+    return graph
 
 
 @st.composite
@@ -96,9 +115,12 @@ def groups(draw, program: str):
     members = []
     for _ in range(draw(st.integers(1, 4))):
         graph = draw(graphs())
-        inputs = (
-            draw(rounding_inputs(graph)) if program == "rounding-exec" else None
-        )
+        if program == "rounding-exec":
+            inputs = draw(rounding_inputs(graph))
+        elif program == "lemma310":
+            inputs = spec.batch_inputs(Network.congest(graph))
+        else:
+            inputs = None
         full = int(spec.batch_max_rounds(Network.congest(graph)))
         limit = draw(st.one_of(st.integers(0, 6), st.integers(0, full + 2)))
         members.append((graph, inputs, limit))
@@ -247,3 +269,29 @@ def test_greedy_every_route_matches_fast(case):
 @given(groups("rounding-exec"))
 def test_rounding_exec_every_route_matches_fast(case):
     _check_group("rounding-exec", case)
+
+
+@_SETTINGS
+@given(groups("lemma310"))
+def test_lemma310_every_route_matches_fast(case):
+    _check_group("lemma310", case)
+
+
+def test_lemma310_with_isolated_nodes_runs_to_its_limit_like_fast():
+    """Zero-degree deciders quote nothing and hear nothing: a graph with
+    an isolated node and the one-node graph, solo and in one ragged group
+    beside a path, at the spec's round limit and the CONGEST budget."""
+    spec = program_spec("lemma310")
+    graphs = [_zoo()["lopsided-with-isolated"], nx.empty_graph(1), nx.path_graph(5)]
+    networks = [Network.congest(graph) for graph in graphs]
+    inputs = [spec.batch_inputs(net) for net in networks]
+    limits = [int(spec.batch_max_rounds(net)) for net in networks]
+    fast = []
+    for k, (net, box, limit) in enumerate(zip(networks, inputs, limits)):
+        want = _solo(net, spec.batch_factory, box, "fast", limit)
+        assert not isinstance(want, tuple), want
+        fast.append(want)
+        _assert_same(_solo(net, spec.batch_factory, box, "vector", limit), want, k)
+    stacked = run_stacked(networks, spec.batch_factory, inputs, limits)
+    for k, result in enumerate(stacked):
+        _assert_same(result, fast[k], ("stacked", k))

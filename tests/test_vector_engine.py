@@ -116,7 +116,8 @@ def _python_rows(networks):
 
 
 def _check_hot_path(plane, networks, rng):
-    """Row reductions, gathers and sender slots against per-row loops."""
+    """Row reductions, row slots, gathers and sender slots against
+    per-row loops."""
     rows = _python_rows(networks)
     slots = [u for row in rows for u in row]
     assert plane.indices.tolist() == slots
@@ -130,12 +131,19 @@ def _check_hot_path(plane, networks, rng):
         assert plane.row_max(values, empty).tolist() == [
             max(r, default=empty) for r in row_values
         ]
-    flags = rng.integers(0, 2, size=plane.nnz).astype(bool)
-    start, expect_any = 0, []
+    row_starts = [0]
     for row in rows:
-        expect_any.append(bool(flags[start : start + len(row)].any()))
-        start += len(row)
-    assert plane.row_any(flags).tolist() == expect_any
+        row_starts.append(row_starts[-1] + len(row))
+    subset = rng.permutation(plane.n)[: rng.integers(1, plane.n + 1)]
+    for nodes in (
+        np.arange(plane.n),  # every row, ascending
+        np.sort(subset),  # some rows, ascending
+        subset,  # the same rows, unsorted
+        np.zeros(0, dtype=np.int64),  # no rows
+    ):
+        assert plane.row_slots(nodes).tolist() == [
+            s for v in nodes for s in range(row_starts[v], row_starts[v + 1])
+        ]
     per_node = rng.integers(0, 1000, size=plane.n, dtype=np.int64)
     assert plane.gather(per_node).tolist() == [int(per_node[u]) for u in slots]
     mask = rng.integers(0, 2, size=plane.n).astype(bool)
@@ -191,6 +199,7 @@ class TestCsrPlane:
             Network.congest(suite_instance(f, n, seed=s).graph)
             for f, n, s in (("gnp", 16, 0), ("tree", 30, 1), ("gnp-dense", 9, 2))
         ]
+        networks.insert(1, Network.congest(_zoo()["all-isolated"]))
         _check_hot_path(
             StackedPlane(networks), networks, np.random.default_rng(7)
         )
