@@ -1,26 +1,28 @@
 """Micro-benchmark: stacked multi-instance plane vs the per-cell path.
 
-The batched tentpole bar, asserted on every run: executing a 50-seed
-E1-style sweep (one suite cell, many seeded topologies, the simulated
-greedy MDS program on the vector engine) as **one stacked message plane**
-must be **>= 5x** faster than running the same cells one at a time through
-the per-cell vector path, measured on simulation wall only (topology
-generation is shared and identical between the strategies).  One observed
-run on a dev container: 0.104s per-cell vs 0.018s stacked (~5.9x).
+Each bar compares one stacked run of a sweep on the ``vector`` engine
+against the same cells run one at a time on ``fast``, the scalar engine,
+measured on simulation wall only (topology generation is shared and
+identical between the arms), best of 3.  The per-cell arm runs on
+``fast`` because the stacked loop *is* the solo ``vector`` path (a solo
+run is a one-instance stacked group), so every speed-up of that loop moved
+a ``vector`` denominator along with the numerator.  The solo ``vector``
+ratio is still printed, for reference, and not asserted.
 
-Result parity is asserted *before* the speedup — every per-seed metrics
-block must be identical between the strategies — so a correctness
-regression can never hide behind a timing win.  A second target times the
-color-reduction sweep (lockstep termination, n rounds for every seed) for
-the same bar at a lower margin, a third exercises ``batch_size``
-chunking, and a fourth is the **ragged bar**: a mixed-size 50-instance
-sweep (sizes spanning an order of magnitude) stacked as one ragged plane
-must be ≥ 3x faster than its per-cell path — the margin is lower than
-the uniform bar because the stacked loop runs as many rounds as the
-*largest* instance needs while per-cell work shrinks with size.  A fifth
-target is the **lemma310 bar**: the canonical uniform Lemma 3.10 sweep
-stacks through the vectorized color-class kernel (round-1 takeover, the
-alpha/decide/fold protocol running in-plane) and must clear ≥ 3x.
+Result parity is asserted *before* the speedup: the ``fast`` records and
+the stacked records must agree cell by cell on ``ok`` and the whole
+metrics block, the engine field aside, and the stacked records must equal
+the solo ``vector`` records outright — so a correctness regression can
+never hide behind a timing win.  The five targets are the 50-seed greedy
+sweep (the tentpole), the color-reduction sweep (lockstep termination, n
+rounds for every seed), ``batch_size`` chunking, the canonical uniform
+Lemma 3.10 sweep (the alpha/decide/fold protocol in-plane from round 1),
+and the **ragged** sweep: 50 instances of mixed size (n spanning an order
+of magnitude) as one ragged plane, whose stacked loop runs as many rounds
+as the *largest* instance needs while per-cell work shrinks with size.
+Each bar is about two thirds of the smallest ratio seen over 16
+alternating runs pinned to one CPU (see docs/benchmarks.md, "Asserted
+bars").
 
 Run with::
 
@@ -30,6 +32,8 @@ Run with::
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.api import Experiment
 from repro.experiments.harness import (
     comparable_records as _comparable,
@@ -38,58 +42,95 @@ from repro.experiments.harness import (
 )
 from repro.experiments.runner import run_grid
 
-#: The tentpole bar: stacked vs per-cell on the 50-seed greedy sweep.
-BATCHED_SPEEDUP_BAR = 5.0
-#: Color reduction stacks perfectly (lockstep rounds) but runs fewer
-#: numpy ops per round, so the dispatch-overhead win is smaller.
-COLOR_SPEEDUP_BAR = 2.0
+#: The tentpole bar: stacked vs per-cell ``fast`` on the 50-seed greedy
+#: sweep (observed 32.8-60.0x).
+BATCHED_SPEEDUP_BAR = 20.0
+#: Color reduction stacks perfectly (lockstep rounds), but each round has
+#: little work to share (observed 13.5-26.1x).
+COLOR_SPEEDUP_BAR = 9.0
+#: ``batch_size=10`` chunks of the greedy tree-80 sweep (observed
+#: 14.2-20.3x).
+CHUNKED_SPEEDUP_BAR = 9.0
 #: The ragged bar: a mixed-size 50-instance sweep stacked as one ragged
-#: plane vs per-cell (the stacked loop pays the largest instance's round
-#: count, so the margin is below the uniform bar).
-RAGGED_SPEEDUP_BAR = 3.0
+#: plane; the stacked loop pays the largest instance's round count
+#: (observed 30.1-46.0x).
+RAGGED_SPEEDUP_BAR = 20.0
 #: Mixed sizes spanning an order of magnitude; 10 seeds each = 50 cells.
 RAGGED_SIZES = (20, 40, 60, 100, 150)
-#: Lemma 3.10 on the canonical uniform workload: the color-class rounds
-#: run in-plane (round-1 takeover) but each round does more numpy work
-#: than greedy's, so the bar sits at the ragged margin, not the tentpole.
-LEMMA310_SPEEDUP_BAR = 3.0
+#: Lemma 3.10 on the canonical uniform workload (observed 45.3-93.3x).
+LEMMA310_SPEEDUP_BAR = 30.0
 
 SWEEP_SEEDS = list(range(50))
 
 
 def _shootout(cells, batch_size: int = 0):
-    """Run one cell set under both strategies; return the best-of-3 walls."""
+    """Run the three arms; return ``{arm: (records, best-of-3 wall)}``.
+
+    ``fast`` and ``vector`` run the cells one at a time on that engine,
+    ``batch`` stacks them on ``vector``.
+    """
+    arms = {
+        "fast": ([dataclasses.replace(cell, engine="fast") for cell in cells], "cell"),
+        "vector": (cells, "cell"),
+        "batch": (cells, "batch"),
+    }
     best: dict = {}
     for _ in range(3):  # best-of-3: measure the strategy, not the scheduler
-        for strategy in ("cell", "batch"):
-            records = run_grid(cells, strategy=strategy, batch_size=batch_size)
+        for arm, (arm_cells, strategy) in arms.items():
+            records = run_grid(arm_cells, strategy=strategy, batch_size=batch_size)
             wall = _sim_wall(records)
-            if strategy not in best or wall < best[strategy][1]:
-                best[strategy] = (records, wall)
+            if arm not in best or wall < best[arm][1]:
+                best[arm] = (records, wall)
     return best
 
 
+def _engine_free(records):
+    """Records stripped to cell (engine aside), ``ok`` and metrics."""
+    return [
+        (
+            {k: v for k, v in rec["cell"].items() if k != "engine"},
+            rec["ok"],
+            rec.get("metrics"),
+        )
+        for rec in _comparable(records)
+    ]
+
+
+def _speedup(best, label: str) -> float:
+    """Assert parity across the arms, print the walls; return the ratio of
+    the ``fast`` arm to the stacked arm."""
+    fast_records, fast_wall = best["fast"]
+    vector_records, vector_wall = best["vector"]
+    batch_records, batch_wall = best["batch"]
+    assert _engine_free(fast_records) == _engine_free(batch_records), (
+        f"{label}: stacked records diverged from per-cell fast records"
+    )
+    assert _comparable(vector_records) == _comparable(batch_records), (
+        f"{label}: stacked records diverged from per-cell vector records"
+    )
+    assert all(rec["ok"] for rec in batch_records)
+    speedup = fast_wall / batch_wall
+    print(
+        f"\n{label}: per-cell fast {fast_wall * 1000:.1f}ms, per-cell vector "
+        f"{vector_wall * 1000:.1f}ms, batch {batch_wall * 1000:.1f}ms; "
+        f"speedup {speedup:.1f}x vs fast ({vector_wall / batch_wall:.1f}x vs "
+        "vector, not asserted)"
+    )
+    return speedup
+
+
 def _sweep(program: str, family: str, n: int, batch_size: int = 0):
-    """Uniform seed sweep under both strategies (the PR 3 workloads)."""
+    """Uniform seed sweep under every arm (the PR 3 workloads)."""
     cells = seed_sweep_cells(program=program, family=family, n=n, seeds=SWEEP_SEEDS)
     return _shootout(cells, batch_size=batch_size)
 
 
 def bench_batched_greedy_50_seeds(benchmark):
-    """The tentpole: 50-seed greedy sweep, stacked >= 5x per-cell."""
+    """The tentpole: 50-seed greedy sweep, stacked >= 20x per-cell fast."""
     best = _sweep("greedy", "gnp", 60)
-    cell_records, cell_wall = best["cell"]
-    batch_records, batch_wall = best["batch"]
-    assert _comparable(cell_records) == _comparable(batch_records), (
-        "stacked records diverged from per-cell records"
-    )
-    assert all(rec["ok"] for rec in batch_records)
+    batch_records = best["batch"][0]
     assert sum(1 for rec in batch_records if "batch" in rec) == len(SWEEP_SEEDS)
-    speedup = cell_wall / batch_wall
-    print(
-        f"\n50-seed greedy gnp-60: cell {cell_wall * 1000:.1f}ms, "
-        f"batch {batch_wall * 1000:.1f}ms, speedup {speedup:.1f}x"
-    )
+    speedup = _speedup(best, "50-seed greedy gnp-60")
     assert speedup >= BATCHED_SPEEDUP_BAR, (
         f"stacked plane only {speedup:.2f}x faster, bar is {BATCHED_SPEEDUP_BAR}x"
     )
@@ -105,16 +146,9 @@ def bench_batched_greedy_50_seeds(benchmark):
 
 
 def bench_batched_color_reduction_50_seeds(benchmark):
-    """Color reduction: lockstep stacked termination, parity + >= 2x."""
+    """Color reduction: lockstep stacked termination, parity + >= 9x."""
     best = _sweep("color-reduction", "tree", 80)
-    cell_records, cell_wall = best["cell"]
-    batch_records, batch_wall = best["batch"]
-    assert _comparable(cell_records) == _comparable(batch_records)
-    speedup = cell_wall / batch_wall
-    print(
-        f"\n50-seed color-reduction tree-80: cell {cell_wall * 1000:.1f}ms, "
-        f"batch {batch_wall * 1000:.1f}ms, speedup {speedup:.1f}x"
-    )
+    speedup = _speedup(best, "50-seed color-reduction tree-80")
     assert speedup >= COLOR_SPEEDUP_BAR
     benchmark.pedantic(
         lambda: run_grid(
@@ -132,17 +166,10 @@ def bench_batched_color_reduction_50_seeds(benchmark):
 def bench_batched_chunked(benchmark):
     """batch_size chunking: identical records, still faster than per-cell."""
     best = _sweep("greedy", "tree", 80, batch_size=10)
-    cell_records, cell_wall = best["cell"]
-    batch_records, batch_wall = best["batch"]
-    assert _comparable(cell_records) == _comparable(batch_records)
+    batch_records = best["batch"][0]
     assert all(rec.get("batch", {}).get("k", 0) <= 10 for rec in batch_records)
-    speedup = cell_wall / batch_wall
-    print(
-        f"\n50-seed greedy tree-80 (batch_size=10): cell "
-        f"{cell_wall * 1000:.1f}ms, batch {batch_wall * 1000:.1f}ms, "
-        f"speedup {speedup:.1f}x"
-    )
-    assert speedup >= 2.0
+    speedup = _speedup(best, "50-seed greedy tree-80 (batch_size=10)")
+    assert speedup >= CHUNKED_SPEEDUP_BAR
     benchmark.pedantic(
         lambda: run_grid(
             seed_sweep_cells(program="greedy", family="tree", n=80, seeds=SWEEP_SEEDS),
@@ -156,28 +183,19 @@ def bench_batched_chunked(benchmark):
 
 
 def bench_batched_lemma310_50_seeds(benchmark):
-    """Lemma 3.10: vectorized color-class stacking, parity + >= 3x.
+    """Lemma 3.10: vectorized color-class stacking, parity + >= 30x.
 
     Every instance is canonical-uniform (``x = p = 1/2``, mode auto), so
     the stacked kernel takes over at round 1 and runs the full
     announce/alpha/decide/fold protocol on the plane.  Parity is
-    asserted record for record before the speedup,
-    so the derandomized coin flips, traffic totals, and outputs are
-    pinned bit for bit against the per-cell vector path.
+    asserted record for record before the speedup, so the derandomized
+    coin flips, traffic totals, and outputs are pinned bit for bit
+    against the per-cell node program on ``fast``.
     """
     best = _sweep("lemma310", "gnp", 60)
-    cell_records, cell_wall = best["cell"]
-    batch_records, batch_wall = best["batch"]
-    assert _comparable(cell_records) == _comparable(batch_records), (
-        "stacked lemma310 records diverged from per-cell records"
-    )
-    assert all(rec["ok"] for rec in batch_records)
+    batch_records = best["batch"][0]
     assert sum(1 for rec in batch_records if "batch" in rec) == len(SWEEP_SEEDS)
-    speedup = cell_wall / batch_wall
-    print(
-        f"\n50-seed lemma310 gnp-60: cell {cell_wall * 1000:.1f}ms, "
-        f"batch {batch_wall * 1000:.1f}ms, speedup {speedup:.1f}x"
-    )
+    speedup = _speedup(best, "50-seed lemma310 gnp-60")
     assert speedup >= LEMMA310_SPEEDUP_BAR, (
         f"lemma310 plane only {speedup:.2f}x faster, bar is "
         f"{LEMMA310_SPEEDUP_BAR}x"
@@ -207,30 +225,22 @@ def _ragged_cells():
 
 
 def bench_ragged_mixed_size_50_instances(benchmark):
-    """The ragged bar: 50 mixed-size instances as one plane, >= 3x per-cell.
+    """The ragged bar: 50 mixed-size instances as one plane, >= 20x per-cell.
 
     Every instance of the group is a different (size, seed) topology —
     n in {20..150} — so this is the workload uniform stacking could never
-    batch; parity is asserted record for record against the per-cell
-    vector path before the speedup is measured.
+    batch; parity is asserted record for record against both per-cell
+    arms before the speedup is measured.
     """
     cells = _ragged_cells()
     assert len(cells) == 50
     best = _shootout(cells)
-    cell_records, cell_wall = best["cell"]
-    batch_records, batch_wall = best["batch"]
-    assert _comparable(cell_records) == _comparable(batch_records), (
-        "ragged stacked records diverged from per-cell records"
-    )
-    assert all(rec["ok"] for rec in batch_records)
+    batch_records = best["batch"][0]
     # The whole mixed-size group stacks: one ragged plane of width 50.
     assert sum(1 for rec in batch_records if "batch" in rec) == len(cells)
     assert {rec["batch"]["k"] for rec in batch_records if "batch" in rec} == {50}
-    speedup = cell_wall / batch_wall
-    print(
-        f"\n50-instance ragged greedy gnp (n in {list(RAGGED_SIZES)}): cell "
-        f"{cell_wall * 1000:.1f}ms, batch {batch_wall * 1000:.1f}ms, "
-        f"speedup {speedup:.1f}x"
+    speedup = _speedup(
+        best, f"50-instance ragged greedy gnp (n in {list(RAGGED_SIZES)})"
     )
     assert speedup >= RAGGED_SPEEDUP_BAR, (
         f"ragged plane only {speedup:.2f}x faster, bar is {RAGGED_SPEEDUP_BAR}x"

@@ -84,7 +84,9 @@ def distance2_coloring(
     )
     # A count is at most n, so int64 cannot wrap.  A narrow dtype can wrap
     # to 0, and the product drops zero entries: a conflict would vanish.
-    square = (closed @ closed)[nodes][:, nodes]
+    square = closed @ closed
+    if subset is not None:
+        square = square[nodes][:, nodes]
     first_fit, conflict_edges = _first_fit(square, nodes)
     # Every row of the square holds its diagonal entry.
     max_deg = int(np.diff(square.indptr).max()) - 1 if len(nodes) else 0
@@ -101,13 +103,16 @@ def _first_fit(conflicts: sparse.csr_matrix, nodes: np.ndarray) -> Tuple[List[in
     off-diagonal nonzeros are the conflicts (the
     :func:`~repro.coloring.greedy.greedy_coloring` order when rows ascend by
     id), checked for properness; returns the colors and the conflict count.
+    Each row is read as a set, so its column order does not matter.
     ``nodes`` names the rows in the error message."""
-    from scipy import sparse
-
-    # Row v of the strictly lower triangle: v's conflicts among the earlier
+    indptr, indices = conflicts.indptr, conflicts.indices
+    rows = np.repeat(np.arange(conflicts.shape[0]), np.diff(indptr))
+    # Row v's entries below the diagonal: v's conflicts among the earlier
     # rows, which first-fit has colored before v.
-    lower = sparse.tril(conflicts, k=-1, format="csr")
-    ptr, idx = lower.indptr.tolist(), lower.indices.tolist()
+    lower = indices < rows
+    later, earlier = rows[lower], indices[lower]
+    ptr = np.concatenate(([0], np.cumsum(lower)))[indptr].tolist()
+    idx = earlier.tolist()
     first_fit: List[int] = []
     for v in range(conflicts.shape[0]):
         taken = {first_fit[u] for u in idx[ptr[v]:ptr[v + 1]]}
@@ -116,14 +121,13 @@ def _first_fit(conflicts: sparse.csr_matrix, nodes: np.ndarray) -> Tuple[List[in
             color += 1
         first_fit.append(color)
     colors = np.array(first_fit, dtype=np.int64)
-    later = np.repeat(np.arange(len(first_fit)), np.diff(lower.indptr))
-    clash = np.flatnonzero(colors[later] == colors[lower.indices])
+    clash = np.flatnonzero(colors[later] == colors[earlier])
     if clash.size:
-        u, v = lower.indices[clash[0]], later[clash[0]]
+        u, v = earlier[clash[0]], later[clash[0]]
         raise ColoringError(
             f"edge ({nodes[u]}, {nodes[v]}) is monochromatic with color {colors[v]}"
         )
-    return first_fit, lower.nnz
+    return first_fit, int(earlier.size)
 
 
 def bipartite_distance2_coloring(

@@ -209,8 +209,10 @@ class StackedPlane:
         contributes nothing.
         """
         degrees = self.degrees[nodes]
-        shift = self.indptr[nodes] - (np.cumsum(degrees) - degrees)
-        return np.arange(int(degrees.sum())) + np.repeat(shift, degrees)
+        ends = degrees.cumsum()
+        shift = self.indptr[nodes] - ends + degrees
+        total = int(ends[-1]) if ends.size else 0
+        return np.arange(total) + shift.repeat(degrees)
 
     def out_slots(self, senders: np.ndarray) -> np.ndarray:
         """Receiving slots of the broadcasts of ``senders``, sender-major.
@@ -277,7 +279,7 @@ def _accumulate_round(
     broadcast puts ``degree`` copies of the sender's message on the wire,
     so its per-instance counts are degree-weighted sums over that
     instance's senders; a targeted part puts exactly one message per
-    masked slot on the wire, bucketed by its sender's instance.  ``charged``
+    listed slot on the wire, bucketed by its sender's instance.  ``charged``
     masks the nodes whose sends reach a wire: nodes with a neighbor, in
     instances that have not finished (a finished instance's
     bottom-of-loop queued traffic is discarded uncharged and unchecked,
@@ -360,13 +362,13 @@ def _reject_broadcast(plane, senders, bits, budgets) -> None:
 
 
 def _targeted_ledger(plane, part, charged, budgets):
-    """Slot-addressed traffic: one message per masked slot."""
-    slots = np.flatnonzero(part.slot_mask)
+    """Slot-addressed traffic: one message per listed slot."""
+    slots, bits = part.slots, part.bits
     senders = plane.indices[slots]
     on_wire = charged[senders]
-    slots, senders = slots[on_wire], senders[on_wire]
+    if not on_wire.all():
+        slots, senders, bits = slots[on_wire], senders[on_wire], bits[on_wire]
     inst = plane.instance_of[senders]
-    bits = part.bits[slots]
     k_count = plane.instances
     wire_max = np.zeros(k_count, dtype=np.int64)
     np.maximum.at(wire_max, inst, bits)
@@ -381,7 +383,7 @@ def _targeted_ledger(plane, part, charged, budgets):
         raise MessageTooLargeError(
             int(plane.local_ids[sender]),
             int(plane.local_ids[receiver]),
-            int(part.bits[slot]),
+            int(bits[over][first]),
             int(budgets[plane.instance_of[sender]]),
         )
     return (
@@ -424,7 +426,9 @@ def _rounds(
     The ledger is per-instance: one history row per executed round for
     messages, bits and the largest message.  Instances finish in monotone
     order, so each unfinished instance has executed every round so far:
-    the history *is* its per-round series.
+    the history *is* its per-round series.  A round in which instances
+    finish stacks the three histories once into an int64
+    ``(3, rounds, K)`` table, and each finished instance reads its column.
     """
     budgets = np.array(
         [_NO_BUDGET if net.bit_budget is None else net.bit_budget
@@ -445,26 +449,28 @@ def _rounds(
     live_count = plane.n
     rounds = 0
 
-    def finish(k: int) -> Tuple[int, SimulationResult]:
+    def finish(k: int, table: np.ndarray) -> Tuple[int, SimulationResult]:
         """Snapshot instance ``k``'s solo-equivalent result."""
         nonlocal next_limit
         lo, hi = offsets[k], offsets[k + 1]
         charged[lo:hi] = False
         del open_limits[k]
         next_limit = min(open_limits.values(), default=0)
-        kernel_output = kernel._outputs.get
-        outputs = {v: dict(kernel_output(lo + v, ())) for v in range(hi - lo)}
-        messages = [int(row[k]) for row in hist_msgs]
-        bits = [int(row[k]) for row in hist_bits]
+        outputs: dict = {v: {} for v in range(hi - lo)}
+        for key, (values, written) in kernel.output_columns.items():
+            nodes = np.flatnonzero(written[lo:hi])
+            for v, value in zip(nodes.tolist(), values[lo + nodes].tolist()):
+                outputs[v][key] = value
+        messages, bits, largest = table[:, :, k]
         return k, SimulationResult(
             rounds=rounds,
-            total_messages=sum(messages),
-            total_bits=sum(bits),
-            max_message_bits=max((int(row[k]) for row in hist_max), default=0),
+            total_messages=int(messages.sum()),
+            total_bits=int(bits.sum()),
+            max_message_bits=int(largest.max()),
             outputs=outputs,
             all_halted=True,
-            messages_per_round=messages,
-            bits_per_round=bits,
+            messages_per_round=messages.tolist(),
+            bits_per_round=bits.tolist(),
         )
 
     while True:
@@ -485,9 +491,13 @@ def _rounds(
             continue
         live_count = count
         alive = plane.live_per_instance(kernel.live)
-        for k in np.flatnonzero(alive == 0).tolist():
-            if k in open_limits:
-                yield finish(k)
+        finished = [
+            k for k in np.flatnonzero(alive == 0).tolist() if k in open_limits
+        ]
+        if finished:
+            table = np.array([hist_msgs, hist_bits, hist_max], dtype=np.int64)
+            for k in finished:
+                yield finish(k, table)
         if not open_limits:
             return
 

@@ -239,7 +239,7 @@ class FastEngine(Engine):
             total_messages=total_messages,
             total_bits=total_bits,
             max_message_bits=max_bits,
-            outputs={v: dict(ctx._outputs) for v, ctx in contexts.items()},
+            outputs={v: dict(ctx._recorded) for v, ctx in contexts.items()},
             all_halted=not active,
             messages_per_round=messages_per_round,
             bits_per_round=bits_per_round,
@@ -319,7 +319,7 @@ class FastEngine(Engine):
             total_messages=total_messages,
             total_bits=total_bits,
             max_message_bits=max_bits,
-            outputs={v: dict(ctx._outputs) for v, ctx in contexts.items()},
+            outputs={v: dict(ctx._recorded) for v, ctx in contexts.items()},
             all_halted=not live,
             messages_per_round=messages_per_round,
             bits_per_round=bits_per_round,

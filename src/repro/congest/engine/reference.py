@@ -97,7 +97,7 @@ class ReferenceEngine(Engine):
             total_messages=total_messages,
             total_bits=total_bits,
             max_message_bits=max_bits,
-            outputs={v: dict(ctx._outputs) for v, ctx in contexts.items()},
+            outputs={v: dict(ctx._recorded) for v, ctx in contexts.items()},
             all_halted=all(ctx._halted for ctx in contexts.values()),
             messages_per_round=messages_per_round,
             bits_per_round=bits_per_round,

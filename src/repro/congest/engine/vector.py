@@ -39,7 +39,7 @@ Three pieces cooperate:
 
 The Lemma 3.10 kernel's gate admits its canonical uniform inputs, whose
 color-class rounds run *in-plane*, with the targeted ``alpha`` sends
-expressed as :class:`PendingTargeted` slot traffic and a round optionally
+expressed as :class:`PendingTargeted` listed slots and a round optionally
 carrying several differently-tagged parts at once; other inputs run on
 ``fast``.
 """
@@ -184,24 +184,24 @@ class PendingTargeted:
     recipient (``ctx.send``), so targeted phases — Lemma 3.10's alpha
     quotes — ride in receiver-side slot form: slot ``s`` of row ``v``
     (``indptr[v] <= s < indptr[v+1]``) carries a message from ``v``'s
-    peer ``indices[s]`` to ``v`` iff ``slot_mask[s]``.  ``columns`` holds
-    one slot-length int64 array per field and ``bits`` the exact
-    per-message wire size; unmasked entries are ignored.  Exactly one
-    message per masked slot travels on the wire, so accounting is a
-    masked sum instead of the broadcast's degree weighting.
+    peer ``indices[s]`` to ``v``.  ``slots`` lists the carrying slots in
+    ascending order; ``columns`` holds one int64 array per field and
+    ``bits`` the exact per-message wire size, both aligned to ``slots``.
+    Exactly one message per listed slot travels on the wire, so a round
+    costs O(number of messages), not O(plane).
     """
 
-    __slots__ = ("spec", "slot_mask", "columns", "bits")
+    __slots__ = ("spec", "slots", "columns", "bits")
 
     def __init__(
         self,
         spec: MessageSpec,
-        slot_mask: np.ndarray,
+        slots: np.ndarray,
         columns: Tuple[np.ndarray, ...],
         bits: np.ndarray,
     ):
         self.spec = spec
-        self.slot_mask = slot_mask
+        self.slots = slots
         self.columns = columns
         self.bits = bits
 
@@ -234,6 +234,9 @@ class VectorKernel(ABC):
     traffic, update state, record outputs/halts, and return the next
     round's outbound traffic (or ``None`` for a silent round).  The round
     loop owns accounting and termination; the kernel owns semantics.
+    Outputs are columns: :meth:`output` records one key for an array of
+    nodes, and the round loop slices each finished instance's outputs
+    from the columns.
 
     Every plane may hold K instances (:mod:`repro.congest.engine.batched`;
     a solo run is the case K = 1), so per-node transitions consult only
@@ -251,7 +254,10 @@ class VectorKernel(ABC):
         """Bare kernel over ``plane``: every node live, no outputs yet."""
         self.plane = plane
         self.live = np.ones(plane.n, dtype=bool)
-        self._outputs: Dict[int, Dict[str, object]] = {}
+        #: Output key -> ``(values, written)``: an int64 column over the
+        #: plane and the mask of the nodes that wrote it, in first-write
+        #: order of the keys.
+        self.output_columns: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def eligible(cls, network: Network, inputs: Mapping[int, object]) -> bool:
@@ -284,9 +290,22 @@ class VectorKernel(ABC):
         round-1 messages, bit lengths and raised errors.
         """
 
-    def output(self, node: int, key: str, value: object) -> None:
-        """Record one node's local output (mirrors ``Context.output``)."""
-        self._outputs.setdefault(node, {})[key] = value
+    def output(self, nodes: np.ndarray, key: str, values: np.ndarray) -> None:
+        """Record output ``key`` of ``nodes`` (global ids) as ``values``.
+
+        One call covers every node that outputs ``key`` in a round; a
+        later write overwrites an earlier one, as ``Context.output`` does.
+        Values are integers.
+        """
+        column = self.output_columns.get(key)
+        if column is None:
+            n = self.plane.n
+            column = self.output_columns[key] = (
+                np.zeros(n, dtype=np.int64),
+                np.zeros(n, dtype=bool),
+            )
+        column[0][nodes] = values
+        column[1][nodes] = True
 
     @abstractmethod
     def step(

@@ -38,7 +38,7 @@ class Context:
         "round_number",
         "_neighbor_set",
         "_outbox",
-        "_outputs",
+        "_recorded",
         "_halted",
     )
 
@@ -49,7 +49,7 @@ class Context:
         self.round_number = 0
         self._neighbor_set = frozenset(neighbors)
         self._outbox: Dict[int, Message] = {}
-        self._outputs: Dict[str, object] = {}
+        self._recorded: Dict[str, object] = {}
         self._halted = False
 
     @property
@@ -78,7 +78,7 @@ class Context:
 
     def output(self, key: str, value: object) -> None:
         """Record part of this node's local output."""
-        self._outputs[key] = value
+        self._recorded[key] = value
 
     def halt(self) -> None:
         """Mark this node as locally terminated.

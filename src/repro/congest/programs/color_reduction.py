@@ -84,15 +84,17 @@ class ColorReductionKernel(VectorKernel):
     """Vector transcription of the top-down class-elimination rounds.
 
     Only the acting class does work, so a round costs O(sum of acting
-    degrees), not O(n + nnz): boot buckets every node by the round its
+    degrees), not O(n + nnz): boot sorts every node by the round its
     color acts in (``n_k - color``), and a recolored node is re-queued
     when its new class comes up later.  Delivery reads the senders'
     slots through :meth:`StackedPlane.out_slots`, accounting reads the
-    broadcast's ``senders`` list, bit lengths are computed for senders
-    only, and the mex is a short Python loop over each acting row.  An
-    instance finishes once, at round ``n_k``, in O(n_k).  Boot is
-    O(n + nnz), as is the first delivery (every node announces its
-    color) and building the plane's reverse-slot map.
+    broadcast's ``senders`` list, and the mex is array work: the acting
+    rows' heard colors mark a boolean table of actors x (max degree + 2),
+    whose first unmarked column per row is the new color, and the new
+    colors' bit lengths come from a table over those columns.  An instance
+    finishes once, at round ``n_k``, in O(n_k).  Boot is O(n + nnz), as
+    is the first delivery (every node announces its color) and building
+    the plane's reverse-slot map.
 
     The schedule comes from ``plane.local_n_of`` (the per-node view of
     the ``n`` each node program believes it runs on), so the kernel is
@@ -109,14 +111,14 @@ class ColorReductionKernel(VectorKernel):
     def eligible(cls, network, inputs) -> bool:
         """Initial colors must lie below the plane's exact range, 2**53.
 
-        A negative color is no limit of the plane: ``setup`` raises for
-        it on every engine, and so does :meth:`stacked_setup`.
+        Only the colors given for nodes ``0 .. n - 1`` are read.  A
+        negative color is no limit of the plane: ``setup`` raises for it
+        on every engine, and so does :meth:`stacked_setup`.
         """
-        for v in range(network.n):
-            color = inputs.get(v)
-            if color is not None and int(color) >= _MAX_EXACT_FIELD:
-                return False
-        return True
+        return all(
+            int(color) < _MAX_EXACT_FIELD
+            for _, color in _given_colors(inputs, network.n)
+        )
 
     @classmethod
     def stacked_setup(cls, plane, inputs):
@@ -130,13 +132,9 @@ class ColorReductionKernel(VectorKernel):
         """
         color = plane.local_ids.copy()
         for k, mapping in enumerate(inputs):
-            if not mapping:
-                continue
             base = int(plane.node_offsets[k])
-            for v in range(int(plane.local_ns[k])):
-                c = mapping.get(v)
-                if c is not None:
-                    color[base + v] = int(c)
+            for v, c in _given_colors(mapping, int(plane.local_ns[k])):
+                color[base + int(v)] = int(c)
         if color.min() < 0:
             # The first negative color in setup order: raise setup's error.
             message_bits((int(color[color < 0][0]),))
@@ -151,19 +149,34 @@ class ColorReductionKernel(VectorKernel):
         return kernel, pending
 
     def _boot(self, color: np.ndarray) -> None:
-        """Bucket nodes by acting round; schedule every instance's finish."""
+        """Sort nodes by acting round; schedule every instance's finish."""
         plane = self.plane
         self.color = color
         #: Last-heard color per edge slot; -1 = never heard (the missing
         #: ``neighbor_colors`` entry, which the mex must ignore).
         self.ncolor = np.full(plane.nnz, -1, dtype=np.int64)
         self._bits = np.zeros(plane.n, dtype=np.int64)
+        # A mex is at most the actor's degree, so the table's last column
+        # never holds one: larger and unheard colors are marked there.
+        self._width = int(plane.degrees.max(initial=0)) + 2
+        self._color_bits = self._SPEC.bits_array((np.arange(self._width),))
         # Round r recolors class n_k - r, so classes 1 .. n_k - 1 act.
         act = plane.local_n_of - color
         nodes = np.flatnonzero((color > 0) & (act > 0))
-        self._queue: Dict[int, List[int]] = {}
-        for v, r in zip(nodes.tolist(), act[nodes].tolist()):
-            self._queue.setdefault(r, []).append(v)
+        order = np.argsort(act[nodes], kind="stable")
+        #: Nodes in order of their first acting round, ascending within
+        #: one round; round r's are ``_actors[_bounds[r]]``.
+        self._actors = nodes[order]
+        rounds = act[self._actors]
+        starts = np.flatnonzero(np.diff(rounds, prepend=0)).tolist()
+        self._bounds = {
+            r: slice(a, b)
+            for r, a, b in zip(
+                rounds[starts].tolist(), starts, [*starts[1:], rounds.size]
+            )
+        }
+        #: Round -> nodes whose recolor moved them into that round's class.
+        self._requeued: Dict[int, List[int]] = {}
         self._finish: Dict[int, List[int]] = {}
         for k, n_k in enumerate(plane.local_ns.tolist()):
             self._finish.setdefault(n_k, []).append(k)
@@ -178,32 +191,32 @@ class ColorReductionKernel(VectorKernel):
 
         # Instance k is done once its acting class hits 0 (round n_k),
         # independently of any larger siblings on the plane.
-        offsets = plane.node_offsets
-        for k in self._finish.pop(round_no, ()):
-            lo, hi = int(offsets[k]), int(offsets[k + 1])
-            for v, c in enumerate(self.color[lo:hi].tolist(), lo):
-                self.output(v, "color", c)
-            self.live[lo:hi] = False
+        finishing = self._finish.pop(round_no, None)
+        if finishing is not None:
+            offsets = plane.node_offsets
+            nodes = np.concatenate(
+                [np.arange(offsets[k], offsets[k + 1]) for k in finishing]
+            )
+            self.output(nodes, "color", self.color[nodes])
+            self.live[nodes] = False
 
-        actors = self._queue.pop(round_no, None)
-        if actors is None:
+        bound = self._bounds.get(round_no)
+        requeued = self._requeued.pop(round_no, None)
+        if bound is None and requeued is None:
             return None
-        actors.sort()  # re-queued nodes join their bucket out of order
-        senders = np.array(actors, dtype=np.int64)
-        starts = plane.indptr[senders].tolist()
-        ends = plane.indptr[senders + 1].tolist()
-        ncolor = self.ncolor
-        new_colors = []
-        for v, c, a, b in zip(actors, self.color[senders].tolist(), starts, ends):
-            taken = set(ncolor[a:b].tolist())
-            new = 0
-            while new in taken:
-                new += 1
-            new_colors.append(new)
-            if 0 < new < c:  # class n_k - new acts in a later round
-                self._queue.setdefault(round_no + c - new, []).append(v)
-        self.color[senders] = new_colors
-        self._bits[senders] = [message_bits((c,)) for c in new_colors]
+        senders = self._actors[bound] if bound is not None else self._actors[:0]
+        if requeued is not None:
+            # Re-queued nodes join their round out of order.
+            senders = np.sort(np.concatenate((senders, requeued)))
+        new = self._mex(senders)
+        old = self.color[senders]
+        later = (new > 0) & (new < old)  # class n_k - new acts in a later round
+        for v, r in zip(
+            senders[later].tolist(), (round_no + old - new)[later].tolist()
+        ):
+            self._requeued.setdefault(r, []).append(v)
+        self.color[senders] = new
+        self._bits[senders] = self._color_bits[new]
         mask = np.zeros(plane.n, dtype=bool)
         mask[senders] = True
         # The column aliases ``color`` and ``bits`` is reused: non-sender
@@ -212,6 +225,33 @@ class ColorReductionKernel(VectorKernel):
         return PendingBroadcast(
             self._SPEC, mask, (self.color,), self._bits, senders
         )
+
+    def _mex(self, senders: np.ndarray) -> np.ndarray:
+        """Smallest color each sender has not heard from a neighbor.
+
+        Row ``i`` of a boolean table of senders x (max degree + 2) marks
+        sender ``i``'s heard colors, and its first unmarked column is the
+        mex.  A row of degree d hears at most d colors, so its mex is at
+        most d: colors beyond the table, and unheard slots (-1), are
+        marked in the last column without changing it.
+        """
+        plane = self.plane
+        width = self._width
+        heard = self.ncolor[plane.row_slots(senders)]
+        rows = np.repeat(np.arange(senders.size), plane.degrees[senders])
+        taken = np.zeros((senders.size, width), dtype=bool)
+        taken[rows, np.minimum(heard, width - 1)] = True
+        return taken.argmin(axis=1)
+
+
+def _given_colors(inputs, n: int):
+    """The ``(node, color)`` pairs of ``inputs`` with a node in ``0 .. n-1``
+    and a color given (a missing or ``None`` color defaults to the id)."""
+    return [
+        (v, color)
+        for v, color in inputs.items()
+        if color is not None and v in range(n)
+    ]
 
 
 def run_color_reduction(

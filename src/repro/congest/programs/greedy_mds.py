@@ -222,8 +222,8 @@ class DistributedGreedyKernel(VectorKernel):
             )
             halting = self.live & self.covered & (self.span == 0)
             if halting.any():
-                for v in np.flatnonzero(halting):
-                    self.output(int(v), "in_ds", int(self.in_ds[v]))
+                nodes = np.flatnonzero(halting)
+                self.output(nodes, "in_ds", self.in_ds[nodes])
                 self.live &= ~halting
             if not self.live.any():
                 return None

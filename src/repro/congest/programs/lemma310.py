@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import TYPE_CHECKING, Dict, Mapping, Tuple
+from collections.abc import Iterator, Mapping
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
@@ -280,7 +281,7 @@ _XP_SPEC, _FIXED_SPEC, _EXEC_SPEC = Lemma310Program.message_specs
 #: observable contract (alpha quotes round to wire integers); numpy's
 #: vectorized exp may differ by an ULP, which is enough to flip a
 #: rounded quote.  ``frompyfunc`` applies the very same libm call
-#: element-wise; it only ever runs on the few masked slots of a class
+#: element-wise; it only ever runs on the few quoting slots of a class
 #: round, so the python-level dispatch cost is noise.
 _VEC_EXP = np.frompyfunc(math.exp, 1, 1)
 
@@ -332,38 +333,17 @@ class Lemma310ExecutionKernel(VectorKernel):
         that the estimator's 512-update refresh never fires (the
         vectorized log-product replays the scalar *subtraction* sequence,
         not the refresh recompute; a node commits at most ``degree + 1``
-        coins).
+        coins).  :class:`CanonicalInputs` are checked in O(1) plus two
+        range checks on their colors; a plain mapping is walked node by
+        node (:func:`_canonical_columns`).
         """
         if network.max_degree + 1 >= 512:
             return False
-        try:
-            first = inputs[0]
-            iota = first["iota"]
-            num_colors = first["num_colors"]
-            x_num = first["x_num"]
-            scale = 1 << iota
-            # Alpha quotes reach 4 * scale on the wire.
-            if num_colors < 1 or not 0 < x_num < scale < _MAX_EXACT_FIELD // 4:
-                return False
-            for v in range(network.n):
-                spec = inputs[v]
-                if not (
-                    spec["iota"] == iota
-                    and spec["num_colors"] == num_colors
-                    and spec["mode"] == "auto"
-                    and spec["x_num"] == x_num
-                    and spec["p_num"] == x_num
-                    and spec["c_num"] == scale
-                    and 0 <= spec["color"] < num_colors
-                ):
-                    return False
-        except (KeyError, TypeError, ValueError):
-            return False
-        return True
+        return _canonical_columns(network.n, inputs) is not None
 
     @classmethod
     def stacked_setup(cls, plane, inputs):
-        """Vectorized boot straight from the canonical input dicts.
+        """Vectorized boot straight from the canonical inputs.
 
         The protocol state and the setup round's ``xp`` broadcast, bit
         for bit, without O(total nodes) program/context construction and
@@ -373,20 +353,11 @@ class Lemma310ExecutionKernel(VectorKernel):
         """
         kernel = cls(plane)
         sizes = plane.local_ns.tolist()
-        colors = np.fromiter(
-            (
-                mapping[v]["color"]
-                for mapping, n_k in zip(inputs, sizes)
-                for v in range(n_k)
-            ),
-            dtype=np.int64,
-            count=plane.n,
-        )
-        params = [
-            (m[0]["num_colors"], 1 << m[0]["iota"], m[0]["x_num"])
-            for m in inputs
+        columns = [
+            _canonical_columns(n_k, mapping) for mapping, n_k in zip(inputs, sizes)
         ]
-        kernel._boot(colors, params)
+        params = [(num_colors, scale, x_num) for _, num_colors, scale, x_num in columns]
+        kernel._boot(np.concatenate([colors for colors, *_ in columns]), params)
         x_col = np.repeat([x_num for _, _, x_num in params], sizes)
         pending = PendingBroadcast(
             _XP_SPEC,
@@ -496,7 +467,7 @@ class Lemma310ExecutionKernel(VectorKernel):
         if deciders.size == 0:
             return
         # The slots of decider rows each carry one alpha quote (sender =
-        # the slot's peer), in ascending slot order.
+        # the slot's peer), listed in ascending slot order.
         slots = plane.row_slots(deciders)
         quoting = plane.indices[slots]
         decider_neighbors = np.bincount(quoting, minlength=plane.n)
@@ -525,16 +496,10 @@ class Lemma310ExecutionKernel(VectorKernel):
         cap = self.scale[quoting] * 4
         wire0 = np.minimum(cap, np.rint((expected + phi0) * scale_f).astype(np.int64))
         wire1 = np.minimum(cap, np.rint(expected * scale_f).astype(np.int64))
-        nnz = plane.nnz
-        slot_mask = np.zeros(nnz, dtype=bool)
-        slot_mask[slots] = True
-        col0 = np.zeros(nnz, dtype=np.int64)
-        col1 = np.zeros(nnz, dtype=np.int64)
-        col0[slots] = wire0
-        col1[slots] = wire1
-        bits = np.zeros(nnz, dtype=np.int64)
-        bits[slots] = _ALPHA_SPEC.bits_array((wire0, wire1))
-        outbound.append(PendingTargeted(_ALPHA_SPEC, slot_mask, (col0, col1), bits))
+        wires = (wire0, wire1)
+        outbound.append(
+            PendingTargeted(_ALPHA_SPEC, slots, wires, _ALPHA_SPEC.bits_array(wires))
+        )
 
     def _decide_round(self, class_index, in_class, parts, outbound) -> None:
         """Deciders sum the quoted alphas plus their own pair and commit."""
@@ -545,11 +510,10 @@ class Lemma310ExecutionKernel(VectorKernel):
             return
         alpha = parts.get("alpha")
         if alpha is not None:
-            slots = plane.row_slots(deciders)
-            quotes = np.stack([column[slots] for column in alpha.columns])
+            # The alpha round quoted on exactly these deciders' slots: it is
+            # the same class, and no node finishes in between.
             sum0, sum1 = _segment_sums(
-                np.where(alpha.slot_mask[slots], quotes, 0),
-                plane.degrees[deciders],
+                np.stack(alpha.columns), plane.degrees[deciders]
             )
         else:
             sum0 = sum1 = np.zeros(deciders.size, dtype=np.int64)
@@ -629,11 +593,10 @@ class Lemma310ExecutionKernel(VectorKernel):
         if finishing.any():
             covered = self.final_x + received
             final = np.where(covered < self.scale, self.scale, self.final_x)
-            for v in np.flatnonzero(finishing):
-                node = int(v)
-                self.output(node, "value", int(final[v]))
-                if self.coin[v] >= 0:
-                    self.output(node, "coin", int(self.coin[v]))
+            nodes = np.flatnonzero(finishing)
+            self.output(nodes, "value", final[nodes])
+            decided = nodes[self.coin[nodes] >= 0]
+            self.output(decided, "coin", self.coin[decided])
             self.live &= ~finishing
 
 
@@ -650,6 +613,94 @@ def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         starts = (np.cumsum(lengths) - lengths)[nonempty]
         out[..., nonempty] = np.add.reduceat(values, starts, axis=-1)
     return out
+
+
+class CanonicalInputs(Mapping):
+    """The canonical workload's per-node inputs, held as columns.
+
+    One int64 color per node plus the instance's grid exponent ``iota``
+    and color count; every node has ``x = p = 1/2``, ``c = 1`` and mode
+    ``auto``.  Read as a mapping it is read-only and yields the same
+    7-key dict per node as a plain per-node mapping, built on access, so
+    ``dict(...)``, :class:`Simulator` and per-cell runs see no
+    difference.  The kernel's gate and boot read the columns instead.
+    """
+
+    __slots__ = ("colors", "iota", "num_colors", "x_num", "c_num")
+
+    def __init__(self, colors: np.ndarray, iota: int, num_colors: int):
+        self.colors = np.array(colors, dtype=np.int64)
+        self.colors.flags.writeable = False
+        self.iota = iota
+        self.num_colors = num_colors
+        grid = TransmittableGrid(iota=iota)
+        self.x_num = grid.to_int(0.5)
+        self.c_num = grid.to_int(1.0)
+
+    def __getitem__(self, node) -> Dict[str, object]:
+        if not (isinstance(node, (int, np.integer)) and 0 <= node < len(self)):
+            raise KeyError(node)
+        return {
+            "iota": self.iota,
+            "x_num": self.x_num,
+            "p_num": self.x_num,
+            "c_num": self.c_num,
+            "color": int(self.colors[node]),
+            "num_colors": self.num_colors,
+            "mode": "auto",
+        }
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self)))
+
+    def __len__(self) -> int:
+        return self.colors.shape[0]
+
+
+def _canonical_columns(n: int, inputs: Mapping[int, object]):
+    """``(colors, num_colors, scale, x_num)`` of canonical uniform inputs
+    for nodes ``0 .. n - 1``, or ``None`` when they are not canonical.
+
+    Node 0's fields fix the grid, the color count and the shared ``x``.
+    :class:`CanonicalInputs` give their color column as it is; a plain
+    per-node mapping is walked node by node (the one place per-node input
+    dicts are read), each node's fields compared with node 0's.  The
+    kernel's gate and boot share this.
+    """
+    try:
+        first = inputs[0]
+        iota, num_colors, x_num = first["iota"], first["num_colors"], first["x_num"]
+        scale = 1 << iota
+        # Alpha quotes reach 4 * scale on the wire.
+        if num_colors < 1 or not 0 < x_num < scale < _MAX_EXACT_FIELD // 4:
+            return None
+        if isinstance(inputs, CanonicalInputs):
+            colors = inputs.colors if len(inputs) == n else None
+        else:
+            listed = []
+            for v in range(n):
+                spec = inputs[v]
+                if not (
+                    spec["iota"] == iota
+                    and spec["num_colors"] == num_colors
+                    and spec["mode"] == "auto"
+                    and spec["x_num"] == x_num
+                    and spec["p_num"] == x_num
+                    and spec["c_num"] == scale
+                ):
+                    return None
+                listed.append(spec["color"])
+            colors = np.array(listed)
+    except (KeyError, TypeError, ValueError):
+        return None
+    if (
+        colors is None
+        or colors.dtype.kind not in "biu"
+        or colors.min() < 0
+        or colors.max() >= num_colors
+    ):
+        return None
+    return colors.astype(np.int64, copy=False), num_colors, scale, x_num
 
 
 def run_lemma310_on_graph(
@@ -758,28 +809,18 @@ def _batch_num_colors(network: Network) -> int:
     return (max(coloring.colors.values()) + 1) if coloring.colors else 0
 
 
-def _batch_inputs(network: Network) -> Dict[int, Dict[str, object]]:
-    """Per-node inputs reproducing :func:`_drive` bit for bit."""
-    coloring = _canonical_coloring(network)
-    n = network.n
-    grid = TransmittableGrid.for_n(n)
-    half = grid.to_int(0.5)
-    c_num = grid.to_int(1.0)
-    num_colors = (
-        (max(coloring.colors.values()) + 1) if coloring.colors else 0
+def _batch_inputs(network: Network) -> CanonicalInputs:
+    """Per-node inputs reproducing :func:`_drive` bit for bit, as columns.
+
+    The coloring lists every node in ascending order, so its values are
+    the color column.
+    """
+    colors = _canonical_coloring(network).colors
+    column = np.fromiter(colors.values(), dtype=np.int64, count=network.n)
+    num_colors = int(column.max()) + 1 if column.size else 0
+    return CanonicalInputs(
+        column, TransmittableGrid.for_n(network.n).iota, num_colors
     )
-    return {
-        v: {
-            "iota": grid.iota,
-            "x_num": half,
-            "p_num": half,
-            "c_num": c_num,
-            "color": coloring.colors.get(v, -1),
-            "num_colors": num_colors,
-            "mode": "auto",
-        }
-        for v in range(n)
-    }
 
 
 def _batch_max_rounds(network: Network) -> int:

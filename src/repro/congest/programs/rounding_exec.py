@@ -132,8 +132,8 @@ class RoundingExecutionKernel(VectorKernel):
         )
         covered = self.x_num + received
         final = np.where(covered < self.c_num, self.scale, self.x_num)
-        for v in np.flatnonzero(self.live):
-            self.output(int(v), "value", int(final[v]))
+        nodes = np.flatnonzero(self.live)
+        self.output(nodes, "value", final[nodes])
         self.live[:] = False
         return None
 

@@ -4,11 +4,13 @@ import hashlib
 import json
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.coloring.distance2 import (
     Distance2Coloring,
+    _first_fit,
     bipartite_distance2_coloring,
     distance2_coloring,
     validate_distance2,
@@ -57,6 +59,69 @@ def reference_distance2_coloring(
         charged_rounds=charged,
         conflict_edges=sq.number_of_edges(),
     )
+
+
+def tril_first_fit(conflicts, nodes):
+    """First-fit over ``sparse.tril(..., k=-1)``, the route the CSR index
+    mask replaced, frozen as its parity reference."""
+    from scipy import sparse
+
+    lower = sparse.tril(conflicts, k=-1, format="csr")
+    ptr, idx = lower.indptr.tolist(), lower.indices.tolist()
+    first_fit = []
+    for v in range(conflicts.shape[0]):
+        taken = {first_fit[u] for u in idx[ptr[v]:ptr[v + 1]]}
+        color = 0
+        while color in taken:
+            color += 1
+        first_fit.append(color)
+    colors = np.array(first_fit, dtype=np.int64)
+    later = np.repeat(np.arange(len(first_fit)), np.diff(lower.indptr))
+    if (colors[later] == colors[lower.indices]).any():
+        raise ColoringError("monochromatic conflict")
+    return first_fit, lower.nnz
+
+
+def tril_distance2_coloring(network: Network) -> Distance2Coloring:
+    """:func:`distance2_coloring` of every node as it was before the index
+    mask: the square re-sliced by the identity, then :func:`tril_first_fit`."""
+    from scipy import sparse
+
+    n = network.n
+    nodes = np.arange(n)
+    indptr, indices = network.closed_csr()
+    closed = sparse.csr_matrix(
+        (np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(n, n)
+    )
+    square = (closed @ closed)[nodes][:, nodes]
+    first_fit, conflict_edges = tril_first_fit(square, nodes)
+    max_deg = int(np.diff(square.indptr).max()) - 1
+    return Distance2Coloring(
+        colors=dict(zip(nodes.tolist(), first_fit)),
+        num_colors=len(set(first_fit)),
+        charged_rounds=bek15_coloring_rounds(max_deg + 1, n, n),
+        conflict_edges=conflict_edges,
+    )
+
+
+@st.composite
+def symmetric_csr(draw):
+    """A symmetric 0/1 pattern as CSR with each row's columns shuffled:
+    empty rows, diagonal entries or none, unsorted indices."""
+    from scipy import sparse
+
+    n = draw(st.integers(0, 24))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.sets(st.tuples(node, node), max_size=3 * n)) if n else set()
+    rows = [set() for _ in range(n)]
+    for u, v in pairs:
+        rows[u].add(v)
+        rows[v].add(u)
+    ordered = [draw(st.permutations(sorted(row))) for row in rows]
+    indptr = np.cumsum([0] + [len(row) for row in ordered])
+    indices = np.array([v for row in ordered for v in row], dtype=np.int32)
+    data = np.ones(len(indices), dtype=np.int64)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def network_forms(graph: nx.Graph) -> list:
@@ -184,6 +249,18 @@ class TestDistance2Parity:
     @given(graphs_with_subsets())
     def test_matches_reference(self, case):
         self.assert_matches(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_csr())
+    def test_first_fit_matches_the_tril_route(self, conflicts):
+        nodes = np.arange(conflicts.shape[0])
+        assert _first_fit(conflicts, nodes) == tril_first_fit(conflicts, nodes)
+
+    @pytest.mark.parametrize("family", families())
+    def test_suite_colorings_match_the_tril_route(self, family):
+        for n in (60, 250):
+            network = Network.congest(suite_instance(family, n, seed=2).graph)
+            assert distance2_coloring(network) == tril_distance2_coloring(network)
 
     @pytest.mark.parametrize("n", [256, 300])
     def test_clique_counts_do_not_wrap(self, n):
