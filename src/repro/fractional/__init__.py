@@ -1,14 +1,16 @@
-"""Part I of the pipelines: (1+eps)-approximate fractional dominating sets
-with fractionality ``eps / (2 Delta~)`` (Lemma 2.1, after [KMW06]).
+"""Part I of the pipelines: fractional dominating sets with fractionality
+``eps / (2 Delta~)`` (Lemma 2.1, after [KMW06]).
 
-Two interchangeable providers (DESIGN.md Section 3 item 2):
+Two providers, each with its own guarantee:
 
-* ``"lp"`` — exact LP optimum via ``scipy.optimize.linprog`` (HiGHS), the
-  oracle used for approximation-ratio measurement; CONGEST rounds are
-  charged at the [KMW06] rate.
+* ``"lp"`` — the exact LP optimum via ``scipy.optimize.linprog`` (HiGHS),
+  so a ``(1+eps)``-approximate FDS as Lemma 2.1 asks; it is also the oracle
+  for approximation-ratio measurement.  CONGEST rounds are charged at the
+  [KMW06] rate.
 * ``"distributed"`` — a threshold water-filling covering solver that runs
-  round-by-round on plain state and whose round count is measured; its
-  quality relative to the LP optimum is an experiment output (E3).
+  round by round on plain state, with a measured round count, and gives an
+  ``O((1+gamma) ln Delta~)``-approximate FDS only; its ratio to the LP
+  optimum is an experiment output (E3).
 
 Both are followed by the Lemma 2.1 *raising* step, which lifts every value
 to at least ``eps/(2 Delta~)``, costing at most an ``(1 + eps/2)`` factor

@@ -28,10 +28,35 @@ each iteration scatters the raisers' increments into the coverage vector
 with one ``np.add.at`` in ascending raiser order — the order a node-by-node
 loop adds them in, whatever the order inside a row, so every floating-point
 sum is bit-for-bit the loop's.
+
+Most iterations repeat the last one, so the sweep is event-driven.  An
+*event* is an iteration that covers a constraint, caps a raiser at 1 or
+finds no raiser.  Between two events the dynamic degree, ``theta`` and the
+raiser set stay fixed, and the iterations in between are replayed as one
+batch of the same float operations in the same order:
+
+* the values by ``np.add.accumulate`` down a table whose first row is the
+  raisers' values and whose other rows are ``gamma / theta`` — row j is the
+  value after j raises, since ``min(1, .)`` is the identity until a value
+  reaches 1 — and the increments as the table's row differences;
+* the coverage by one ``np.add.at`` over the raisers' rows repeated once
+  per iteration, iteration-major, so every constraint receives the same
+  adds in the same order as from one scatter per iteration.
+
+The batch length is estimated from the slack (coverage left below the
+covering threshold, value left below 1) and checked exactly on a trial
+copy: coverage and values only grow, so if the batch's end state covers no
+constraint and caps no raiser, no iteration inside it did either.  If the
+check fails, the sweep takes one iteration instead.  Iterations that only
+lower ``theta`` are replayed on Python floats until some node below 1
+qualifies again (or ``theta`` reaches 1).  Every replayed iteration counts
+as one iteration of two rounds, so ``iterations``, ``rounds`` and the
+``max_iterations`` limit read as if the sweep ran them singly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List
 
@@ -44,6 +69,14 @@ from repro.graphs.normalize import require_normalized
 
 if TYPE_CHECKING:
     import networkx as nx
+
+#: A constraint counts as covered from this coverage on.
+_COVERED = 1.0 - 1e-12
+
+#: Most CSR entries one replayed batch scatters: k iterations of raisers
+#: whose rows hold e entries need k * e <= 2**16 (~1 MB of targets and
+#: increments).
+_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,6 +97,61 @@ def _rows(indptr: np.ndarray, sizes: np.ndarray, indices: np.ndarray, rows: np.n
     ends = lengths.cumsum()
     slots = np.arange(ends[-1]) + (indptr[rows] - ends + lengths).repeat(lengths)
     return indices[slots], lengths
+
+
+def _next_iteration(iterations: int, max_iterations: int) -> int:
+    """``iterations + 1``, or the convergence error past ``max_iterations``."""
+    iterations += 1
+    if iterations > max_iterations:
+        raise GraphError(f"water-filling failed to converge in {max_iterations} iterations")
+    return iterations
+
+
+def _replay_raises(
+    x: np.ndarray,
+    coverage: np.ndarray,
+    uncovered: np.ndarray,
+    raisers: np.ndarray,
+    targets: np.ndarray,
+    lengths: np.ndarray,
+    step: float,
+    limit: int,
+) -> int:
+    """Replay in place as many raise iterations of ``raisers`` by ``step``
+    as pass without an event, at most ``limit``, and return how many; 0
+    leaves every array as it was.  ``targets`` and ``lengths`` are the
+    raisers' :func:`_rows`."""
+    k = min(limit, _BATCH_ENTRIES // targets.size)
+    if k < 2:
+        return 0
+    # Uncovered rows a raiser belongs to; every raiser has one, since its
+    # dynamic degree is at least theta >= 1.
+    members = np.bincount(targets, minlength=len(coverage))
+    rows = (uncovered & (members > 0)).nonzero()[0]
+    start = x[raisers]
+    # Raises until a row is covered or a value reaches 1, in real numbers;
+    # the trial below settles the rounding.
+    slack = min(
+        ((_COVERED - coverage[rows]) / (members[rows] * step)).min(),
+        ((1.0 - start) / step).min(),
+    )
+    k = min(k, math.ceil(slack) - 1)
+    if k < 2:
+        return 0
+    table = np.empty((k + 1, raisers.size))
+    table[0] = start
+    table[1:] = step
+    np.add.accumulate(table, axis=0, out=table)
+    if table[-1].max() >= 1.0:
+        return 0
+    trial = coverage.copy()
+    deltas = np.diff(table, axis=0).repeat(lengths, axis=1)
+    np.add.at(trial, np.tile(targets, k), deltas.ravel())
+    if (trial[rows] >= _COVERED).any():
+        return 0
+    x[raisers] = table[-1]
+    coverage[:] = trial
+    return k
 
 
 def distributed_fractional_mds(
@@ -92,26 +180,33 @@ def distributed_fractional_mds(
     uncovered = np.ones(n, dtype=bool)
     remaining = n
     theta = float(sizes.max())
-    rounds = 0
     iterations = 0
     trace = [theta]
 
     while remaining:
-        iterations += 1
-        if iterations > max_iterations:
-            raise GraphError(
-                f"water-filling failed to converge in {max_iterations} iterations"
-            )
         raisers = ((dyn >= theta) & (x < 1.0)).nonzero()[0]
-        rounds += 2  # value announcement + coverage announcement
         if raisers.size:
+            step = gamma / theta
+            targets, lengths = _rows(indptr, sizes, indices, raisers)
+            iterations += _replay_raises(
+                x, coverage, uncovered, raisers, targets, lengths, step,
+                max_iterations - iterations,
+            )
+            iterations = _next_iteration(iterations, max_iterations)
             before = x[raisers]
-            raised = np.minimum(1.0, before + gamma / theta)
+            raised = np.minimum(1.0, before + step)
             deltas = raised - before
             x[raisers] = raised
         else:
-            theta = max(1.0, theta / (1.0 + gamma))
-            trace.append(theta)
+            # Only theta moves until it reaches the largest dynamic degree
+            # of a node below 1.
+            top = int(dyn[x < 1.0].max(initial=0))
+            while True:
+                iterations = _next_iteration(iterations, max_iterations)
+                theta = max(1.0, theta / (1.0 + gamma))
+                trace.append(theta)
+                if theta == 1.0 or theta <= top:
+                    break
             if theta != 1.0:
                 continue
             # At theta == 1 every node adjacent to an uncovered constraint
@@ -120,9 +215,9 @@ def distributed_fractional_mds(
             raisers = uncovered.nonzero()[0]
             x[raisers] = 1.0
             deltas = np.ones(raisers.size)
-        targets, lengths = _rows(indptr, sizes, indices, raisers)
+            targets, lengths = _rows(indptr, sizes, indices, raisers)
         np.add.at(coverage, targets, deltas.repeat(lengths))
-        covered = (uncovered & (coverage >= 1.0 - 1e-12)).nonzero()[0]
+        covered = (uncovered & (coverage >= _COVERED)).nonzero()[0]
         if covered.size:
             uncovered[covered] = False
             remaining -= covered.size
@@ -132,7 +227,8 @@ def distributed_fractional_mds(
     return DistributedLPResult(
         values=dict(enumerate(values)),
         size=ltr_sum(x),
-        rounds=rounds,
+        # Two rounds per iteration: value and coverage announcements.
+        rounds=2 * iterations,
         iterations=iterations,
         threshold_trace=trace,
     )
