@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.congest.network import closed_neighborhoods
 from repro.domsets.cfds import CFDS
-from repro.domsets.covering import CoveringInstance
+from repro.domsets.covering import Constraint, CoveringInstance, ValueVar
 from repro.errors import GraphError
 from repro.fractional.distributed import (
     DistributedLPResult,
@@ -27,7 +27,7 @@ from repro.fractional.raising import (
 )
 from repro.graphs.generators import clique_graph, gnp_graph, star_graph
 from repro.graphs.normalize import normalize_graph, require_normalized
-from repro.graphs.suite import suite_instance
+from repro.graphs.suite import families, suite_instance
 from tests.covering_reference import loop_sum, neumaier_sum
 
 
@@ -195,6 +195,76 @@ class TestLP:
         # The cheap middle node covers everything.
         assert solution.optimum == pytest.approx(1.0, abs=1e-6)
         assert solution.values[1] == pytest.approx(1.0, abs=1e-6)
+
+
+def reference_optimum(instance: CoveringInstance) -> float:
+    """The covering LP's optimum from dual simplex on a matrix built here
+    from ``members`` / ``entry_rows``, in instance order, with no sorting."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    a = sparse.csr_matrix(
+        (np.ones(len(instance.members)), (instance.entry_rows, instance.members)),
+        shape=(len(instance.cids), len(instance.ids)),
+    )
+    result = linprog(instance.weight, A_ub=-a, b_ub=-instance.c, bounds=(0.0, 1.0),
+                     method="highs-ds")
+    assert result.success, result.message
+    return float(result.fun)
+
+
+@st.composite
+def covering_instances(draw) -> CoveringInstance:
+    """Feasible covering instances with ids out of order: weights in
+    ``[0, 3]``, demands 0, 1 or 2 but never above the row's member count
+    (so member-less rows have demand 0), and variables that may sit in no
+    row.
+
+    Weights lie on a 0.01 grid.  HiGHS accepts a reduced cost within its
+    1e-7 dual feasibility tolerance as optimal, with either method: one row
+    of demand 1 over weights 0 and 1e-7 can come back with optimum 1e-7.
+    A grid keeps every cost difference far above that tolerance."""
+    ids = draw(st.lists(st.integers(0, 500), min_size=1, max_size=12, unique=True))
+    weights = draw(st.lists(st.integers(0, 300).map(lambda k: k / 100),
+                            min_size=len(ids), max_size=len(ids)))
+    cids = draw(st.lists(st.integers(0, 500), max_size=12, unique=True))
+    constraints = []
+    for cid in cids:
+        members = draw(st.lists(st.sampled_from(ids), max_size=len(ids), unique=True))
+        demand = draw(st.integers(0, min(2, len(members))))
+        constraints.append(Constraint(cid, float(demand), tuple(members), cid))
+    return CoveringInstance(
+        [ValueVar(u, 0.0, u, weight=w) for u, w in zip(ids, weights)], constraints
+    )
+
+
+def assert_optimal_and_feasible(instance: CoveringInstance) -> None:
+    """``solve_covering_lp``'s optimum agrees with dual simplex to 1e-9
+    relative, its values lie in ``[0, 1]`` and meet every demand to 1e-9."""
+    solution = solve_covering_lp(instance)
+    assert solution.optimum == pytest.approx(reference_optimum(instance), rel=1e-9, abs=1e-12)
+    x = np.array([solution.values[u] for u in instance.ids.tolist()])
+    assert ((x >= 0.0) & (x <= 1.0)).all()
+    for row, demand in enumerate(instance.c.tolist()):
+        members = instance.members[instance.indptr[row]:instance.indptr[row + 1]]
+        assert math.fsum(x[members]) >= demand - 1e-9
+
+
+class TestLPAgainstDualSimplex:
+    """The covering LP against an independent dual simplex reference."""
+
+    @settings(PARITY, max_examples=60)
+    @given(covering_instances())
+    def test_drawn_instances(self, instance):
+        assert_optimal_and_feasible(instance)
+
+    @pytest.mark.parametrize("family", sorted(families()))
+    def test_suite_families(self, family):
+        graph = suite_instance(family, 60, seed=1).graph
+        assert_optimal_and_feasible(CoveringInstance.from_graph(graph, {}))
+        values = lp_fractional_mds(graph).values
+        for v in graph.nodes():
+            assert math.fsum(values[u] for u in [v, *graph.neighbors(v)]) >= 1.0, v
 
 
 class TestWaterFilling:
