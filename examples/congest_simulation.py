@@ -32,7 +32,7 @@ def main(n: int = 60, seed: int = 4) -> None:
     grid = TransmittableGrid.for_n(n)
 
     initial = kmw06_initial_fds(graph, eps=0.5)
-    base = CoveringInstance.from_graph(graph, initial.fds.values)
+    base = CoveringInstance.from_graph(graph, initial.values)
     scheme = one_shot_scheme(base, delta_tilde, quantize=grid.up)
     participating = set(scheme.participating())
     coloring = distance2_coloring(graph, subset=participating)

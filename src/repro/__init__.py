@@ -41,7 +41,7 @@ from repro.analysis import (
     is_connected_dominating_set,
     is_dominating_set,
 )
-from repro.domsets import CFDS, CoveringInstance
+from repro.domsets import CoveringInstance
 
 #: 2.0.0: one batch planner (fixed ``batch_size`` chunking) and no
 #: deprecation shims; grids are built with ``repro.api`` (see the
@@ -69,7 +69,6 @@ __all__ = [
     "approx_weighted_mds",
     "is_dominating_set",
     "is_connected_dominating_set",
-    "CFDS",
     "CoveringInstance",
     "__version__",
 ]

@@ -1,22 +1,22 @@
 """Dominating-set data structures.
 
-:class:`~repro.domsets.cfds.CFDS` implements Definition 2.1 (constrained
-fractional dominating sets) directly on a graph.  :class:`~repro.domsets.
-covering.CoveringInstance` is the value-node / constraint-node view used by
-Section 3.3: the bipartite representation ``B_G``, its pruned and split
-variants (Lemmas 3.13, 3.14), and general set-cover instances all share it,
-so the rounding and derandomization machinery is written once.
+:class:`~repro.domsets.covering.CoveringInstance` is the one model of
+Definition 2.1 (constrained fractional dominating sets): ``from_graph``
+builds Section 3.3's bipartite representation ``B_G`` of a graph, whose
+constraint of ``v`` spans the inclusive neighbourhood ``N(v)``.  Its pruned
+and split variants (Lemmas 3.13, 3.14) and general set-cover instances
+share the structure, so the rounding and derandomization machinery is
+written once.
 """
 
-from repro.domsets.cfds import CFDS, fractionality_of
 from repro.domsets.covering import (
     Constraint,
     CoveringInstance,
     ValueVar,
+    fractionality_of,
 )
 
 __all__ = [
-    "CFDS",
     "fractionality_of",
     "Constraint",
     "CoveringInstance",

@@ -24,6 +24,11 @@ Every sum that feeds a decision or an output adds left to right in member
 order, as a loop of ``+=`` would: :func:`row_sums` (``np.bincount`` adds
 each weight in stored order) or :func:`ltr_sum` (``np.cumsum``), never
 ``.sum()``, which numpy computes pairwise.
+
+:meth:`CoveringInstance.from_graph` is the one model of Definition 2.1, the
+constrained fractional dominating set: values and demands in ``[0, 1]``, and
+every inclusive neighbourhood ``N(v)`` summing to at least its demand, which
+:meth:`CoveringInstance.require_feasible` checks.
 """
 
 from __future__ import annotations
@@ -93,8 +98,19 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def fractionality_of(values: Mapping[int, float], tol: float = 1e-15) -> float:
+    """Smallest non-zero value (``inf`` if all values are zero).
+
+    The paper calls a solution ``lambda``-fractional when every non-zero
+    value is at least ``lambda``.
+    """
+    nonzero = [x for x in values.values() if x > tol]
+    return min(nonzero) if nonzero else float("inf")
+
+
 def _check_unit(values: np.ndarray, what: str) -> None:
-    """CFDS's range check: every entry within ``[0, 1]`` up to its tolerance."""
+    """Definition 2.1's range check: every entry within ``[0, 1]`` up to
+    :data:`FEASIBILITY_TOL`."""
     bad = np.flatnonzero(
         ~((values >= -FEASIBILITY_TOL) & (values <= 1.0 + FEASIBILITY_TOL))
     )
@@ -172,13 +188,15 @@ class CoveringInstance:
         constraints: Mapping[int, float] | None = None,
         weights: Mapping[int, float] | None = None,
     ) -> "CoveringInstance":
-        """The bipartite representation ``B_G`` of a graph CFDS.
+        """The bipartite representation ``B_G`` of a graph CFDS
+        (Definition 2.1).
 
         One value variable and one constraint per node; the constraint of
-        ``v`` spans the inclusive neighborhood ``N(v)``.  ``graph`` is an
-        ``nx.Graph`` labelled ``0..n-1`` or its compiled
-        :class:`~repro.congest.network.Network`.  Values and demands must
-        lie in ``[0, 1]`` (CFDS's check and message).
+        ``v`` spans the inclusive neighborhood ``N(v)``, ``v`` once even if
+        it has a self-loop.  ``graph`` is an ``nx.Graph`` labelled
+        ``0..n-1`` or its compiled :class:`~repro.congest.network.Network`.
+        A missing value is 0 and a missing demand 1; values and demands
+        outside ``[0, 1]`` raise :class:`InfeasibleSolutionError`.
         """
         indptr, members = closed_neighborhoods(graph)
         n = len(indptr) - 1
@@ -333,6 +351,19 @@ class CoveringInstance:
 
     def is_feasible(self, values: Mapping[int, float] | None = None, tol: float = 1e-9) -> bool:
         return not self.violations(values, tol)
+
+    def require_feasible(self, what: str, tol: float = FEASIBILITY_TOL) -> None:
+        """Raise :class:`InfeasibleSolutionError` unless every member sum
+        reaches its demand within ``tol``, naming ``what``, the number of
+        short constraints and the worst one with its slack."""
+        slack = self.member_sums() - self.c
+        bad = np.flatnonzero(slack < -tol)
+        if bad.size:
+            worst = int(bad[np.argmin(slack[bad])])
+            raise InfeasibleSolutionError(
+                f"{what} infeasible at {bad.size} nodes; worst: node "
+                f"{int(self.cids[worst])} slack {float(slack[worst]):.3g}"
+            )
 
     @property
     def max_constraint_degree(self) -> int:

@@ -20,7 +20,7 @@ import random
 
 from repro.derand.conditional import ConditionalExpectationEngine
 from repro.derand.estimators import EstimatorConfig
-from repro.domsets.covering import CoveringInstance, ltr_sum
+from repro.domsets.covering import CoveringInstance, fractionality_of, ltr_sum
 from repro.experiments.harness import ExperimentReport
 from repro.fractional.raising import kmw06_initial_fds
 from repro.graphs.generators import gnp_graph, regular_graph
@@ -66,13 +66,13 @@ def run(fast: bool = True, trials: int | None = None, seed: int = 5) -> Experime
     for name, graph in graphs:
         delta_tilde = max(d for _, d in graph.degree()) + 1
         initial = kmw06_initial_fds(graph, eps=0.5)
-        values = initial.fds.values
-        base = CoveringInstance.from_graph(graph, values)
+        base = CoveringInstance.from_graph(graph, initial.values)
+        r = 1.0 / fractionality_of(initial.values)
 
         # --- one-shot (Lemma 3.6): bound 1/Delta~ -----------------------
         scheme = one_shot_scheme(base, delta_tilde)
         bound = 1.0 / delta_tilde
-        f_inv = int(round(1.0 / initial.fds.fractionality)) + 1
+        f_inv = int(round(r)) + 1
         coin_cases = [
             ("independent", lambda t: independent_coins(
                 scheme, random.Random(rng.randrange(2 ** 30) + t))),
@@ -99,7 +99,6 @@ def run(fast: bool = True, trials: int | None = None, seed: int = 5) -> Experime
         # --- factor-two (Lemma 3.7): bound 1/Delta~^4 -------------------
         # Admissible parameters: r >= 256 eps^-3 ln(D~) means eps must be
         # large at laptop-scale r; we report the regime the instance admits.
-        r = 1.0 / initial.fds.fractionality
         eps2 = min(1.0, (256.0 * max(1.0, math.log(delta_tilde)) / r) ** (1.0 / 3.0))
         ft = factor_two_scheme(base, eps2, r)
         bound4 = 1.0 / delta_tilde ** 4

@@ -10,8 +10,8 @@ fractionality halves (up to the value caps).
 
 from __future__ import annotations
 
-from repro.domsets.cfds import CFDS, fractionality_of
 from repro.derand.coloring_based import factor_two_via_coloring
+from repro.domsets.covering import CoveringInstance, fractionality_of
 from repro.experiments.harness import ExperimentReport
 from repro.fractional.raising import kmw06_initial_fds
 from repro.graphs.generators import gnp_graph, regular_graph
@@ -44,18 +44,20 @@ def run(fast: bool = True, eps2: float = 0.3, iterations: int = 4,
         # feasibility.
         lp_opt = lp_lower_bound(graph)
         initial = kmw06_initial_fds(graph, eps=0.25)
-        values = dict(initial.fds.values)
+        values = initial.values
+        size_after = initial.raised_size
         r = 1.0 / fractionality_of(values)
         for it in range(iterations):
             if r <= 8.0:
                 break
-            size_before = sum(values.values())
+            size_before = size_after
             out = factor_two_via_coloring(
                 graph, values, eps=eps2, r=r, constants_scale=1e-3
             )
             new_values = out.values
-            CFDS.fds(graph, new_values).require_feasible("E5 iteration")
-            size_after = sum(new_values.values())
+            fds = CoveringInstance.from_graph(graph, new_values)
+            fds.require_feasible("E5 iteration")
+            size_after = fds.size()
             r_after = 1.0 / fractionality_of(new_values)
             inflation = size_after / max(size_before, 1e-12)
             # Allowed: (1+eps) multiplicative plus the uncovered penalty the

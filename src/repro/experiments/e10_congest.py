@@ -70,7 +70,7 @@ def run(fast: bool = True) -> ExperimentReport:
         initial = kmw06_initial_fds(graph, eps=0.5)
         values, sim2 = run_rounding_execution(
             graph,
-            initial.fds.values,
+            initial.values,
             {v: 1.0 for v in graph.nodes()},
             network=network,
         )
@@ -86,7 +86,7 @@ def run(fast: bool = True) -> ExperimentReport:
         # Distributed Lemma 3.10 (one-shot instance).
         delta_tilde = inst.max_degree + 1
         grid = TransmittableGrid.for_n(n)
-        base = CoveringInstance.from_graph(graph, initial.fds.values)
+        base = CoveringInstance.from_graph(graph, initial.values)
         scheme = one_shot_scheme(base, delta_tilde, quantize=grid.up)
         participating = set(scheme.participating())
         coloring = distance2_coloring(graph, subset=participating)

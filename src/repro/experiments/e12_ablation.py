@@ -56,7 +56,7 @@ def run(fast: bool = True, seed: int = 21) -> ExperimentReport:
             params=PipelineParams(eps=0.5, max_factor_two_iterations=0),
         )
         initial = kmw06_initial_fds(graph, eps=0.5 / 16.0)
-        direct = one_shot_via_coloring(graph, initial.fds.values)
+        direct = one_shot_via_coloring(graph, initial.values)
         report.add_row(
             case="pipeline", graph=name, variant="full(scaled)",
             size=full.size, estimate="-",
@@ -113,13 +113,13 @@ def run(fast: bool = True, seed: int = 21) -> ExperimentReport:
     delta_tilde = max(d for _, d in graph.degree()) + 1
     decomposition = carve_decomposition(graph, separation_k=2)
     scheme = one_shot_scheme(
-        CoveringInstance.from_graph(graph, initial.fds.values), delta_tilde
+        CoveringInstance.from_graph(graph, initial.values), delta_tilde
     )
     seed_run = SeedLevelDerandomizer(
         scheme, decomposition, config=EstimatorConfig(mode="exact-product")
     ).run()
     coin_run = one_shot_via_decomposition(
-        graph, initial.fds.values, decomposition=decomposition
+        graph, initial.values, decomposition=decomposition
     )
     size_seed = sum(1 for x in seed_run.outcome.projected.values() if x >= 1 - 1e-9)
     size_coin = sum(1 for x in coin_run.values.values() if x >= 1 - 1e-9)

@@ -55,10 +55,6 @@ class LPSolution:
     values: Dict[int, float]
     optimum: float
 
-    def fractionality(self, tol: float = 1e-9) -> float:
-        nonzero = [x for x in self.values.values() if x > tol]
-        return min(nonzero) if nonzero else float("inf")
-
 
 def solve_covering_lp(instance: CoveringInstance) -> LPSolution:
     """Solve the covering LP of a :class:`CoveringInstance` exactly.

@@ -17,8 +17,7 @@ import numpy as np
 
 from repro.congest.cost import CostLedger, kmw06_lp_rounds
 from repro.congest.network import Network, as_network, closed_neighborhoods
-from repro.domsets.cfds import CFDS
-from repro.domsets.covering import ltr_sum, row_sums
+from repro.domsets.covering import CoveringInstance, ltr_sum, row_sums
 from repro.errors import GraphError, InfeasibleSolutionError
 from repro.fractional.distributed import distributed_fractional_mds
 from repro.fractional.lp import lp_fractional_mds
@@ -71,19 +70,15 @@ def raise_fractionality(
 
 @dataclass
 class InitialFDS:
-    """Part-I output: the raised FDS plus provenance and cost."""
+    """Part-I output: the raised FDS plus provenance and cost.  ``values``
+    holds the raised value of every node, in ascending order."""
 
-    fds: CFDS
+    values: Dict[int, float]
     provider: str
     provider_size: float
     raised_size: float
     lam: float
     ledger: CostLedger
-
-    @property
-    def inverse_fractionality(self) -> float:
-        """``r`` such that the solution is ``1/r``-fractional."""
-        return 1.0 / self.fds.fractionality
 
 
 def kmw06_initial_fds(
@@ -127,13 +122,13 @@ def kmw06_initial_fds(
     values = repair_feasibility(network, values)
     lam = eps / (2.0 * delta_tilde)
     raised = raise_fractionality(values, lam)
-    fds = CFDS.fds(network.graph, raised)
+    fds = CoveringInstance.from_graph(network, raised)
     fds.require_feasible("Part-I fractional dominating set")
     return InitialFDS(
-        fds=fds,
+        values=raised,
         provider=provider,
         provider_size=provider_size,
-        raised_size=fds.size,
+        raised_size=fds.size(),
         lam=lam,
         ledger=ledger,
     )

@@ -27,8 +27,8 @@ import numpy as np
 from repro.analysis.bounds import theorem11_approximation_bound
 from repro.analysis.verify import require_dominating_set
 from repro.congest.cost import CostLedger
-from repro.congest.network import Network, as_network
-from repro.domsets.cfds import CFDS, fractionality_of
+from repro.congest.network import Network, as_network, closed_neighborhoods
+from repro.domsets.covering import CoveringInstance, fractionality_of
 from repro.errors import GraphError
 from repro.fractional.raising import kmw06_initial_fds
 
@@ -132,8 +132,9 @@ class MDSResult:
         return len(self.dominating_set)
 
     def approximation_bound(self) -> float:
-        """The Theorem 1.1/1.2 guarantee for this instance's parameters."""
-        max_degree = max((d for _, d in self.graph.degree()), default=0)
+        """The Theorem 1.1/1.2 guarantee for this instance's parameters,
+        with Delta read as ``run_pipeline`` reads it (max |N[v]| - 1)."""
+        max_degree = int(np.diff(closed_neighborhoods(self.graph)[0]).max(initial=1)) - 1
         return theorem11_approximation_bound(self.params.get("eps", 0.5), max_degree)
 
     def to_dict(self) -> Dict[str, object]:
@@ -187,31 +188,32 @@ def run_pipeline(
         network, eps=consts.eps1, provider=params.part1_provider
     )
     ledger.merge(initial.ledger, prefix="part1/")
-    values = dict(initial.fds.values)
+    values = initial.values
+    fractionality = fractionality_of(values)
     trace.append(
         StageTrace(
             stage="part1-fractional",
             size=initial.raised_size,
-            fractionality=initial.fds.fractionality,
+            fractionality=fractionality,
             detail=f"provider={initial.provider} size_before_raise={initial.provider_size:.4f}",
         )
     )
 
     # -- Part II ---------------------------------------------------------
-    r = 1.0 / fractionality_of(values)
+    r = 1.0 / fractionality
     iterations = 0
     while r > consts.f_target and iterations < params.max_factor_two_iterations:
-        new_values, step_ledger = factor_two_step(network, values, consts.eps2, r)
+        values, step_ledger = factor_two_step(network, values, consts.eps2, r)
         ledger.merge(step_ledger, prefix=f"part2/iter{iterations}/")
-        cfds = CFDS.fds(graph, new_values)
-        cfds.require_feasible(f"Part II iteration {iterations}")
-        values = new_values
-        r_new = 1.0 / fractionality_of(values)
+        fds = CoveringInstance.from_graph(network, values)
+        fds.require_feasible(f"Part II iteration {iterations}")
+        fractionality = fractionality_of(values)
+        r_new = 1.0 / fractionality
         trace.append(
             StageTrace(
                 stage=f"part2-factor-two-{iterations}",
-                size=cfds.size,
-                fractionality=cfds.fractionality,
+                size=fds.size(),
+                fractionality=fractionality,
                 detail=f"r {r:.4g} -> {r_new:.4g}",
             )
         )

@@ -9,7 +9,6 @@ import pytest
 
 from repro.derand.conditional import ConditionalExpectationEngine
 from repro.derand.estimators import EstimatorConfig
-from repro.domsets.cfds import CFDS
 from repro.domsets.covering import CoveringInstance
 from repro.errors import DerandomizationError
 from repro.graphs.generators import regular_graph
@@ -50,7 +49,7 @@ class TestBudgetInvariant:
         g, scheme = tight_scheme
         engine = ConditionalExpectationEngine(scheme)
         result = engine.run(singleton_schedule(scheme))
-        assert CFDS.fds(g, result.outcome.projected).is_feasible()
+        assert CoveringInstance.from_graph(g, result.outcome.projected).is_feasible()
 
     def test_beats_random_average(self, tight_scheme):
         """The derandomized size is at most the randomized mean (that is the
@@ -151,14 +150,14 @@ class TestOneShotIntegration:
 
         initial = kmw06_initial_fds(medium_gnp, eps=0.5)
         delta_tilde = max(d for _, d in medium_gnp.degree()) + 1
-        inst = CoveringInstance.from_graph(medium_gnp, initial.fds.values)
+        inst = CoveringInstance.from_graph(medium_gnp, initial.values)
         scheme = one_shot_scheme(inst, delta_tilde)
         engine = ConditionalExpectationEngine(
             scheme, EstimatorConfig(mode="exact-product")
         )
         result = engine.run(singleton_schedule(scheme))
         ds = {o for o, x in result.outcome.projected.items() if x >= 1 - 1e-9}
-        assert CFDS.from_set(medium_gnp, ds).is_feasible()
+        assert CoveringInstance.from_graph(medium_gnp, dict.fromkeys(ds, 1.0)).is_feasible()
         # Lemma 3.8-style budget: ln(D~) A + n/D~ (+ tiny quantization).
         import math
 

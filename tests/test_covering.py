@@ -2,8 +2,9 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.domsets.covering import Constraint, CoveringInstance, ValueVar
+from repro.domsets.covering import Constraint, CoveringInstance, ValueVar, fractionality_of
 from repro.errors import InfeasibleSolutionError
 from repro.fractional.distributed import distributed_fractional_mds
 from repro.fractional.lp import solve_covering_lp
@@ -12,9 +13,15 @@ from repro.graphs.generators import gnp_graph
 from repro.graphs.normalize import normalize_graph
 from repro.mds.deterministic import approx_mds_coloring, approx_mds_decomposition
 from repro.mds.pipeline import PipelineParams
+from repro.mds.randomized import approx_mds_randomized
 from repro.oracle.certificate import lp_lower_bound
 from repro.oracle.ilp import solve_mds_ilp
 from tests.covering_reference import value_conflict_graph
+
+
+@pytest.fixture
+def triangle():
+    return normalize_graph(nx.complete_graph(3))
 
 
 @pytest.fixture
@@ -69,6 +76,76 @@ class TestBookkeeping:
     def test_boost_caps_and_quantizes(self, path4_instance):
         boosted = path4_instance.boost_values(3.0, quantize=lambda x: round(x, 1))
         assert all(var.x == 1.0 for var in boosted.value_vars.values())
+
+
+class TestFractionalDominatingSet:
+    """Definition 2.1 on ``from_graph``: values and demands in ``[0, 1]``,
+    and every inclusive neighbourhood ``N[v]`` sums to at least ``c(v)``."""
+
+    def test_rejects_out_of_range_values(self, triangle):
+        with pytest.raises(InfeasibleSolutionError):
+            CoveringInstance.from_graph(triangle, {0: 1.5})
+        with pytest.raises(InfeasibleSolutionError):
+            CoveringInstance.from_graph(triangle, {}, constraints={0: -0.5})
+
+    def test_inclusive_neighborhood(self, triangle):
+        # One node with value 1 covers the whole triangle.
+        fds = CoveringInstance.from_graph(triangle, {0: 1.0, 1: 0.0, 2: 0.0})
+        assert fds.is_feasible()
+        assert fds.member_sum(2) == 1.0
+
+    def test_violations_reported(self):
+        g = normalize_graph(nx.path_graph(4))
+        fds = CoveringInstance.from_graph(g, {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0})
+        assert fds.violations() == [2, 3]
+        assert not fds.is_feasible()
+        with pytest.raises(InfeasibleSolutionError):
+            fds.require_feasible("FDS")
+
+    def test_fractional_coverage(self, triangle):
+        fds = CoveringInstance.from_graph(triangle, {v: 1.0 / 3.0 for v in triangle.nodes()})
+        assert fds.is_feasible()
+        assert fds.size() == pytest.approx(1.0)
+
+    def test_partial_constraints(self):
+        g = normalize_graph(nx.path_graph(2))
+        fds = CoveringInstance.from_graph(g, {0: 0.4}, constraints={0: 0.4, 1: 0.3})
+        assert fds.is_feasible()
+        assert fds.member_sums() - fds.c == pytest.approx([0.0, 0.1])
+
+    def test_size_and_fractionality(self, triangle):
+        values = {0: 0.5, 1: 0.25, 2: 0.5}
+        assert CoveringInstance.from_graph(triangle, values).size() == pytest.approx(1.25)
+        assert fractionality_of(values) == pytest.approx(0.25)
+
+    def test_fractionality_of_all_zero(self):
+        assert fractionality_of({0: 0.0}) == float("inf")
+
+    def test_require_feasible_message(self):
+        g = normalize_graph(nx.path_graph(5))
+        fds = CoveringInstance.from_graph(g, {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.2, 4: 0.0})
+        with pytest.raises(InfeasibleSolutionError) as err:
+            fds.require_feasible("Part II iteration 3")
+        assert str(err.value) == "Part II iteration 3 infeasible at 3 nodes; worst: node 2 slack -0.8"
+        CoveringInstance.from_graph(g, {v: 0.5 for v in g}).require_feasible("FDS")
+
+    def test_self_loop_counts_once(self):
+        """A self-loop leaves ``N[0] = {0, 1}``, which sums to 0.5 here."""
+        g = normalize_graph(nx.path_graph(3))
+        g.add_edge(0, 0)
+        fds = CoveringInstance.from_graph(g, {0: 0.5, 1: 0.0, 2: 1.0})
+        assert fds.violations() == [0]
+        with pytest.raises(InfeasibleSolutionError, match="at 1 nodes; worst: node 0 slack -0.5"):
+            fds.require_feasible("FDS")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 25), st.integers(0, 5))
+def test_all_ones_is_feasible_with_size_n(n, seed):
+    g = gnp_graph(n, 4.0 / n, seed=seed)
+    ones = CoveringInstance.from_graph(g, {v: 1.0 for v in g.nodes()})
+    assert ones.is_feasible()
+    assert ones.size() == n
 
 
 class TestPrune:
@@ -191,8 +268,9 @@ def test_round_trip_on_random_graph():
 def test_self_loops_leave_every_route_unchanged():
     """A self-loop leaves ``N[v]`` as it is: the covering arrays, the LP,
     the ILP, the LP bound, water-filling, repair, Theorem 1.2 with either
-    Part I and the decomposition route give what they give on the loop-free
-    graph."""
+    Part I, the decomposition route, the randomized route with either kind
+    of coins and the approximation bound give what they give on the
+    loop-free graph."""
     plain = gnp_graph(40, 0.15, seed=3)
     looped = plain.copy()
     looped.add_edges_from((v, v) for v in range(40))
@@ -212,6 +290,13 @@ def test_self_loops_leave_every_route_unchanged():
             )
             out += [sorted(result.dominating_set), result.ledger.entries, result.params]
         result = approx_mds_decomposition(graph, eps=0.5)
-        return out + [sorted(result.dominating_set), result.ledger.entries, result.params]
+        out += [sorted(result.dominating_set), result.ledger.entries, result.params,
+                result.approximation_bound()]
+        forced = PipelineParams(eps=0.5, eps2_override=0.3, f_target_override=8.0)
+        for params in (PipelineParams(eps=0.5), forced):
+            for kwise in (None, 8):
+                result = approx_mds_randomized(graph, seed=1, kwise=kwise, params=params)
+                out += [sorted(result.dominating_set), result.ledger.entries, result.params]
+        return out
 
     assert outputs(looped) == outputs(plain)

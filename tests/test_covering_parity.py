@@ -489,7 +489,7 @@ SUM_SITES = {
     "repro.fractional.distributed": lambda: _provider_sizes("distributed"),
     "repro.rounding.abstract": _expected_sizes,
     "repro.experiments.e04_uncovered": _estimator_masses,
-    "repro.domsets.cfds": _raised_sizes,
+    "repro.domsets.covering": _raised_sizes,
     "repro.weighted.mds": _weighted_weights,
 }
 

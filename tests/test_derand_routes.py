@@ -19,8 +19,7 @@ from repro.derand.decomposition_based import (
     one_shot_via_decomposition,
     schedule_from_decomposition,
 )
-from repro.domsets.cfds import CFDS, fractionality_of
-from repro.domsets.covering import CoveringInstance
+from repro.domsets.covering import CoveringInstance, fractionality_of
 from repro.errors import DerandomizationError, InfeasibleSolutionError
 from repro.fractional.raising import kmw06_initial_fds
 from repro.graphs.generators import gnp_graph
@@ -39,7 +38,7 @@ class TestOneShotColoring:
 
     def test_integral_dominating_set(self, prepared):
         graph, initial = prepared
-        out = one_shot_via_coloring(graph, initial.fds.values)
+        out = one_shot_via_coloring(graph, initial.values)
         ds = {v for v, x in out.values.items() if x >= 1 - 1e-9}
         assert is_dominating_set(graph, ds)
         assert all(x in (0.0, 1.0) or x >= 1 - 1e-9 for x in out.values.values())
@@ -47,7 +46,7 @@ class TestOneShotColoring:
     def test_size_bound(self, prepared):
         """|DS| <= ln(D~) A + n/D~ + quantization slack."""
         graph, initial = prepared
-        out = one_shot_via_coloring(graph, initial.fds.values)
+        out = one_shot_via_coloring(graph, initial.values)
         ds = {v for v, x in out.values.items() if x >= 1 - 1e-9}
         delta_tilde = max(d for _, d in graph.degree()) + 1
         n = graph.number_of_nodes()
@@ -56,20 +55,20 @@ class TestOneShotColoring:
 
     def test_estimator_budget(self, prepared):
         graph, initial = prepared
-        out = one_shot_via_coloring(graph, initial.fds.values)
+        out = one_shot_via_coloring(graph, initial.values)
         assert out.result.realized_size <= out.result.initial_estimate + 1e-6
 
     def test_colors_bounded_by_f_delta(self, prepared):
         """Lemma 3.13's palette: O(F * Delta~) colors after pruning."""
         graph, initial = prepared
-        out = one_shot_via_coloring(graph, initial.fds.values)
+        out = one_shot_via_coloring(graph, initial.values)
         delta_tilde = max(d for _, d in graph.degree()) + 1
-        f_cap = math.ceil(1.0 / initial.fds.fractionality)
+        f_cap = math.ceil(1.0 / fractionality_of(initial.values))
         assert out.num_colors <= f_cap * delta_tilde
 
     def test_ledger_stages(self, prepared):
         graph, initial = prepared
-        out = one_shot_via_coloring(graph, initial.fds.values)
+        out = one_shot_via_coloring(graph, initial.values)
         stages = out.ledger.by_stage()
         assert "lemma3.12-coloring" in stages
         assert "lemma3.10-color-loop" in stages
@@ -80,7 +79,7 @@ class TestFactorTwoColoring:
 
     def test_fractionality_doubles(self, prepared):
         graph, initial = prepared
-        values = initial.fds.values
+        values = initial.values
         r = 1.0 / fractionality_of(values)
         out = factor_two_via_coloring(
             graph, values, eps=0.3, r=r, constants_scale=1e-3
@@ -90,16 +89,16 @@ class TestFactorTwoColoring:
 
     def test_output_feasible(self, prepared):
         graph, initial = prepared
-        values = initial.fds.values
+        values = initial.values
         r = 1.0 / fractionality_of(values)
         out = factor_two_via_coloring(
             graph, values, eps=0.3, r=r, constants_scale=1e-3
         )
-        CFDS.fds(graph, out.values).require_feasible("factor-two output")
+        CoveringInstance.from_graph(graph, out.values).require_feasible("factor-two output")
 
     def test_size_within_estimator_budget(self, prepared):
         graph, initial = prepared
-        values = initial.fds.values
+        values = initial.values
         r = 1.0 / fractionality_of(values)
         out = factor_two_via_coloring(
             graph, values, eps=0.3, r=r, constants_scale=1e-3
@@ -114,10 +113,10 @@ class TestFactorTwoColoring:
 
     def test_explicit_s(self, prepared):
         graph, initial = prepared
-        values = initial.fds.values
+        values = initial.values
         r = 1.0 / fractionality_of(values)
         out = factor_two_via_coloring(graph, values, eps=0.3, r=r, s=3)
-        CFDS.fds(graph, out.values).require_feasible()
+        CoveringInstance.from_graph(graph, out.values).require_feasible("factor-two output")
 
 
 class TestDecompositionRoute:
@@ -125,13 +124,13 @@ class TestDecompositionRoute:
 
     def test_one_shot_dominating(self, prepared):
         graph, initial = prepared
-        out = one_shot_via_decomposition(graph, initial.fds.values)
+        out = one_shot_via_decomposition(graph, initial.values)
         ds = {v for v, x in out.values.items() if x >= 1 - 1e-9}
         assert is_dominating_set(graph, ds)
 
     def test_one_shot_size_bound(self, prepared):
         graph, initial = prepared
-        out = one_shot_via_decomposition(graph, initial.fds.values)
+        out = one_shot_via_decomposition(graph, initial.values)
         ds = {v for v, x in out.values.items() if x >= 1 - 1e-9}
         delta_tilde = max(d for _, d in graph.degree()) + 1
         bound = (
@@ -143,21 +142,21 @@ class TestDecompositionRoute:
 
     def test_factor_two_doubles(self, prepared):
         graph, initial = prepared
-        values = initial.fds.values
+        values = initial.values
         r = 1.0 / fractionality_of(values)
         out = factor_two_via_decomposition(graph, values, eps=0.3, r=r)
         assert fractionality_of(out.values) >= (2.0 / r) * 0.99
-        CFDS.fds(graph, out.values).require_feasible()
+        CoveringInstance.from_graph(graph, out.values).require_feasible("factor-two output")
 
     def test_reuses_given_decomposition(self, prepared):
         graph, initial = prepared
         dec = carve_decomposition(graph, separation_k=2)
-        out = one_shot_via_decomposition(graph, initial.fds.values, decomposition=dec)
+        out = one_shot_via_decomposition(graph, initial.values, decomposition=dec)
         assert out.decomposition is dec
 
     def test_charges_gk18_and_seed_fixing(self, prepared):
         graph, initial = prepared
-        out = one_shot_via_decomposition(graph, initial.fds.values)
+        out = one_shot_via_decomposition(graph, initial.values)
         stages = out.ledger.by_stage()
         assert "gk18-decomposition" in stages
         assert "lemma3.4-seed-fixing" in stages
@@ -167,8 +166,8 @@ class TestDecompositionRoute:
         2-hop separation guarantees."""
         graph, initial = prepared
         dec = carve_decomposition(graph, separation_k=2)
-        base = CoveringInstance.from_graph(graph, initial.fds.values)
-        r = 1.0 / fractionality_of(initial.fds.values)
+        base = CoveringInstance.from_graph(graph, initial.values)
+        r = 1.0 / fractionality_of(initial.values)
         scheme = factor_two_scheme(base, eps=0.3, r=r)
         schedule = schedule_from_decomposition(scheme, dec)
         for batch in schedule:
@@ -201,8 +200,8 @@ class TestRouteAgreementShape:
     def test_both_routes_similar_quality(self):
         g = gnp_graph(50, 0.1, seed=17)
         initial = kmw06_initial_fds(g, eps=0.5)
-        a = one_shot_via_coloring(g, initial.fds.values)
-        b = one_shot_via_decomposition(g, initial.fds.values)
+        a = one_shot_via_coloring(g, initial.values)
+        b = one_shot_via_decomposition(g, initial.values)
         size_a = sum(1 for x in a.values.values() if x >= 1 - 1e-9)
         size_b = sum(1 for x in b.values.values() if x >= 1 - 1e-9)
         assert abs(size_a - size_b) <= max(3, 0.5 * max(size_a, size_b))
@@ -210,7 +209,7 @@ class TestRouteAgreementShape:
 
 class TestValueRange:
     """Every route builds its covering model from the graph, and the build
-    rejects values outside [0, 1] as CFDS does."""
+    rejects values outside [0, 1] (Definition 2.1)."""
 
     ROUTES = {
         "one-shot/coloring": lambda g, x: one_shot_via_coloring(g, x),

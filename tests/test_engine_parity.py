@@ -80,7 +80,7 @@ def _drive_lemma310(graph, engine):
     delta_tilde = max(d for _, d in graph.degree()) + 1
     grid = TransmittableGrid.for_n(n)
     initial = kmw06_initial_fds(graph, eps=0.5)
-    base = CoveringInstance.from_graph(graph, initial.fds.values)
+    base = CoveringInstance.from_graph(graph, initial.values)
     scheme = one_shot_scheme(base, delta_tilde, quantize=grid.up)
     coloring = distance2_coloring(graph, subset=set(scheme.participating()))
     values = {u: var.x for u, var in scheme.instance.value_vars.items()}

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.congest.network import closed_neighborhoods
-from repro.domsets.cfds import CFDS
-from repro.domsets.covering import Constraint, CoveringInstance, ValueVar
+from repro.domsets.covering import Constraint, CoveringInstance, ValueVar, fractionality_of
 from repro.errors import GraphError
 from repro.fractional.distributed import (
     DistributedLPResult,
@@ -178,7 +177,7 @@ class TestLP:
 
     def test_solution_feasible(self, medium_gnp):
         lp = lp_fractional_mds(medium_gnp)
-        assert CFDS.fds(medium_gnp, lp.values).is_feasible()
+        assert CoveringInstance.from_graph(medium_gnp, lp.values).is_feasible()
 
     def test_lower_bounds_integral(self, small_gnp):
         from repro.baselines.exact import exact_mds
@@ -270,7 +269,7 @@ class TestLPAgainstDualSimplex:
 class TestWaterFilling:
     def test_feasible_everywhere(self, zoo_graph):
         result = distributed_fractional_mds(zoo_graph)
-        assert CFDS.fds(zoo_graph, result.values).is_feasible()
+        assert CoveringInstance.from_graph(zoo_graph, result.values).is_feasible()
 
     def test_quality_vs_lp(self, medium_gnp):
         lp = lp_fractional_mds(medium_gnp)
@@ -476,7 +475,7 @@ class TestRepairAndRaise:
         g = normalize_graph(nx.path_graph(3))
         values = {0: 0.0, 1: 1.0 - 1e-9, 2: 0.0}
         repaired = repair_feasibility(g, values)
-        assert CFDS.fds(g, repaired).is_feasible()
+        assert CoveringInstance.from_graph(g, repaired).is_feasible()
 
     def test_repair_keeps_feasible_untouched(self, small_gnp):
         values = {v: 1.0 for v in small_gnp.nodes()}
@@ -497,14 +496,22 @@ class TestLemma21Contract:
         eps = 0.5
         initial = kmw06_initial_fds(medium_gnp, eps=eps, provider=provider)
         delta_tilde = max(d for _, d in medium_gnp.degree()) + 1
-        assert initial.fds.is_feasible()
+        assert CoveringInstance.from_graph(medium_gnp, initial.values).is_feasible()
         # eps/(2 Delta~)-fractional.
-        assert initial.fds.fractionality >= eps / (2 * delta_tilde) - 1e-12
+        assert fractionality_of(initial.values) >= eps / (2 * delta_tilde) - 1e-12
         # Raising cost: at most n * lambda above the provider's size.
         lam = eps / (2 * delta_tilde)
         assert initial.raised_size <= (
             initial.provider_size + medium_gnp.number_of_nodes() * lam + 1e-6
         )
+
+    def test_values_cover_every_node_in_order(self, medium_gnp):
+        """``values`` holds every node's raised value in ascending order, and
+        ``raised_size`` adds them left to right."""
+        initial = kmw06_initial_fds(medium_gnp, eps=0.5)
+        assert list(initial.values) == list(range(medium_gnp.number_of_nodes()))
+        assert min(initial.values.values()) >= initial.lam
+        assert initial.raised_size == loop_sum(initial.values.values())
 
     def test_lp_provider_charges_rounds(self, small_gnp):
         initial = kmw06_initial_fds(small_gnp, eps=0.5, provider="lp")

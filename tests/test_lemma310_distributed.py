@@ -20,8 +20,7 @@ from repro.congest.simulator import Simulator
 from repro.derand.coloring_based import ROUNDS_PER_COLOR, schedule_from_colors
 from repro.derand.conditional import ConditionalExpectationEngine
 from repro.derand.estimators import EstimatorConfig
-from repro.domsets.cfds import CFDS, fractionality_of
-from repro.domsets.covering import CoveringInstance
+from repro.domsets.covering import CoveringInstance, fractionality_of
 from repro.fractional.raising import kmw06_initial_fds
 from repro.graphs.generators import gnp_graph, random_tree, regular_graph
 from repro.rounding.schemes import factor_two_scheme, one_shot_scheme
@@ -33,7 +32,7 @@ def one_shot_setup(graph):
     initial = kmw06_initial_fds(graph, eps=0.5)
     delta_tilde = max(d for _, d in graph.degree()) + 1
     grid = TransmittableGrid.for_n(graph.number_of_nodes())
-    base = CoveringInstance.from_graph(graph, initial.fds.values)
+    base = CoveringInstance.from_graph(graph, initial.values)
     scheme = one_shot_scheme(base, delta_tilde, quantize=grid.up)
     coloring = distance2_coloring(graph, subset=set(scheme.participating()))
     return scheme, coloring, grid
@@ -107,8 +106,7 @@ def test_factor_two_mode_on_tree():
     graph = random_tree(30, seed=4)
     delta_tilde = max(d for _, d in graph.degree()) + 1
     values = {v: min(1.0, 2.0 / delta_tilde) for v in graph.nodes()}
-    cfds = CFDS.fds(graph, values)
-    if not cfds.is_feasible():
+    if not CoveringInstance.from_graph(graph, values).is_feasible():
         values = {v: 0.5 for v in graph.nodes()}
     r = 1.0 / fractionality_of(values)
     grid = TransmittableGrid.for_n(30)
@@ -122,8 +120,7 @@ def test_factor_two_mode_on_tree():
     final, coins, sim = run_lemma310_on_graph(
         graph, sch_values, scheme.p, coloring.colors, mode="chernoff", grid=grid
     )
-    out = CFDS.fds(graph, final)
-    assert out.is_feasible()
+    assert CoveringInstance.from_graph(graph, final).is_feasible()
 
 
 def test_uniform_regular_instance_matches():

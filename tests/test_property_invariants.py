@@ -8,8 +8,7 @@ from repro.analysis.bounds import theorem11_approximation_bound
 from repro.analysis.verify import is_dominating_set
 from repro.baselines.greedy import greedy_mds
 from repro.derand.conditional import ConditionalExpectationEngine
-from repro.domsets.cfds import CFDS, fractionality_of
-from repro.domsets.covering import CoveringInstance
+from repro.domsets.covering import CoveringInstance, fractionality_of
 from repro.fractional.lp import lp_fractional_mds
 from repro.fractional.raising import raise_fractionality, repair_feasibility
 from repro.graphs.generators import gnp_graph
@@ -64,7 +63,7 @@ def test_rounding_output_always_feasible(graph, seed):
     outcome = execute_rounding(
         scheme, independent_coins(scheme, random.Random(seed))
     )
-    assert CFDS.fds(graph, outcome.projected).is_feasible()
+    assert CoveringInstance.from_graph(graph, outcome.projected).is_feasible()
 
 
 @slow
@@ -87,7 +86,7 @@ def test_raising_preserves_feasibility_and_levels(graph, lam):
     values = repair_feasibility(graph, {v: 0.0 for v in graph.nodes()})
     raised = raise_fractionality(values, lam)
     assert fractionality_of(raised) >= lam - 1e-12
-    assert CFDS.fds(graph, raised).is_feasible()
+    assert CoveringInstance.from_graph(graph, raised).is_feasible()
     # Raising never lowers any value.
     assert all(raised[v] >= values[v] - 1e-12 for v in values)
 

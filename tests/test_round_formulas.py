@@ -46,7 +46,7 @@ class TestChargeClusterLoop:
         initial = kmw06_initial_fds(medium_gnp, eps=0.5)
         delta_tilde = max(d for _, d in medium_gnp.degree()) + 1
         scheme = one_shot_scheme(
-            CoveringInstance.from_graph(medium_gnp, initial.fds.values),
+            CoveringInstance.from_graph(medium_gnp, initial.values),
             delta_tilde,
         )
         decomposition = carve_decomposition(medium_gnp, separation_k=2)

@@ -7,7 +7,6 @@ import random
 import networkx as nx
 import pytest
 
-from repro.domsets.cfds import CFDS
 from repro.domsets.covering import CoveringInstance
 from repro.errors import InfeasibleSolutionError, RandomnessError
 from repro.graphs.generators import regular_graph
@@ -120,8 +119,8 @@ class TestExecutionLemma31:
             outcome = execute_rounding(
                 scheme, independent_coins(scheme, random.Random(seed))
             )
-            cfds = CFDS.fds(g, outcome.projected)
-            assert cfds.is_feasible(), f"seed {seed} produced infeasible output"
+            fds = CoveringInstance.from_graph(g, outcome.projected)
+            assert fds.is_feasible(), f"seed {seed} produced infeasible output"
 
     def test_expected_size_formula_monte_carlo(self):
         """E[Z] == A + sum Pr(E_v), validated by exact enumeration of the
@@ -204,4 +203,4 @@ class TestKWiseCoinsIntegration:
         scheme = factor_two_scheme(inst, eps=0.5, r=6.0)
         coins = kwise_coins(scheme, k=8, m=12, rng=random.Random(3))
         outcome = execute_rounding(scheme, coins)
-        assert CFDS.fds(g, outcome.projected).is_feasible()
+        assert CoveringInstance.from_graph(g, outcome.projected).is_feasible()

@@ -20,7 +20,7 @@ from tests.test_estimators import make
 def one_shot_setup(graph):
     initial = kmw06_initial_fds(graph, eps=0.5)
     delta_tilde = max(d for _, d in graph.degree()) + 1
-    base = CoveringInstance.from_graph(graph, initial.fds.values)
+    base = CoveringInstance.from_graph(graph, initial.values)
     scheme = one_shot_scheme(base, delta_tilde)
     decomposition = carve_decomposition(graph, separation_k=2)
     return scheme, decomposition, initial
@@ -95,7 +95,7 @@ class TestSeedLevel:
         from repro.derand.decomposition_based import one_shot_via_decomposition
 
         coin_result = one_shot_via_decomposition(
-            graph, initial.fds.values, decomposition=decomposition
+            graph, initial.values, decomposition=decomposition
         )
         size_seed = sum(
             1 for x in seed_result.outcome.projected.values() if x >= 1 - 1e-9

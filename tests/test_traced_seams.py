@@ -5,7 +5,7 @@ stops calling one through that name leaves its time in
 ``runner.unaccounted`` and fails no check, so this test installs the tracer
 and counts the calls.  It also checks the import rule: networkx and scipy
 load on first use, so importing ``repro`` and running the engine's gnp cells
-loads neither.
+loads neither, and Part I on a compiled network loads no networkx.
 """
 
 import ast
@@ -73,6 +73,30 @@ def test_import_does_not_load_the_solvers():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("provider", sorted(PROVIDER_SEAMS))
+def test_part1_on_a_csr_network_leaves_the_graph_unbuilt(provider):
+    """Part I on a ``Network.from_csr`` gnp-300 network builds no networkx
+    graph and loads no networkx; the water-filling provider loads no scipy
+    either (the LP provider's ``linprog`` does)."""
+    code = (
+        "import sys\n"
+        "from repro.congest.network import Network\n"
+        "from repro.fractional.raising import kmw06_initial_fds\n"
+        "from repro.graphs.suite import suite_instance\n"
+        "arrays = suite_instance('gnp', 300, seed=1).arrays\n"
+        "network = Network.from_csr(arrays.indptr, arrays.indices)\n"
+        f"kmw06_initial_fds(network, 0.5, provider={provider!r})\n"
+        "loaded = {m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'}\n"
+        "print(network._graph is None, sorted(loaded))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    loaded = "['scipy']" if provider == "lp" else "[]"
+    assert out.stdout.strip() == f"True {loaded}"
 
 
 def _import_time_imports(tree: ast.Module):
