@@ -3,10 +3,11 @@
 
 Two providers, each with its own guarantee:
 
-* ``"lp"`` — the exact LP optimum via ``scipy.optimize.linprog`` (HiGHS
-  interior point plus crossover), so a ``(1+eps)``-approximate FDS as
-  Lemma 2.1 asks; it is also the oracle for approximation-ratio
-  measurement.  CONGEST rounds are charged at the [KMW06] rate.
+* ``"lp"`` — the exact LP optimum via ``scipy.optimize.linprog`` (implied
+  rows dropped, then HiGHS interior point plus crossover), so a
+  ``(1+eps)``-approximate FDS as Lemma 2.1 asks; it is also the oracle for
+  approximation-ratio measurement.  CONGEST rounds are charged at the
+  [KMW06] rate.
 * ``"distributed"`` — a threshold water-filling covering solver that runs
   round by round on plain state, with a measured round count, and gives an
   ``O((1+gamma) ln Delta~)``-approximate FDS only; its ratio to the LP

@@ -1,7 +1,9 @@
 """Part-I substrate: LP oracle, water-filling solver, Lemma 2.1 raising."""
 
+import itertools
 import math
 import sys
+import tracemalloc
 from typing import Dict
 
 import networkx as nx
@@ -11,20 +13,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.congest.network import closed_neighborhoods
 from repro.domsets.covering import Constraint, CoveringInstance, ValueVar, fractionality_of
-from repro.errors import GraphError
+from repro.errors import GraphError, LPInfeasibleError
 from repro.fractional.distributed import (
     DistributedLPResult,
     _replay_raises,
     _rows,
     distributed_fractional_mds,
 )
-from repro.fractional.lp import lp_fractional_mds, solve_covering_lp
+from repro.fractional.lp import _kept_rows, lp_fractional_mds, solve_covering_lp
 from repro.fractional.raising import (
     kmw06_initial_fds,
     raise_fractionality,
     repair_feasibility,
 )
-from repro.graphs.generators import clique_graph, gnp_graph, star_graph
+from repro.graphs.generators import clique_graph, dumbbell_graph, gnp_graph, star_graph
 from repro.graphs.normalize import normalize_graph, require_normalized
 from repro.graphs.suite import families, suite_instance
 from tests.covering_reference import loop_sum, neumaier_sum
@@ -219,6 +221,10 @@ def covering_instances(draw) -> CoveringInstance:
     (so member-less rows have demand 0), and variables that may sit in no
     row.
 
+    A row after the first may copy an earlier row, take a subset or a
+    superset of it, or repeat one of its members, so that rows nest.  A
+    member listed twice is a coefficient of 2.
+
     Weights lie on a 0.01 grid.  HiGHS accepts a reduced cost within its
     1e-7 dual feasibility tolerance as optimal, with either method: one row
     of demand 1 over weights 0 and 1e-7 can come back with optimum 1e-7.
@@ -230,10 +236,74 @@ def covering_instances(draw) -> CoveringInstance:
     constraints = []
     for cid in cids:
         members = draw(st.lists(st.sampled_from(ids), max_size=len(ids), unique=True))
+        if constraints:
+            earlier = list(draw(st.sampled_from(constraints)).members)
+            kind = draw(st.sampled_from(["fresh", "copy", "subset", "superset", "repeat"]))
+            if kind == "copy":
+                members = draw(st.permutations(earlier))
+            elif kind == "subset":
+                members = [u for u in earlier if draw(st.booleans())]
+            elif kind == "superset":
+                members = earlier + [u for u in members if u not in earlier]
+            elif kind == "repeat" and earlier:
+                members = earlier + [draw(st.sampled_from(earlier))]
         demand = draw(st.integers(0, min(2, len(members))))
         constraints.append(Constraint(cid, float(demand), tuple(members), cid))
     return CoveringInstance(
         [ValueVar(u, 0.0, u, weight=w) for u, w in zip(ids, weights)], constraints
+    )
+
+
+def kept_by_pairs(instance: CoveringInstance) -> np.ndarray:
+    """The rows no other row implies, pair by pair.  Row ``r`` goes if its
+    demand is at most 0, or if a row ``s`` of positive demand has
+    ``members(s) <= members(r)`` and ``c(s) >= c(r)``; of rows with equal
+    member sets and demands, the lowest cid stays.  A row with a repeated
+    member neither drops a row nor is dropped by one, and a row without
+    members drops none (the LP is infeasible whatever is kept)."""
+    c, cids = instance.c.tolist(), instance.cids.tolist()
+    rows = [instance.members[instance.indptr[i]:instance.indptr[i + 1]].tolist()
+            for i in range(len(c))]
+    sets = [set(members) for members in rows]
+    plain = [len(members) == len(set(members)) for members in rows]
+
+    def implies(s: int, r: int) -> bool:
+        if s == r or not (plain[s] and plain[r] and sets[s]) or c[s] <= 0 or c[s] < c[r]:
+            return False
+        if not sets[s] <= sets[r]:
+            return False
+        return sets[s] != sets[r] or c[s] > c[r] or cids[s] < cids[r]
+
+    return np.array([c[r] > 0 and not any(implies(s, r) for s in range(len(c)))
+                     for r in range(len(c))], dtype=bool)
+
+
+def dense_graph(name: str, n: int) -> nx.Graph:
+    """A graph of about ``n`` nodes (a star has ``10 n``) whose closed
+    neighbourhoods are twins, near twins or long subsets of each other."""
+    half = n // 2
+    return {
+        "clique": lambda: clique_graph(n),
+        "dumbbell": lambda: dumbbell_graph(half, 10),
+        "bipartite": lambda: normalize_graph(nx.complete_bipartite_graph(half - 5, half + 5)),
+        "cocktail-party": lambda: normalize_graph(nx.complete_multipartite_graph(*[2] * half)),
+        "gnp": lambda: gnp_graph(n, 0.5, seed=1),
+        "star": lambda: star_graph(10 * n),
+    }[name]()
+
+
+DENSE = ["bipartite", "clique", "cocktail-party", "dumbbell", "gnp", "star"]
+
+
+def _instance(rows, demands=None, cids=None, width=5) -> CoveringInstance:
+    """Variables ``0..width-1`` of weight 1, and one constraint per member
+    tuple."""
+    demands = demands or [1.0] * len(rows)
+    cids = cids or list(range(len(rows)))
+    return CoveringInstance(
+        [ValueVar(u, 0.0, u) for u in range(width)],
+        [Constraint(cid, demand, tuple(members), cid)
+         for cid, demand, members in zip(cids, demands, rows)],
     )
 
 
@@ -264,6 +334,114 @@ class TestLPAgainstDualSimplex:
         values = lp_fractional_mds(graph).values
         for v in graph.nodes():
             assert math.fsum(values[u] for u in [v, *graph.neighbors(v)]) >= 1.0, v
+
+
+class TestImpliedRows:
+    """The rows that never reach HiGHS, against a pairwise check."""
+
+    @settings(PARITY, max_examples=200)
+    @given(covering_instances())
+    def test_drawn_instances_match_pairs(self, instance):
+        assert (_kept_rows(instance) == kept_by_pairs(instance)).all()
+
+    @settings(PARITY, max_examples=100)
+    @given(covering_instances())
+    def test_exact_check_alone_decides(self, instance):
+        """Variable row ``i`` moved to row ``64 i``: every member sets the
+        same signature bit, so the screen passes every candidate."""
+        rows = zip(instance.cids.tolist(), instance.c.tolist(),
+                   np.split(instance.members, instance.indptr[1:-1]))
+        spread = CoveringInstance(
+            [ValueVar(u, 0.0, u) for u in range(64 * len(instance.ids))],
+            [Constraint(cid, c, tuple((64 * members).tolist()), cid) for cid, c, members in rows],
+        )
+        assert (_kept_rows(spread) == kept_by_pairs(instance)).all()
+
+    @pytest.mark.parametrize("family", sorted(families()))
+    def test_suite_families_match_pairs(self, family):
+        instance = CoveringInstance.from_graph(suite_instance(family, 60, seed=1).graph, {})
+        assert (_kept_rows(instance) == kept_by_pairs(instance)).all()
+
+    def test_strict_subset_drops_its_superset(self):
+        instance = _instance([(0, 1, 2), (0, 1)])
+        assert _kept_rows(instance).tolist() == [False, True]
+        assert_optimal_and_feasible(instance)
+
+    def test_equal_signature_is_not_containment(self):
+        # Members 0, 64, 128, 192 and 320 set the same signature bit, and 0
+        # is the rarest member of row (0, 64) (a tie with 64 goes to the
+        # lower id), so the longer (0, 128, 192) passes every screen.
+        instance = _instance([(0, 64), (0, 128, 192), (64, 320)], width=321)
+        assert _kept_rows(instance).tolist() == [True, True, True]
+        assert_optimal_and_feasible(instance)
+
+    def test_equal_rows_keep_the_lowest_cid(self):
+        instance = _instance([(1, 2), (2, 1), (1, 2)], cids=[7, 3, 5])
+        assert _kept_rows(instance).tolist() == [False, True, False]
+
+    def test_colliding_sums_are_not_twins(self):
+        """Rows ``a`` and ``b`` have equal 64-bit sums of hashed members (a
+        generalized birthday search found them; a new hash needs a new pair),
+        so the twin order puts ``b`` between ``a`` and its copy.  ``b`` must
+        stay; the copy stays too, as the pass's docstring allows."""
+        a, b = (803, 12819, 15419, 16576), (3363, 3386, 14551, 24317)
+        instance = _instance([a, b, a[::-1]], demands=[2.0, 1.5, 1.0], width=24318)
+        assert _kept_rows(instance).tolist() == [True, True, True]
+
+    def test_candidates_in_several_chunks(self):
+        """Each member is in 15 of the 35 rows, so the 525 candidates come in
+        chunks of about the 90 entries; every 3-subset holds a 2-subset."""
+        rows = [*itertools.combinations(range(6), 2), *itertools.combinations(range(6), 3)]
+        instance = _instance(rows, width=6)
+        assert _kept_rows(instance).tolist() == [True] * 15 + [False] * 20
+
+    def test_twins_keep_the_highest_demand(self):
+        instance = _instance([(1, 2), (2, 1), (1, 2)], demands=[2.0, 1.0, 2.0], cids=[7, 3, 5])
+        assert _kept_rows(instance).tolist() == [False, False, True]
+
+    @pytest.mark.parametrize("name", DENSE)
+    def test_dense_graphs_match_pairs(self, name):
+        instance = CoveringInstance.from_graph(dense_graph(name, 40), {})
+        assert (_kept_rows(instance) == kept_by_pairs(instance)).all()
+
+    @pytest.mark.parametrize("name", DENSE)
+    def test_memory_stays_linear_in_the_entries(self, name):
+        """Looking up every member of every candidate pair at once takes about
+        n^3 entries on a clique (8e6 at n = 200, 200 per entry of the
+        matrix); the pass stays within 32 words per entry or row."""
+        instance = CoveringInstance.from_graph(dense_graph(name, 200), {})
+        tracemalloc.start()
+        try:
+            _kept_rows(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * (len(instance.members) + len(instance.c))
+
+    def test_subset_of_lower_demand_keeps_its_superset(self):
+        instance = _instance([(0, 1), (0,)], demands=[1.0, 0.5])
+        assert _kept_rows(instance).tolist() == [True, True]
+        assert solve_covering_lp(instance).optimum == pytest.approx(1.0)
+
+    def test_rows_of_demand_zero_go(self):
+        instance = _instance([(0, 1), (), (2,), (3,)], demands=[0.0, 0.0, -1.0, 1.0])
+        assert _kept_rows(instance).tolist() == [False, False, False, True]
+        assert solve_covering_lp(instance).optimum == pytest.approx(1.0)
+
+    def test_empty_row_of_positive_demand_stays_infeasible(self):
+        instance = _instance([(0, 1), (), ()], demands=[1.0, 1.0, 2.0])
+        assert _kept_rows(instance).all()
+        with pytest.raises(LPInfeasibleError) as caught:
+            solve_covering_lp(instance)
+        assert caught.value.status == 2
+
+    @pytest.mark.parametrize("rows", [[(0, 0), (0,)], [(0,), (0, 0)],
+                                      [(0, 0, 1), (0, 1, 2)], [(0, 1, 2), (0, 0, 1)]])
+    def test_repeated_member_is_a_coefficient_of_two(self, rows):
+        instance = _instance(rows)
+        assert _kept_rows(instance).tolist() == [True, True]
+        assert solve_covering_lp(instance).optimum == pytest.approx(1.0)
+        assert_optimal_and_feasible(instance)
 
 
 class TestWaterFilling:
