@@ -12,6 +12,12 @@ real JSON-lines protocol through :class:`repro.service.ServiceClient`:
 2. **Result cache.**  One client then resubmits its cells; every record
    must come back flagged ``cache_hit`` and the stats must show result
    cache hits — nothing re-simulates.
+3. **Topologies prepared in the window.**  The stats frame's
+   ``topology_cache`` must show each of the 8 topologies the tenants asked
+   for generated exactly once (``misses``), and at least one topology hit
+   per fresh execution: every execution found its topology published while
+   its window waited.  With 0.25 s windows and graphs of at most 60 nodes
+   (about a millisecond each to generate), this check is not timing-fragile.
 
 The coalescing assertion is timing-dependent (both submissions must land
 inside one batch window), so the whole probe retries (``--retries``,
@@ -33,6 +39,9 @@ import threading
 import time
 
 ANNOUNCE_PREFIX = "repro service listening on "
+
+#: Each tenant's seeds; every seed is asked for at n = 40 and n = 60.
+TENANT_SEEDS = {"tenant-a": (0, 1, 2), "tenant-b": (1, 2, 3)}
 
 
 def start_server(window_s: float) -> tuple:
@@ -93,8 +102,7 @@ def check_once(port: int) -> list:
             errors[name] = repr(exc)
 
     threads = [
-        threading.Thread(target=tenant, args=("tenant-a", (0, 1, 2))),
-        threading.Thread(target=tenant, args=("tenant-b", (1, 2, 3))),
+        threading.Thread(target=tenant, args=item) for item in TENANT_SEEDS.items()
     ]
     for thread in threads:
         thread.start()
@@ -102,7 +110,7 @@ def check_once(port: int) -> list:
         thread.join(timeout=120)
     if errors:
         return [f"client {name} failed: {err}" for name, err in errors.items()]
-    for name, seeds in (("tenant-a", (0, 1, 2)), ("tenant-b", (1, 2, 3))):
+    for name, seeds in TENANT_SEEDS.items():
         records = results.get(name, [])
         if len(records) != len(cells(seeds)):
             failures.append(
@@ -114,17 +122,28 @@ def check_once(port: int) -> list:
 
     # Refresh round: everything must come from the result cache.
     with ServiceClient(port=port, client="tenant-a", timeout=60) as client:
-        metas = [meta for _i, _rec, meta in client.stream(cells((0, 1, 2)))]
+        metas = [meta for _i, _rec, meta in client.stream(cells(TENANT_SEEDS["tenant-a"]))]
         stats = client.stats()
     misses = sum(1 for meta in metas if not meta.get("cache_hit"))
     if misses:
         failures.append(f"refresh: {misses} records re-simulated (not cached)")
 
     coalesced = stats.get("coalesced_windows", 0)
-    hits = (stats.get("result_cache") or {}).get("hits", 0)
+    result_cache = stats.get("result_cache") or {}
+    hits = result_cache.get("hits", 0)
+    # Every request here reads the result cache, so each fresh execution
+    # follows exactly one result-cache miss.
+    fresh = result_cache.get("misses", 0)
+    topology = stats.get("topology_cache") or {}
+    distinct = len({c.topology_key for seeds in TENANT_SEEDS.values() for c in cells(seeds)})
     print(
         f"  stats: windows={stats.get('windows')} coalesced={coalesced} "
         f"cache_hits={hits} records_served={stats.get('records_served')}"
+    )
+    print(
+        f"  topology_cache: hits={topology.get('hits')} "
+        f"misses={topology.get('misses')} entries={topology.get('entries')} "
+        f"(distinct topologies {distinct}, fresh executions {fresh})"
     )
     if coalesced < 1:
         failures.append(
@@ -133,6 +152,16 @@ def check_once(port: int) -> list:
         )
     if hits < 1:
         failures.append("no result-cache hit recorded")
+    if topology.get("misses") != distinct:
+        failures.append(
+            f"topology cache generated {topology.get('misses')} topologies, "
+            f"expected each of the {distinct} requested exactly once"
+        )
+    if topology.get("hits", 0) < fresh:
+        failures.append(
+            f"{topology.get('hits')} topology hits for {fresh} fresh executions — "
+            "windows did not prepare their topologies before executing"
+        )
     return failures
 
 
@@ -168,7 +197,7 @@ def main() -> int:
         if not failures:
             print(
                 "service smoke gate: PASS (tenants coalesced, cache served "
-                "the refresh)"
+                "the refresh, windows prepared their topologies)"
             )
             return 0
         for failure in failures:

@@ -115,15 +115,17 @@ def cmd_mds(args) -> int:
         result = approx_mds_randomized(graph, eps=args.eps, seed=args.seed)
     else:
         result = _MDS_ALGORITHMS[args.algorithm](graph, eps=args.eps)
-    lp = lp_fractional_mds(graph)
+    lp_optimum = result.lp_optimum
+    if lp_optimum is None:
+        lp_optimum = lp_fractional_mds(graph).optimum
     payload = {
         "algorithm": args.algorithm,
         "family": args.family,
         "n": graph.number_of_nodes(),
         "delta": delta,
         "size": result.size,
-        "lp_optimum": round(lp.optimum, 4),
-        "ratio_vs_lp": round(result.size / max(lp.optimum, 1e-9), 4),
+        "lp_optimum": round(lp_optimum, 4),
+        "ratio_vs_lp": round(result.size / max(lp_optimum, 1e-9), 4),
         "bound": round(theorem11_approximation_bound(args.eps, delta), 4),
         "greedy": len(greedy_mds(graph)),
         "rounds_simulated": result.ledger.simulated_rounds,

@@ -11,7 +11,7 @@ Section 3.4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -71,7 +71,9 @@ def raise_fractionality(
 @dataclass
 class InitialFDS:
     """Part-I output: the raised FDS plus provenance and cost.  ``values``
-    holds the raised value of every node, in ascending order."""
+    holds the raised value of every node, in ascending order;
+    ``lp_optimum`` is the LP optimum the ``"lp"`` provider solved for
+    (``None`` with water-filling)."""
 
     values: Dict[int, float]
     provider: str
@@ -79,6 +81,7 @@ class InitialFDS:
     raised_size: float
     lam: float
     ledger: CostLedger
+    lp_optimum: Optional[float] = None
 
 
 def kmw06_initial_fds(
@@ -103,10 +106,12 @@ def kmw06_initial_fds(
     network = as_network(graph)
     delta_tilde = int(np.diff(network.closed_csr()[0]).max())
     ledger = CostLedger()
+    lp_optimum = None
 
     if provider == "lp":
         solution = lp_fractional_mds(network)
         values = solution.values
+        lp_optimum = solution.optimum
         provider_size = ltr_sum(np.fromiter(values.values(), float, len(values)))
         ledger.charge("kmw06-lp", kmw06_lp_rounds(delta_tilde - 1, eps))
     elif provider == "distributed":
@@ -131,4 +136,5 @@ def kmw06_initial_fds(
         raised_size=fds.size(),
         lam=lam,
         ledger=ledger,
+        lp_optimum=lp_optimum,
     )

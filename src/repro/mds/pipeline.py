@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -118,7 +118,8 @@ class StageTrace:
 
 @dataclass
 class MDSResult:
-    """An integral dominating set plus full pipeline provenance."""
+    """An integral dominating set plus full pipeline provenance.
+    ``lp_optimum`` is Part I's LP optimum (``None`` with water-filling)."""
 
     graph: nx.Graph
     dominating_set: Set[int]
@@ -126,6 +127,7 @@ class MDSResult:
     trace: List[StageTrace] = field(default_factory=list)
     params: Dict[str, float] = field(default_factory=dict)
     route: str = ""
+    lp_optimum: Optional[float] = None
 
     @property
     def size(self) -> int:
@@ -253,4 +255,5 @@ def run_pipeline(
             "part2_iterations": float(iterations),
         },
         route=route,
+        lp_optimum=initial.lp_optimum,
     )

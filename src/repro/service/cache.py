@@ -10,11 +10,12 @@ which both tiers answer with an LRU bound.
 
 **Topology tier** (:class:`TopologyCache`).  Keyed by
 :attr:`~repro.experiments.runner.GridCell.topology_key`; backed by the
-existing shared-memory CSR transport: a miss generates the graph once and
-publishes its CSR arrays through
-:meth:`repro.experiments.sharedmem.SharedTopology.publish`, and every use
-— hit or miss — reconstructs a fresh, independently-owned
-:class:`~repro.congest.network.Network` via
+existing shared-memory CSR transport: :meth:`~TopologyCache.prepare`
+generates a missing graph once and publishes its CSR arrays through
+:meth:`repro.experiments.sharedmem.SharedTopology.publish` (the service
+prepares a window's topologies while the window waits), and every use
+(:meth:`~TopologyCache.network_for`) reconstructs a fresh,
+independently-owned :class:`~repro.congest.network.Network` via
 :func:`~repro.experiments.sharedmem.attach_network`.  Reconstruction from
 flat CSR skips generation + normalization (the dominant fixed cost) while
 giving each batch window a network no other window has mutated; because
@@ -75,6 +76,30 @@ class TopologyCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def prepare(self, cell: GridCell) -> None:
+        """Publish the cell's topology unless it is published already.
+
+        A miss generates and publishes the topology; a published one only
+        moves to the LRU end.  Failed publishes are cached as ``None``:
+        a client resubmitting a bad cell must not re-pay generation.
+        """
+        key = cell.topology_key
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            return
+        self.misses += 1
+        try:
+            topology: Optional[SharedTopology] = SharedTopology.publish(
+                build_network(cell)
+            )
+        except Exception:  # noqa: BLE001 - recorded per cell downstream
+            topology = None
+        self._entries[key] = topology
+        while len(self._entries) > self.max_entries:
+            _evicted_key, evicted = self._entries.popitem(last=False)
+            if evicted is not None:
+                evicted.unlink()
+
     def network_for(self, cell: GridCell) -> Optional[Network]:
         """A fresh :class:`Network` for the cell's topology (or ``None``).
 
@@ -82,26 +107,13 @@ class TopologyCache:
         caller's :func:`~repro.experiments.runner._run_cell_record` then
         regenerates (and structurally records) the failure itself, so a
         bad family name degrades to a per-cell error record, never to a
-        service crash.  Failed publishes are cached as ``None`` too:
-        a client resubmitting a bad cell must not re-pay generation.
+        service crash.  A call that finds the topology already prepared
+        counts as a hit.
         """
         key = cell.topology_key
         if key in self._entries:
             self.hits += 1
-            self._entries.move_to_end(key)
-        else:
-            self.misses += 1
-            try:
-                topology: Optional[SharedTopology] = SharedTopology.publish(
-                    build_network(cell)
-                )
-            except Exception:  # noqa: BLE001 - recorded per cell downstream
-                topology = None
-            self._entries[key] = topology
-            while len(self._entries) > self.max_entries:
-                _evicted_key, evicted = self._entries.popitem(last=False)
-                if evicted is not None:
-                    evicted.unlink()
+        self.prepare(cell)
         topology = self._entries[key]
         if topology is None:
             return None

@@ -32,6 +32,15 @@ queues the rest, it cannot starve other tenants.  Each tenant's pending
 queue is bounded (``max_pending_per_client``); an overflowing submission
 is rejected whole with :class:`~repro.errors.ClientQueueFullError`.
 
+While the window waits for its deadline, the dispatcher prepares the
+topologies of the cells it has admitted: it generates and publishes them
+to the topology cache one at a time, in admission order, without holding
+the service lock.  It skips cells the result cache will serve and stops
+at ``topology_cache_entries`` distinct topologies per window, so
+execution finds them published.  The window is checked again after each
+preparation, so a deadline closes it at most one preparation late, and
+flush, width and drain close it once the preparation in flight is done.
+
 Execution of a window: entries are deduped by cell identity (two tenants
 asking for the same cell simulate it once), the result cache serves what
 it can (per-ticket opt-out respected), and the residue runs through the
@@ -57,7 +66,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from queue import Empty, Queue
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.api.records import RunRecord
 from repro.api.registry import program_spec
@@ -429,6 +438,8 @@ class SimulationService:
                 deadline = time.monotonic() + cfg.window_s
                 window: List[_Entry] = []
                 taken: Dict[str, int] = {}
+                prepared: Set[tuple] = set()
+                cursor = 0
                 while True:
                     self._admit(window, taken)
                     if self._stopping:
@@ -444,10 +455,41 @@ class SimulationService:
                     if remaining <= 0:
                         reason = "deadline"
                         break
-                    self._cond.wait(timeout=remaining)
+                    cell, cursor = self._next_to_prepare(window, cursor, prepared)
+                    if cell is None:
+                        self._cond.wait(timeout=remaining)
+                        continue
+                    # Generation must not hold up submit, flush, stats or stop.
+                    self._cond.release()
+                    try:
+                        self.topologies.prepare(cell)
+                    finally:
+                        self._cond.acquire()
                 self._flush_requested = False
             if window:
                 self._execute_window(window, reason)
+
+    def _next_to_prepare(
+        self, window: List[_Entry], cursor: int, prepared: Set[tuple]
+    ) -> Tuple[Optional[GridCell], int]:
+        """The next admitted cell whose topology the open window prepares.
+
+        Caller holds ``self._cond``.  Walks ``window`` from ``cursor`` in
+        admission order and returns the cell plus the advanced cursor, or
+        ``None`` when nothing is left to prepare for now.  Skips cells the
+        result cache will serve and topologies this window already took;
+        stops at ``topology_cache_entries`` distinct topologies, so one
+        preparation never evicts another of the same window.
+        """
+        while cursor < len(window) and len(prepared) < self.topologies.max_entries:
+            entry = window[cursor]
+            cursor += 1
+            key = entry.cell.topology_key
+            if key in prepared or (entry.ticket.use_cache and entry.cell in self.results):
+                continue
+            prepared.add(key)
+            return entry.cell, cursor
+        return None, cursor
 
     # -- window execution ------------------------------------------------------
 

@@ -36,6 +36,44 @@ class TestCLI:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["size"] >= 1
 
+    @pytest.mark.parametrize(
+        "algorithm", ["coloring", "decomposition", "local", "randomized"]
+    )
+    def test_mds_solves_its_lp_once(self, capsys, monkeypatch, algorithm):
+        """The payload's LP optimum is the one Part I solved for."""
+        import repro.fractional.lp as lp_module
+        from repro.fractional.lp import lp_fractional_mds
+        from repro.graphs.suite import suite_instance
+
+        solve = lp_module.solve_covering_lp
+        solves = []
+
+        def counted(instance):
+            solves.append(instance)
+            return solve(instance)
+
+        monkeypatch.setattr(lp_module, "solve_covering_lp", counted)
+        rc = main(["mds", "-n", "120", "--seed", "3", "--algorithm", algorithm, "--json"])
+        assert rc == 0
+        assert len(solves) == 1
+        payload = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        optimum = lp_fractional_mds(suite_instance("gnp", 120, seed=3).graph).optimum
+        assert payload["lp_optimum"] == round(optimum, 4)
+        assert payload["ratio_vs_lp"] == round(payload["size"] / optimum, 4)
+
+    def test_lp_optimum_only_from_the_lp_provider(self, small_gnp):
+        from repro.fractional.lp import lp_fractional_mds
+        from repro.mds.pipeline import PipelineParams
+
+        lp = approx_mds_coloring(small_gnp, eps=0.5)
+        assert lp.lp_optimum == lp_fractional_mds(small_gnp).optimum
+        water = approx_mds_coloring(
+            small_gnp, params=PipelineParams(eps=0.5, part1_provider="distributed")
+        )
+        assert water.lp_optimum is None
+        assert "lp_optimum" not in lp.to_dict()
+
     def test_cds_json(self, capsys):
         rc = main(["cds", "--family", "geometric", "-n", "50", "--json"])
         assert rc == 0

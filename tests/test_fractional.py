@@ -9,7 +9,7 @@ from typing import Dict
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.congest.network import closed_neighborhoods
 from repro.domsets.covering import Constraint, CoveringInstance, ValueVar, fractionality_of
@@ -152,6 +152,12 @@ PARITY = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+
+#: The phases of a drawn property that solves covering LPs: no shrinking.
+#: Each shrink step costs HiGHS solves and only hypothesis's five-minute
+#: shrink budget bounds them, so a failure would take minutes to report;
+#: unshrunk, it reports the first failing instance in seconds.
+UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 def _outcome(solver, graph: nx.Graph, gamma: float, max_iterations: int):
@@ -322,7 +328,7 @@ def assert_optimal_and_feasible(instance: CoveringInstance) -> None:
 class TestLPAgainstDualSimplex:
     """The covering LP against an independent dual simplex reference."""
 
-    @settings(PARITY, max_examples=60)
+    @settings(PARITY, max_examples=60, phases=UNSHRUNK)
     @given(covering_instances())
     def test_drawn_instances(self, instance):
         assert_optimal_and_feasible(instance)

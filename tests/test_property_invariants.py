@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.analysis.bounds import theorem11_approximation_bound
 from repro.analysis.verify import is_dominating_set
@@ -38,7 +38,9 @@ def test_greedy_always_dominates(graph):
     assert is_dominating_set(graph, greedy_mds(graph))
 
 
-@slow
+# Each example solves covering LPs, so a failure reports unshrunk: shrinking
+# would re-solve them at every step.
+@settings(slow, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(graphs, st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from(["lp", "distributed"]))
 def test_pipeline_output_always_dominates(graph, eps, provider):
     """Theorem 1.2 with either Part-I provider: a dominating set within

@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -44,6 +45,9 @@ from repro.service.protocol import cell_to_wire, encode_frame
 SLOW_WINDOW = ServiceConfig(window_s=30.0)
 
 COLLECT_TIMEOUT = 60.0
+
+#: How long a test waits for an open window to prepare its topologies.
+PREPARE_TIMEOUT = 30.0
 
 
 def _cells(sizes, seeds, program="greedy", engine="vector", family="gnp"):
@@ -101,6 +105,50 @@ def _running_server(config):
         thread.join(timeout=30)
         assert not thread.is_alive()
         loop.close()
+
+
+def _wait_for(predicate, timeout=PREPARE_TIMEOUT):
+    """Poll ``predicate`` until it holds; whether it did within ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _topology_stats(service):
+    return service.stats()["topology_cache"]
+
+
+def _returns_within(fn, timeout=5.0):
+    """``fn()``'s result, called on another thread that must return in time."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert result, f"{fn.__name__}() blocked behind a topology preparation"
+    return result[0]
+
+
+class _HeldBuild:
+    """Holds the service's first build of one topology until :attr:`release`
+    is set; :attr:`started` is set once that build is running."""
+
+    def __init__(self, monkeypatch, cell):
+        import repro.service.cache as cache_module
+
+        self.started = threading.Event()
+        self.release = threading.Event()
+        build = cache_module.build_network
+
+        def held(built):
+            if built.topology_key == cell.topology_key and not self.started.is_set():
+                self.started.set()
+                self.release.wait(timeout=COLLECT_TIMEOUT)
+            return build(built)
+
+        monkeypatch.setattr(cache_module, "build_network", held)
 
 
 def _is_stats(frame):
@@ -352,6 +400,170 @@ class TestResultCache:
             assert served.meta["cache_hit"] is False
         finally:
             svc.stop(drain=False)
+
+
+class TestWindowPreparation:
+    """An open window generates and publishes its admitted cells'
+    topologies while it waits, so execution finds them published.  Every
+    window here is closed by flush() or stop(): no test depends on the
+    deadline."""
+
+    def test_topologies_are_published_inside_the_open_window(self, service):
+        cells_a = _cells((20, 30), (0, 1))
+        cells_b = _cells((30, 40), (1, 2)) + _cells((20,), (0,), program="color-reduction")
+        # 8 distinct cells (the tenants share (30, 1)) on 7 topologies
+        # (color-reduction runs on greedy's gnp-20 seed-0 graph).
+        ticket_a = service.submit("tenant-a", cells_a)
+        ticket_b = service.submit("tenant-b", cells_b)
+        assert _wait_for(lambda: _topology_stats(service)["misses"] == 7)
+        service.flush()
+        assert comparable_records(ticket_a.collect(timeout=COLLECT_TIMEOUT)) == (
+            comparable_records(_solo_records(cells_a))
+        )
+        assert comparable_records(ticket_b.collect(timeout=COLLECT_TIMEOUT)) == (
+            comparable_records(_solo_records(cells_b))
+        )
+        # Execution generated nothing: all 8 runs found their topology.
+        assert _topology_stats(service) == {"hits": 8, "misses": 7, "entries": 7}
+
+    def test_concurrent_submits_and_stats_during_preparation(self, service):
+        """More tenant threads than cores submit, and a poller reads stats,
+        while the dispatcher prepares with the lock released; a lost update
+        of the pending count or of the window would lose or repeat work."""
+        tenants = {f"tenant-{i}": _cells((20, 30), (i, i + 1, i + 2)) for i in range(6)}
+        distinct = {c.topology_key for cells in tenants.values() for c in cells}
+        tickets = {}
+        barrier = threading.Barrier(len(tenants) + 1)
+        polling = threading.Event()
+
+        def tenant(name, cells):
+            barrier.wait()
+            tickets[name] = [service.submit(name, cells[:3]), service.submit(name, cells[3:])]
+
+        def poll():
+            while not polling.is_set():
+                service.stats()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        poller = threading.Thread(target=poll)
+        threads = [threading.Thread(target=tenant, args=item) for item in tenants.items()]
+        try:
+            poller.start()
+            for t in threads:
+                t.start()
+            barrier.wait()
+            for t in threads:
+                t.join(timeout=COLLECT_TIMEOUT)
+                assert not t.is_alive()
+            assert _wait_for(lambda: _topology_stats(service)["misses"] == len(distinct))
+        finally:
+            polling.set()
+            poller.join(timeout=COLLECT_TIMEOUT)
+            sys.setswitchinterval(interval)
+        assert not poller.is_alive()
+        service.flush()
+        for name, cells in tenants.items():
+            first, second = tickets[name]
+            served = first.collect(timeout=COLLECT_TIMEOUT) + second.collect(
+                timeout=COLLECT_TIMEOUT
+            )
+            assert comparable_records(served) == comparable_records(_solo_records(cells))
+        stats = service.stats()
+        assert stats["pending"] == 0 and stats["windows"] == 1
+        assert stats["records_served"] == sum(len(c) for c in tenants.values())
+        # One execution per distinct cell (one program: one per topology).
+        assert stats["topology_cache"]["hits"] == len(distinct)
+        assert stats["topology_cache"]["misses"] == len(distinct)
+
+    def test_result_cache_cells_are_not_prepared(self):
+        # One topology fits the cache, so gnp-20 seed 0's is evicted by
+        # seed 1's in the first window: preparing it again would regenerate it.
+        svc = SimulationService(
+            ServiceConfig(window_s=30.0, topology_cache_entries=1)
+        ).start()
+        try:
+            cached = _cells((20,), (0,))
+            first = svc.submit("t", cached + _cells((20,), (1,)))
+            svc.flush()
+            first.collect(timeout=COLLECT_TIMEOUT)
+            misses = _topology_stats(svc)["misses"]
+            fresh = _cells((30,), (0,))
+            ticket = svc.submit("t", cached + fresh)
+            assert _wait_for(lambda: _topology_stats(svc)["misses"] == misses + 1)
+            svc.flush()
+            served = sorted(ticket, key=lambda s: s.index)
+            assert [s.meta["cache_hit"] for s in served] == [True, False]
+            assert comparable_records([s.record for s in served]) == comparable_records(
+                _solo_records(cached + fresh)
+            )
+            # Only the fresh cell's topology was generated, and it was used.
+            assert _topology_stats(svc) == {"hits": 1, "misses": misses + 1, "entries": 1}
+        finally:
+            svc.stop(drain=False)
+
+    def test_preparation_stops_at_the_topology_capacity(self):
+        svc = SimulationService(
+            ServiceConfig(window_s=30.0, topology_cache_entries=2)
+        ).start()
+        try:
+            cells = _cells((20,), range(4))
+            ticket = svc.submit("t", cells)
+            assert _wait_for(lambda: _topology_stats(svc)["misses"] >= 2)
+            time.sleep(0.2)  # room for a third preparation, were there one
+            assert _topology_stats(svc)["misses"] == 2
+            svc.flush()
+            assert comparable_records(ticket.collect(timeout=COLLECT_TIMEOUT)) == (
+                comparable_records(_solo_records(cells))
+            )
+            # The two prepared topologies ran before the others evicted
+            # them: each of the four was generated exactly once.
+            assert _topology_stats(svc) == {"hits": 2, "misses": 4, "entries": 2}
+        finally:
+            svc.stop(drain=False)
+
+    def test_flush_closes_the_window_during_a_preparation(self, monkeypatch, service):
+        cells = _cells((400,), (0,)) + _cells((20,), (0,))
+        held = _HeldBuild(monkeypatch, cells[0])
+        ticket = service.submit("t", cells)
+        try:
+            assert held.started.wait(timeout=PREPARE_TIMEOUT)
+            # The service lock is free while the dispatcher generates.
+            stats = _returns_within(service.stats)
+            assert stats["windows"] == 0
+            assert stats["topology_cache"]["misses"] == 1
+            _returns_within(service.flush)
+        finally:
+            held.release.set()
+        assert comparable_records(ticket.collect(timeout=COLLECT_TIMEOUT)) == (
+            comparable_records(_solo_records(cells))
+        )
+        stats = service.stats()
+        assert stats["window_close_reasons"] == {"flush": 1}
+        # The held topology finished its preparation; the other one, never
+        # prepared, was generated at execution.
+        assert stats["topology_cache"] == {"hits": 1, "misses": 2, "entries": 2}
+
+    @pytest.mark.usefixtures("no_shared_memory_leak")
+    def test_drain_closes_the_window_during_a_preparation(self, monkeypatch):
+        svc = SimulationService(SLOW_WINDOW).start()
+        cells = _cells((400,), (0,)) + _cells((20,), (0,))
+        held = _HeldBuild(monkeypatch, cells[0])
+        ticket = svc.submit("t", cells)
+        stopper = threading.Thread(target=svc.stop)  # drain=True
+        try:
+            assert held.started.wait(timeout=PREPARE_TIMEOUT)
+            stopper.start()
+            stopper.join(timeout=0.1)
+            assert stopper.is_alive()  # drain waits for the preparation
+        finally:
+            held.release.set()
+        stopper.join(timeout=COLLECT_TIMEOUT)
+        assert not stopper.is_alive()
+        assert comparable_records(ticket.collect(timeout=COLLECT_TIMEOUT)) == (
+            comparable_records(_solo_records(cells))
+        )
+        assert svc.stats()["window_close_reasons"] == {"drain": 1}
 
 
 class TestFairnessAndBackpressure:
