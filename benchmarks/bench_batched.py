@@ -20,6 +20,10 @@ Lemma 3.10 sweep (the alpha/decide/fold protocol in-plane from round 1),
 and the **ragged** sweep: 50 instances of mixed size (n spanning an order
 of magnitude) as one ragged plane, whose stacked loop runs as many rounds
 as the *largest* instance needs while per-cell work shrinks with size.
+A sixth bar times lemma310's group coloring, one distance-2 coloring per
+bounded union of a sweep-shaped group, against coloring the same networks
+one at a time with the same function, after asserting that every network
+gets its own coloring.
 Each bar is about two thirds of the smallest ratio seen over 16
 alternating runs pinned to one CPU (see docs/benchmarks.md, "Asserted
 bars").
@@ -33,14 +37,18 @@ Run with::
 from __future__ import annotations
 
 import dataclasses
+import time
 
 from repro.api import Experiment
+from repro.coloring.distance2 import distance2_coloring
+from repro.congest.network import Network
+from repro.congest.programs import lemma310
 from repro.experiments.harness import (
     comparable_records as _comparable,
     seed_sweep_cells,
     simulation_wall as _sim_wall,
 )
-from repro.experiments.runner import run_grid
+from repro.experiments.runner import GridCell, build_network, run_grid
 
 #: The tentpole bar: stacked vs per-cell ``fast`` on the 50-seed greedy
 #: sweep (observed 32.8-60.0x).
@@ -59,6 +67,10 @@ RAGGED_SPEEDUP_BAR = 20.0
 RAGGED_SIZES = (20, 40, 60, 100, 150)
 #: Lemma 3.10 on the canonical uniform workload (observed 45.3-93.3x).
 LEMMA310_SPEEDUP_BAR = 30.0
+
+#: lemma310's group coloring, in unions, against one coloring per network
+#: on a sweep-shaped group (observed 2.05-2.13x).
+COLORING_SPEEDUP_BAR = 1.35
 
 SWEEP_SEEDS = list(range(50))
 
@@ -247,6 +259,60 @@ def bench_ragged_mixed_size_50_instances(benchmark):
     )
     benchmark.pedantic(
         lambda: run_grid(_ragged_cells(), strategy="batch"),
+        iterations=1,
+        rounds=1,
+        warmup_rounds=0,
+    )
+
+
+def _coloring_group():
+    """The sweep's lemma310 group shape: gnp 250/500/1000 x 12 seeds."""
+    return [
+        build_network(GridCell("gnp", n, "lemma310", "vector", seed=seed))
+        for n in (250, 500, 1000)
+        for seed in range(12)
+    ]
+
+
+def _best_of(arm, networks, repeats: int = 5) -> float:
+    """Best wall of ``arm`` over fresh CSR twins of ``networks``, so no run
+    finds a cached closed neighbourhood or a memoized coloring."""
+    best = float("inf")
+    for _ in range(repeats):
+        twins = [Network.from_csr(*net.csr(), bit_budget=net.bit_budget) for net in networks]
+        start = time.perf_counter()
+        arm(twins)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def bench_group_coloring_in_unions(benchmark):
+    """lemma310's group coloring: each network's own coloring, faster in
+    unions than one network at a time."""
+    networks = _coloring_group()
+    solo = [list(distance2_coloring(net).colors.values()) for net in networks]
+    group = lemma310._canonical_colors(
+        [Network.from_csr(*net.csr(), bit_budget=net.bit_budget) for net in networks]
+    )
+    assert [column.tolist() for column in group] == solo
+
+    def one_at_a_time(twins):
+        return [distance2_coloring(net) for net in twins]
+
+    solo_wall = _best_of(one_at_a_time, networks)
+    group_wall = _best_of(lemma310._canonical_colors, networks)
+    speedup = solo_wall / group_wall
+    print(
+        f"\ngroup coloring, 36 gnp networks: one at a time {solo_wall * 1000:.1f}ms, "
+        f"in unions {group_wall * 1000:.1f}ms; speedup {speedup:.2f}x"
+    )
+    assert speedup >= COLORING_SPEEDUP_BAR, (
+        f"union coloring only {speedup:.2f}x faster, bar is {COLORING_SPEEDUP_BAR}x"
+    )
+    benchmark.pedantic(
+        lambda: lemma310._canonical_colors(
+            [Network.from_csr(*net.csr(), bit_budget=net.bit_budget) for net in networks]
+        ),
         iterations=1,
         rounds=1,
         warmup_rounds=0,

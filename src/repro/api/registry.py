@@ -28,7 +28,16 @@ additional specs the same way before expanding a grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import UnknownProgramError
 
@@ -64,9 +73,14 @@ class ProgramSpec:
         composites use it to shape their block like a simulation record.
     batch_factory / batch_max_rounds / batch_inputs:
         Stacked-execution recipe: the program class handed to
-        :func:`~repro.congest.engine.batched.run_stacked`, its round limit,
-        and (optionally) per-instance input construction.  ``batch_factory``
-        is ``None`` for programs the ``batch`` strategy cannot stack.
+        :func:`~repro.congest.engine.batched.run_stacked`, its round limit
+        (``network -> int``, called per instance) and, optionally, the
+        group's inputs: ``batch_inputs`` takes the networks of one stacked
+        group and returns one ``{node: input}`` mapping per network, in
+        order, so work shared by the group (lemma310 colors a whole group
+        in one call) is done once.  The runner calls it once per group,
+        before the round limits.  ``batch_factory`` is ``None`` for
+        programs the ``batch`` strategy cannot stack.
     engines:
         Engine names the spec is eligible for (``None`` = every registered
         engine).  Enforced by the :class:`~repro.api.experiment.Experiment`
@@ -102,7 +116,9 @@ class ProgramSpec:
     metrics: Optional[Callable[["Network", object], Dict[str, object]]] = None
     batch_factory: Optional[type] = None
     batch_max_rounds: Optional[Callable[["Network"], int]] = None
-    batch_inputs: Optional[Callable[["Network"], Mapping[int, object]]] = None
+    batch_inputs: Optional[
+        Callable[[Sequence["Network"]], Sequence[Mapping[int, object]]]
+    ] = None
     engines: Optional[Tuple[str, ...]] = None
     default_params: Mapping[str, object] = field(default_factory=dict)
     composite: bool = False

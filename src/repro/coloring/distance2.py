@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 import numpy as np
 
 from repro.congest.cost import bek15_coloring_rounds
-from repro.congest.network import Network
+from repro.congest.network import Network, csr_row_slots
 from repro.domsets.covering import CoveringInstance
 from repro.errors import ColoringError
 from repro.graphs.powers import square_graph
@@ -24,6 +24,13 @@ from repro.util.mathx import log_star
 if TYPE_CHECKING:
     import networkx as nx
     from scipy import sparse
+
+
+#: Most flags one round's :func:`_smallest_missing` table holds (4 MB).
+_TABLE_CELLS = 1 << 22
+
+#: The color of a row first-fit has not colored yet, above every color.
+_UNCOLORED = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -104,30 +111,83 @@ def _first_fit(conflicts: sparse.csr_matrix, nodes: np.ndarray) -> Tuple[List[in
     :func:`~repro.coloring.greedy.greedy_coloring` order when rows ascend by
     id), checked for properness; returns the colors and the conflict count.
     Each row is read as a set, so its column order does not matter.
-    ``nodes`` names the rows in the error message."""
+    ``nodes`` names the rows in the error message.
+
+    The colors are computed in priority rounds (Jones and Plassmann,
+    SIAM J. Sci. Comput. 14(3), 1993, with the row index as the
+    priority): once every earlier conflict of a row has a color, the row
+    takes the smallest color they left.  Sequential first-fit gives row
+    ``v`` exactly that color, the smallest one missing among its earlier
+    conflicts, so by induction on ``v`` the rounds reproduce it; the rows
+    of one round share no conflict.  A round costs the entries of its
+    rows.  There are as many rounds as the longest chain of conflicts
+    with ascending rows has rows, so a matrix of independent blocks takes
+    the rounds of its longest block.
+
+    The check covers every listed conflict, in either row, and every row:
+    a conflict one row lists and the other does not breaks the symmetry
+    the rounds rely on, and raises instead of returning a coloring."""
     indptr, indices = conflicts.indptr, conflicts.indices
-    rows = np.repeat(np.arange(conflicts.shape[0]), np.diff(indptr))
-    # Row v's entries below the diagonal: v's conflicts among the earlier
-    # rows, which first-fit has colored before v.
-    lower = indices < rows
-    later, earlier = rows[lower], indices[lower]
-    ptr = np.concatenate(([0], np.cumsum(lower)))[indptr].tolist()
-    idx = earlier.tolist()
-    first_fit: List[int] = []
-    for v in range(conflicts.shape[0]):
-        taken = {first_fit[u] for u in idx[ptr[v]:ptr[v + 1]]}
-        color = 0
-        while color in taken:
-            color += 1
-        first_fit.append(color)
-    colors = np.array(first_fit, dtype=np.int64)
-    clash = np.flatnonzero(colors[later] == colors[earlier])
+    m = conflicts.shape[0]
+    lengths = np.diff(indptr)
+    rows = np.repeat(np.arange(m), lengths)
+    earlier = indices < rows
+    # Per row, the earlier conflicts without a color yet (a colored row's
+    # count no longer matters).
+    pending = np.bincount(rows[earlier], minlength=m)
+    colors = np.full(m, _UNCOLORED, dtype=np.int64)
+    used = 0
+    ready = np.flatnonzero(pending == 0)
+    while ready.size:
+        counts = lengths[ready]
+        # A row's color is at most its count of colored peers, so at most
+        # its count and at most ``used``: every color lies below ``width``.
+        width = min(used, int(counts.max())) + 1
+        # Rows past the table's bound wait for the next round, still ready.
+        block = max(1, _TABLE_CELLS // (width + 1))
+        ready, deferred, counts = ready[:block], ready[block:], counts[:block]
+        owner = np.repeat(np.arange(ready.size), counts)
+        peers = indices[csr_row_slots(indptr, lengths, ready)]
+        seen = colors[peers]
+        new = _smallest_missing(seen, owner, ready.size, width)
+        colors[ready] = new
+        used = max(used, int(new.max()) + 1)
+        # The uncolored peers of the rows colored now, their later
+        # conflicts and themselves, each wait on one fewer.
+        waiting = peers[seen == _UNCOLORED]
+        np.subtract.at(pending, waiting, 1)
+        freed = np.unique(waiting[pending[waiting] == 0])
+        ready = np.concatenate((deferred, freed)) if deferred.size else freed
+    uncolored = np.flatnonzero(colors == _UNCOLORED)
+    if uncolored.size:
+        raise ColoringError(
+            f"node {nodes[uncolored[0]]} waits on a conflict that does not "
+            "list it: the conflicts are not symmetric"
+        )
+    clash = np.flatnonzero((colors[rows] == colors[indices]) & (rows != indices))
     if clash.size:
-        u, v = earlier[clash[0]], later[clash[0]]
+        u, v = sorted((rows[clash[0]], indices[clash[0]]))
         raise ColoringError(
             f"edge ({nodes[u]}, {nodes[v]}) is monochromatic with color {colors[v]}"
         )
-    return first_fit, int(earlier.size)
+    return colors.tolist(), int(np.count_nonzero(earlier))
+
+
+def _smallest_missing(
+    seen: np.ndarray, owner: np.ndarray, n_rows: int, width: int
+) -> np.ndarray:
+    """Per row, the smallest color its ``seen`` entries miss, known to lie
+    below ``width``.
+
+    ``owner`` names the row of each entry.  Row ``i`` marks its colors in
+    row ``i`` of a boolean table of ``width + 1`` columns, uncolored
+    entries (:data:`_UNCOLORED`) and colors of ``width`` or more in the
+    last one, and its answer is its first clear column.
+    """
+    stride = width + 1
+    taken = np.zeros(n_rows * stride, dtype=bool)
+    taken[owner * stride + np.minimum(seen, width)] = True
+    return taken.reshape(n_rows, stride).argmin(axis=1)
 
 
 def bipartite_distance2_coloring(

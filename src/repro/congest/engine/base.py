@@ -36,33 +36,58 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Type, Union
+from typing import Dict, List, Mapping, Tuple, Type, Union
 
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
 from repro.errors import CongestError, UnknownEngineError
 
 
+#: Output key -> ``(nodes, values)``: the nodes that wrote the key, in
+#: ascending order, and the value each one wrote last.
+OutputColumns = Dict[str, Tuple[List[int], List[object]]]
+
+
 @dataclass
 class SimulationResult:
-    """Outcome and metrics of one simulated execution."""
+    """Outcome and metrics of one simulated execution.
+
+    ``outputs`` holds one column per output key (:data:`OutputColumns`); a
+    key no node wrote is absent, and so is a node from every column it did
+    not write.  Values are the Python objects the nodes output.
+    """
 
     rounds: int
     total_messages: int
     total_bits: int
     max_message_bits: int
-    outputs: Dict[int, Dict[str, object]]
+    outputs: OutputColumns
     all_halted: bool
     #: messages sent per executed round, for congestion profiles
     messages_per_round: List[int] = field(default_factory=list)
     #: bits sent per executed round, aligned with ``messages_per_round``
     bits_per_round: List[int] = field(default_factory=list)
 
+    def column(self, key: str) -> Tuple[List[int], List[object]]:
+        """Output ``key``'s ``(nodes, values)``; empty if no node wrote it."""
+        return self.outputs.get(key, ([], []))
+
     def output_map(self, key: str) -> Dict[int, object]:
         """Collect output ``key`` from each node that produced it."""
-        return {
-            v: outs[key] for v, outs in self.outputs.items() if key in outs
-        }
+        return dict(zip(*self.column(key)))
+
+
+def recorded_columns(contexts: Mapping[int, Context]) -> OutputColumns:
+    """The outputs the scalar engines' contexts recorded, as columns."""
+    columns: OutputColumns = {}
+    for v in sorted(contexts):
+        for key, value in contexts[v]._recorded.items():
+            column = columns.get(key)
+            if column is None:
+                column = columns[key] = ([], [])
+            column[0].append(v)
+            column[1].append(value)
+    return columns
 
 
 class Engine(ABC):

@@ -72,10 +72,9 @@ from repro.congest.engine.vector import (
     kernel_for,
     pending_parts,
 )
-from repro.congest.network import Network
+from repro.congest.network import Network, csr_row_slots
 from repro.errors import (
     BatchEligibilityError,
-    GraphError,
     MessageTooLargeError,
     SimulationLimitError,
 )
@@ -119,6 +118,13 @@ class StackedPlane:
     semantics however many instances share the arrays.  ``local_n`` is
     the shared size when the stack is uniform and ``None`` when it is
     ragged (kernels must use the per-node ``local_n_of`` either way).
+
+    The kernels assume a symmetric CSR: ``u`` is in ``v``'s row exactly
+    when ``v`` is in ``u``'s.  They read traffic off the receiving row
+    (greedy's received maxima, lemma310's folds, color reduction's
+    neighbour colors), so a row that misses a sender would silently hear
+    nothing from it.  Every :class:`~repro.congest.network.Network` of an
+    undirected graph is symmetric; the plane does not check it.
     """
 
     __slots__ = (
@@ -129,7 +135,6 @@ class StackedPlane:
         "degrees",
         "_nonempty",
         "_starts",
-        "_reverse",
         "instances",
         "local_n",
         "local_ns",
@@ -163,7 +168,6 @@ class StackedPlane:
         self.n = int(self.indptr.shape[0]) - 1
         self.nnz = int(self.indices.shape[0])
         self.degrees = self.indptr[1:] - self.indptr[:-1]
-        self._reverse = None
         self._nonempty = self.degrees > 0
         self._starts = self.indptr[:-1][self._nonempty]
         self.instances = k_count
@@ -208,39 +212,7 @@ class StackedPlane:
         result costs O(sum of the nodes' degrees); an isolated node
         contributes nothing.
         """
-        degrees = self.degrees[nodes]
-        ends = degrees.cumsum()
-        shift = self.indptr[nodes] - ends + degrees
-        total = int(ends[-1]) if ends.size else 0
-        return np.arange(total) + shift.repeat(degrees)
-
-    def out_slots(self, senders: np.ndarray) -> np.ndarray:
-        """Receiving slots of the broadcasts of ``senders``, sender-major.
-
-        The slots ``s`` with ``indices[s]`` in ``senders`` — the set
-        :meth:`sent_slots` flags — found in O(sum of sender degrees)
-        through the reverse-slot map.
-        """
-        if self._reverse is None:
-            self._reverse = self._reverse_slots()
-        return self._reverse[self.row_slots(senders)]
-
-    def _reverse_slots(self) -> np.ndarray:
-        """Map the slot of ``v`` in row ``u`` to the slot of ``u`` in row ``v``.
-
-        With sorted rows, the slots naming ``v`` in ascending slot order
-        are ``v``'s own row in order, so a stable sort by neighbor id lays
-        them out exactly at ``indptr[v] .. indptr[v+1]``.
-        """
-        reverse = np.empty(self.nnz, dtype=np.int64)
-        reverse[np.argsort(self.indices, kind="stable")] = np.arange(self.nnz)
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        if not (
-            np.array_equal(self.indices[reverse], rows)
-            and np.array_equal(rows[reverse], self.indices)
-        ):
-            raise GraphError("CSR topology is not symmetric with sorted rows")
-        return reverse
+        return csr_row_slots(self.indptr, self.degrees, nodes)
 
     def live_per_instance(self, live: np.ndarray) -> np.ndarray:
         """Per-instance count of set flags in a global node mask.
@@ -456,11 +428,11 @@ def _rounds(
         charged[lo:hi] = False
         del open_limits[k]
         next_limit = min(open_limits.values(), default=0)
-        outputs: dict = {v: {} for v in range(hi - lo)}
+        outputs = {}
         for key, (values, written) in kernel.output_columns.items():
             nodes = np.flatnonzero(written[lo:hi])
-            for v, value in zip(nodes.tolist(), values[lo + nodes].tolist()):
-                outputs[v][key] = value
+            if nodes.size:
+                outputs[key] = (nodes.tolist(), values[lo + nodes].tolist())
         messages, bits, largest = table[:, :, k]
         return k, SimulationResult(
             rounds=rounds,

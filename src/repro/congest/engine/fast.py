@@ -44,7 +44,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.congest.engine.base import Engine, SimulationResult, register_engine
+from repro.congest.engine.base import (
+    Engine,
+    SimulationResult,
+    recorded_columns,
+    register_engine,
+)
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
@@ -239,7 +244,7 @@ class FastEngine(Engine):
             total_messages=total_messages,
             total_bits=total_bits,
             max_message_bits=max_bits,
-            outputs={v: dict(ctx._recorded) for v, ctx in contexts.items()},
+            outputs=recorded_columns(contexts),
             all_halted=not active,
             messages_per_round=messages_per_round,
             bits_per_round=bits_per_round,
@@ -319,7 +324,7 @@ class FastEngine(Engine):
             total_messages=total_messages,
             total_bits=total_bits,
             max_message_bits=max_bits,
-            outputs={v: dict(ctx._recorded) for v, ctx in contexts.items()},
+            outputs=recorded_columns(contexts),
             all_halted=not live,
             messages_per_round=messages_per_round,
             bits_per_round=bits_per_round,

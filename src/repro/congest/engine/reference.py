@@ -14,7 +14,12 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.congest.engine.base import Engine, SimulationResult, register_engine
+from repro.congest.engine.base import (
+    Engine,
+    SimulationResult,
+    recorded_columns,
+    register_engine,
+)
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
@@ -97,7 +102,7 @@ class ReferenceEngine(Engine):
             total_messages=total_messages,
             total_bits=total_bits,
             max_message_bits=max_bits,
-            outputs={v: dict(ctx._recorded) for v, ctx in contexts.items()},
+            outputs=recorded_columns(contexts),
             all_halted=all(ctx._halted for ctx in contexts.values()),
             messages_per_round=messages_per_round,
             bits_per_round=bits_per_round,

@@ -9,7 +9,7 @@ field, and both delivery (gather through the CSR topology) and wire
 accounting (bit lengths, per-round totals, the CONGEST budget check) become
 O(1) array operations over the edge slots.  A broadcast may also list its
 senders (:attr:`PendingBroadcast.senders`), so that a round in which few
-nodes act costs O(sum of their degrees) instead of O(n + nnz).
+nodes act is accounted in O(sum of their degrees) instead of O(n + nnz).
 
 Three pieces cooperate:
 
@@ -148,8 +148,8 @@ class PendingBroadcast:
     at least one neighbor — accounting and delivery both respect that.
 
     ``senders`` optionally lists the ascending ids of the set ``mask``
-    entries, so a sparse round is accounted and delivered in O(sum of
-    sender degrees) rather than O(plane).  It must match ``mask``: code
+    entries, so a sparse round is accounted in O(sum of sender degrees)
+    rather than O(plane).  It must match ``mask``: code
     that edits ``mask`` in place must clear it (``None`` means "derive
     from the mask").
     """
@@ -169,12 +169,6 @@ class PendingBroadcast:
         self.columns = columns
         self.bits = bits
         self.senders = senders
-
-    def sender_ids(self) -> np.ndarray:
-        """Ascending ids of this round's senders."""
-        if self.senders is None:
-            return np.flatnonzero(self.mask)
-        return self.senders
 
 
 class PendingTargeted:

@@ -41,6 +41,20 @@ def _as_long_array(values) -> array:
     return out
 
 
+def csr_row_slots(indptr: np.ndarray, lengths: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The entries of ``rows`` of a CSR matrix, concatenated in that order.
+
+    Row ``v`` contributes ``indptr[v] .. indptr[v] + lengths[v] - 1``, so
+    the result costs O(sum of the rows' lengths); an empty row contributes
+    nothing.
+    """
+    counts = lengths[rows]
+    ends = counts.cumsum()
+    shift = indptr[rows] - ends + counts
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + shift.repeat(counts)
+
+
 def congest_bit_budget(n: int, factor: int = 16, base: int = 96) -> int:
     """Default CONGEST message budget in bits for an ``n``-node network.
 

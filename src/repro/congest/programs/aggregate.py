@@ -161,10 +161,10 @@ def _drive(network: Network, engine: str) -> SimulationResult:
 
 
 def _summary(sim: SimulationResult) -> Dict[str, object]:
-    totals = sim.output_map("total")
+    totals = sim.column("total")[1]
     return {
         "reached": len(totals),
-        "tree_total": max((int(t[0]) for t in totals.values()), default=0),
+        "tree_total": max((int(t[0]) for t in totals), default=0),
     }
 
 

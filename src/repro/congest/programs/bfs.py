@@ -125,8 +125,8 @@ def _drive(network: Network, engine: str) -> SimulationResult:
 
 
 def _summary(sim: SimulationResult) -> Dict[str, object]:
-    roots = sim.output_map("root")
-    return {"reached": sum(1 for r in roots.values() if r != -1)}
+    roots = sim.column("root")[1]
+    return {"reached": len(roots) - roots.count(-1)}
 
 
 register_program(

@@ -86,15 +86,14 @@ class ColorReductionKernel(VectorKernel):
     Only the acting class does work, so a round costs O(sum of acting
     degrees), not O(n + nnz): boot sorts every node by the round its
     color acts in (``n_k - color``), and a recolored node is re-queued
-    when its new class comes up later.  Delivery reads the senders'
-    slots through :meth:`StackedPlane.out_slots`, accounting reads the
-    broadcast's ``senders`` list, and the mex is array work: the acting
-    rows' heard colors mark a boolean table of actors x (max degree + 2),
-    whose first unmarked column per row is the new color, and the new
-    colors' bit lengths come from a table over those columns.  An instance
-    finishes once, at round ``n_k``, in O(n_k).  Boot is O(n + nnz), as
-    is the first delivery (every node announces its color) and building
-    the plane's reverse-slot map.
+    when its new class comes up later.  Nothing is delivered into the
+    plane: an actor reads its neighbours' *current* colors when it acts
+    (see :meth:`_mex`), and accounting reads the broadcast's ``senders``
+    list.  The mex is array work: the acting rows' colors mark a boolean
+    table of actors x (max degree + 2), whose first unmarked column per
+    row is the new color, and the new colors' bit lengths come from a
+    table over those columns.  An instance finishes once, at round
+    ``n_k``, in O(n_k).  Boot is O(n + nnz).
 
     The schedule comes from ``plane.local_n_of`` (the per-node view of
     the ``n`` each node program believes it runs on), so the kernel is
@@ -152,12 +151,9 @@ class ColorReductionKernel(VectorKernel):
         """Sort nodes by acting round; schedule every instance's finish."""
         plane = self.plane
         self.color = color
-        #: Last-heard color per edge slot; -1 = never heard (the missing
-        #: ``neighbor_colors`` entry, which the mex must ignore).
-        self.ncolor = np.full(plane.nnz, -1, dtype=np.int64)
         self._bits = np.zeros(plane.n, dtype=np.int64)
         # A mex is at most the actor's degree, so the table's last column
-        # never holds one: larger and unheard colors are marked there.
+        # never holds one: larger colors are marked there.
         self._width = int(plane.degrees.max(initial=0)) + 2
         self._color_bits = self._SPEC.bits_array((np.arange(self._width),))
         # Round r recolors class n_k - r, so classes 1 .. n_k - 1 act.
@@ -185,10 +181,6 @@ class ColorReductionKernel(VectorKernel):
         self, round_no: int, inbound: Optional[PendingBroadcast]
     ) -> Optional[PendingBroadcast]:
         plane = self.plane
-        if inbound is not None:
-            slots = plane.out_slots(inbound.sender_ids())
-            self.ncolor[slots] = inbound.columns[0][plane.indices[slots]]
-
         # Instance k is done once its acting class hits 0 (round n_k),
         # independently of any larger siblings on the plane.
         finishing = self._finish.pop(round_no, None)
@@ -221,7 +213,7 @@ class ColorReductionKernel(VectorKernel):
         mask[senders] = True
         # The column aliases ``color`` and ``bits`` is reused: non-sender
         # entries are never read, and a sender's entries stay put until it
-        # acts again, after this broadcast has been charged and delivered.
+        # acts again, after this broadcast has been charged.
         return PendingBroadcast(
             self._SPEC, mask, (self.color,), self._bits, senders
         )
@@ -229,15 +221,24 @@ class ColorReductionKernel(VectorKernel):
     def _mex(self, senders: np.ndarray) -> np.ndarray:
         """Smallest color each sender has not heard from a neighbor.
 
+        The heard colors are the neighbours' current ones, read before
+        this round's writes.  That is exact: every node with a neighbour
+        broadcasts at boot and again whenever it recolors, so a
+        neighbour's last broadcast is its current color, except for a
+        neighbour recoloring in this same round, whose broadcast arrives
+        next round; reading before the writes sees its old color, as the
+        scalar program does.  This holds for improper initial colorings
+        too.
+
         Row ``i`` of a boolean table of senders x (max degree + 2) marks
         sender ``i``'s heard colors, and its first unmarked column is the
         mex.  A row of degree d hears at most d colors, so its mex is at
-        most d: colors beyond the table, and unheard slots (-1), are
-        marked in the last column without changing it.
+        most d: colors beyond the table are marked in the last column
+        without changing it.
         """
         plane = self.plane
         width = self._width
-        heard = self.ncolor[plane.row_slots(senders)]
+        heard = self.color[plane.indices[plane.row_slots(senders)]]
         rows = np.repeat(np.arange(senders.size), plane.degrees[senders])
         taken = np.zeros((senders.size, width), dtype=bool)
         taken[rows, np.minimum(heard, width - 1)] = True
@@ -281,7 +282,7 @@ def _drive(network: Network, engine: str) -> SimulationResult:
 
 
 def _summary(sim: SimulationResult) -> Dict[str, object]:
-    return {"colors": len(set(sim.output_map("color").values()))}
+    return {"colors": len(set(sim.column("color")[1]))}
 
 
 register_program(

@@ -31,7 +31,8 @@ from repro.congest.engine import (
     VectorKernel,
     register_kernel,
 )
-from repro.congest.message import Message
+from repro.congest.engine.vector import bit_length_array
+from repro.congest.message import FIELD_FRAMING_BITS, MESSAGE_HEADER_BITS, Message
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
 from repro.congest.simulator import SimulationResult, Simulator
@@ -147,6 +148,11 @@ class DistributedGreedyKernel(VectorKernel):
     """
 
     _SPEC = {spec.tag: spec for spec in DistributedGreedyProgram.message_specs}
+    #: Wire size of a ``cov`` or ``join`` message: one 0/1 field, and a
+    #: zero is charged one bit like a one.
+    _FLAG_BITS = MESSAGE_HEADER_BITS + FIELD_FRAMING_BITS + 1
+    #: Wire size of a ``span`` or ``best`` message beyond its two fields.
+    _PAIR_BITS = MESSAGE_HEADER_BITS + 2 * FIELD_FRAMING_BITS
 
     @classmethod
     def stacked_setup(cls, plane, inputs):
@@ -167,6 +173,10 @@ class DistributedGreedyKernel(VectorKernel):
         kernel.heard = np.zeros(n, dtype=np.int64)
         kernel.span = np.zeros(n, dtype=np.int64)
         kernel.best_key = np.zeros(n, dtype=np.int64)
+        # The ``span`` and ``best`` fields are spans (at most degree + 1)
+        # and local ids, all below the end of this bit-length table.
+        top = int(plane.local_ns.max()) + int(plane.degrees.max(initial=0)) + 2
+        kernel._field_bits = bit_length_array(np.arange(top))
         spec = cls._SPEC["cov"]
         column = np.zeros(n, dtype=np.int64)
         pending = PendingBroadcast(
@@ -201,10 +211,20 @@ class DistributedGreedyKernel(VectorKernel):
         self.heard += np.bincount(receivers, minlength=plane.n)
 
     def _broadcast(self, tag: str, *columns: np.ndarray) -> PendingBroadcast:
-        spec = self._SPEC[tag]
-        return PendingBroadcast(
-            spec, self.live.copy(), columns, spec.bits_array(columns)
-        )
+        """Every live node broadcasts ``columns``, charged from tables.
+
+        A one-field message is a 0/1 flag.  A two-field one looks its
+        fields up in ``_field_bits``: spans are never negative, since a
+        node hears at most its degree of covered neighbours, and ids are
+        local, so every index lies in the table (a negative one would
+        wrap around silently).
+        """
+        if len(columns) == 1:
+            bits = np.full(self.plane.n, self._FLAG_BITS, dtype=np.int64)
+        else:
+            span, node = columns
+            bits = self._field_bits[span] + self._field_bits[node] + self._PAIR_BITS
+        return PendingBroadcast(self._SPEC[tag], self.live.copy(), columns, bits)
 
     def step(
         self, round_no: int, inbound: Optional[PendingBroadcast]
@@ -265,7 +285,7 @@ def run_distributed_greedy(
     network = network or Network.congest(graph)
     sim = Simulator(network, DistributedGreedyProgram, engine=engine)
     result = sim.run(max_rounds=8 * network.n + 16)
-    ds = {v for v, out in result.outputs.items() if out.get("in_ds")}
+    ds = {v for v, in_ds in zip(*result.column("in_ds")) if in_ds}
     return ds, result
 
 
@@ -280,7 +300,7 @@ def _drive(network: Network, engine: str) -> SimulationResult:
 
 
 def _summary(sim: SimulationResult) -> Dict[str, object]:
-    return {"ds_size": sum(1 for v in sim.output_map("in_ds").values() if v)}
+    return {"ds_size": sum(map(bool, sim.column("in_ds")[1]))}
 
 
 register_program(

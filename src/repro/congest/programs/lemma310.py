@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections.abc import Iterator, Mapping
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from repro.congest.engine import (
     MessageSpec,
     PendingBroadcast,
     PendingTargeted,
+    StackedPlane,
     VectorKernel,
     pending_parts,
     register_kernel,
@@ -771,56 +772,84 @@ def _drive(network: Network, engine: str) -> SimulationResult:
 
 
 def _summary(sim: SimulationResult) -> Dict[str, object]:
-    scale = 1 << TransmittableGrid.for_n(len(sim.outputs)).iota
-    values = sim.output_map("value")
-    return {
-        "joined": sum(1 for num in values.values() if num == scale),
-        "decided": len(sim.output_map("coin")),
-    }
+    # Every node outputs its value, so the value column's length is n.
+    nodes, values = sim.column("value")
+    scale = 1 << TransmittableGrid.for_n(len(nodes)).iota
+    return {"joined": values.count(scale), "decided": len(sim.column("coin")[0])}
 
 
-#: Canonical-workload colorings, memoized per live network.  The batch
-#: hooks (`_batch_inputs`, `_batch_num_colors` via `_batch_max_rounds`)
-#: all need the same distance-2 coloring of the same topology, and the
-#: runner calls them back to back while holding the network — the memo
-#: colors each instance once instead of twice.  Weak keys keep retired
-#: networks collectable.
-_COLORING_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: Canonical-workload color columns, memoized per live network.  The
+#: batch hooks (`_batch_inputs` for a group, then `_batch_max_rounds` per
+#: network) need the same distance-2 coloring of the same topology, and
+#: the runner calls them back to back while holding the networks — the
+#: memo colors each instance once instead of twice.  Weak keys keep
+#: retired networks collectable.
+_COLORS_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+#: Most squared-matrix entries one coloring union is bounded by: a union
+#: near the bound peaks at about 7.5 MB of square and first-fit arrays.  The
+#: bound, the sum of ``|N[u]|**2`` over the union's nodes, is known before
+#: the product; a gnp sweep group of sizes 250 to 1000 colors in three
+#: unions.
+_UNION_ENTRIES = 1 << 18
 
 
-def _canonical_coloring(network: Network):
-    try:
-        return _COLORING_MEMO[network]
-    except (KeyError, TypeError):
-        pass
+def _canonical_colors(networks: Sequence[Network]) -> List[np.ndarray]:
+    """The canonical workload's color column of each network.
+
+    Every node of a network takes part, so a column lists the colors of
+    nodes ``0 .. n - 1`` in order.  Networks not memoized yet are colored
+    in unions: consecutive ones whose squares fit :data:`_UNION_ENTRIES`
+    together become one block-diagonal ``Network.from_csr`` and one
+    :func:`~repro.coloring.distance2.distance2_coloring` call, and each
+    network's column is its block's slice.  The blocks share no conflict
+    and first-fit colors each row from its earlier conflicts only, so a
+    slice is exactly the network's own coloring.
+    """
     from repro.coloring.distance2 import distance2_coloring
 
-    coloring = distance2_coloring(network)
-    try:
-        _COLORING_MEMO[network] = coloring
-    except TypeError:
-        pass
-    return coloring
+    missing = [network for network in networks if network not in _COLORS_MEMO]
+    for chunk in _unions(missing):
+        plane = StackedPlane(chunk)
+        union = Network.from_csr(plane.indptr, plane.indices)
+        colors = distance2_coloring(union).colors
+        column = np.fromiter(colors.values(), dtype=np.int64, count=union.n)
+        offsets = plane.node_offsets.tolist()
+        for network, lo, hi in zip(chunk, offsets, offsets[1:]):
+            _COLORS_MEMO[network] = column[lo:hi]
+    return [_COLORS_MEMO[network] for network in networks]
+
+
+def _unions(networks: Sequence[Network]) -> Iterator[List[Network]]:
+    """Consecutive runs of ``networks`` whose squares fit one union."""
+    chunk: List[Network] = []
+    entries = 0
+    for network in networks:
+        closed = np.diff(np.asarray(network.csr()[0])) + 1
+        size = int(closed @ closed)
+        if chunk and entries + size > _UNION_ENTRIES:
+            yield chunk
+            chunk, entries = [], 0
+        chunk.append(network)
+        entries += size
+    if chunk:
+        yield chunk
 
 
 def _batch_num_colors(network: Network) -> int:
     """Color count of the canonical workload's distance-2 coloring."""
-    coloring = _canonical_coloring(network)
-    return (max(coloring.colors.values()) + 1) if coloring.colors else 0
+    return int(_canonical_colors([network])[0].max()) + 1
 
 
-def _batch_inputs(network: Network) -> CanonicalInputs:
-    """Per-node inputs reproducing :func:`_drive` bit for bit, as columns.
-
-    The coloring lists every node in ascending order, so its values are
-    the color column.
-    """
-    colors = _canonical_coloring(network).colors
-    column = np.fromiter(colors.values(), dtype=np.int64, count=network.n)
-    num_colors = int(column.max()) + 1 if column.size else 0
-    return CanonicalInputs(
-        column, TransmittableGrid.for_n(network.n).iota, num_colors
-    )
+def _batch_inputs(networks: Sequence[Network]) -> List[CanonicalInputs]:
+    """Per-node inputs reproducing :func:`_drive` bit for bit, as columns,
+    for each network of a stacked group."""
+    return [
+        CanonicalInputs(
+            column, TransmittableGrid.for_n(network.n).iota, int(column.max()) + 1
+        )
+        for network, column in zip(networks, _canonical_colors(networks))
+    ]
 
 
 def _batch_max_rounds(network: Network) -> int:

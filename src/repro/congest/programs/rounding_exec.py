@@ -17,7 +17,7 @@ Values travel as grid numerators; one value per message.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -198,6 +198,11 @@ def default_rounding_inputs(
     }
 
 
+def _batch_inputs(networks: Sequence[Network]) -> List[Dict[int, Tuple[int, int, int]]]:
+    """:func:`default_rounding_inputs` of each network of a stacked group."""
+    return [default_rounding_inputs(network) for network in networks]
+
+
 def _drive(network: Network, engine: str) -> SimulationResult:
     sim = Simulator(
         network,
@@ -209,9 +214,10 @@ def _drive(network: Network, engine: str) -> SimulationResult:
 
 
 def _summary(sim: SimulationResult) -> Dict[str, object]:
-    scale = 1 << TransmittableGrid.for_n(len(sim.outputs)).iota
-    values = sim.output_map("value")
-    return {"joined": sum(1 for num in values.values() if num == scale)}
+    # Every node outputs its value, so the value column's length is n.
+    nodes, values = sim.column("value")
+    scale = 1 << TransmittableGrid.for_n(len(nodes)).iota
+    return {"joined": values.count(scale)}
 
 
 register_program(
@@ -223,6 +229,6 @@ register_program(
         summarize=_summary,
         batch_factory=RoundingExecutionProgram,
         batch_max_rounds=lambda net: 4,
-        batch_inputs=default_rounding_inputs,
+        batch_inputs=_batch_inputs,
     )
 )

@@ -233,11 +233,7 @@ def _iter_batched_group_records(
             if nets[i] is None:
                 nets[i] = build_network(cell)
         spec = program_spec(cells[0].program)
-        inputs = (
-            [spec.batch_inputs(net) for net in nets]
-            if spec.batch_inputs is not None
-            else None
-        )
+        inputs = spec.batch_inputs(nets) if spec.batch_inputs is not None else None
         start = prev = time.perf_counter()
         for k, sim in iter_stacked(
             nets,

@@ -21,6 +21,7 @@ index array.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Hashable, Tuple
 
 import numpy as np
@@ -46,11 +47,16 @@ def relabel_map(graph: nx.Graph) -> Dict[Hashable, int]:
     return {label: i for i, label in enumerate(labels)}
 
 
+@lru_cache(maxsize=8)
 def repr_rank(n: int) -> np.ndarray:
     """:func:`relabel_map` of a graph on the integer labels ``0..n-1`` as
-    one int64 index array: ``rank[label]`` is the label's new id."""
+    one int64 index array: ``rank[label]`` is the label's new id.
+
+    Computed once per ``n`` (a sweep draws many graphs of a few sizes) and
+    shared, so the array is read-only."""
     rank = np.empty(n, dtype=np.int64)
     rank[sorted(range(n), key=_rank_key)] = np.arange(n)
+    rank.flags.writeable = False
     return rank
 
 

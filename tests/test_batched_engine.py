@@ -65,7 +65,7 @@ def _lemma310_group(networks):
     from repro.api.registry import program_spec
 
     spec = program_spec("lemma310")
-    inputs = [dict(spec.batch_inputs(net)) for net in networks]
+    inputs = [dict(box) for box in spec.batch_inputs(networks)]
     limits = [int(spec.batch_max_rounds(net)) for net in networks]
     return inputs, limits
 

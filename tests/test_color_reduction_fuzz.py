@@ -8,17 +8,15 @@ absent, permuted, duplicated, sparse or all zero, ragged groups of one to
 four instances, bit budgets that either admit every message or reject the
 group's largest one, and per-instance round limits from 0 to ``n + 4``.
 
-The sparse-frontier pieces under the kernel are pinned here as well:
-:meth:`StackedPlane.out_slots` against the dense slot mask, and a broadcast
-that lists its ``senders`` charged like its mask, with each instance's
-broadcast charged in its own slice of a stacked plane.
+The sparse-frontier accounting under the kernel is pinned here as well: a
+broadcast that lists its ``senders`` is charged like its mask, with each
+instance's broadcast charged in its own slice of a stacked plane.
 """
 
 from __future__ import annotations
 
 import networkx as nx
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.congest.engine import StackedPlane, iter_stacked
@@ -27,7 +25,7 @@ from repro.congest.engine.vector import PendingBroadcast
 from repro.congest.network import Network
 from repro.congest.programs.color_reduction import ColorReductionProgram
 from repro.congest.simulator import Simulator
-from repro.errors import GraphError, MessageTooLargeError, SimulationLimitError
+from repro.errors import MessageTooLargeError, SimulationLimitError
 from repro.graphs.generators import gnp_graph
 from repro.graphs.suite import families, suite_instance
 
@@ -209,26 +207,6 @@ def test_every_route_matches_reference(case):
         _assert_same(result, reference[k], ("stacked", k))
 
 
-def _planes():
-    return st.lists(graphs(), min_size=1, max_size=3).map(
-        lambda gs: [Network.congest(g) for g in gs]
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(_planes(), st.data())
-def test_out_slots_matches_dense_mask(networks, data):
-    for plane in (StackedPlane(networks[:1]), StackedPlane(networks)):
-        flags = st.lists(st.booleans(), min_size=plane.n, max_size=plane.n)
-        mask = np.array(data.draw(flags), dtype=bool)
-        senders = np.flatnonzero(mask)
-        slots = plane.out_slots(senders)
-        assert slots.shape[0] == int(plane.degrees[senders].sum())
-        assert np.array_equal(
-            np.sort(slots), np.flatnonzero(mask[plane.indices])
-        )
-
-
 def _broadcast(n, lo, hi, with_senders):
     mask = np.zeros(n, dtype=bool)
     mask[lo:hi:2] = True
@@ -276,8 +254,17 @@ def test_listed_senders_charge_like_the_mask():
         assert _ledger(plane, sparse)[0][0] > 0
 
 
-def test_out_slots_rejects_an_asymmetric_csr():
-    # 0 -> 1 without 1 -> 0.
-    plane = StackedPlane([Network.from_csr([0, 1, 1], [1])])
-    with pytest.raises(GraphError, match="not symmetric"):
-        plane.out_slots(np.array([0]))
+def test_same_round_neighbours_hear_each_others_old_color():
+    """Both ends of an edge start with color 1, so both act in round 1.
+    Each hears the other's color 1 and takes color 0, on every route: a
+    node recoloring in a round announces its new color only in the next
+    one, so a neighbour acting in the same round still hears the old one."""
+    graph = nx.path_graph(2)
+    initial = {0: 1, 1: 1}
+    for engine in ("reference", "fast", "vector"):
+        result = _solo(Network.congest(graph), initial, engine, 6)
+        assert result.output_map("color") == {0: 0, 1: 0}, engine
+    stacked = dict(
+        iter_stacked([Network.congest(graph)], ColorReductionProgram, [initial], 6)
+    )
+    assert stacked[0].output_map("color") == {0: 0, 1: 0}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.coloring import distance2
 from repro.coloring.distance2 import (
     Distance2Coloring,
     _first_fit,
@@ -82,6 +83,34 @@ def tril_first_fit(conflicts, nodes):
     return first_fit, lower.nnz
 
 
+def sequential_first_fit(conflicts, nodes):
+    """First-fit as one sequential loop in row order, the route the
+    priority rounds replaced, frozen as their yardstick: row ``v`` takes the
+    smallest color missing among its earlier conflicts (the entries below
+    the diagonal, picked with an index mask)."""
+    indptr, indices = conflicts.indptr, conflicts.indices
+    rows = np.repeat(np.arange(conflicts.shape[0]), np.diff(indptr))
+    lower = indices < rows
+    later, earlier = rows[lower], indices[lower]
+    ptr = np.concatenate(([0], np.cumsum(lower)))[indptr].tolist()
+    idx = earlier.tolist()
+    first_fit = []
+    for v in range(conflicts.shape[0]):
+        taken = {first_fit[u] for u in idx[ptr[v]:ptr[v + 1]]}
+        color = 0
+        while color in taken:
+            color += 1
+        first_fit.append(color)
+    colors = np.array(first_fit, dtype=np.int64)
+    clash = np.flatnonzero(colors[later] == colors[earlier])
+    if clash.size:
+        u, v = earlier[clash[0]], later[clash[0]]
+        raise ColoringError(
+            f"edge ({nodes[u]}, {nodes[v]}) is monochromatic with color {colors[v]}"
+        )
+    return first_fit, int(earlier.size)
+
+
 def tril_distance2_coloring(network: Network) -> Distance2Coloring:
     """:func:`distance2_coloring` of every node as it was before the index
     mask: the square re-sliced by the identity, then :func:`tril_first_fit`."""
@@ -120,6 +149,46 @@ def symmetric_csr(draw):
     ordered = [draw(st.permutations(sorted(row))) for row in rows]
     indptr = np.cumsum([0] + [len(row) for row in ordered])
     indices = np.array([v for row in ordered for v in row], dtype=np.int32)
+    data = np.ones(len(indices), dtype=np.int64)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+@st.composite
+def conflict_matrices(draw):
+    """Symmetric conflict patterns shaped to stress the priority rounds:
+    a :func:`symmetric_csr` draw, or blocks of cliques (one long chain of
+    rounds each), stars and isolated rows, with the rows in a drawn order
+    (so a hub may come before or after its leaves), with or without
+    diagonal entries."""
+    from scipy import sparse
+
+    if draw(st.booleans()):
+        return draw(symmetric_csr())
+    blocks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(("clique", "star", "isolated")), st.integers(1, 9)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    pairs, n = set(), 0
+    for kind, size in blocks:
+        members = range(n, n + size)
+        if kind == "clique":
+            pairs |= {(u, v) for u in members for v in members if u != v}
+        elif kind == "star":
+            pairs |= {(n, v) for v in members if v != n}
+        n += size
+    order = draw(st.permutations(range(n)))
+    rows = [set() for _ in range(n)]
+    for u, v in pairs:
+        rows[order[u]].add(order[v])
+        rows[order[v]].add(order[u])
+    if draw(st.booleans()):
+        for v in range(n):
+            rows[v].add(v)
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([v for row in rows for v in sorted(row)], dtype=np.int32)
     data = np.ones(len(indices), dtype=np.int64)
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
@@ -256,6 +325,58 @@ class TestDistance2Parity:
         nodes = np.arange(conflicts.shape[0])
         assert _first_fit(conflicts, nodes) == tril_first_fit(conflicts, nodes)
 
+    @settings(max_examples=200, deadline=None)
+    @given(conflict_matrices())
+    def test_priority_rounds_match_the_sequential_loop(self, conflicts):
+        nodes = np.arange(conflicts.shape[0])
+        assert _first_fit(conflicts, nodes) == sequential_first_fit(conflicts, nodes)
+
+    @pytest.mark.parametrize("family", families())
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_suite_colorings_match_the_sequential_loop(self, family, n, monkeypatch):
+        """Both colorings of every suite family equal what they give with
+        the frozen loop in place of the rounds, on every node and on the
+        participating subset Theorem 1.2 colors."""
+        graph = suite_instance(family, n, seed=2).graph
+        network = Network.congest(graph)
+        instance = CoveringInstance.from_graph(graph, {v: 0.5 for v in graph.nodes()})
+        subset = set(range(0, network.n, 3))
+
+        def colorings():
+            return (
+                distance2_coloring(network),
+                distance2_coloring(network, subset=subset),
+                bipartite_distance2_coloring(instance),
+                bipartite_distance2_coloring(instance, restrict=subset),
+            )
+
+        rounds = colorings()
+        monkeypatch.setattr(distance2, "_first_fit", sequential_first_fit)
+        assert rounds == colorings()
+
+    @pytest.mark.parametrize("cells", [2, 7, 40])
+    def test_rows_past_the_table_bound_wait_a_round(self, cells, monkeypatch):
+        """A round colors only the ready rows its mex table holds; the rest
+        wait for the next round, which changes no color."""
+        monkeypatch.setattr(distance2, "_TABLE_CELLS", cells)
+        for family in ("gnp", "grid", "tree"):
+            network = Network.congest(suite_instance(family, 60, seed=4).graph)
+            want = list(tril_distance2_coloring(network).colors.values())
+            assert list(distance2_coloring(network).colors.values()) == want
+
+    def test_a_conflict_listed_in_one_row_only_is_still_checked(self):
+        """Rows 0 and 1 both list nothing earlier, so both are ready at
+        once and take color 0; row 0 lists 1, row 1 does not list 0."""
+        from scipy import sparse
+
+        one_sided = sparse.csr_matrix(([1], [1], [0, 1, 1]), shape=(2, 2))
+        with pytest.raises(ColoringError, match=r"edge \(0, 1\) is monochromatic"):
+            _first_fit(one_sided, np.arange(2))
+        # Row 1 lists 0 as earlier, row 0 does not list 1: nothing frees row 1.
+        waiting = sparse.csr_matrix(([1], [0], [0, 0, 1]), shape=(2, 2))
+        with pytest.raises(ColoringError, match="not symmetric"):
+            _first_fit(waiting, np.arange(2))
+
     @pytest.mark.parametrize("family", families())
     def test_suite_colorings_match_the_tril_route(self, family):
         for n in (60, 250):
@@ -286,9 +407,9 @@ class TestDistance2Parity:
     @pytest.mark.parametrize("n", sorted(CANONICAL_COLORING_SHA256))
     def test_lemma310_canonical_coloring_pinned(self, n):
         network = Network.congest(suite_instance("gnp", n, seed=3).graph)
-        colors = lemma310._canonical_coloring(network).colors
-        assert list(colors) == list(range(n))
-        blob = json.dumps([colors[v] for v in range(n)]).encode()
+        colors = lemma310._canonical_colors([network])[0].tolist()
+        assert len(colors) == n
+        blob = json.dumps(colors).encode()
         assert hashlib.sha256(blob).hexdigest() == CANONICAL_COLORING_SHA256[n]
 
 

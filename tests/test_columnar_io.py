@@ -58,7 +58,7 @@ def test_kernels_write_each_key_once_per_round(program, monkeypatch):
     kernel_cls = kernel_for(spec.batch_factory)
     networks = _sweep_like_group()
     inputs = (
-        [spec.batch_inputs(net) for net in networks] if spec.batch_inputs else None
+        spec.batch_inputs(networks) if spec.batch_inputs else None
     )
     limits = [spec.batch_max_rounds(net) for net in networks]
     calls: Counter = Counter()
@@ -77,7 +77,13 @@ def test_kernels_write_each_key_once_per_round(program, monkeypatch):
     monkeypatch.setattr(VectorKernel, "output", counted_output)
     results = run_stacked(networks, spec.batch_factory, inputs, limits)
     assert calls and max(calls.values()) == 1, calls.most_common(3)
-    assert all(len(result.outputs) == net.n for result, net in zip(results, networks))
+    for result, net in zip(results, networks):
+        # Each column lists distinct nodes of its instance in ascending
+        # order, and every node of the instance wrote some key.
+        for nodes, values in result.outputs.values():
+            assert nodes == sorted(set(nodes)) and len(values) == len(nodes)
+        written = set().union(*(nodes for nodes, _ in result.outputs.values()))
+        assert written == set(range(net.n))
 
 
 class _ScriptedKernel(VectorKernel):
@@ -119,14 +125,18 @@ def test_outputs_are_sliced_per_instance_and_the_last_write_wins(monkeypatch):
     assert [k for k, _ in finished] == [0, 1]
     (_, first), (_, second) = finished
     assert first.rounds == 2 and second.rounds == 3
-    assert first.outputs == {0: {"value": 10}, 1: {"value": 21, "coin": 1}, 2: {"value": 12}}
-    assert list(first.outputs[1]) == ["value", "coin"]
-    assert second.outputs == {0: {"value": 13}, 1: {"value": 34}, 2: {"late": 7}, 3: {}}
+    assert first.outputs == {"value": ([0, 1, 2], [10, 21, 12]), "coin": ([1], [1])}
+    # Keys keep their first-write order; a key no node of the instance
+    # wrote (coin, in instance 1) is absent.
+    assert list(first.outputs) == ["value", "coin"]
+    assert second.outputs == {"value": ([0, 1], [13, 34]), "late": ([2], [7])}
+    # Node 3 of instance 1 wrote nothing: no column lists it.
+    assert all(3 not in nodes for nodes, _ in second.outputs.values())
     assert all(
         type(value) is int
         for result in (first, second)
-        for node in result.outputs.values()
-        for value in node.values()
+        for _, values in result.outputs.values()
+        for value in values
     )
     assert first.messages_per_round == [0, 0] and second.bits_per_round == [0, 0, 0]
 
@@ -168,7 +178,7 @@ def _input_networks():
 def test_canonical_inputs_read_as_the_frozen_dicts():
     kernel = kernel_for(lemma310.Lemma310Program)
     for network in _input_networks():
-        inputs = lemma310._batch_inputs(network)
+        (inputs,) = lemma310._batch_inputs([network])
         assert isinstance(inputs, lemma310.CanonicalInputs)
         assert dict(inputs) == frozen_batch_inputs(network)
         assert inputs == frozen_batch_inputs(network)
@@ -181,7 +191,7 @@ def test_canonical_inputs_read_as_the_frozen_dicts():
 
 def test_degree_clause_declines_both_forms():
     network = Network.congest(nx.star_graph(511))
-    inputs = lemma310._batch_inputs(network)
+    (inputs,) = lemma310._batch_inputs([network])
     kernel = kernel_for(lemma310.Lemma310Program)
     assert not kernel.eligible(network, inputs)
     assert not kernel.eligible(network, dict(inputs))
@@ -190,7 +200,7 @@ def test_degree_clause_declines_both_forms():
 def test_stacked_runs_from_either_form_are_identical():
     spec = program_spec("lemma310")
     networks = _input_networks()
-    columns = [spec.batch_inputs(net) for net in networks]
+    columns = spec.batch_inputs(networks)
     limits = [spec.batch_max_rounds(net) for net in networks]
     by_columns = run_stacked(networks, spec.batch_factory, columns, limits)
     by_dicts = run_stacked(
@@ -216,7 +226,7 @@ def test_alpha_quote_over_budget_raises_alike_on_every_route():
     inputs, limits, networks = [], [], []
     for graph in graphs:
         unbounded = Network.local(graph)
-        box = spec.batch_inputs(unbounded)
+        (box,) = spec.batch_inputs([unbounded])
         limit = int(spec.batch_max_rounds(unbounded))
         largest = _solo(unbounded, program, box, "fast", limit).max_message_bits
         x_num = box[0]["x_num"]

@@ -152,7 +152,7 @@ def test_dense_lemma310_agrees_across_engines():
     network = Network.congest(gnp_graph(150, 0.4, seed=5))
     assert network.max_degree == 79
     assert lemma310.Lemma310ExecutionKernel.eligible(
-        network, lemma310._batch_inputs(network)
+        network, lemma310._batch_inputs([network])[0]
     )
     runs = {
         engine: _summary(lemma310._drive(network, engine))
@@ -162,7 +162,7 @@ def test_dense_lemma310_agrees_across_engines():
     group = [network, Network.congest(gnp_graph(60, 0.1, seed=1))]
     stacked = run_stacked(
         group, Lemma310Program,
-        inputs=[lemma310._batch_inputs(net) for net in group],
+        inputs=lemma310._batch_inputs(group),
         max_rounds=[lemma310._batch_max_rounds(net) for net in group],
     )
     runs["stacked"] = _summary(stacked[0])

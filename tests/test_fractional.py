@@ -9,7 +9,7 @@ from typing import Dict
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from repro.congest.network import closed_neighborhoods
 from repro.domsets.covering import Constraint, CoveringInstance, ValueVar, fractionality_of
@@ -330,6 +330,10 @@ class TestLPAgainstDualSimplex:
 
     @settings(PARITY, max_examples=60, phases=UNSHRUNK)
     @given(covering_instances())
+    # A row nested in a row of higher demand, which the nested row must not
+    # drop: (0, 1) >= 1 inside (0, 1, 2) >= 2.  Without the outer row the
+    # optimum falls from 2 to 1.
+    @example(_instance([(0, 1), (0, 1, 2)], demands=[1.0, 2.0], width=3))
     def test_drawn_instances(self, instance):
         assert_optimal_and_feasible(instance)
 

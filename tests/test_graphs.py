@@ -83,7 +83,13 @@ class TestNormalize:
     @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 101, 1000])
     def test_repr_rank_is_relabel_map_of_integer_labels(self, n):
         mapping = relabel_map(nx.empty_graph(n))
-        assert repr_rank(n).tolist() == [mapping[label] for label in range(n)]
+        rank = repr_rank(n)
+        assert rank.tolist() == [mapping[label] for label in range(n)]
+        # Memoized per n and shared: callers must not be able to edit it.
+        assert repr_rank(n) is rank
+        assert not rank.flags.writeable
+        with pytest.raises(ValueError):
+            rank[:1] = 0
 
 
 class TestGenerators:

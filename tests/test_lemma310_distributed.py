@@ -91,7 +91,7 @@ def test_measured_rounds_equal_the_charge(graphs):
     and isolated nodes beside edges."""
     spec = program_spec("lemma310")
     networks = [Network.congest(graph) for graph in graphs]
-    inputs = [spec.batch_inputs(net) for net in networks]
+    inputs = spec.batch_inputs(networks)
     limits = [int(spec.batch_max_rounds(net)) for net in networks]
     charged = [ROUNDS_PER_COLOR * box[0]["num_colors"] + 2 for box in inputs]
     for net, box, limit, want in zip(networks, inputs, limits, charged):
@@ -148,7 +148,61 @@ def test_csr_twin_inputs_never_build_the_graph():
     # networkx view.
     network = Network.congest(gnp_graph(80, 0.08, seed=4))
     twin = Network.from_csr(*network.csr(), bit_budget=network.bit_budget)
-    assert lemma310._batch_inputs(twin) == lemma310._batch_inputs(network)
+    assert lemma310._batch_inputs([twin]) == lemma310._batch_inputs([network])
     run = lemma310._drive(twin, "vector")
     assert run.output_map("value") == lemma310._drive(network, "vector").output_map("value")
     assert twin._graph is None
+
+
+def _sweep_like_group():
+    """A ragged gnp group shaped like the sweep: three sizes, three seeds."""
+    return [
+        Network.congest(gnp_graph(n, 4.0 / n, seed=seed))
+        for n in (25, 50, 100)
+        for seed in (3, 8, 11)
+    ]
+
+
+def _counted_colorings(monkeypatch):
+    """Record the node count of every ``distance2_coloring`` call."""
+    from repro.coloring import distance2
+
+    calls = []
+    solo = distance2.distance2_coloring
+
+    def counted(graph, subset=None):
+        calls.append(graph.n)
+        return solo(graph, subset)
+
+    monkeypatch.setattr(distance2, "distance2_coloring", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "bound, several", [(1 << 12, True), (lemma310._UNION_ENTRIES, False)], ids=["unions", "one"]
+)
+def test_group_unions_give_each_network_its_solo_coloring(bound, several, monkeypatch):
+    """A group colored in several unions, or in one, hands every network
+    the column of its own :func:`distance2_coloring`; the round limits then
+    read the memo without coloring again."""
+    networks = _sweep_like_group()
+    want = [list(distance2_coloring(net).colors.values()) for net in networks]
+    monkeypatch.setattr(lemma310, "_UNION_ENTRIES", bound)
+    calls = _counted_colorings(monkeypatch)
+    inputs = lemma310._batch_inputs(networks)
+    assert [box.colors.tolist() for box in inputs] == want
+    # One call per union, each covering whole networks.
+    assert sum(calls) == sum(net.n for net in networks)
+    assert (len(calls) > 1) == several, calls
+    unions = list(calls)
+    limits = [lemma310._batch_max_rounds(net) for net in networks]
+    assert calls == unions
+    assert limits == [3 * (max(colors) + 1) + 12 for colors in want]
+
+
+def test_one_network_group_gets_its_solo_coloring(monkeypatch):
+    network = Network.congest(gnp_graph(70, 0.06, seed=2))
+    calls = _counted_colorings(monkeypatch)
+    (inputs,) = lemma310._batch_inputs([network])
+    assert calls == [network.n]
+    assert inputs.colors.tolist() == list(distance2_coloring(network).colors.values())

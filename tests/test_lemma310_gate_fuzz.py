@@ -131,17 +131,19 @@ def groups(draw):
 def test_gate_decides_plane_or_fast(group):
     cells, perturbations = group
 
-    def batch_inputs(network):
-        kind, pick = perturbations[network.n]
-        return _perturb(SPEC.batch_inputs(network), kind, pick)
+    def batch_inputs(networks):
+        return [
+            _perturb(box, *perturbations[network.n])
+            for network, box in zip(networks, SPEC.batch_inputs(networks))
+        ]
 
     def drive(network, engine):
         return Simulator(
-            network, Lemma310Program, inputs=batch_inputs(network), engine=engine
+            network, Lemma310Program, inputs=batch_inputs([network])[0], engine=engine
         ).run(max_rounds=SPEC.batch_max_rounds(network))
 
     networks = [build_network(cell) for cell in cells]
-    inputs = [batch_inputs(net) for net in networks]
+    inputs = batch_inputs(networks)
     limits = [SPEC.batch_max_rounds(net) for net in networks]
     accepted = [KERNEL.eligible(net, box) for net, box in zip(networks, inputs)]
     for net, ok in zip(networks, accepted):
@@ -194,7 +196,7 @@ def test_degree_clause(leaves, accepted):
     """Max degree + 1 must stay below the estimator's 512-update refresh;
     a declined group raises before anything runs."""
     network = Network.congest(nx.star_graph(leaves))
-    inputs = SPEC.batch_inputs(network)
+    (inputs,) = SPEC.batch_inputs([network])
     assert KERNEL.eligible(network, inputs) is accepted
     if not accepted:
         with pytest.raises(BatchEligibilityError, match="declined"):

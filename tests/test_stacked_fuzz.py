@@ -73,7 +73,7 @@ def _draw_group(program: str, fuzz_seed: int):
             Network.congest(suite_instance(family, n, seed=seed).graph)
         )
     inputs = (
-        [dict(spec.batch_inputs(net)) for net in networks]
+        [dict(box) for box in spec.batch_inputs(networks)]
         if spec.batch_inputs is not None
         else None
     )

@@ -95,7 +95,7 @@ def rounding_inputs(draw, graph: nx.Graph):
     if kind == "none":
         return None
     if kind == "canonical":
-        return program_spec("rounding-exec").batch_inputs(Network.congest(graph))
+        return program_spec("rounding-exec").batch_inputs([Network.congest(graph)])[0]
     scale = 1 << draw(st.integers(1, 12))
     triples = st.tuples(
         st.integers(0, scale), st.integers(0, 2 * scale), st.just(scale)
@@ -118,7 +118,7 @@ def groups(draw, program: str):
         if program == "rounding-exec":
             inputs = draw(rounding_inputs(graph))
         elif program == "lemma310":
-            inputs = spec.batch_inputs(Network.congest(graph))
+            inputs = spec.batch_inputs([Network.congest(graph)])[0]
         else:
             inputs = None
         full = int(spec.batch_max_rounds(Network.congest(graph)))
@@ -284,7 +284,7 @@ def test_lemma310_with_isolated_nodes_runs_to_its_limit_like_fast():
     spec = program_spec("lemma310")
     graphs = [_zoo()["lopsided-with-isolated"], nx.empty_graph(1), nx.path_graph(5)]
     networks = [Network.congest(graph) for graph in graphs]
-    inputs = [spec.batch_inputs(net) for net in networks]
+    inputs = spec.batch_inputs(networks)
     limits = [int(spec.batch_max_rounds(net)) for net in networks]
     fast = []
     for k, (net, box, limit) in enumerate(zip(networks, inputs, limits)):

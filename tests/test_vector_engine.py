@@ -241,7 +241,7 @@ def test_solo_vector_boots_without_setup(program, monkeypatch):
     ``setup`` runs, and the result is the ``fast`` run's."""
     spec = program_spec(program)
     net = Network.congest(suite_instance("gnp", 24, seed=1).graph)
-    inputs = spec.batch_inputs(net) if spec.batch_inputs is not None else {}
+    inputs = spec.batch_inputs([net])[0] if spec.batch_inputs is not None else {}
     limit = int(spec.batch_max_rounds(net))
     want = Simulator(net, spec.batch_factory, inputs=inputs, engine="fast").run(limit)
 
@@ -273,7 +273,7 @@ def test_inputs_the_plane_cannot_hold_run_on_fast(field, value):
         half, one = 1 << (value - 1), 1 << value
         inputs = {
             v: dict(box, iota=value, x_num=half, p_num=half, c_num=one)
-            for v, box in program_spec("lemma310").batch_inputs(net).items()
+            for v, box in program_spec("lemma310").batch_inputs([net])[0].items()
         }
     else:
         program = RoundingExecutionProgram
@@ -391,7 +391,7 @@ def test_solo_vector_matches_fast_at_tight_limits(program):
         graph = suite_instance(family, n, seed=seed).graph
         full = int(spec.batch_max_rounds(Network.congest(graph)))
         inputs = (
-            dict(spec.batch_inputs(Network.congest(graph)))
+            dict(spec.batch_inputs([Network.congest(graph)])[0])
             if spec.batch_inputs is not None
             else {}
         )
