@@ -1,6 +1,6 @@
 """Benchmark E1: Theorem 1.1 decomposition-route MDS quality table.
 
-Regenerates the Theorem 1.1 decomposition-route MDS quality (see DESIGN.md Section 2) and certifies
+Regenerates the Theorem 1.1 decomposition-route MDS quality (see docs/experiments.md) and certifies
 every guarantee check recorded by the experiment.
 """
 

@@ -1,6 +1,6 @@
 """Benchmark E3: Lemma 2.1 fractional substrate table.
 
-Regenerates the Lemma 2.1 fractional substrate (see DESIGN.md Section 2) and certifies
+Regenerates the Lemma 2.1 fractional substrate (see docs/experiments.md) and certifies
 every guarantee check recorded by the experiment.
 """
 

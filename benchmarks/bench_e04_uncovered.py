@@ -1,6 +1,6 @@
 """Benchmark E4: Lemmas 3.6/3.7 uncovered-probability table.
 
-Regenerates the Lemmas 3.6/3.7 uncovered-probability (see DESIGN.md Section 2) and certifies
+Regenerates the Lemmas 3.6/3.7 uncovered-probability (see docs/experiments.md) and certifies
 every guarantee check recorded by the experiment.
 """
 

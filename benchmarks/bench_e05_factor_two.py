@@ -1,6 +1,6 @@
 """Benchmark E5: Lemma 3.14 factor-two iteration trace.
 
-Regenerates the Lemma 3.14 factor-two iteration trace (see DESIGN.md Section 2) and certifies
+Regenerates the Lemma 3.14 factor-two iteration trace (see docs/experiments.md) and certifies
 every guarantee check recorded by the experiment.
 """
 

@@ -1,6 +1,6 @@
 """Benchmark E6: Theorem 1.4 CDS quality table.
 
-Regenerates the Theorem 1.4 CDS quality (see DESIGN.md Section 2) and certifies
+Regenerates the Theorem 1.4 CDS quality (see docs/experiments.md) and certifies
 every guarantee check recorded by the experiment.
 """
 

@@ -1,6 +1,6 @@
 """Benchmark E7: baseline comparison table.
 
-Regenerates the baseline comparison (see DESIGN.md Section 2) and certifies
+Regenerates the baseline comparison (see docs/experiments.md) and certifies
 every guarantee check recorded by the experiment.
 """
 

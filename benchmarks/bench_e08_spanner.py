@@ -1,6 +1,6 @@
 """Benchmark E8: Baswana-Sen spanner substrate table.
 
-Regenerates the Baswana-Sen spanner substrate (see DESIGN.md Section 2) and certifies
+Regenerates the Baswana-Sen spanner substrate (see docs/experiments.md) and certifies
 every guarantee check recorded by the experiment.
 """
 

@@ -1,6 +1,6 @@
 """Benchmark E9: network decomposition quality table.
 
-Regenerates the network decomposition quality (see DESIGN.md Section 2) and certifies
+Regenerates the network decomposition quality (see docs/experiments.md) and certifies
 every guarantee check recorded by the experiment.
 """
 

@@ -1,6 +1,6 @@
 """Benchmark E10: CONGEST round/bit accounting table.
 
-Regenerates the CONGEST round/bit accounting (see DESIGN.md Section 2) and certifies
+Regenerates the CONGEST round/bit accounting (see docs/experiments.md) and certifies
 every guarantee check recorded by the experiment.
 """
 

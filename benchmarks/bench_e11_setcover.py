@@ -1,6 +1,6 @@
 """Benchmark E11: set cover generalization table.
 
-Regenerates the set cover generalization (see DESIGN.md Section 2) and certifies
+Regenerates the set cover generalization (see docs/experiments.md) and certifies
 every guarantee check recorded by the experiment.
 """
 

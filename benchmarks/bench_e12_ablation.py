@@ -1,6 +1,6 @@
 """Benchmark E12: design ablations.
 
-Regenerates the design ablations (see DESIGN.md Section 2) and certifies
+Regenerates the design ablations (see docs/experiments.md) and certifies
 every guarantee check recorded by the experiment.
 """
 

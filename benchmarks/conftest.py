@@ -1,6 +1,6 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark target runs one experiment module (DESIGN.md Section 2),
+Every benchmark target runs one experiment module (docs/experiments.md),
 prints its table (visible with ``-s`` or in the captured output), asserts
 all of the experiment's guarantee checks, and reports wall-clock through
 pytest-benchmark (single round — these are end-to-end pipeline runs, not

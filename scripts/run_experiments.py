@@ -87,8 +87,9 @@ Generated by ``python scripts/run_experiments.py``.  Every experiment
 regenerates one claim of Deurer, Kuhn & Maus (PODC 2019); the ``checks``
 line under each table is the machine-verified guarantee (bounds are always
 evaluated against the LP optimum, a lower bound on OPT, so PASS certifies
-the theorem's inequality on that instance).  DESIGN.md Section 2 maps
-experiments to paper claims; Section 3 documents substituted substrates.
+the theorem's inequality on that instance).  docs/experiments.md maps
+experiments to paper claims; "Charged stages" in docs/architecture.md
+lists the substituted substrates and their charges.
 
 Absolute round counts mix *measured* (simulated) and *charged* (paper
 formulas for substituted oracles) quantities — the shape, not the constants,

@@ -1,10 +1,10 @@
 """Round-cost ledger: separates *simulated* from *charged* rounds.
 
 Some substrates are substituted by centralized-deterministic equivalents
-(see DESIGN.md Section 3); their CONGEST round cost is *charged* using the
-paper's stated complexity formulas instead of being measured.  The ledger
-keeps the two kinds of cost in separate columns so experiment tables can
-report them honestly.
+(see "Charged stages" in docs/architecture.md); their CONGEST round cost
+is *charged* using the paper's stated complexity formulas instead of being
+measured.  The ledger keeps the two kinds of cost in separate columns so
+experiment tables can report them honestly.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ output satisfies the same interface and invariants Lemma 3.4 consumes
 (partition into connected clusters with rooted low-diameter spanning trees,
 same-color clusters pairwise ``k``-separated), and the CONGEST round cost of
 the original construction is charged via
-:func:`repro.congest.cost.gk18_decomposition_rounds` (DESIGN.md Section 3).
+:func:`repro.congest.cost.gk18_decomposition_rounds` ("Charged stages" in
+docs/architecture.md).
 """
 
 from repro.decomposition.cluster_graph import (

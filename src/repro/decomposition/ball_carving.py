@@ -12,10 +12,10 @@ Construction (the [ALGP89]-style doubling argument):
    in cluster-ID order yields colors with exact ``k``-separation by
    construction.
 
-This substitutes the [GK18] CONGEST construction (see DESIGN.md Section 3):
-the (d, c) quality is measured (experiment E9) instead of bounded by
-``2^O(sqrt(log n log log n))``, and the CONGEST cost of the original is
-charged separately.
+This substitutes the [GK18] CONGEST construction (see "Charged stages" in
+docs/architecture.md): the (d, c) quality is measured (experiment E9)
+instead of bounded by ``2^O(sqrt(log n log log n))``, and the CONGEST cost
+of the original is charged separately.
 """
 
 from __future__ import annotations

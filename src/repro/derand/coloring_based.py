@@ -14,16 +14,22 @@ derandomize the one-shot scheme with the exact product estimator.
 each copy sees at most ``2s`` participating members (``s = 64 eps^-2
 ln(Delta~)`` by default), color with ``O(s * Delta~)`` colors, and
 derandomize the factor-two scheme with the Chernoff estimator.
+
+Both steps act on a covering instance ``B`` and never on a graph, so the
+MDS routes (``CoveringInstance.from_graph``), weighted MDS and set cover
+(Section 5) call the same two functions.  The decomposition route's steps
+(:mod:`repro.derand.decomposition_based`) keep ``(graph, values)``: Lemmas
+3.8 and 3.9 schedule coins by the clusters of ``G``'s network
+decomposition, so their variable ids must be node ids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping
+from typing import Dict, Mapping
 
 from repro.congest.cost import CostLedger
-from repro.congest.network import Network
 from repro.coloring.distance2 import bipartite_distance2_coloring
 from repro.derand.conditional import ConditionalExpectationEngine, DerandResult
 from repro.derand.estimators import EstimatorConfig
@@ -33,9 +39,6 @@ from repro.rounding.abstract import RoundingScheme
 from repro.rounding.schemes import halving_probabilities, one_shot_scheme
 from repro.util.mathx import ceil_log2
 from repro.util.transmittable import TransmittableGrid
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 #: Rounds per color class in the Lemma 3.10 loop: announce, alphas, decide.
 ROUNDS_PER_COLOR = 3
@@ -49,7 +52,6 @@ class ColoringDerandOutput:
     result: DerandResult
     num_colors: int
     ledger: CostLedger
-    scheme_name: str
 
 
 def schedule_from_colors(
@@ -79,24 +81,21 @@ def derandomized_rounding_with_coloring(
 
 
 def one_shot_via_coloring(
-    graph: nx.Graph | Network,
-    values: Mapping[int, float],
+    base: CoveringInstance,
     config: EstimatorConfig | None = None,
     grid: TransmittableGrid | None = None,
     model: str = "congest",
 ) -> ColoringDerandOutput:
     """Lemma 3.13: deterministic one-shot rounding, coloring route.
 
-    ``values`` must be a feasible fractional dominating set; with
-    fractionality ``1/F`` the pruned instance has left degree at most ``F``
-    and the output is an integral dominating set of size at most
-    ``ln(Delta~) A + n / Delta~`` plus quantization slack.  ``model``
-    selects the charge rate of the coloring subroutine (``"congest"`` per
-    Lemma 3.12, ``"local"`` per Corollary 1.3).  ``graph`` is an
-    ``nx.Graph`` labelled ``0..n-1`` or its compiled
-    :class:`~repro.congest.network.Network`.
+    ``base``'s values must be feasible; with fractionality ``1/F`` the
+    pruned instance has left degree at most ``F`` (checked) and the output
+    is integral, of size at most ``ln(Delta~) A + n / Delta~`` plus
+    quantization slack, where ``Delta~`` is the most members any
+    constraint of ``base`` has.  ``model`` selects the charge rate of the
+    coloring subroutine (``"congest"`` per Lemma 3.12, ``"local"`` per
+    Corollary 1.3).  ``grid`` defaults to one for ``base``'s variable count.
     """
-    base = CoveringInstance.from_graph(graph, values)
     n = base.num_vars
     grid = grid or TransmittableGrid.for_n(n)
     delta_tilde = max(1, base.max_constraint_degree)
@@ -123,7 +122,6 @@ def one_shot_via_coloring(
         result=result,
         num_colors=coloring.num_colors,
         ledger=ledger,
-        scheme_name="one-shot/coloring",
     )
 
 
@@ -134,8 +132,7 @@ def default_split_width(eps: float, delta_tilde: int, scale: float = 1.0) -> int
 
 
 def factor_two_via_coloring(
-    graph: nx.Graph | Network,
-    values: Mapping[int, float],
+    base: CoveringInstance,
     eps: float,
     r: float,
     s: int | None = None,
@@ -146,13 +143,11 @@ def factor_two_via_coloring(
 ) -> ColoringDerandOutput:
     """Lemma 3.14: deterministic factor-two rounding, coloring route.
 
-    ``r`` is the inverse fractionality of ``values``; participating
+    ``r`` is the inverse fractionality of ``base``'s values; participating
     variables (boosted value below ``2/r``) double or vanish.  Constraints
-    are split so every copy sees at most ``2s`` participating members.
-    ``graph`` is an ``nx.Graph`` labelled ``0..n-1`` or its compiled
-    :class:`~repro.congest.network.Network`.
+    are split so every copy sees at most ``2s`` participating members, and
+    each copy's demand comes from ``base``'s values before the boost.
     """
-    base = CoveringInstance.from_graph(graph, values)
     n = base.num_vars
     grid = grid or TransmittableGrid.for_n(n)
     delta_tilde = max(1, base.max_constraint_degree)
@@ -163,7 +158,7 @@ def factor_two_via_coloring(
     boosted = base.boost_values(1.0 + eps, quantize=grid.up)
     threshold = 2.0 / r
     split = boosted.split_constraints(
-        original_values=values,
+        original_values=base.values(),
         participation_threshold=threshold,
         s=s,
     )
@@ -190,7 +185,6 @@ def factor_two_via_coloring(
         result=result,
         num_colors=coloring.num_colors,
         ledger=ledger,
-        scheme_name="factor-two/coloring",
     )
 
 

@@ -49,7 +49,6 @@ class DecompositionDerandOutput:
     result: DerandResult
     decomposition: NetworkDecomposition
     ledger: CostLedger
-    scheme_name: str
 
 
 def schedule_from_decomposition(
@@ -161,7 +160,6 @@ def one_shot_via_decomposition(
         result=result,
         decomposition=decomposition,
         ledger=ledger,
-        scheme_name="one-shot/decomposition",
     )
 
 
@@ -199,7 +197,6 @@ def factor_two_via_decomposition(
         result=result,
         decomposition=decomposition,
         ledger=ledger,
-        scheme_name="factor-two/decomposition",
     )
 
 

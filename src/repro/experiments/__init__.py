@@ -1,4 +1,4 @@
-"""Experiment implementations E1-E12 (see DESIGN.md Section 2).
+"""Experiment implementations E1-E12 (see docs/experiments.md).
 
 Each module exposes ``run(fast: bool = True) -> ExperimentReport``; the
 ``benchmarks/`` tree wraps them in pytest-benchmark targets and prints the

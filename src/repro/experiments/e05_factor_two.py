@@ -52,7 +52,8 @@ def run(fast: bool = True, eps2: float = 0.3, iterations: int = 4,
                 break
             size_before = size_after
             out = factor_two_via_coloring(
-                graph, values, eps=eps2, r=r, constants_scale=1e-3
+                CoveringInstance.from_graph(graph, values),
+                eps=eps2, r=r, constants_scale=1e-3,
             )
             new_values = out.values
             fds = CoveringInstance.from_graph(graph, new_values)

@@ -56,7 +56,7 @@ def run(fast: bool = True, seed: int = 21) -> ExperimentReport:
             params=PipelineParams(eps=0.5, max_factor_two_iterations=0),
         )
         initial = kmw06_initial_fds(graph, eps=0.5 / 16.0)
-        direct = one_shot_via_coloring(graph, initial.values)
+        direct = one_shot_via_coloring(CoveringInstance.from_graph(graph, initial.values))
         report.add_row(
             case="pipeline", graph=name, variant="full(scaled)",
             size=full.size, estimate="-",

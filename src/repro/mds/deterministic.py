@@ -29,6 +29,7 @@ from repro.derand.decomposition_based import (
     one_shot_via_decomposition,
 )
 from repro.derand.estimators import EstimatorConfig
+from repro.domsets.covering import CoveringInstance
 from repro.mds.pipeline import MDSResult, PipelineParams, run_pipeline
 
 if TYPE_CHECKING:
@@ -43,26 +44,40 @@ def approx_mds_coloring(
 ) -> MDSResult:
     """Theorem 1.2: deterministic ``(1+eps)(1+ln(Delta+1))``-approximate MDS
     in ``O(Delta polylog Delta + polylog Delta log* n)`` CONGEST rounds."""
-    params = params or PipelineParams(eps=eps)
+    return run_coloring_route(
+        graph, params or PipelineParams(eps=eps), estimator, "congest", "coloring"
+    )
+
+
+def run_coloring_route(
+    graph: nx.Graph,
+    params: PipelineParams,
+    estimator: EstimatorConfig | None,
+    model: str,
+    route: str,
+) -> MDSResult:
+    """Parts I-III with the Lemma 3.14 and 3.13 steps, their colorings
+    charged under ``model``: ``"congest"`` is Theorem 1.2, ``"local"``
+    Corollary 1.3."""
 
     def factor_two_step(network: Network, values: Dict[int, float], eps2: float, r: float):
         out = factor_two_via_coloring(
-            network,
-            values,
+            CoveringInstance.from_graph(network, values),
             eps=eps2,
             r=r,
             constants_scale=params.constants_scale,
             config=estimator,
+            model=model,
         )
         return out.values, out.ledger
 
     def one_shot_step(network: Network, values: Dict[int, float]):
-        out = one_shot_via_coloring(network, values, config=estimator)
+        out = one_shot_via_coloring(
+            CoveringInstance.from_graph(network, values), config=estimator, model=model
+        )
         return out.values, out.ledger
 
-    return run_pipeline(
-        graph, params, factor_two_step, one_shot_step, route="coloring"
-    )
+    return run_pipeline(graph, params, factor_two_step, one_shot_step, route=route)
 
 
 def approx_mds_decomposition(

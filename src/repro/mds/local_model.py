@@ -17,15 +17,11 @@ steps; only the ledger differs, exactly how the paper states the corollary.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING
 
-from repro.congest.network import Network
-from repro.derand.coloring_based import (
-    factor_two_via_coloring,
-    one_shot_via_coloring,
-)
 from repro.derand.estimators import EstimatorConfig
-from repro.mds.pipeline import MDSResult, PipelineParams, run_pipeline
+from repro.mds.deterministic import run_coloring_route
+from repro.mds.pipeline import MDSResult, PipelineParams
 from repro.util.mathx import log_star
 
 if TYPE_CHECKING:
@@ -40,28 +36,8 @@ def approx_mds_local(
 ) -> MDSResult:
     """Corollary 1.3: ``(1+eps) ln(Delta+1)``-approximate MDS in the LOCAL
     model in ``O(Delta polylog Delta + log* n)`` rounds."""
-    params = params or PipelineParams(eps=eps)
-
-    def factor_two_step(network: Network, values: Dict[int, float], eps2: float, r: float):
-        out = factor_two_via_coloring(
-            network,
-            values,
-            eps=eps2,
-            r=r,
-            constants_scale=params.constants_scale,
-            config=estimator,
-            model="local",
-        )
-        return out.values, out.ledger
-
-    def one_shot_step(network: Network, values: Dict[int, float]):
-        out = one_shot_via_coloring(
-            network, values, config=estimator, model="local"
-        )
-        return out.values, out.ledger
-
-    return run_pipeline(
-        graph, params, factor_two_step, one_shot_step, route="local"
+    return run_coloring_route(
+        graph, params or PipelineParams(eps=eps), estimator, "local", "local"
     )
 
 

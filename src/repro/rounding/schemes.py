@@ -76,24 +76,3 @@ def factor_two_scheme(
         name="factor-two",
         params={"eps": eps, "r": float(r), "threshold": threshold},
     )
-
-
-def scheme_for_name(
-    name: str,
-    instance: CoveringInstance,
-    *,
-    delta_tilde: int | None = None,
-    eps: float | None = None,
-    r: float | None = None,
-    quantize: Callable[[float], float] | None = None,
-) -> RoundingScheme:
-    """Factory used by experiment sweeps."""
-    if name == "one-shot":
-        if delta_tilde is None:
-            raise InfeasibleSolutionError("one-shot scheme needs delta_tilde")
-        return one_shot_scheme(instance, delta_tilde, quantize=quantize)
-    if name == "factor-two":
-        if eps is None or r is None:
-            raise InfeasibleSolutionError("factor-two scheme needs eps and r")
-        return factor_two_scheme(instance, eps, r, quantize=quantize)
-    raise InfeasibleSolutionError(f"unknown scheme {name!r}")

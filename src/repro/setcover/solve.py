@@ -7,16 +7,11 @@ from dataclasses import dataclass
 from typing import Set
 
 from repro.congest.cost import CostLedger
-from repro.coloring.distance2 import bipartite_distance2_coloring
-from repro.derand.coloring_based import (
-    ROUNDS_PER_COLOR,
-    derandomized_rounding_with_coloring,
-)
+from repro.derand.coloring_based import factor_two_via_coloring, one_shot_via_coloring
 from repro.derand.estimators import EstimatorConfig
+from repro.domsets.covering import fractionality_of
 from repro.errors import InfeasibleSolutionError
 from repro.fractional.lp import solve_covering_lp
-from repro.rounding.abstract import RoundingScheme
-from repro.rounding.schemes import halving_probabilities, one_shot_scheme
 from repro.setcover.instance import SetCoverInstance
 from repro.util.transmittable import TransmittableGrid
 
@@ -56,37 +51,6 @@ class SetCoverResult:
     ledger: CostLedger
 
 
-def _factor_two_covering_step(
-    covering,
-    values,
-    eps: float,
-    r: float,
-    s: int,
-    grid,
-    config: EstimatorConfig | None,
-):
-    """One Lemma 3.14 step on a generic covering instance (set cover)."""
-    base = covering.with_values(values)
-    boosted = base.boost_values(1.0 + eps, quantize=grid.up)
-    threshold = 2.0 / r
-    split = boosted.split_constraints(
-        original_values=values, participation_threshold=threshold, s=s
-    )
-    scheme = RoundingScheme(split, halving_probabilities(split, threshold),
-                            "factor-two/setcover",
-                            params={"eps": eps, "r": float(r), "s": float(s)})
-    participating = set(scheme.participating())
-    coloring = bipartite_distance2_coloring(split, restrict=participating)
-    cfg = config or EstimatorConfig(mode="chernoff")
-    result = derandomized_rounding_with_coloring(scheme, coloring.colors, cfg)
-    projected = result.outcome.projected
-    new_values = {
-        u: projected.get(origin, 0.0)
-        for u, origin in zip(covering.ids.tolist(), covering.origin.tolist())
-    }
-    return new_values, coloring.num_colors
-
-
 def approx_min_set_cover(
     instance: SetCoverInstance,
     raise_fraction: float = 0.25,
@@ -124,40 +88,32 @@ def approx_min_set_cover(
     grid = TransmittableGrid.for_n(max(2, covering.num_vars + covering.num_constraints))
 
     if gradual:
-        nonzero = [x for x in values.values() if x > 1e-15]
-        r = 1.0 / min(nonzero) if nonzero else 1.0
+        r = 1.0 / fractionality_of(values)
         iterations = 0
         while r > max(4.0, f_target) and iterations < 32:
-            values, colors = _factor_two_covering_step(
-                covering, values, eps=eps2, r=r, s=3, grid=grid, config=config
+            step = factor_two_via_coloring(
+                base, eps=eps2, r=r, s=3, config=config, grid=grid
             )
-            ledger.charge("lemma3.14-setcover", 3 * max(1, colors))
+            ledger.merge(step.ledger, prefix=f"part2/iter{iterations}/")
+            # The step lists positive values only, and with_values would
+            # keep the old x of an id it omits.
+            values = {u: step.values.get(u, 0.0) for u in covering.ids.tolist()}
             base = covering.with_values(values)
             if not base.is_feasible():
                 raise InfeasibleSolutionError(
                     f"gradual rounding iteration {iterations} lost feasibility"
                 )
-            nonzero = [x for x in values.values() if x > 1e-15]
-            r_new = 1.0 / min(nonzero) if nonzero else 1.0
+            r_new = 1.0 / fractionality_of(values)
             if r_new > r / 1.5:
                 break
             r = r_new
             iterations += 1
 
-    pruned = base.prune_to_cover(max_members=None)
-    scheme = one_shot_scheme(pruned, delta_tilde=max(2, freq), quantize=grid.up)
-
-    participating = set(scheme.participating())
-    coloring = bipartite_distance2_coloring(scheme.instance, restrict=participating)
-    ledger.charge("lemma3.12-coloring", coloring.charged_rounds)
-
-    cfg = config or EstimatorConfig(mode="exact-product")
-    result = derandomized_rounding_with_coloring(scheme, coloring.colors, cfg)
-    ledger.charge("lemma3.10-color-loop", ROUNDS_PER_COLOR * max(1, coloring.num_colors))
-
+    final = one_shot_via_coloring(base, config=config, grid=grid)
+    ledger.merge(final.ledger, prefix="part3/")
     chosen = {
         origin
-        for origin, x in result.outcome.projected.items()
+        for origin, x in final.values.items()
         if x >= 1.0 - 1e-9
     }
     if not instance.is_cover(chosen):
@@ -166,7 +122,7 @@ def approx_min_set_cover(
         chosen=chosen,
         weight=instance.cover_weight(chosen),
         lp_optimum=lp.optimum,
-        initial_estimate=result.initial_estimate,
-        num_colors=coloring.num_colors,
+        initial_estimate=final.result.initial_estimate,
+        num_colors=final.num_colors,
         ledger=ledger,
     )

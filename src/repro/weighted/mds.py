@@ -2,26 +2,21 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Set
 
 import numpy as np
 
 from repro.analysis.verify import require_dominating_set
-from repro.coloring.distance2 import bipartite_distance2_coloring
 from repro.congest.cost import CostLedger
-from repro.derand.coloring_based import (
-    ROUNDS_PER_COLOR,
-    derandomized_rounding_with_coloring,
-)
+from repro.derand.coloring_based import one_shot_via_coloring
 from repro.derand.estimators import EstimatorConfig
 from repro.domsets.covering import CoveringInstance, ltr_sum
 from repro.errors import GraphError
 from repro.fractional.lp import solve_covering_lp
 from repro.fractional.raising import repair_feasibility
-from repro.rounding.schemes import one_shot_scheme
-from repro.util.transmittable import TransmittableGrid
+from repro.setcover.instance import SetCoverInstance
+from repro.setcover.solve import greedy_set_cover
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -39,24 +34,15 @@ class WeightedMDSResult:
 
 
 def greedy_weighted_mds(graph: nx.Graph, weights: Mapping[int, float]) -> Set[int]:
-    """Weighted greedy: minimize weight per newly dominated node."""
-    uncovered = set(graph.nodes())
-    chosen: Set[int] = set()
-    while uncovered:
-        best, best_ratio = None, math.inf
-        for v in sorted(graph.nodes()):
-            if v in chosen:
-                continue
-            gain = len((set(graph.neighbors(v)) | {v}) & uncovered)
-            if gain == 0:
-                continue
-            ratio = float(weights.get(v, 1.0)) / gain
-            if ratio < best_ratio:
-                best, best_ratio = v, ratio
-        assert best is not None
-        chosen.add(best)
-        uncovered -= set(graph.neighbors(best)) | {best}
-    return require_dominating_set(graph, chosen, "weighted greedy")
+    """Weighted greedy: :func:`~repro.setcover.solve.greedy_set_cover` on
+    the closed neighbourhoods, so each pick minimizes weight per newly
+    dominated node (lowest id on ties)."""
+    instance = SetCoverInstance.from_iterables(
+        {v: set(graph.neighbors(v)) | {v} for v in graph.nodes()},
+        graph.nodes(),
+        {v: float(weights.get(v, 1.0)) for v in graph.nodes()},
+    )
+    return require_dominating_set(graph, greedy_set_cover(instance), "weighted greedy")
 
 
 def approx_weighted_mds(
@@ -78,8 +64,6 @@ def approx_weighted_mds(
     if bad:
         raise GraphError(f"weights must be positive; offending nodes {bad[:5]}")
     delta_tilde = max((d for _, d in graph.degree()), default=0) + 1
-    ledger = CostLedger()
-    grid = TransmittableGrid.for_n(n)
 
     w = {v: float(weights.get(v, 1.0)) for v in graph.nodes()}
     lp_instance = CoveringInstance.from_graph(
@@ -94,28 +78,17 @@ def approx_weighted_mds(
     lam = min(lam, 1.0 / (2.0 * delta_tilde))
     values = {v: max(x, lam) for v, x in values.items()}
 
-    base = CoveringInstance.from_graph(graph, values, weights=w)
-    pruned = base.prune_to_cover(max_members=None)
-    scheme = one_shot_scheme(pruned, delta_tilde, quantize=grid.up)
-
-    participating = set(scheme.participating())
-    coloring = bipartite_distance2_coloring(
-        scheme.instance, restrict=participating, n_network=n
+    out = one_shot_via_coloring(
+        CoveringInstance.from_graph(graph, values, weights=w), config=config
     )
-    ledger.charge("lemma3.12-coloring", coloring.charged_rounds)
-
-    cfg = config or EstimatorConfig(mode="exact-product")
-    result = derandomized_rounding_with_coloring(scheme, coloring.colors, cfg)
-    ledger.charge("lemma3.10-color-loop", ROUNDS_PER_COLOR * max(1, coloring.num_colors))
-
-    ds = {
-        v for v, x in result.outcome.projected.items() if x >= 1.0 - 1e-9
-    }
+    ledger = CostLedger()
+    ledger.merge(out.ledger, prefix="part3/")
+    ds = {v for v, x in out.values.items() if x >= 1.0 - 1e-9}
     require_dominating_set(graph, ds, "weighted one-shot output")
     return WeightedMDSResult(
         dominating_set=ds,
         weight=ltr_sum(np.fromiter((w[v] for v in ds), float, len(ds))),
         lp_optimum=lp.optimum,
-        num_colors=coloring.num_colors,
+        num_colors=out.num_colors,
         ledger=ledger,
     )

@@ -133,9 +133,10 @@ class TestLocalModel:
         g = regular_graph(24, 5, seed=8)
         values = {v: 1.0 / 6.0 for v in g.nodes()}
         from repro.derand.coloring_based import one_shot_via_coloring
+        from repro.domsets.covering import CoveringInstance
 
-        congest = one_shot_via_coloring(g, values, model="congest")
-        local = one_shot_via_coloring(g, values, model="local")
+        congest = one_shot_via_coloring(CoveringInstance.from_graph(g, values), model="congest")
+        local = one_shot_via_coloring(CoveringInstance.from_graph(g, values), model="local")
         c_rounds = congest.ledger.by_stage()["lemma3.12-coloring"]
         l_rounds = local.ledger.by_stage()["lemma3.12-coloring"]
         assert l_rounds < c_rounds

@@ -38,7 +38,7 @@ class TestOneShotColoring:
 
     def test_integral_dominating_set(self, prepared):
         graph, initial = prepared
-        out = one_shot_via_coloring(graph, initial.values)
+        out = one_shot_via_coloring(CoveringInstance.from_graph(graph, initial.values))
         ds = {v for v, x in out.values.items() if x >= 1 - 1e-9}
         assert is_dominating_set(graph, ds)
         assert all(x in (0.0, 1.0) or x >= 1 - 1e-9 for x in out.values.values())
@@ -46,7 +46,7 @@ class TestOneShotColoring:
     def test_size_bound(self, prepared):
         """|DS| <= ln(D~) A + n/D~ + quantization slack."""
         graph, initial = prepared
-        out = one_shot_via_coloring(graph, initial.values)
+        out = one_shot_via_coloring(CoveringInstance.from_graph(graph, initial.values))
         ds = {v for v, x in out.values.items() if x >= 1 - 1e-9}
         delta_tilde = max(d for _, d in graph.degree()) + 1
         n = graph.number_of_nodes()
@@ -55,20 +55,20 @@ class TestOneShotColoring:
 
     def test_estimator_budget(self, prepared):
         graph, initial = prepared
-        out = one_shot_via_coloring(graph, initial.values)
+        out = one_shot_via_coloring(CoveringInstance.from_graph(graph, initial.values))
         assert out.result.realized_size <= out.result.initial_estimate + 1e-6
 
     def test_colors_bounded_by_f_delta(self, prepared):
         """Lemma 3.13's palette: O(F * Delta~) colors after pruning."""
         graph, initial = prepared
-        out = one_shot_via_coloring(graph, initial.values)
+        out = one_shot_via_coloring(CoveringInstance.from_graph(graph, initial.values))
         delta_tilde = max(d for _, d in graph.degree()) + 1
         f_cap = math.ceil(1.0 / fractionality_of(initial.values))
         assert out.num_colors <= f_cap * delta_tilde
 
     def test_ledger_stages(self, prepared):
         graph, initial = prepared
-        out = one_shot_via_coloring(graph, initial.values)
+        out = one_shot_via_coloring(CoveringInstance.from_graph(graph, initial.values))
         stages = out.ledger.by_stage()
         assert "lemma3.12-coloring" in stages
         assert "lemma3.10-color-loop" in stages
@@ -82,7 +82,7 @@ class TestFactorTwoColoring:
         values = initial.values
         r = 1.0 / fractionality_of(values)
         out = factor_two_via_coloring(
-            graph, values, eps=0.3, r=r, constants_scale=1e-3
+            CoveringInstance.from_graph(graph, values), eps=0.3, r=r, constants_scale=1e-3
         )
         new_frac = fractionality_of(out.values)
         assert new_frac >= (2.0 / r) * 0.99
@@ -92,7 +92,7 @@ class TestFactorTwoColoring:
         values = initial.values
         r = 1.0 / fractionality_of(values)
         out = factor_two_via_coloring(
-            graph, values, eps=0.3, r=r, constants_scale=1e-3
+            CoveringInstance.from_graph(graph, values), eps=0.3, r=r, constants_scale=1e-3
         )
         CoveringInstance.from_graph(graph, out.values).require_feasible("factor-two output")
 
@@ -101,7 +101,7 @@ class TestFactorTwoColoring:
         values = initial.values
         r = 1.0 / fractionality_of(values)
         out = factor_two_via_coloring(
-            graph, values, eps=0.3, r=r, constants_scale=1e-3
+            CoveringInstance.from_graph(graph, values), eps=0.3, r=r, constants_scale=1e-3
         )
         assert out.result.realized_size <= out.result.initial_estimate + 1e-6
 
@@ -115,7 +115,9 @@ class TestFactorTwoColoring:
         graph, initial = prepared
         values = initial.values
         r = 1.0 / fractionality_of(values)
-        out = factor_two_via_coloring(graph, values, eps=0.3, r=r, s=3)
+        out = factor_two_via_coloring(
+            CoveringInstance.from_graph(graph, values), eps=0.3, r=r, s=3
+        )
         CoveringInstance.from_graph(graph, out.values).require_feasible("factor-two output")
 
 
@@ -200,7 +202,7 @@ class TestRouteAgreementShape:
     def test_both_routes_similar_quality(self):
         g = gnp_graph(50, 0.1, seed=17)
         initial = kmw06_initial_fds(g, eps=0.5)
-        a = one_shot_via_coloring(g, initial.values)
+        a = one_shot_via_coloring(CoveringInstance.from_graph(g, initial.values))
         b = one_shot_via_decomposition(g, initial.values)
         size_a = sum(1 for x in a.values.values() if x >= 1 - 1e-9)
         size_b = sum(1 for x in b.values.values() if x >= 1 - 1e-9)
@@ -212,8 +214,10 @@ class TestValueRange:
     rejects values outside [0, 1] (Definition 2.1)."""
 
     ROUTES = {
-        "one-shot/coloring": lambda g, x: one_shot_via_coloring(g, x),
-        "factor-two/coloring": lambda g, x: factor_two_via_coloring(g, x, eps=0.5, r=8.0),
+        "one-shot/coloring": lambda g, x: one_shot_via_coloring(
+            CoveringInstance.from_graph(g, x)),
+        "factor-two/coloring": lambda g, x: factor_two_via_coloring(
+            CoveringInstance.from_graph(g, x), eps=0.5, r=8.0),
         "one-shot/decomposition": lambda g, x: one_shot_via_decomposition(g, x),
     }
 

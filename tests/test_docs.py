@@ -7,6 +7,9 @@ link fails locally before it fails in CI.
 
 from __future__ import annotations
 
+import ast
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -89,9 +92,6 @@ def test_engines_doc_covers_batched_mode():
 def test_benchmarks_doc_catalogs_every_artifact():
     """docs/benchmarks.md covers each BENCH_*.json the repo produces."""
     catalog = (ROOT / "docs" / "benchmarks.md").read_text()
-    import re
-    import subprocess
-
     producers = (ROOT / "scripts" / "run_experiments.py").read_text()
     produced = set(re.findall(r"BENCH_\w+\.json", producers))
     assert {"BENCH_engines.json", "BENCH_batched.json", "BENCH_ragged.json"} <= produced
@@ -110,8 +110,6 @@ def test_no_tracked_pycache(tmp_path):
     """PR 3 removed committed bytecode; .gitignore must keep it out."""
     gitignore = (ROOT / ".gitignore").read_text()
     assert "__pycache__/" in gitignore
-    import subprocess
-
     tracked = subprocess.run(
         ["git", "ls-files", "*.pyc"],
         cwd=ROOT,
@@ -134,3 +132,70 @@ def test_api_doc_covers_the_surface():
         "stream()",
     ):
         assert needle in api_doc, f"docs/api.md lost section: {needle!r}"
+
+
+def ledger_stages() -> set:
+    """Every stage name that ``src/`` passes to ``charge`` or ``simulate``.
+
+    A stage that a function takes as a parameter is read from the string
+    literals its callers in the same module pass for that parameter.
+    """
+    stages = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        calls = [c for c in ast.walk(tree) if isinstance(c, ast.Call)]
+        for call in calls:
+            if not (isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("charge", "simulate")):
+                continue
+            where = f"{path.relative_to(ROOT)}:{call.lineno}"
+            stage = call.args[0]
+            if isinstance(stage, ast.Constant):
+                stages.add(stage.value)
+                continue
+            assert isinstance(stage, ast.Name), where
+            # ast.walk goes breadth first, so the last match is the innermost.
+            owners = [f for f in functions
+                      if stage.id in [a.arg for a in f.args.args]
+                      and any(node is call for node in ast.walk(f))]
+            assert owners, where
+            owner = owners[-1]
+            index = [a.arg for a in owner.args.args].index(stage.id)
+            passed = []
+            for c in calls:
+                if isinstance(c.func, ast.Name) and c.func.id == owner.name:
+                    keywords = {k.arg: k.value for k in c.keywords}
+                    passed.append(c.args[index] if index < len(c.args)
+                                  else keywords.get(stage.id))
+            assert passed and all(isinstance(a, ast.Constant) for a in passed), where
+            stages.update(a.value for a in passed)
+    return stages
+
+
+def test_charged_stages_table_lists_every_ledger_stage():
+    """docs/architecture.md's "Charged stages" table has one row per stage
+    name in the code, and no other."""
+    doc = (ROOT / "docs" / "architecture.md").read_text()
+    section = doc.split("\n## Charged stages\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert len(rows) == len(set(rows)), "a stage has two rows"
+    stages = ledger_stages()
+    assert {"part2-rounding", "part3-rounding", "water-filling-lp"} <= stages
+    assert set(rows) == stages
+
+
+def test_no_file_cites_the_missing_design_doc():
+    """The repository has no design document of that name: code, README.md
+    and every document below the root cite docs/experiments.md or the
+    "Charged stages" table instead.  The root planning and history
+    documents keep the name where they record the old citations."""
+    missing = "DESIGN" + ".md"  # spelled apart so this file does not cite it
+    tracked = subprocess.run(
+        ["git", "ls-files", "*.py", "*.md"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    checked = [f for f in tracked if f.endswith(".py") or "/" in f or f == "README.md"]
+    assert "docs/architecture.md" in checked
+    citing = [f for f in checked if missing in (ROOT / f).read_text()]
+    assert not citing, f"{missing} cited by {citing}"

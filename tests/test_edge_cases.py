@@ -133,7 +133,8 @@ class TestQuantizationExtremes:
 
         initial = kmw06_initial_fds(small_gnp, eps=0.5)
         out = one_shot_via_coloring(
-            small_gnp, initial.values, grid=TransmittableGrid(iota=8)
+            CoveringInstance.from_graph(small_gnp, initial.values),
+            grid=TransmittableGrid(iota=8),
         )
         ds = {v for v, x in out.values.items() if x >= 1 - 1e-9}
         assert is_dominating_set(small_gnp, ds)

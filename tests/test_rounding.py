@@ -18,7 +18,7 @@ from repro.rounding.abstract import (
     expected_output_size,
 )
 from repro.rounding.coins import fixed_coins, independent_coins, kwise_coins
-from repro.rounding.schemes import factor_two_scheme, one_shot_scheme, scheme_for_name
+from repro.rounding.schemes import factor_two_scheme, one_shot_scheme
 
 
 @pytest.fixture
@@ -39,15 +39,6 @@ class TestSchemeValidation:
         zero = inst.with_values({u: 0.0 for u in inst.value_vars})
         with pytest.raises(InfeasibleSolutionError):
             RoundingScheme(zero, {u: 0.0 for u in zero.value_vars}, "bad")
-
-    def test_factory(self, uniform_regular):
-        _, inst = uniform_regular
-        assert scheme_for_name("one-shot", inst, delta_tilde=6).name == "one-shot"
-        assert scheme_for_name("factor-two", inst, eps=0.5, r=6.0).name == "factor-two"
-        with pytest.raises(InfeasibleSolutionError):
-            scheme_for_name("nope", inst)
-        with pytest.raises(InfeasibleSolutionError):
-            scheme_for_name("one-shot", inst)
 
 
 class TestOneShotScheme:

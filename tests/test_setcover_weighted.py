@@ -9,6 +9,7 @@ import pytest
 from repro.analysis.verify import is_dominating_set
 from repro.errors import GraphError, InfeasibleSolutionError
 from repro.graphs.generators import star_graph
+from repro.graphs.suite import suite_instance
 from repro.setcover.instance import SetCoverInstance, random_setcover_instance
 from repro.setcover.solve import approx_min_set_cover, greedy_set_cover
 from repro.weighted.mds import approx_weighted_mds, greedy_weighted_mds
@@ -163,3 +164,33 @@ class TestWeightedMDS:
         a = approx_weighted_mds(small_gnp, weights)
         b = approx_weighted_mds(small_gnp, weights)
         assert a.dominating_set == b.dominating_set
+
+
+def test_section5_ledgers_charge_what_they_run():
+    """Set cover and weighted MDS run the coloring route's Lemma 3.13 and
+    3.14 steps, so every step charges its coloring, its Lemma 3.10 loop and
+    its rounding execution."""
+    graph = suite_instance("gnp", 300, seed=1).graph
+    sets = SetCoverInstance.from_iterables(
+        {v: set(graph.neighbors(v)) | {v} for v in graph.nodes()}
+    )
+    gradual = approx_min_set_cover(sets, gradual=True, f_target=32.0).ledger
+    direct = approx_min_set_cover(sets, f_target=32.0).ledger
+    weighted = approx_weighted_mds(
+        graph, {v: 1.0 + (v % 7) / 3.0 for v in graph.nodes()}
+    ).ledger
+
+    part2 = {}
+    for stage in gradual.by_stage():
+        if stage.startswith("part2/"):
+            iteration, name = stage.split("/")[1:]
+            part2.setdefault(iteration, set()).add(name)
+    assert part2, "Part II charged nothing"
+    for iteration, names in part2.items():
+        assert names == {
+            "lemma3.12-coloring", "lemma3.10-color-loop", "rounding-execution"
+        }, iteration
+    for ledger in (gradual, direct, weighted):
+        stages = ledger.by_stage()
+        assert "part3/rounding-execution" in stages
+        assert not any(stage.endswith("lemma3.14-setcover") for stage in stages)
