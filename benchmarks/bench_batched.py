@@ -23,7 +23,10 @@ as the *largest* instance needs while per-cell work shrinks with size.
 A sixth bar times lemma310's group coloring, one distance-2 coloring per
 bounded union of a sweep-shaped group, against coloring the same networks
 one at a time with the same function, after asserting that every network
-gets its own coloring.
+gets its own coloring.  A seventh runs color reduction in the benchmark
+sweep's shape, gnp 250/500/1000 as one ragged plane, where the early
+classes (colors above an instance's max degree) go to the round loop as
+spans of rounds rather than one step per round.
 Each bar is about two thirds of the smallest ratio seen over 16
 alternating runs pinned to one CPU (see docs/benchmarks.md, "Asserted
 bars").
@@ -71,6 +74,12 @@ LEMMA310_SPEEDUP_BAR = 30.0
 #: lemma310's group coloring, in unions, against one coloring per network
 #: on a sweep-shaped group (observed 2.05-2.13x).
 COLORING_SPEEDUP_BAR = 1.35
+
+#: Color reduction in the sweep's shape, its early classes charged as
+#: spans (observed 132.7-230.5x, median 141.2x).
+SPAN_SPEEDUP_BAR = 88.0
+#: The ``sweep`` workload's sizes; three seeds each = one 9-instance plane.
+SPAN_SIZES = (250, 500, 1000)
 
 SWEEP_SEEDS = list(range(50))
 
@@ -313,6 +322,39 @@ def bench_group_coloring_in_unions(benchmark):
         lambda: lemma310._canonical_colors(
             [Network.from_csr(*net.csr(), bit_budget=net.bit_budget) for net in networks]
         ),
+        iterations=1,
+        rounds=1,
+        warmup_rounds=0,
+    )
+
+
+def _span_cells():
+    return (
+        Experiment("color-reduction")
+        .on("gnp")
+        .sizes(*SPAN_SIZES)
+        .engine("vector")
+        .seeds(3)
+        .cells()
+    )
+
+
+def bench_color_reduction_spans(benchmark):
+    """Color reduction on a sweep-shaped ragged plane: its early classes
+    run as spans, so hundreds of rounds cost a few steps; parity with
+    both per-cell arms first, then >= SPAN_SPEEDUP_BAR per-cell ``fast``."""
+    cells = _span_cells()
+    best = _shootout(cells)
+    batch_records = best["batch"][0]
+    assert {rec["batch"]["k"] for rec in batch_records if "batch" in rec} == {len(cells)}
+    speedup = _speedup(
+        best, f"{len(cells)}-instance ragged color-reduction gnp (n in {list(SPAN_SIZES)})"
+    )
+    assert speedup >= SPAN_SPEEDUP_BAR, (
+        f"color-reduction spans only {speedup:.2f}x faster, bar is {SPAN_SPEEDUP_BAR}x"
+    )
+    benchmark.pedantic(
+        lambda: run_grid(_span_cells(), strategy="batch"),
         iterations=1,
         rounds=1,
         warmup_rounds=0,

@@ -59,22 +59,3 @@ def greedy_mds(graph: nx.Graph) -> Set[int]:
                 covered[u] = True
                 remaining -= 1
     return require_dominating_set(graph, chosen, "greedy")
-
-
-def greedy_set_cover_order(graph: nx.Graph) -> List[int]:
-    """The order in which greedy picks nodes (for ablation experiments)."""
-    require_normalized(graph)
-    covered: Set[int] = set()
-    order: List[int] = []
-    nodes = set(graph.nodes())
-    while covered != nodes:
-        best, best_gain = None, -1
-        for v in sorted(nodes):
-            inclusive = set(graph.neighbors(v)) | {v}
-            g = len(inclusive - covered)
-            if g > best_gain:
-                best, best_gain = v, g
-        assert best is not None
-        order.append(best)
-        covered |= set(graph.neighbors(best)) | {best}
-    return order

@@ -9,7 +9,7 @@ costs for the distributed version are charged separately, see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Dict, Hashable, List, Sequence
 
 from repro.errors import ColoringError
 
@@ -60,13 +60,3 @@ def color_classes(colors: Dict[Hashable, int]) -> List[List[Hashable]]:
     for v, c in colors.items():
         buckets.setdefault(c, []).append(v)
     return [sorted(buckets[c]) for c in sorted(buckets)]
-
-
-def restrict_coloring(
-    colors: Dict[Hashable, int], keep: Iterable[Hashable]
-) -> Dict[Hashable, int]:
-    """Coloring restricted to a node subset (colors re-indexed densely)."""
-    keep_set = set(keep)
-    used = sorted({c for v, c in colors.items() if v in keep_set})
-    remap = {c: i for i, c in enumerate(used)}
-    return {v: remap[c] for v, c in colors.items() if v in keep_set}

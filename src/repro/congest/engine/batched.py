@@ -16,10 +16,10 @@ loop is the only one on the message plane: a solo ``vector``-engine run
   node counts, described by per-instance offset tables (``local_ns[k]``
   is instance ``k``'s size, ``node_offsets[k]`` its first global node,
   ``slot_offsets[k]`` its first edge slot).  Because no row ever
-  references another instance's slots, every row reduction
-  (``np.add.reduceat`` over the non-empty rows) is exactly the
+  references another instance's slots, every row reduction (one
+  ``ufunc.at`` scatter of the slots onto their rows) is exactly the
   per-instance reduction, computed in one call; per-instance aggregates
-  reduce the same way over the ``node_offsets`` segment boundaries.
+  reduce over the ``node_offsets`` segment boundaries.
 * :func:`iter_stacked` / :func:`run_stacked` — the batched entry points.
   They boot the registered
   :class:`~repro.congest.engine.vector.VectorKernel` over the union plane
@@ -91,6 +91,9 @@ __all__ = [
 #: messages); far above any bit length :func:`bit_length_array` accepts.
 _NO_BUDGET = np.iinfo(np.int64).max
 
+#: Where a row maximum starts, below every int64 slot value.
+_INT64_MIN = np.iinfo(np.int64).min
+
 
 def _as_int64(values) -> np.ndarray:
     if isinstance(values, array) and values.itemsize == 8:
@@ -102,10 +105,11 @@ class StackedPlane:
     """K instance topologies as one ragged block-diagonal CSR plane.
 
     ``indices[indptr[v]:indptr[v+1]]`` are the neighbors of global node
-    ``v`` (the *slots* of row ``v``).  Row reductions use
-    ``ufunc.reduceat`` over the non-empty rows only, so isolated nodes are
-    handled without branching and all arithmetic stays in int64
-    (bit-exact, unlike float matvecs).
+    ``v`` (the *slots* of row ``v``).  Row reductions scatter every slot
+    onto its row with ``np.add.at`` / ``np.maximum.at``, in int64
+    (bit-exact, unlike float matvecs).  ``reduceat`` would pay a fixed
+    cost per row, and most rows of a sweep plane are a few slots long;
+    the scatter costs per slot (``docs/engines.md``, "Row reductions").
 
     Instance ``k`` owns the global node range
     ``node_offsets[k] .. node_offsets[k+1] - 1`` (its size is
@@ -133,8 +137,8 @@ class StackedPlane:
         "indptr",
         "indices",
         "degrees",
-        "_nonempty",
-        "_starts",
+        "_rows",
+        "_isolated",
         "instances",
         "local_n",
         "local_ns",
@@ -168,8 +172,9 @@ class StackedPlane:
         self.n = int(self.indptr.shape[0]) - 1
         self.nnz = int(self.indices.shape[0])
         self.degrees = self.indptr[1:] - self.indptr[:-1]
-        self._nonempty = self.degrees > 0
-        self._starts = self.indptr[:-1][self._nonempty]
+        #: The row of each slot, and the rows without a slot.
+        self._rows = np.repeat(np.arange(self.n), self.degrees)
+        self._isolated = np.flatnonzero(self.degrees == 0)
         self.instances = k_count
         self.local_ns = np.array(sizes, dtype=np.int64)
         self.node_offsets = np.array([0, *accumulate(sizes)], dtype=np.int64)
@@ -180,19 +185,18 @@ class StackedPlane:
         self.local_n_of = self.local_ns[self.instance_of]
 
     def row_sum(self, slot_values: np.ndarray) -> np.ndarray:
-        """Per-node sum of ``slot_values`` over each node's slots."""
+        """Per-node int64 sum of ``slot_values`` over each node's slots."""
         out = np.zeros(self.n, dtype=np.int64)
-        if self._starts.size:
-            values = np.asarray(slot_values).astype(np.int64, copy=False)
-            out[self._nonempty] = np.add.reduceat(values, self._starts)
+        np.add.at(out, self._rows, np.asarray(slot_values).astype(np.int64, copy=False))
         return out
 
     def row_max(self, slot_values: np.ndarray, empty: int) -> np.ndarray:
         """Per-node max of ``slot_values``; ``empty`` for isolated nodes."""
-        out = np.full(self.n, empty, dtype=np.int64)
-        if self._starts.size:
-            values = np.asarray(slot_values).astype(np.int64, copy=False)
-            out[self._nonempty] = np.maximum.reduceat(values, self._starts)
+        out = np.full(self.n, _INT64_MIN, dtype=np.int64)
+        np.maximum.at(
+            out, self._rows, np.asarray(slot_values).astype(np.int64, copy=False)
+        )
+        out[self._isolated] = empty
         return out
 
     def sent_slots(self, pending: Optional[PendingBroadcast]) -> np.ndarray:
@@ -271,7 +275,7 @@ def _accumulate_round(
         elif part.senders is None:
             ledger = _dense_ledger(plane, part, charged, budgets)
         else:
-            ledger = _sparse_ledger(plane, part, charged, budgets)
+            ledger = _span_ledger(plane, part, charged, budgets, 1)[0]
         if rows is None:
             rows = ledger
         else:
@@ -301,22 +305,48 @@ def _dense_ledger(plane, part, charged, budgets):
     )
 
 
-def _sparse_ledger(plane, part, charged, budgets):
-    """A broadcast that lists its senders: O(sum of sender degrees)."""
+def _span_ledger(plane, part, charged, budgets, rounds: int) -> np.ndarray:
+    """A broadcast that lists its senders, charged over its first
+    ``rounds`` rounds in O(sum of their degrees).
+
+    Returns one ``(rounds, 3, K)`` array: ``[j]`` holds the span's
+    ``j``-th round's ``(messages, bits, max_bits)`` per instance, charged
+    as if the round were alone (a one-round broadcast has ``rounds`` 1
+    and ``span`` ``None``).  One ``bincount`` over (round, instance)
+    cells fills each column.  Senders past the first ``rounds`` rounds
+    are not read.  The senders are listed round by round, so the first
+    over-budget one is the lowest of the first round holding one: the
+    sender the per-round charge names.
+    """
     senders = part.senders
-    senders = senders[charged[senders]]
+    offsets = None
+    if part.span is not None:
+        bounds = part.span[: rounds + 1]
+        senders = senders[: bounds[-1]]
+        offsets = np.repeat(np.arange(rounds), np.diff(bounds))
+    on_wire = charged[senders]
+    senders = senders[on_wire]
+    k_count = plane.instances
+    cells = plane.instance_of[senders]
+    if offsets is not None:
+        cells = cells + offsets[on_wire] * k_count
     degrees = plane.degrees[senders]
     bits = part.bits[senders]
-    inst = plane.instance_of[senders]
-    k_count = plane.instances
-    wire_max = np.zeros(k_count, dtype=np.int64)
-    np.maximum.at(wire_max, inst, bits)
+    size = rounds * k_count
+    wire_max = np.zeros(size, dtype=np.int64)
+    np.maximum.at(wire_max, cells, bits)
+    wire_max = wire_max.reshape(rounds, k_count)
     if (wire_max > budgets).any():
         _reject_broadcast(plane, senders, part.bits, budgets)
-    return (
-        np.bincount(inst, weights=degrees, minlength=k_count),
-        np.bincount(inst, weights=degrees * bits, minlength=k_count),
-        wire_max,
+    return np.stack(
+        (
+            np.bincount(cells, weights=degrees, minlength=size).reshape(wire_max.shape),
+            np.bincount(cells, weights=degrees * bits, minlength=size).reshape(
+                wire_max.shape
+            ),
+            wire_max,
+        ),
+        axis=1,
     )
 
 
@@ -395,12 +425,24 @@ def _rounds(
     discarded uncharged.  Every node boots live, so no instance finishes
     before its first round.
 
+    A *span* (:attr:`PendingBroadcast.span`) returned by ``step(r)``
+    holds the traffic of the receives at rounds ``r .. r + L - 1``: the
+    loop charges its ``L`` ticks (a silent round as a zero row), advances
+    ``rounds`` by ``L`` and calls ``step(r + L)`` once.  A kernel spans
+    only rounds in which no instance finishes and no node does anything
+    but send what it has already computed, so the skipped steps would
+    change nothing.  A span that crosses the next round limit is charged
+    up to the limit and then raises the limit error, and a budget error
+    names the first over-budget round before the limit, as the ticks one
+    by one would.  Every other pending traffic is one round.
+
     The ledger is per-instance: one history row per executed round for
     messages, bits and the largest message.  Instances finish in monotone
     order, so each unfinished instance has executed every round so far:
     the history *is* its per-round series.  A round in which instances
-    finish stacks the three histories once into an int64
-    ``(3, rounds, K)`` table, and each finished instance reads its column.
+    finish concatenates the history's blocks (one per step: a round, or
+    a span's rounds) once into an int64 ``(rounds, 3, K)`` table, and
+    each finished instance reads its column.
     """
     budgets = np.array(
         [_NO_BUDGET if net.bit_budget is None else net.bit_budget
@@ -412,9 +454,9 @@ def _rounds(
     charged = plane.degrees > 0
     open_limits = dict(enumerate(limits))
     next_limit = min(limits)
-    hist_msgs: List[np.ndarray] = []
-    hist_bits: List[np.ndarray] = []
-    hist_max: List[np.ndarray] = []
+    #: ``(rounds, 3, K)`` blocks: per round, ``(messages, bits,
+    #: max_bits)`` of each instance.
+    history: List[np.ndarray] = []
     #: Kernel nodes only ever halt, so an instance's finish shows as a
     #: change of the plane's live count; the per-instance reduction waits
     #: for one.
@@ -433,7 +475,7 @@ def _rounds(
             nodes = np.flatnonzero(written[lo:hi])
             if nodes.size:
                 outputs[key] = (nodes.tolist(), values[lo + nodes].tolist())
-        messages, bits, largest = table[:, :, k]
+        messages, bits, largest = table[:, :, k].T
         return k, SimulationResult(
             rounds=rounds,
             total_messages=int(messages.sum()),
@@ -446,17 +488,22 @@ def _rounds(
         )
 
     while True:
-        if rounds >= next_limit:
+        span = getattr(pending, "span", None)
+        length = 1 if span is None else len(span) - 1
+        # The rounds charged before the limit; a tick checks its limit
+        # before it charges.
+        room = min(length, next_limit - rounds)
+        if room > 0:
+            if span is None:
+                rows = _accumulate_round(plane, pending, charged, budgets)
+                history.append(np.asarray(rows)[None])
+            else:
+                history.append(_span_ledger(plane, pending, charged, budgets, room))
+        if room < length:
             raise SimulationLimitError(
                 f"simulation did not terminate within {next_limit} rounds"
             )
-        msgs_k, bits_k, max_k = _accumulate_round(
-            plane, pending, charged, budgets
-        )
-        hist_msgs.append(msgs_k)
-        hist_bits.append(bits_k)
-        hist_max.append(max_k)
-        rounds += 1
+        rounds += length
         pending = kernel.step(rounds, pending)
         count = np.count_nonzero(kernel.live)
         if count == live_count:
@@ -467,7 +514,7 @@ def _rounds(
             k for k in np.flatnonzero(alive == 0).tolist() if k in open_limits
         ]
         if finished:
-            table = np.array([hist_msgs, hist_bits, hist_max], dtype=np.int64)
+            table = np.concatenate(history).astype(np.int64)
             for k in finished:
                 yield finish(k, table)
         if not open_limits:

@@ -152,9 +152,17 @@ class PendingBroadcast:
     rather than O(plane).  It must match ``mask``: code
     that edits ``mask`` in place must clear it (``None`` means "derive
     from the mask").
+
+    ``span`` optionally stretches a listed broadcast over ``L = len(span)
+    - 1`` rounds: ``senders[span[j]:span[j + 1]]`` (ascending) are the
+    senders of the span's ``j``-th round, and ``mask`` flags every sender
+    of the span.  A node sends at most once per span, so ``bits`` holds
+    each sender's message.  ``None`` is the one-round broadcast.  A span
+    travels alone, never in a tuple of parts; see
+    :func:`repro.congest.engine.batched._rounds` for how it is charged.
     """
 
-    __slots__ = ("spec", "mask", "columns", "bits", "senders")
+    __slots__ = ("spec", "mask", "columns", "bits", "senders", "span")
 
     def __init__(
         self,
@@ -163,12 +171,14 @@ class PendingBroadcast:
         columns: Tuple[np.ndarray, ...],
         bits: np.ndarray,
         senders: Optional[np.ndarray] = None,
+        span: Optional[np.ndarray] = None,
     ):
         self.spec = spec
         self.mask = mask
         self.columns = columns
         self.bits = bits
         self.senders = senders
+        self.span = span
 
 
 class PendingTargeted:

@@ -12,10 +12,12 @@ Every message is a single color value (``O(log n)`` bits).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.coloring.distance2 import _smallest_missing
 from repro.congest.engine import (
     EngineSpec,
     MessageSpec,
@@ -83,17 +85,27 @@ class ColorReductionProgram(NodeProgram):
 class ColorReductionKernel(VectorKernel):
     """Vector transcription of the top-down class-elimination rounds.
 
-    Only the acting class does work, so a round costs O(sum of acting
-    degrees), not O(n + nnz): boot sorts every node by the round its
-    color acts in (``n_k - color``), and a recolored node is re-queued
-    when its new class comes up later.  Nothing is delivered into the
-    plane: an actor reads its neighbours' *current* colors when it acts
-    (see :meth:`_mex`), and accounting reads the broadcast's ``senders``
-    list.  The mex is array work: the acting rows' colors mark a boolean
-    table of actors x (max degree + 2), whose first unmarked column per
-    row is the new color, and the new colors' bit lengths come from a
-    table over those columns.  An instance finishes once, at round
-    ``n_k``, in O(n_k).  Boot is O(n + nnz).
+    Instance ``k`` with max degree ``D_k`` splits its rounds in two.  A
+    class ``c > D_k`` acts in round ``n_k - c < n_k - D_k``, and every
+    recolor takes a mex, at most the actor's degree, so a re-queued node
+    acts in round ``n_k - new >= n_k - D_k``.  Each of these *early*
+    classes therefore acts once, before anything else happens in its
+    instance, and boot computes its outcome: the early nodes take their
+    colors in priority levels (:meth:`_recolor_early`, the
+    Jones-Plassmann rounds of :func:`repro.coloring.distance2._first_fit`
+    with the class as the priority).
+
+    The rounds from ``n_k - D_k`` on run one :meth:`step` each, as the
+    node program does: the acting class and the re-queued nodes take the
+    mex of their neighbours' current colors (:meth:`_mex`), and a node
+    whose new class acts later is re-queued.  Between two such rounds
+    (or an instance's finish) the rounds only carry early broadcasts, so
+    a step hands the round loop all of them as one span
+    (:attr:`PendingBroadcast.span`): a sweep of 1,000 rounds takes a few
+    dozen steps.  Nothing is delivered into the plane, and accounting
+    reads the broadcast's ``senders``.  An instance finishes once, at
+    round ``n_k``, in O(n_k).  Boot is O(n + nnz) plus a few numpy calls
+    per level.
 
     The schedule comes from ``plane.local_n_of`` (the per-node view of
     the ``n`` each node program believes it runs on), so the kernel is
@@ -147,35 +159,88 @@ class ColorReductionKernel(VectorKernel):
         )
         return kernel, pending
 
-    def _boot(self, color: np.ndarray) -> None:
-        """Sort nodes by acting round; schedule every instance's finish."""
+    def _boot(self, initial: np.ndarray) -> None:
+        """Recolor the early classes, schedule the first late action of
+        every other acting node and every instance's finish.  ``initial``
+        is left as it is."""
         plane = self.plane
-        self.color = color
+        self.color = initial.copy()
         self._bits = np.zeros(plane.n, dtype=np.int64)
-        # A mex is at most the actor's degree, so the table's last column
-        # never holds one: larger colors are marked there.
-        self._width = int(plane.degrees.max(initial=0)) + 2
-        self._color_bits = self._SPEC.bits_array((np.arange(self._width),))
+        self._color_bits = self._SPEC.bits_array(
+            (np.arange(int(plane.degrees.max(initial=0)) + 1),)
+        )
         # Round r recolors class n_k - r, so classes 1 .. n_k - 1 act.
-        act = plane.local_n_of - color
-        nodes = np.flatnonzero((color > 0) & (act > 0))
-        order = np.argsort(act[nodes], kind="stable")
-        #: Nodes in order of their first acting round, ascending within
-        #: one round; round r's are ``_actors[_bounds[r]]``.
-        self._actors = nodes[order]
-        rounds = act[self._actors]
-        starts = np.flatnonzero(np.diff(rounds, prepend=0)).tolist()
-        self._bounds = {
-            r: slice(a, b)
-            for r, a, b in zip(
-                rounds[starts].tolist(), starts, [*starts[1:], rounds.size]
-            )
-        }
-        #: Round -> nodes whose recolor moved them into that round's class.
-        self._requeued: Dict[int, List[int]] = {}
+        n_of = plane.local_n_of
+        acting = (initial > 0) & (initial < n_of)
+        max_degree = np.maximum.reduceat(plane.degrees, plane.node_offsets[:-1])
+        early = acting & (initial > max_degree[plane.instance_of])
+        nodes = np.flatnonzero(early)
+        self._recolor_early(nodes, initial, early)
+        new = self.color[nodes]
+        self._bits[nodes] = self._color_bits[new]
+        rounds = (n_of - initial)[nodes]
+        order = np.argsort(rounds, kind="stable")
+        #: Early nodes by acting round, ascending within a round, and
+        #: their rounds.
+        self._early = nodes[order]
+        self._early_rounds = rounds[order]
+        #: Round -> ascending node arrays whose late action falls in it.
+        self._late: Dict[int, List[np.ndarray]] = {}
+        late = np.flatnonzero(acting & ~early)
+        moved = new > 0
+        self._requeue(
+            np.concatenate((late, nodes[moved])),
+            np.concatenate(((n_of - initial)[late], (n_of[nodes] - new)[moved])),
+        )
         self._finish: Dict[int, List[int]] = {}
         for k, n_k in enumerate(plane.local_ns.tolist()):
             self._finish.setdefault(n_k, []).append(k)
+
+    def _recolor_early(
+        self, nodes: np.ndarray, initial: np.ndarray, early: np.ndarray
+    ) -> None:
+        """Give every early node the color its class's round gives it.
+
+        Node ``v`` acts after every early neighbour of a higher class, so
+        it waits on them (Kahn's algorithm: per node the count still
+        uncolored, one ``np.subtract.at`` per level).  Once ready it hears
+        their new colors, a same-class neighbour's old one (it recolors
+        in the same round; only an improper coloring has one) and every
+        other neighbour's initial color, which is still its current one.
+        """
+        plane = self.plane
+        color = self.color
+        peers = plane.indices[plane.row_slots(nodes)]
+        rows = np.repeat(nodes, plane.degrees[nodes])
+        waits = early[peers] & (initial[peers] > initial[rows])
+        pending = np.bincount(rows[waits], minlength=plane.n)
+        ready = nodes[pending[nodes] == 0]
+        while ready.size:
+            degrees = plane.degrees[ready]
+            peers = plane.indices[plane.row_slots(ready)]
+            owner = np.repeat(np.arange(ready.size), degrees)
+            own = initial[ready][owner]
+            heard = np.where(initial[peers] == own, own, color[peers])
+            color[ready] = _smallest_missing(
+                heard, owner, ready.size, int(degrees.max(initial=0)) + 1
+            )
+            later = peers[early[peers] & (initial[peers] < own)]
+            np.subtract.at(pending, later, 1)
+            # A node is listed once per neighbour colored now: dedupe.
+            freed = np.sort(later[pending[later] == 0])
+            ready = freed[np.diff(freed, prepend=-1) != 0]
+
+    def _requeue(self, nodes: np.ndarray, rounds: np.ndarray) -> None:
+        """Schedule each of ``nodes`` to act in its entry of ``rounds``."""
+        if not nodes.size:
+            return
+        order = np.lexsort((nodes, rounds))
+        nodes, rounds = nodes[order], rounds[order]
+        starts = np.flatnonzero(np.diff(rounds, prepend=-1)).tolist()
+        for r, a, b in zip(
+            rounds[starts].tolist(), starts, [*starts[1:], rounds.size]
+        ):
+            self._late.setdefault(r, []).append(nodes[a:b])
 
     def step(
         self, round_no: int, inbound: Optional[PendingBroadcast]
@@ -192,31 +257,43 @@ class ColorReductionKernel(VectorKernel):
             self.output(nodes, "color", self.color[nodes])
             self.live[nodes] = False
 
-        bound = self._bounds.get(round_no)
-        requeued = self._requeued.pop(round_no, None)
-        if bound is None and requeued is None:
+        late = self._late.pop(round_no, None)
+        if late is not None:
+            late = late[0] if len(late) == 1 else np.sort(np.concatenate(late))
+            self._recolor(round_no, late)
+        # Up to the next round with a late actor or a finish, the rounds
+        # only carry early broadcasts: one span.
+        end = min(chain(self._late, self._finish), default=round_no + 1)
+        bounds = np.searchsorted(self._early_rounds, np.arange(round_no, end + 1))
+        senders = self._early[bounds[0] : bounds[-1]]
+        if late is not None:
+            # This round's late actors and early ones (of other instances).
+            now = bounds[1] - bounds[0]
+            senders = np.concatenate(
+                (np.sort(np.concatenate((senders[:now], late))), senders[now:])
+            )
+            bounds[1:] += late.size
+        span = bounds - bounds[0] if end > round_no + 1 else None
+        if span is None and senders.size == 0:
             return None
-        senders = self._actors[bound] if bound is not None else self._actors[:0]
-        if requeued is not None:
-            # Re-queued nodes join their round out of order.
-            senders = np.sort(np.concatenate((senders, requeued)))
-        new = self._mex(senders)
-        old = self.color[senders]
-        later = (new > 0) & (new < old)  # class n_k - new acts in a later round
-        for v, r in zip(
-            senders[later].tolist(), (round_no + old - new)[later].tolist()
-        ):
-            self._requeued.setdefault(r, []).append(v)
-        self.color[senders] = new
-        self._bits[senders] = self._color_bits[new]
         mask = np.zeros(plane.n, dtype=bool)
         mask[senders] = True
         # The column aliases ``color`` and ``bits`` is reused: non-sender
         # entries are never read, and a sender's entries stay put until it
         # acts again, after this broadcast has been charged.
         return PendingBroadcast(
-            self._SPEC, mask, (self.color,), self._bits, senders
+            self._SPEC, mask, (self.color,), self._bits, senders, span
         )
+
+    def _recolor(self, round_no: int, acting: np.ndarray) -> None:
+        """Round ``round_no``'s late actors recolor; those whose new class
+        acts later are re-queued."""
+        new = self._mex(acting)
+        old = self.color[acting]
+        later = (new > 0) & (new < old)  # class n_k - new acts in a later round
+        self._requeue(acting[later], (round_no + old - new)[later])
+        self.color[acting] = new
+        self._bits[acting] = self._color_bits[new]
 
     def _mex(self, senders: np.ndarray) -> np.ndarray:
         """Smallest color each sender has not heard from a neighbor.
@@ -228,21 +305,16 @@ class ColorReductionKernel(VectorKernel):
         neighbour recoloring in this same round, whose broadcast arrives
         next round; reading before the writes sees its old color, as the
         scalar program does.  This holds for improper initial colorings
-        too.
-
-        Row ``i`` of a boolean table of senders x (max degree + 2) marks
-        sender ``i``'s heard colors, and its first unmarked column is the
-        mex.  A row of degree d hears at most d colors, so its mex is at
-        most d: colors beyond the table are marked in the last column
-        without changing it.
+        too.  A row of degree d hears at most d colors, so its mex is at
+        most d.
         """
         plane = self.plane
-        width = self._width
+        degrees = plane.degrees[senders]
         heard = self.color[plane.indices[plane.row_slots(senders)]]
-        rows = np.repeat(np.arange(senders.size), plane.degrees[senders])
-        taken = np.zeros((senders.size, width), dtype=bool)
-        taken[rows, np.minimum(heard, width - 1)] = True
-        return taken.argmin(axis=1)
+        owner = np.repeat(np.arange(senders.size), degrees)
+        return _smallest_missing(
+            heard, owner, senders.size, int(degrees.max(initial=0)) + 1
+        )
 
 
 def _given_colors(inputs, n: int):

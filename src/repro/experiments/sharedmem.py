@@ -25,6 +25,8 @@ the parent unlinks everything only after the drain loop finishes.
 
 from __future__ import annotations
 
+import os
+import secrets
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Optional
@@ -40,9 +42,28 @@ __all__ = [
     "SharedStackedTopologyHandle",
     "SharedStackedTopology",
     "attach_stacked",
+    "block_prefix",
 ]
 
 _DTYPE = np.int64
+
+
+def block_prefix(pid: Optional[int] = None) -> str:
+    """Name prefix of the blocks process ``pid`` (default: this one)
+    publishes, ``repro_<pid>_``: a leak check can tell them from any other
+    process's blocks."""
+    return f"repro_{os.getpid() if pid is None else pid}_"
+
+
+def _create_block(nbytes: int) -> shared_memory.SharedMemory:
+    """A fresh block of at least one byte named ``repro_<pid>_<token>``
+    (22 characters at most, under the 31 macOS allows)."""
+    while True:
+        name = block_prefix() + secrets.token_hex(4)
+        try:
+            return shared_memory.SharedMemory(name=name, create=True, size=max(1, nbytes))
+        except FileExistsError:  # pragma: no cover - a 32-bit token collision
+            continue
 
 
 @dataclass(frozen=True)
@@ -75,12 +96,8 @@ class SharedTopology:
         indptr, indices = network.csr()
         indptr_arr = np.asarray(indptr, dtype=_DTYPE)
         indices_arr = np.asarray(indices, dtype=_DTYPE)
-        indptr_shm = shared_memory.SharedMemory(
-            create=True, size=max(1, indptr_arr.nbytes)
-        )
-        indices_shm = shared_memory.SharedMemory(
-            create=True, size=max(1, indices_arr.nbytes)
-        )
+        indptr_shm = _create_block(indptr_arr.nbytes)
+        indices_shm = _create_block(indices_arr.nbytes)
         np.ndarray(indptr_arr.shape, dtype=_DTYPE, buffer=indptr_shm.buf)[
             :
         ] = indptr_arr
@@ -165,12 +182,8 @@ class SharedStackedTopology:
             if indices_parts
             else np.zeros(0, dtype=_DTYPE)
         )
-        indptr_shm = shared_memory.SharedMemory(
-            create=True, size=max(1, indptr_all.nbytes)
-        )
-        indices_shm = shared_memory.SharedMemory(
-            create=True, size=max(1, indices_all.nbytes)
-        )
+        indptr_shm = _create_block(indptr_all.nbytes)
+        indices_shm = _create_block(indices_all.nbytes)
         np.ndarray(indptr_all.shape, dtype=_DTYPE, buffer=indptr_shm.buf)[
             :
         ] = indptr_all

@@ -17,8 +17,8 @@ from repro.graphs.generators import (
     dumbbell_graph,
 )
 from repro.graphs.suite import SuiteInstance, benchmark_suite, suite_instance
-from repro.graphs.powers import graph_power, square_graph
-from repro.graphs.validation import degree_stats, require_connected
+from repro.graphs.powers import square_graph
+from repro.graphs.validation import require_connected
 
 __all__ = [
     "normalize_graph",
@@ -37,8 +37,6 @@ __all__ = [
     "SuiteInstance",
     "benchmark_suite",
     "suite_instance",
-    "graph_power",
     "square_graph",
-    "degree_stats",
     "require_connected",
 ]

@@ -66,7 +66,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from queue import Empty, Queue
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Union
 
 from repro.api.records import RunRecord
 from repro.api.registry import program_spec
@@ -439,7 +439,6 @@ class SimulationService:
                 window: List[_Entry] = []
                 taken: Dict[str, int] = {}
                 prepared: Set[tuple] = set()
-                cursor = 0
                 while True:
                     self._admit(window, taken)
                     if self._stopping:
@@ -455,7 +454,7 @@ class SimulationService:
                     if remaining <= 0:
                         reason = "deadline"
                         break
-                    cell, cursor = self._next_to_prepare(window, cursor, prepared)
+                    cell = self._next_to_prepare(window, prepared)
                     if cell is None:
                         self._cond.wait(timeout=remaining)
                         continue
@@ -470,26 +469,33 @@ class SimulationService:
                 self._execute_window(window, reason)
 
     def _next_to_prepare(
-        self, window: List[_Entry], cursor: int, prepared: Set[tuple]
-    ) -> Tuple[Optional[GridCell], int]:
+        self, window: List[_Entry], prepared: Set[tuple]
+    ) -> Optional[GridCell]:
         """The next admitted cell whose topology the open window prepares.
 
-        Caller holds ``self._cond``.  Walks ``window`` from ``cursor`` in
-        admission order and returns the cell plus the advanced cursor, or
-        ``None`` when nothing is left to prepare for now.  Skips cells the
-        result cache will serve and topologies this window already took;
-        stops at ``topology_cache_entries`` distinct topologies, so one
-        preparation never evicts another of the same window.
+        Caller holds ``self._cond``.  Walks the cells the window will run
+        (the result cache serves the others) in the order
+        :meth:`_execute_window` runs them, :func:`_batch_plan`'s, and
+        returns the first whose topology this window has not prepared, or
+        ``None`` when nothing is left to prepare for now.  Stops at
+        ``topology_cache_entries`` distinct topologies, so one preparation
+        never evicts another of the same window, and execution uses the
+        prepared ones before any miss can evict them.
         """
-        while cursor < len(window) and len(prepared) < self.topologies.max_entries:
-            entry = window[cursor]
-            cursor += 1
-            key = entry.cell.topology_key
-            if key in prepared or (entry.ticket.use_cache and entry.cell in self.results):
-                continue
-            prepared.add(key)
-            return entry.cell, cursor
-        return None, cursor
+        if len(prepared) >= self.topologies.max_entries:
+            return None
+        runs: Dict[GridCell, bool] = {}
+        for entry in window:
+            cached = entry.ticket.use_cache and entry.cell in self.results
+            runs[entry.cell] = runs.get(entry.cell, False) or not cached
+        cells = [cell for cell, run in runs.items() if run]
+        for _, indices in _batch_plan(cells, self.config.batch_size):
+            for i in indices:
+                key = cells[i].topology_key
+                if key not in prepared:
+                    prepared.add(key)
+                    return cells[i]
+        return None
 
     # -- window execution ------------------------------------------------------
 

@@ -63,12 +63,12 @@ def approx_weighted_mds(
     bad = [v for v in graph.nodes() if float(weights.get(v, 1.0)) <= 0]
     if bad:
         raise GraphError(f"weights must be positive; offending nodes {bad[:5]}")
-    delta_tilde = max((d for _, d in graph.degree()), default=0) + 1
-
     w = {v: float(weights.get(v, 1.0)) for v in graph.nodes()}
     lp_instance = CoveringInstance.from_graph(
         graph, {v: 0.0 for v in graph.nodes()}, weights=w
     )
+    # Delta~ = max |N[v]| over the closed CSR, so a self-loop counts once.
+    delta_tilde = lp_instance.max_constraint_degree
     lp = solve_covering_lp(lp_instance)
     values = repair_feasibility(graph, lp.values)
     # Weighted raising: lifting by lambda costs sum_v w_v * lambda; keep the

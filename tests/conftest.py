@@ -8,6 +8,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+from repro.experiments.sharedmem import block_prefix
 from repro.graphs.generators import (
     caterpillar_graph,
     clique_graph,
@@ -26,12 +27,16 @@ SHM = Path("/dev/shm")
 
 @pytest.fixture
 def no_shared_memory_leak():
-    """No ``/dev/shm/psm_*`` segment created during the test survives it."""
+    """No shared-memory block this process publishes during the test
+    survives it.  Only this process's ``repro_<pid>_*`` blocks are
+    compared, so another process's blocks (a benchmark's, say) never
+    count."""
     if not SHM.is_dir():
         pytest.skip("no /dev/shm to inspect")
-    before = set(SHM.glob("psm_*"))
+    pattern = block_prefix() + "*"
+    before = set(SHM.glob(pattern))
     yield
-    leaked = sorted(path.name for path in set(SHM.glob("psm_*")) - before)
+    leaked = sorted(path.name for path in set(SHM.glob(pattern)) - before)
     assert not leaked, leaked
 
 

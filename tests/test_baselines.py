@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.bounds import greedy_bound
 from repro.analysis.verify import is_connected_dominating_set, is_dominating_set
 from repro.baselines.exact import exact_cds, exact_mds
-from repro.baselines.greedy import greedy_mds, greedy_set_cover_order
+from repro.baselines.greedy import greedy_mds
 from repro.baselines.randomized_lp import randomized_lp_rounding_mds
 from repro.errors import GraphError
 from repro.fractional.lp import lp_fractional_mds
@@ -31,6 +31,23 @@ def brute_force_mds_size(graph):
     return len(nodes)
 
 
+def slow_greedy_order(graph):
+    """The naive quadratic greedy: the order in which it picks nodes, the
+    largest inclusive gain first, ties to the lowest id."""
+    covered = set()
+    order = []
+    nodes = set(graph.nodes())
+    while covered != nodes:
+        best, best_gain = None, -1
+        for v in sorted(nodes):
+            gain = len((set(graph.neighbors(v)) | {v}) - covered)
+            if gain > best_gain:
+                best, best_gain = v, gain
+        order.append(best)
+        covered |= set(graph.neighbors(best)) | {best}
+    return order
+
+
 class TestGreedy:
     def test_valid_on_zoo(self, zoo_graph):
         assert is_dominating_set(zoo_graph, greedy_mds(zoo_graph))
@@ -51,7 +68,7 @@ class TestGreedy:
         for seed in range(4):
             g = gnp_graph(20, 0.2, seed=seed)
             fast = greedy_mds(g)
-            slow_order = greedy_set_cover_order(g)
+            slow_order = slow_greedy_order(g)
             assert len(fast) == len(slow_order)
 
     def test_deterministic(self, medium_gnp):

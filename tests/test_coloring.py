@@ -19,7 +19,6 @@ from repro.coloring.distance2 import (
 from repro.coloring.greedy import (
     color_classes,
     greedy_coloring,
-    restrict_coloring,
     validate_coloring,
 )
 from repro.coloring.linial import linial_coloring, linial_one_round
@@ -255,10 +254,6 @@ class TestGreedy:
     def test_color_classes_sorted(self):
         classes = color_classes({0: 1, 1: 0, 2: 1})
         assert classes == [[1], [0, 2]]
-
-    def test_restrict_densifies(self):
-        restricted = restrict_coloring({0: 5, 1: 9, 2: 5}, keep={0, 1})
-        assert restricted == {0: 0, 1: 1}
 
 
 class TestDistance2:

@@ -34,15 +34,9 @@ from repro.graphs.normalize import (
     repr_rank,
     require_normalized,
 )
-from repro.graphs.powers import (
-    ball,
-    graph_power,
-    nodes_within,
-    shortest_path_within,
-    square_graph,
-)
+from repro.graphs.powers import ball, nodes_within, square_graph
 from repro.graphs.suite import benchmark_suite, families, suite_instance
-from repro.graphs.validation import degree_stats, require_connected
+from repro.graphs.validation import require_connected
 
 
 class TestNormalize:
@@ -165,20 +159,15 @@ class TestPowers:
         assert sq.has_edge(0, 2)
         assert not sq.has_edge(0, 3)
 
-    def test_power_matches_distance(self, small_gnp):
-        k = 3
-        p = graph_power(small_gnp, k)
+    def test_square_matches_distance(self, small_gnp):
+        sq = square_graph(small_gnp)
         lengths = dict(nx.all_pairs_shortest_path_length(small_gnp))
         for u in small_gnp.nodes():
             for v in small_gnp.nodes():
                 if u == v:
                     continue
-                expect = lengths[u].get(v, 10 ** 9) <= k
-                assert p.has_edge(u, v) == expect
-
-    def test_power_rejects_bad_k(self, path5):
-        with pytest.raises(GraphError):
-            graph_power(path5, 0)
+                expect = lengths[u].get(v, 10 ** 9) <= 2
+                assert sq.has_edge(u, v) == expect
 
     def test_ball_restricted(self, path5):
         b = ball(path5, 0, 2, within={0, 1})
@@ -186,11 +175,6 @@ class TestPowers:
 
     def test_nodes_within_multi_source(self, path5):
         assert nodes_within(path5, [0, 4], 1) == {0, 1, 3, 4}
-
-    def test_shortest_path_within(self, path5):
-        assert shortest_path_within(path5, 0, 3, 3) == [0, 1, 2, 3]
-        assert shortest_path_within(path5, 0, 4, 3) is None
-        assert shortest_path_within(path5, 2, 2, 0) == [2]
 
 
 class TestSuite:
@@ -222,12 +206,6 @@ class TestSuite:
 
 
 class TestValidation:
-    def test_degree_stats(self, small_gnp):
-        stats = degree_stats(small_gnp)
-        assert stats.n == 30
-        assert stats.delta_tilde == stats.max_degree + 1
-        assert stats.min_degree <= stats.avg_degree <= stats.max_degree
-
     def test_require_connected(self):
         g = normalize_graph(nx.Graph([(0, 1), (2, 3)]))
         with pytest.raises(GraphError):

@@ -4,12 +4,9 @@ import runpy
 import sys
 from pathlib import Path
 
-import networkx as nx
 import pytest
 
 from repro.congest.cost import bits_for_id
-from repro.graphs.normalize import normalize_graph
-from repro.graphs.powers import pairwise_distance_at_most
 from repro.spanner.baswana_sen import PhaseView
 
 
@@ -87,13 +84,6 @@ def test_bits_for_id():
     assert bits_for_id(2) == 1
     assert bits_for_id(1024) == 10
     assert bits_for_id(1) >= 1
-
-
-def test_pairwise_distance_at_most():
-    g = normalize_graph(nx.path_graph(6))
-    assert pairwise_distance_at_most(g, 0, 3, 3)
-    assert not pairwise_distance_at_most(g, 0, 4, 3)
-    assert pairwise_distance_at_most(g, 2, 2, 0)
 
 
 def test_phase_view_dataclass():

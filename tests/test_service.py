@@ -522,6 +522,34 @@ class TestWindowPreparation:
         finally:
             svc.stop(drain=False)
 
+    def test_preparation_follows_the_execution_plan(self):
+        """Admitted greedy, color-reduction, greedy, color-reduction on four
+        topologies run as the greedy group, then the color-reduction one.
+        With room for two topologies the window prepares the greedy
+        group's, so no preparation is evicted before it is used: four
+        generations for four topologies (five when it prepared in
+        admission order, seeds 0 and 1)."""
+        svc = SimulationService(
+            ServiceConfig(window_s=30.0, topology_cache_entries=2)
+        ).start()
+        try:
+            cells = [
+                GridCell("gnp", 20, program, "vector", seed=seed)
+                for seed, program in enumerate(
+                    ("greedy", "color-reduction", "greedy", "color-reduction")
+                )
+            ]
+            ticket = svc.submit("t", cells)
+            assert _wait_for(lambda: _topology_stats(svc)["misses"] >= 2)
+            time.sleep(0.2)  # room for a third preparation, were there one
+            svc.flush()
+            assert comparable_records(ticket.collect(timeout=COLLECT_TIMEOUT)) == (
+                comparable_records(_solo_records(cells))
+            )
+            assert _topology_stats(svc) == {"hits": 2, "misses": 4, "entries": 2}
+        finally:
+            svc.stop(drain=False)
+
     def test_flush_closes_the_window_during_a_preparation(self, monkeypatch, service):
         cells = _cells((400,), (0,)) + _cells((20,), (0,))
         held = _HeldBuild(monkeypatch, cells[0])

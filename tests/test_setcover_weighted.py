@@ -166,6 +166,35 @@ class TestWeightedMDS:
         assert a.dominating_set == b.dominating_set
 
 
+def test_a_self_loop_leaves_the_raise_cap_alone(monkeypatch):
+    """Delta~ is the largest closed neighbourhood: 7 on ``star_graph(6)``
+    with or without a loop at the centre (``graph.degree()`` counts the
+    loop twice and reads 9).  With ``raise_fraction=1`` the cap
+    ``lam <= 1 / (2 Delta~)`` binds, so every value handed to the
+    rounding is at least 1/14 and the two stars round alike."""
+    import repro.weighted.mds as weighted
+
+    plain = star_graph(6)
+    looped = plain.copy()
+    center = max(plain.nodes(), key=plain.degree)
+    looped.add_edge(center, center)
+    rounded = []
+    real = weighted.one_shot_via_coloring
+
+    def spy(base, **kwargs):
+        rounded.append(base.x.tolist())
+        return real(base, **kwargs)
+
+    monkeypatch.setattr(weighted, "one_shot_via_coloring", spy)
+    results = [
+        approx_weighted_mds(graph, {}, raise_fraction=1.0) for graph in (plain, looped)
+    ]
+    assert rounded[0] == rounded[1]
+    assert min(rounded[1]) == 1.0 / 14.0
+    assert results[0].dominating_set == results[1].dominating_set
+    assert results[0].ledger.entries == results[1].ledger.entries
+
+
 def test_section5_ledgers_charge_what_they_run():
     """Set cover and weighted MDS run the coloring route's Lemma 3.13 and
     3.14 steps, so every step charges its coloring, its Lemma 3.10 loop and
