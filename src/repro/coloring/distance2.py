@@ -9,8 +9,10 @@ colors in ``O(Delta_L Delta_R + Delta_L log* n)`` rounds.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Iterator, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -33,17 +35,45 @@ _TABLE_CELLS = 1 << 22
 _UNCOLORED = np.iinfo(np.int64).max
 
 
+class ColorColumn(Mapping):
+    """A coloring held as two int64 columns: ``nodes`` in ascending order
+    and ``column[i]``, the color of ``nodes[i]``.
+
+    Read as a mapping it is ``{node: color}`` with Python ints, built on
+    first access, so a caller that reads the column never pays for the
+    per-node view.
+    """
+
+    def __init__(self, nodes: np.ndarray, column: Sequence[int]):
+        self.nodes = nodes
+        self.column = np.asarray(column, dtype=np.int64)
+
+    @cached_property
+    def _view(self) -> Dict[int, int]:
+        return dict(zip(self.nodes.tolist(), self.column.tolist()))
+
+    def __getitem__(self, node: int) -> int:
+        return self._view[node]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._view)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+
 @dataclass(frozen=True)
 class Distance2Coloring:
     """A distance-2 coloring plus its charged round cost.
 
+    The colorings computed here hold ``colors`` as a :class:`ColorColumn`.
     ``delta_l`` / ``delta_r`` record the bipartite degree parameters the
     Lemma 3.12 charge was computed from (0 when not applicable), so callers
     can re-derive the LOCAL-model cost (Corollary 1.3 pays ``log* n`` once
     instead of ``Delta_L`` times).
     """
 
-    colors: Dict[int, int]
+    colors: Mapping[int, int]
     num_colors: int
     charged_rounds: int
     conflict_edges: int
@@ -94,24 +124,26 @@ def distance2_coloring(
     square = closed @ closed
     if subset is not None:
         square = square[nodes][:, nodes]
-    first_fit, conflict_edges = _first_fit(square, nodes)
+    colors, conflict_edges = _first_fit(square, nodes)
     # Every row of the square holds its diagonal entry.
     max_deg = int(np.diff(square.indptr).max()) - 1 if len(nodes) else 0
     return Distance2Coloring(
-        colors=dict(zip(nodes.tolist(), first_fit)),
-        num_colors=len(set(first_fit)),
+        colors=ColorColumn(nodes, colors),
+        # First-fit uses every color below its largest.
+        num_colors=int(np.max(colors, initial=-1)) + 1,
         charged_rounds=bek15_coloring_rounds(max_deg + 1, n, n),
         conflict_edges=conflict_edges,
     )
 
 
-def _first_fit(conflicts: sparse.csr_matrix, nodes: np.ndarray) -> Tuple[List[int], int]:
+def _first_fit(conflicts: sparse.csr_matrix, nodes: np.ndarray) -> Tuple[np.ndarray, int]:
     """First-fit coloring in row order of the symmetric matrix whose
     off-diagonal nonzeros are the conflicts (the
     :func:`~repro.coloring.greedy.greedy_coloring` order when rows ascend by
-    id), checked for properness; returns the colors and the conflict count.
-    Each row is read as a set, so its column order does not matter.
-    ``nodes`` names the rows in the error message.
+    id), checked for properness; returns the colors as an int64 column in
+    row order and the conflict count.  Each row is read as a set, so its
+    column order does not matter.  ``nodes`` names the rows in the error
+    message.
 
     The colors are computed in priority rounds (Jones and Plassmann,
     SIAM J. Sci. Comput. 14(3), 1993, with the row index as the
@@ -170,7 +202,7 @@ def _first_fit(conflicts: sparse.csr_matrix, nodes: np.ndarray) -> Tuple[List[in
         raise ColoringError(
             f"edge ({nodes[u]}, {nodes[v]}) is monochromatic with color {colors[v]}"
         )
-    return colors.tolist(), int(np.count_nonzero(earlier))
+    return colors, int(np.count_nonzero(earlier))
 
 
 def _smallest_missing(
@@ -217,8 +249,9 @@ def bipartite_distance2_coloring(
     # Columns of the participating variables in ascending id; M^T M counts
     # the constraints two of them share.
     incidence = instance.incidence().tocsc()[:, instance.rows_of(ids.tolist())]
-    first_fit, conflict_edges = _first_fit((incidence.T @ incidence).tocsr(), ids)
-    num = len(set(first_fit))
+    colors, conflict_edges = _first_fit((incidence.T @ incidence).tocsr(), ids)
+    # First-fit uses every color below its largest.
+    num = int(np.max(colors, initial=-1)) + 1
     delta_l = instance.max_constraint_degree
     delta_r = instance.max_var_degree
     bound = delta_l * delta_r
@@ -232,7 +265,7 @@ def bipartite_distance2_coloring(
     # one round of the conflict-graph coloring costs O(Delta_L) rounds in B.
     charged = max(1, bound + max(1, delta_l) * log_star(max(2, n)))
     return Distance2Coloring(
-        colors=dict(zip(ids.tolist(), first_fit)),
+        colors=ColorColumn(ids, colors),
         num_colors=num,
         charged_rounds=charged,
         conflict_edges=conflict_edges,

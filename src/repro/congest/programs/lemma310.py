@@ -819,8 +819,7 @@ def _canonical_colors(networks: Sequence[Network]) -> List[np.ndarray]:
     for chunk in _unions(missing):
         plane = StackedPlane(chunk)
         union = Network.from_csr(plane.indptr, plane.indices)
-        colors = distance2_coloring(union).colors
-        column = np.fromiter(colors.values(), dtype=np.int64, count=union.n)
+        column = distance2_coloring(union).colors.column
         offsets = plane.node_offsets.tolist()
         for network, lo, hi in zip(chunk, offsets, offsets[1:]):
             _COLORS_MEMO[network] = column[lo:hi]

@@ -7,12 +7,13 @@ round out the sweep so degree distributions from near-regular to heavy-tailed
 are covered.  All generators return normalized graphs (labels ``0..n-1``)
 and take an explicit ``seed`` so experiments are reproducible.
 
-G(n, p) is generated as arrays (:func:`gnp_arrays`, an :class:`EdgeArrays`):
-networkx's ``random()`` draws replayed in numpy, the connectivity patch
-from numpy component labels (:func:`_component_roots`), ``normalize_graph``'s
-relabelling as one rank array, and the sorted adjacency (CSR) by one sort.
-The arrays equal those of the networkx route, and :func:`gnp_graph` builds
-the same graph from them, down to adjacency order.
+G(n, p) is sampled straight into arrays (:func:`gnp_arrays`, an
+:class:`EdgeArrays`) in O(n + m): a binomial edge count, that many distinct
+uniform pairs, the connectivity patch from numpy component labels
+(:func:`_component_roots`), and the sorted adjacency (CSR) by one sort.
+These are not networkx's G(n, p) draws, so the family carries its own
+generator version (:data:`repro.graphs.suite.GENERATOR_VERSIONS`) in every
+persisted topology key.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Tuple
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graphs.normalize import normalize_graph, repr_rank
+from repro.graphs.normalize import normalize_graph
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -47,53 +48,23 @@ def _ensure_connected(graph: nx.Graph, rng: random.Random) -> nx.Graph:
     return graph
 
 
-#: Draws per chunk of the G(n, p) replay: 2**16 doubles, about 0.5 MB.
-_GNP_CHUNK = 1 << 16
-
-
-def _python_random_stream(seed: int) -> np.random.RandomState:
-    """A numpy generator whose ``random_sample`` replays
-    ``random.Random(seed).random()`` bit for bit.
-
-    CPython seeds its Mersenne Twister by ``init_by_array`` over the
-    little-endian 32-bit words of ``abs(seed)`` (``[0]`` for 0), and numpy's
-    legacy ``RandomState`` does the same for a sequence seed; both then build
-    each double from two 32-bit outputs the same way.  The words go in as a
-    list: a scalar (or one-element array) seed takes numpy's
-    ``init_genrand`` route, a different stream.
-    """
-    rest = abs(seed)
-    words = []
-    while True:
-        words.append(rest & 0xFFFFFFFF)
-        rest >>= 32
-        if not rest:
-            return np.random.RandomState(words)
-
-
 @dataclass(frozen=True, eq=False)
 class EdgeArrays:
-    """A normalized graph on ``0..n-1`` held as arrays.
-
-    ``u[i]``-``v[i]`` is the ``i``-th edge in the order
-    :func:`~repro.graphs.normalize.normalize_graph` would add it, and
-    ``indptr``/``indices`` are the sorted adjacency (CSR) the engines run
-    on: ``indices[indptr[w]:indptr[w + 1]]`` are ``w``'s neighbours in
-    ascending order.
+    """A normalized graph on ``0..n-1`` held as its sorted adjacency (CSR),
+    the arrays the engines run on: ``indices[indptr[w]:indptr[w + 1]]`` are
+    ``w``'s neighbours in ascending order.
     """
 
-    u: np.ndarray
-    v: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
 
     @classmethod
     def from_edges(cls, n: int, u: np.ndarray, v: np.ndarray) -> "EdgeArrays":
-        """Wrap an ordered simple edge list; its CSR takes one sort."""
+        """The CSR of a simple edge list on ``0..n-1``, by one sort."""
         slots = np.sort(np.concatenate([u * n + v, v * n + u]))
         counts = np.bincount(slots // n, minlength=n)
         indptr = np.concatenate([[0], np.cumsum(counts)])
-        return cls(u, v, indptr, slots % n)
+        return cls(indptr, slots % n)
 
     @property
     def n(self) -> int:
@@ -104,33 +75,33 @@ class EdgeArrays:
         return int(np.diff(self.indptr).max(initial=0))
 
     def graph(self) -> nx.Graph:
-        """The networkx graph, equal to the networkx route's down to
-        adjacency order (nodes ``0..n-1`` first, then the edges in order)."""
+        """The networkx graph: nodes ``0..n-1``, then the edges ``(w, x)``,
+        ``w < x``, in ascending order, so every adjacency lists its
+        neighbours in ascending order, as the CSR does."""
         import networkx as nx
 
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = self.indices > rows
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n))
-        graph.add_edges_from(zip(self.u.tolist(), self.v.tolist()))
+        graph.add_edges_from(zip(rows[upper].tolist(), self.indices[upper].tolist()))
         return graph
 
 
-def _gnp_pairs(n: int, p: float, seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The edges ``nx.gnp_random_graph(n, p, seed=seed)`` adds, in its order.
+def _gnp_pairs(n: int, p: float, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """The edges ``(u, v)``, ``u < v``, of a ``G(n, p)`` sample.
 
-    Pair ``k`` of ``itertools.combinations(range(n), 2)`` is kept when the
-    ``k``-th draw of ``random.Random(seed)`` is ``< p``; a kept flat index
-    maps back to ``(u, v)`` through the row offsets ``u * (2n - u - 1) / 2``
-    (the flat index of ``(u, u + 1)``).  For ``p >= 1`` every draw is kept,
-    as networkx's complete graph adds every pair in the same order.
+    Every pair being an edge independently with probability ``p`` is the
+    same law as a ``Binomial(n(n-1)/2, p)`` edge count followed by a
+    uniform choice of that many distinct pairs, which costs O(n + m)
+    instead of one draw per pair.  ``p <= 0`` (or NaN) gives no edge and
+    ``p >= 1`` every pair, without a binomial draw.  Pair ``k`` of
+    ``itertools.combinations(range(n), 2)`` maps back to ``(u, v)`` through
+    the row offsets ``u * (2n - u - 1) / 2`` (the flat index of ``(u, u + 1)``).
     """
     total = n * (n - 1) // 2
-    kept = [np.empty(0, dtype=np.int64)]
-    if p > 0:
-        stream = _python_random_stream(seed)
-        for start in range(0, total, _GNP_CHUNK):
-            draws = stream.random_sample(min(_GNP_CHUNK, total - start))
-            kept.append(np.flatnonzero(draws < p) + start)
-    flat = np.concatenate(kept)
+    count = 0 if not p > 0 else total if p >= 1 else int(rng.binomial(total, p))
+    flat = np.sort(rng.choice(total, count, replace=False, shuffle=False))
     rows = np.arange(n, dtype=np.int64)
     offsets = rows * (2 * n - rows - 1) // 2
     u = np.searchsorted(offsets, flat, side="right") - 1
@@ -160,64 +131,52 @@ def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _connect(
-    n: int, u: np.ndarray, v: np.ndarray, rng: random.Random
+    n: int, u: np.ndarray, v: np.ndarray, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The edges ``(u, v)`` on ``0..n-1`` patched by :func:`_ensure_connected`
-    with ``rng``, in the networkx graph's ``edges()`` order.
-
-    networkx lists components by smallest node and the sort by size is
-    stable, so components go largest first, ties by smallest node; each
-    later one links a member to the largest, both chosen from sorted lists.
-    ``edges()`` lists each edge under its smaller endpoint, in that node's
-    adjacency order: its drawn neighbours ascending, then its links.  For
-    drawn edges in pair order followed by the links, that is a stable sort
-    by smaller endpoint.
-    """
+    """The edges ``(u, v)`` on ``0..n-1`` plus the fewest links that connect
+    them: one per component but the largest (of equal sizes, the one with
+    the smallest node), from a uniform member of it to a uniform member of
+    the largest, all drawn from ``rng`` in one call."""
     root = _component_roots(n, u, v)
     smallest = np.flatnonzero(root == np.arange(n))
-    count = len(smallest)
-    if count == 1:
+    if len(smallest) == 1:
         return u, v
     labels = np.searchsorted(smallest, root)
-    sizes = np.bincount(labels, minlength=count)
-    order = np.lexsort((smallest, -sizes))
+    sizes = np.bincount(labels)
     members = np.argsort(labels, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    anchor = members[starts[order[0]] : starts[order[0] + 1]]
-    links = [
-        (rng.choice(members[starts[c] : starts[c + 1]]), rng.choice(anchor))
-        for c in order[1:].tolist()
-    ]
-    low = np.concatenate([u, np.min(links, axis=1)])
-    high = np.concatenate([v, np.max(links, axis=1)])
-    by_low = np.argsort(low, kind="stable")
-    return low[by_low], high[by_low]
+    starts = np.cumsum(sizes) - sizes
+    largest = int(np.argmax(sizes))
+    others = np.delete(np.arange(len(sizes)), largest)
+    # Row 0 names each link's component, row 1 the largest.
+    ends = np.stack([others, np.full_like(others, largest)])
+    linked = members[starts[ends] + rng.integers(0, sizes[ends])]
+    return np.concatenate([u, linked[0]]), np.concatenate([v, linked[1]])
 
 
 def gnp_arrays(n: int, p: float, seed: int = 0, connected: bool = True) -> EdgeArrays:
     """Erdos-Renyi ``G(n, p)``, optionally patched to be connected, as arrays.
 
-    The arrays of ``normalize_graph(nx.gnp_random_graph(n, p, seed=seed))``
-    (patched first by :func:`_ensure_connected` when ``connected``), whose
-    ``n(n-1)/2`` Python ``random()`` calls are replayed in numpy; no
-    networkx graph is built.  ``normalize_graph`` adds the edges in
-    ``edges()`` order, relabelled by one rank array.
+    One numpy ``Generator`` seeded with ``abs(seed)`` draws the edges
+    (:func:`_gnp_pairs`) and then the patch's links (:func:`_connect`), so
+    ``seed`` and ``-seed`` name one graph, as they do for
+    ``random.Random``, and seeds past 64 bits work.  Time and memory are
+    O(n + m), and no networkx graph is built.  G(n, p) is exchangeable, so
+    the sample needs no relabelling.
     """
     if n <= 0:
         raise GraphError("n must be positive")
-    u, v = _gnp_pairs(n, p, seed)
+    rng = np.random.default_rng(abs(seed))
+    u, v = _gnp_pairs(n, p, rng)
     if connected:
-        u, v = _connect(n, u, v, random.Random(seed))
-    rank = repr_rank(n)
-    return EdgeArrays.from_edges(n, rank[u], rank[v])
+        u, v = _connect(n, u, v, rng)
+    return EdgeArrays.from_edges(n, u, v)
 
 
 def gnp_graph(n: int, p: float, seed: int = 0, connected: bool = True) -> nx.Graph:
     """Erdos-Renyi ``G(n, p)``; optionally patched to be connected.
 
-    Identical, down to node and adjacency order, to
-    ``nx.gnp_random_graph(n, p, seed=seed)`` (then patched and normalized):
-    the networkx graph of :func:`gnp_arrays`.
+    The networkx graph of :func:`gnp_arrays`, every adjacency in ascending
+    order.
     """
     return gnp_arrays(n, p, seed=seed, connected=connected).graph()
 

@@ -10,30 +10,23 @@ The new label is a node's rank by ``(type name, repr(label))``, not by the
 label itself: integer labels order as strings, so ``normalize_graph`` of
 ``nx.path_graph(12)`` maps ``10 -> 2`` and ``2 -> 4``, and normalizing an
 already normalized graph with 11 or more nodes permutes it again (the
-function is not idempotent).  Every generator ends in this relabelling, so
-the ranking is part of every topology's identity: the topology cache key,
-the result and oracle caches and the committed benchmark artifacts all
-assume it.  Do not "fix" it to numeric order without versioning the
-topology cache key.  The G(n, p) generator relabels its edge arrays with
-:func:`repr_rank`, the same ranking of the integer labels ``0..n-1`` as one
-index array.
+function is not idempotent).  Every networkx-built generator ends in this
+relabelling, so the ranking is part of those topologies' identity: the
+topology cache key, the result and oracle caches and the committed benchmark
+artifacts all assume it.  Do not "fix" it to numeric order without bumping
+those families' generator versions
+(:data:`repro.graphs.suite.GENERATOR_VERSIONS`).  The G(n, p) sampler draws
+its graph on ``0..n-1`` directly and needs no relabelling.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Hashable, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Hashable
 
 from repro.errors import GraphError
 
 if TYPE_CHECKING:
     import networkx as nx
-
-
-def _rank_key(label: Hashable) -> Tuple[str, str]:
-    return type(label).__name__, repr(label)
 
 
 def relabel_map(graph: nx.Graph) -> Dict[Hashable, int]:
@@ -43,21 +36,8 @@ def relabel_map(graph: nx.Graph) -> Dict[Hashable, int]:
     types (e.g. tuples from grid graphs) still order deterministically; the
     integer label 10 therefore ranks before 2 (see the module docstring).
     """
-    labels = sorted(graph.nodes(), key=_rank_key)
+    labels = sorted(graph.nodes(), key=lambda label: (type(label).__name__, repr(label)))
     return {label: i for i, label in enumerate(labels)}
-
-
-@lru_cache(maxsize=8)
-def repr_rank(n: int) -> np.ndarray:
-    """:func:`relabel_map` of a graph on the integer labels ``0..n-1`` as
-    one int64 index array: ``rank[label]`` is the label's new id.
-
-    Computed once per ``n`` (a sweep draws many graphs of a few sizes) and
-    shared, so the array is read-only."""
-    rank = np.empty(n, dtype=np.int64)
-    rank[sorted(range(n), key=_rank_key)] = np.arange(n)
-    rank.flags.writeable = False
-    return rank
 
 
 def normalize_graph(graph: nx.Graph) -> nx.Graph:

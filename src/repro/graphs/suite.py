@@ -2,9 +2,12 @@
 
 One place defines the (family, size) grid so all tables in
 ``benchmarks/`` sweep the same instances and rows are comparable across
-experiments.  The G(n, p) families (``gnp``, ``gnp-dense``) are generated
-as arrays, so the runner compiles them with ``Network.from_csr`` and no
-networkx graph is built unless ``SuiteInstance.graph`` is read.
+experiments.  The G(n, p) families (``gnp``, ``gnp-dense``) are sampled
+as arrays in O(n + m), so the runner compiles them with
+``Network.from_csr`` and no networkx graph is built unless
+``SuiteInstance.graph`` is read.  A topology is a function of ``(family,
+n, seed)`` and the family's :data:`GENERATOR_VERSIONS` entry, which
+:func:`repro.oracle.cache.topology_cache_key` carries.
 """
 
 from __future__ import annotations
@@ -82,6 +85,12 @@ _FAMILY_BUILDERS: Dict[str, Callable[[int, int], Union[nx.Graph, EdgeArrays]]] =
         n if n % 2 == 0 else n + 1, d=6, seed=seed
     ),
 }
+
+
+#: Each family's generator version (1 if unlisted), bumped whenever a change
+#: to its generator changes the graphs it draws.  The G(n, p) families are
+#: at 2, the O(n + m) sampler of :func:`repro.graphs.generators.gnp_arrays`.
+GENERATOR_VERSIONS: Dict[str, int] = {"gnp": 2, "gnp-dense": 2}
 
 
 def families() -> List[str]:

@@ -31,6 +31,8 @@ import json
 from pathlib import Path
 from typing import Dict, Hashable, Optional, Tuple
 
+from repro.graphs.suite import GENERATOR_VERSIONS
+
 
 def topology_cache_key(
     family: str,
@@ -42,11 +44,15 @@ def topology_cache_key(
 
     ``params`` carries any extra generator parameters beyond the standard
     (family, n, seed) axes — ``None`` for the built-in suite, whose
-    builders are fully determined by those three.  Two cells with equal
-    keys run on the identical generated graph (the runner's
-    ``GridCell.topology_key`` contract), so their oracle bounds coincide.
+    builders are fully determined by those three and the family's
+    generator version (:data:`~repro.graphs.suite.GENERATOR_VERSIONS`, 1
+    if unlisted), the key's last entry: a dump from an older generator
+    misses.  Two cells with equal keys run on the identical generated graph
+    (the runner's ``GridCell.topology_key`` contract), so their oracle
+    bounds coincide.
     """
-    return (str(family), int(n), int(seed), params)
+    version = GENERATOR_VERSIONS.get(family, 1)
+    return (str(family), int(n), int(seed), params, version)
 
 
 def _freeze(value):

@@ -280,11 +280,11 @@ class TestDistance2:
 #: sha256 of lemma310's canonical coloring of ``suite_instance("gnp", n,
 #: seed=3)`` (JSON list of the colors in node order), recorded with the
 #: networkx square-graph path that :func:`reference_distance2_coloring`
-#: freezes.
+#: freezes, on the topologies of the gnp generator's version 2.
 CANONICAL_COLORING_SHA256 = {
-    250: "44926a9893c81f0ae0531452bb4912eed5b1e07533b57fd1a82f431c153b2a78",
-    500: "29de40c24633a082a6cd18a9d6d1e5ad2addeb33178d57e29d13ca92841b868f",
-    1000: "6d1cc459de33e683ef7389e7bb5ed60d8616c531f5fd30fb0dd40aa8e3bce478",
+    250: "dadeb54c8804ea30dc3e9bde3bef24b8b36d5f9a4bbea5f633dcdd8ca5aed486",
+    500: "8a695e9324af729731b50a243e713a2fa699b49cb3d193ce2665db15701a9268",
+    1000: "0613b98f616b7a716d63b82772375d2dc6262e35b24bddae336309d101158cba",
 }
 
 
@@ -318,13 +318,15 @@ class TestDistance2Parity:
     @given(symmetric_csr())
     def test_first_fit_matches_the_tril_route(self, conflicts):
         nodes = np.arange(conflicts.shape[0])
-        assert _first_fit(conflicts, nodes) == tril_first_fit(conflicts, nodes)
+        colors, count = _first_fit(conflicts, nodes)
+        assert (colors.tolist(), count) == tril_first_fit(conflicts, nodes)
 
     @settings(max_examples=200, deadline=None)
     @given(conflict_matrices())
     def test_priority_rounds_match_the_sequential_loop(self, conflicts):
         nodes = np.arange(conflicts.shape[0])
-        assert _first_fit(conflicts, nodes) == sequential_first_fit(conflicts, nodes)
+        colors, count = _first_fit(conflicts, nodes)
+        assert (colors.tolist(), count) == sequential_first_fit(conflicts, nodes)
 
     @pytest.mark.parametrize("family", families())
     @pytest.mark.parametrize("n", [60, 300])

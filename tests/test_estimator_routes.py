@@ -18,6 +18,7 @@ on it.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -149,8 +150,12 @@ def _summary(sim) -> tuple:
 
 
 def test_dense_lemma310_agrees_across_engines():
-    network = Network.congest(gnp_graph(150, 0.4, seed=5))
-    assert network.max_degree == 79
+    # The first G(150, 0.4) sample whose maximum degree is 79.
+    network = next(
+        net
+        for net in (Network.congest(gnp_graph(150, 0.4, seed=s)) for s in itertools.count())
+        if net.max_degree == 79
+    )
     assert lemma310.Lemma310ExecutionKernel.eligible(
         network, lemma310._batch_inputs([network])[0]
     )

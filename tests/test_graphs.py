@@ -2,18 +2,16 @@
 
 import hashlib
 import json
-import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.congest.network import Network, congest_bit_budget
 from repro.errors import GraphError
-from repro.experiments.runner import GridCell, build_network, run_grid
+from repro.experiments.runner import GridCell, run_grid
 from repro.graphs.generators import (
-    _ensure_connected,
-    _python_random_stream,
     caterpillar_graph,
     clique_graph,
     dumbbell_graph,
@@ -31,7 +29,6 @@ from repro.graphs.normalize import (
     is_normalized,
     normalize_graph,
     relabel_map,
-    repr_rank,
     require_normalized,
 )
 from repro.graphs.powers import ball, nodes_within, square_graph
@@ -73,17 +70,6 @@ class TestNormalize:
         assert nx.utils.graphs_equal(once, nx.path_graph([0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 2, 3]))
         # Not idempotent: a normalized graph with >= 11 nodes is permuted again.
         assert sorted(normalize_graph(once).edges()) != sorted(once.edges())
-
-    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 101, 1000])
-    def test_repr_rank_is_relabel_map_of_integer_labels(self, n):
-        mapping = relabel_map(nx.empty_graph(n))
-        rank = repr_rank(n)
-        assert rank.tolist() == [mapping[label] for label in range(n)]
-        # Memoized per n and shared: callers must not be able to edit it.
-        assert repr_rank(n) is rank
-        assert not rank.flags.writeable
-        with pytest.raises(ValueError):
-            rank[:1] = 0
 
 
 class TestGenerators:
@@ -222,118 +208,154 @@ def test_gnp_always_normalized_connected(n, seed):
     assert nx.is_connected(g)
 
 
-def reference_gnp_graph(n, p, seed=0, connected=True):
-    """The frozen G(n, p) path: networkx's pair loop, patched and normalized."""
-    graph = nx.gnp_random_graph(n, p, seed=seed)
-    if connected:
-        _ensure_connected(graph, random.Random(seed))
-    return normalize_graph(graph)
+def edge_pairs(arrays):
+    """Flat pair indices (the order of ``itertools.combinations(range(n),
+    2)``) of the edges of an :class:`EdgeArrays`, ascending."""
+    n = arrays.n
+    rows = np.repeat(np.arange(n), np.diff(arrays.indptr))
+    upper = arrays.indices > rows
+    u, v = rows[upper], arrays.indices[upper]
+    return u * (2 * n - u - 1) // 2 + v - u - 1
 
 
-def adjacency(graph):
-    """Node order plus each node's adjacency order (``graphs_equal`` ignores
-    the latter, but edge iteration, and so every run, depends on it)."""
-    return list(graph), [list(graph.adj[v]) for v in graph]
+class TestGnpSampler:
+    """``gnp_arrays`` draws G(n, p) exactly: checked against the law on fixed
+    seeds (so every run sees the same samples), with networkx as the
+    reference for components."""
 
+    def test_edge_count_is_binomial(self):
+        n, p, seeds = 60, 0.1, range(400)
+        total = n * (n - 1) // 2
+        counts = np.array([len(edge_pairs(gnp_arrays(n, p, s, False))) for s in seeds])
+        mean, var = total * p, total * p * (1 - p)
+        assert abs(counts.mean() - mean) < 4 * (var / len(counts)) ** 0.5
+        assert 0.8 < counts.var() / var < 1.25
 
-def assert_same_network(network, reference):
-    """Same sorted adjacency arrays and bit budget."""
-    assert network.csr() == reference.csr()
-    assert network.bit_budget == reference.bit_budget
+    def test_pooled_degrees_are_binomial(self):
+        from scipy import stats
 
-
-def kth_draw(seed, k):
-    """The ``k``-th ``random()`` of ``random.Random(seed)``."""
-    stream = random.Random(seed)
-    for _ in range(k):
-        stream.random()
-    return stream.random()
-
-
-SEEDS = st.one_of(
-    st.integers(-(2**40), 2**40),
-    st.integers(2**32, 2**80),
-    st.sampled_from([0, -5, 2**32, 2**70 + 3]),
-)
-
-
-@st.composite
-def gnp_params(draw):
-    n = draw(st.integers(1, 120))
-    seed = draw(SEEDS)
-    pairs = n * (n - 1) // 2
-    kind = draw(st.sampled_from(["fixed", "per-n", "sparse", "float", "on-a-draw"]))
-    if kind == "fixed":
-        p = draw(st.sampled_from([0.0, -0.1, 1.0, 1.5]))
-    elif kind == "per-n":
-        p = draw(st.sampled_from([4.0, 12.0])) / n
-    elif kind == "sparse":
-        # Many components of tied sizes: the connectivity patch's order.
-        p = draw(st.sampled_from([0.5, 1.0])) / n
-    elif kind == "on-a-draw" and pairs:
-        # p equal to the stream's own k-th draw: pair k sits on the threshold.
-        p = kth_draw(seed, draw(st.integers(0, pairs - 1)))
-    else:
-        p = draw(st.floats(0.0, 1.0))
-    return n, p, seed
-
-
-class TestGnpReplay:
-    """``gnp_graph`` replays networkx's G(n, p) stream in numpy: the graph
-    must equal the frozen networkx path down to adjacency order."""
-
-    @pytest.mark.parametrize("seed", [0, -5, 2**32, 2**70 + 3])
-    def test_stream_replays_python_random(self, seed):
-        python = random.Random(seed)
-        expected = [python.random() for _ in range(10**4)]
-        assert _python_random_stream(seed).random_sample(10**4).tolist() == expected
-
-    @settings(max_examples=80, deadline=None)
-    @given(gnp_params(), st.booleans())
-    def test_matches_networkx_reference(self, params, connected):
-        n, p, seed = params
-        reference = reference_gnp_graph(n, p, seed=seed, connected=connected)
-        assert adjacency(gnp_graph(n, p, seed=seed, connected=connected)) == adjacency(
-            reference
+        n, p, seeds = 100, 0.05, range(200)
+        degrees = np.concatenate(
+            [np.diff(gnp_arrays(n, p, s, False).indptr) for s in seeds]
         )
+        law = stats.binom(n - 1, p)
+        # Degrees 0..11, the tail above 11 pooled into the last bin.
+        top = 11
+        observed = np.bincount(np.minimum(degrees, top), minlength=top + 1)
+        expected = law.pmf(np.arange(top + 1)) * len(degrees)
+        expected[-1] = law.sf(top - 1) * len(degrees)
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    def test_every_pair_is_drawn_at_rate_p(self):
+        from scipy import stats
+
+        n, p, seeds = 8, 0.3, range(2000)
+        total = n * (n - 1) // 2
+        hits = np.zeros(total, dtype=np.int64)
+        for s in seeds:
+            hits[edge_pairs(gnp_arrays(n, p, s, False))] += 1
+        sd = (len(seeds) * p * (1 - p)) ** 0.5
+        assert np.abs(hits - len(seeds) * p).max() < 5 * sd
+        assert stats.chisquare(hits).pvalue > 1e-3
+
+    @pytest.mark.parametrize("p", [0.0, -0.5, 5e-324, float("nan")])
+    def test_p_at_most_zero_draws_no_edge(self, p):
+        assert gnp_arrays(40, p, seed=3, connected=False).indices.size == 0
+        # The patch alone connects the isolated nodes: n - 1 links.
+        g = gnp_graph(40, p, seed=3)
+        assert nx.is_connected(g) and g.number_of_edges() == 39
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_p_at_least_one_draws_every_pair(self, p):
+        for n in (1, 2, 30, 150):
+            assert nx.utils.graphs_equal(gnp_graph(n, p, seed=4), nx.complete_graph(n))
+
+    @pytest.mark.parametrize("seed", [-5, 5, 0, 2**32, 2**64 + 1, 2**80])
+    def test_seeds_of_any_size_and_sign_are_deterministic(self, seed):
+        first, again = gnp_arrays(200, 0.03, seed), gnp_arrays(200, 0.03, seed)
+        assert np.array_equal(first.indptr, again.indptr)
+        assert np.array_equal(first.indices, again.indices)
+        # As for random.Random, a seed and its negation name one graph.
+        mirror = gnp_arrays(200, 0.03, -seed)
+        assert np.array_equal(first.indices, mirror.indices)
+
+    def test_seeds_past_64_bits_are_not_truncated(self):
+        samples = {
+            tuple(edge_pairs(gnp_arrays(50, 0.1, seed, False)))
+            for seed in (1, 2**64 + 1, 2**128 + 1, 2)
+        }
+        assert len(samples) == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 300), st.sampled_from([0.5, 1.0, 1.5, 3.0]), st.integers(0, 10**6))
+    def test_one_link_per_component_but_the_largest(self, n, scale, seed):
+        """The patch adds the drawn graph's edges plus one link from each
+        component but the largest (ties: the one with the smallest node)
+        to the largest."""
+        p = scale / n
+        drawn = gnp_graph(n, p, seed=seed, connected=False)
+        patched = gnp_graph(n, p, seed=seed)
+        components = sorted(nx.connected_components(drawn), key=len, reverse=True)
+        component_of = {v: i for i, comp in enumerate(components) for v in comp}
+        links = set(map(frozenset, patched.edges())) - set(map(frozenset, drawn.edges()))
+        assert set(map(frozenset, drawn.edges())) <= set(map(frozenset, patched.edges()))
+        assert len(links) == len(components) - 1
+        linked = sorted(sorted(component_of[v] for v in link) for link in links)
+        assert linked == [[0, i] for i in range(1, len(components))]
+        assert nx.is_connected(patched)
+
+    def test_links_join_uniform_members(self):
+        """Each link's ends are uniform members of their components: their
+        ranks within the component, pooled over seeds, average to 1/2."""
+        ranks = {True: [], False: []}  # keyed by "in the largest component"
+        n = 300
+        for seed in range(40):
+            drawn = gnp_graph(n, 1.2 / n, seed=seed, connected=False)
+            patched = gnp_graph(n, 1.2 / n, seed=seed)
+            components = [sorted(c) for c in nx.connected_components(drawn)]
+            largest = max(len(c) for c in components)
+            members = {v: ordered for ordered in components for v in ordered}
+            for link in set(patched.edges()) - set(drawn.edges()):
+                for end in link:
+                    ordered = members[end]
+                    if len(ordered) > 1:
+                        rank = (ordered.index(end) + 0.5) / len(ordered)
+                        ranks[len(ordered) == largest].append(rank)
+        for pooled in ranks.values():
+            assert abs(np.mean(pooled) - 0.5) < 4 * (1 / 12 / len(pooled)) ** 0.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 120), st.floats(0.0, 1.0), st.integers(0, 10**6), st.booleans())
+    def test_graph_and_csr_agree(self, n, p, seed, connected):
+        """``graph()`` lists every adjacency in ascending order, as the CSR
+        does, and both compile to the same network."""
         arrays = gnp_arrays(n, p, seed=seed, connected=connected)
+        graph = arrays.graph()
+        assert list(graph) == list(range(n))
+        for v in graph:
+            row = arrays.indices[arrays.indptr[v] : arrays.indptr[v + 1]].tolist()
+            assert list(graph.adj[v]) == row
         compiled = Network.from_csr(
             arrays.indptr, arrays.indices, bit_budget=congest_bit_budget(arrays.n)
         )
-        assert_same_network(compiled, Network.congest(reference))
-
-    def test_draw_equal_to_p_is_not_kept(self):
-        n, seed = 30, 3
-        python = random.Random(seed)
-        draws = [python.random() for _ in range(n * (n - 1) // 2)]
-        p = draws[100]
-        g = gnp_graph(n, p, seed=seed, connected=False)
-        assert g.number_of_edges() == sum(d < p for d in draws)
-        assert adjacency(g) == adjacency(reference_gnp_graph(n, p, seed, False))
-
-    @pytest.mark.parametrize("n", [200, 250, 400, 500, 800, 1000])
-    def test_suite_instances_at_benchmark_sizes(self, n):
-        for family, p in (("gnp", min(0.5, 4.0 / n)), ("gnp-dense", min(0.8, 12.0 / n))):
-            for seed in (0, 7):
-                reference = reference_gnp_graph(n, p, seed=seed)
-                g = suite_instance(family, n, seed=seed).graph
-                assert adjacency(g) == adjacency(reference)
-                cell = GridCell(family, n, "greedy", "vector", seed)
-                assert_same_network(build_network(cell), Network.congest(reference))
+        reference = Network.congest(graph)
+        assert compiled.csr() == reference.csr()
+        assert compiled.bit_budget == reference.bit_budget
 
 
 #: sha256 of the JSON of ``[list(G.adj[v]) for v in G]`` for one instance of
-#: every suite family, recorded while G(n, p) still ran on networkx's own
-#: generator.  Topology cache keys carry no generator version, so the result
-#: and oracle caches (and the oracle's persisted JSON) and the committed
-#: BENCH_*.json artifacts all assume these never change; a generator rewrite
-#: or a networkx upgrade that moves one must version the cache key instead.
+#: every suite family, recorded at each family's generator version
+#: (``repro.graphs.suite.GENERATOR_VERSIONS``: the G(n, p) families at 2, the
+#: O(n + m) sampler; the rest at 1, networkx's generators).  The oracle's
+#: persisted JSON and the committed BENCH_*.json artifacts assume these never
+#: change at a given version: a generator rewrite or a networkx upgrade that
+#: moves one must bump that family's version and regenerate the artifacts.
 TOPOLOGY_FINGERPRINTS = {
     ("ba", 200): "9c5bdc219484fb6d7e3df95fd7fafec4e27265aa7d4244d95c4c80b86c3fa204",
     ("caterpillar", 200): "b57aad1c29ec4d2e9ab0cb618215e239239b760b4d8fc3a8a131a21807f83fca",
     ("geometric", 200): "47607ab40c1eae888729ca7f7d3a9939ed9e3f0ba6e2b810eb1e6103c1cdfa7d",
-    ("gnp", 1000): "f6bf9f84b72d9925c7868d97bc45a17a91983190ccf0de7bfecd876b3ecf9f0c",
-    ("gnp-dense", 200): "dbb82f7ad25f23187d1ec44bad204c7a3dae2ab15d42a5e2db2c5e2ba0894c6c",
+    ("gnp", 1000): "78684ac393e0811aab2aa3fb4209eb565a46925d9e60bca1ed93fbc5ed573e9b",
+    ("gnp-dense", 200): "e295865d5d56182ad36bb4fa31ed29584a4d292c29372381704e62d386f1594e",
     ("grid", 200): "b21541c64224efd4bd6848e116f39f6b3478b445a105941035d853da41db8cf6",
     ("regular", 200): "8006fe525734a92a7ab6c1cc8a3224301c9058893ab69c90920eb4cefed4e5cd",
     ("tree", 200): "d13e648cd99ab138e75a1f050bffd379f08908ab5e28a5cf1a578b0f51581c4d",

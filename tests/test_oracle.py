@@ -152,11 +152,46 @@ class TestCache:
         assert len(oracle_cache()) == 0
 
     def test_topology_key_carries_full_identity(self):
-        assert topology_cache_key("gnp", 24, 7) == ("gnp", 24, 7, None)
+        # The last entry is the family's generator version.
+        assert topology_cache_key("gnp", 24, 7) == ("gnp", 24, 7, None, 2)
+        assert topology_cache_key("tree", 24, 7) == ("tree", 24, 7, None, 1)
         assert topology_cache_key("gnp", 24, 7) != topology_cache_key("gnp", 24, 8)
         assert topology_cache_key("gnp", 24, 7, params=("p", 0.5)) != (
             topology_cache_key("gnp", 24, 7)
         )
+
+
+    def test_a_dump_keyed_without_the_generator_version_never_certifies(self, tmp_path):
+        """A dump whose keys carry no generator version names gnp graphs the
+        sampler no longer draws: loaded, it must leave a gnp cell to be
+        solved afresh, not answer with the stale certificate."""
+        from repro.experiments.runner import GridCell, run_grid
+        from repro.graphs.suite import suite_instance
+        from repro.oracle.cache import OracleCache
+        from repro.oracle.certificate import (
+            EXACT_NODE_LIMIT,
+            EXACT_SEARCH_BUDGET,
+            ILP_TIME_LIMIT_S,
+        )
+
+        cell = GridCell("gnp", 40, "greedy", "fast", seed=3)
+        (plain,) = run_grid([cell])
+        size = plain["metrics"]["ds_size"]
+        stale = OracleCache()
+        unversioned = ("gnp", 40, 3, None)
+        stale.store(
+            (unversioned, size, "auto", EXACT_NODE_LIMIT, EXACT_SEARCH_BUDGET,
+             ILP_TIME_LIMIT_S),
+            Certificate(size=size, opt=1, lp_bound=1.0, ratio_vs_opt=float(size),
+                        ratio_vs_lp=float(size), method="exact", status="optimal",
+                        solve_wall_s=0.0),
+        )
+        assert oracle_cache().load(stale.dump(tmp_path / "oracle.json")) == 1
+        (record,) = run_grid([cell], certify="auto")
+        assert record["quality"]["cache_hit"] is False
+        assert oracle_cache().stats()["misses"] == 1
+        fresh = certify(suite_instance("gnp", 40, seed=3).graph, size)
+        assert record["quality"]["opt"] == fresh.opt != 1
 
 
 class TestSolverFailures:
